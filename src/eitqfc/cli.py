@@ -35,14 +35,13 @@ from .states import (
     Fock,
     Squeezed,
     apply_loss_channel,
-    channel_amplitude,
     coherent_fidelity,
     fidelity,
     fock_dm,
     input_variances,
     output_variance,
 )
-from .transfer import conversion_efficiency, semiclassical_solve, transmittance
+from .transfer import resolved_coefficients, semiclassical_solve
 
 #: Default squeezing magnitude: variance ratio of exactly 4 (6.02 dB).
 DEFAULT_SQUEEZE_R = math.log(2.0)
@@ -96,8 +95,9 @@ def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[st
     for alpha in alphas:
         params = _base_params(float(alpha), overrides)
         try:
-            tq = transmittance(params)
-            cq = conversion_efficiency(params)
+            a0, _, c0, _ = resolved_coefficients(params, 0.0)
+            tq = float(abs(a0) ** 2)
+            cq = float(abs(c0) ** 2)
             ts, cs = semiclassical_solve(params)
         except QfcError as exc:
             raise type(exc)(f"at alpha={float(alpha)!r}: {exc}") from exc
@@ -157,10 +157,12 @@ def run_custom(
 ) -> tuple[list[str], list[list[float]]]:
     """Combined optical-depth sweep for one input state.
 
-    Emits transfer quantities plus the conversion fidelity (Fock input:
-    from the full truncated-basis channel; coherent input: closed-form
-    overlap) and the converted-signal quadrature variances.  Squeezed
-    inputs carry no fidelity column.
+    Each row runs the transfer pipeline once for the probe transmittance
+    |A_0|^2, the CE |C_0|^2 and the channel amplitude C_0.  It emits
+    those plus the conversion fidelity (Fock input: |n><n| pushed through
+    the Kraus-form loss channel on the truncated basis; coherent input:
+    closed-form overlap) and the converted-signal quadrature variances.
+    Squeezed inputs carry no fidelity column.
     """
     overrides = overrides or {}
     if state_kind == "fock":
@@ -175,16 +177,18 @@ def run_custom(
     with_fidelity = not isinstance(state, Squeezed)
     header = ["alpha", "tp", "ce"] + (["fidelity"] if with_fidelity else []) + ["var_x", "var_y"]
     vin = input_variances(state)
+    rho_in = fock_dm(state.n) if isinstance(state, Fock) else None
     rows = []
     for alpha in alphas:
         params = _base_params(float(alpha), overrides)
         try:
-            tp = transmittance(params)
-            c0 = channel_amplitude(params)
+            a0, _, c0, _ = resolved_coefficients(params, 0.0)
+            tp = float(abs(a0) ** 2)
+            c0 = complex(c0)
             ce = abs(c0) ** 2
             row = [float(alpha), tp, ce]
             if isinstance(state, Fock):
-                rho_out = apply_loss_channel(fock_dm(state.n), c0)
+                rho_out = apply_loss_channel(rho_in, c0)
                 row.append(fidelity(state, rho_out))
             elif isinstance(state, Coherent):
                 row.append(coherent_fidelity(abs(state.beta) ** 2, ce))

@@ -3,10 +3,11 @@
 At omega = 0 the medium acts on the probe as a pure-loss channel of
 transmissivity |C_0|^2: the converted signal keeps the input wave
 function up to the amplitude factor conj(C_0).  This module builds the
-output density matrices in a truncated Fock basis (via the
-normally-ordered projector series), provides an independent two-mode
-beam-splitter oracle for the same channel, and computes fidelities and
-quadrature variances.
+output density matrices in a truncated Fock basis as the pure-loss Kraus
+sum (Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)), keeps two
+independent constructions of the same channel as test oracles (the
+normally-ordered projector series and a two-mode beam splitter), and
+computes fidelities and quadrature variances.
 
 Quadrature convention: X = (a + a^+)/2, Y = (a - a^+)/2i, so the vacuum
 variance is 1/4.  Callers that want the doubled-variance convention
@@ -148,8 +149,54 @@ def channel_amplitude(params: SystemParams) -> complex:
     return complex(c0)
 
 
+@functools.lru_cache(maxsize=8)
+def _kraus_layout(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero elements <n-l|K_l|n> of the loss Kraus operators on a dim basis.
+
+    Returns the photons lost l, kept n - l and present n of each element
+    (all l <= n < dim) and sqrt(C(n, l)) on it; the arrays are read-only.
+    """
+    lost, n = np.triu_indices(dim)
+    kept = n - lost
+    root_binomial = np.array([math.sqrt(math.comb(int(k), int(j))) for j, k in zip(lost, n)])
+    for table in (lost, kept, n, root_binomial):
+        table.setflags(write=False)
+    return lost, kept, n, root_binomial
+
+
 def apply_loss_channel(rho_in: np.ndarray, c0: complex) -> np.ndarray:
     """Push a state through the conversion channel of amplitude c0.
+
+    The channel is the pure-loss Kraus sum rho_out = sum_l K_l rho_in K_l^+
+    with K_l = sum_n sqrt(C(n, l)) conj(c0)^{n-l} r^l |n-l><n| and
+    r = sqrt(1 - |c0|^2) (Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)):
+    a pure-loss channel of transmissivity |c0|^2 with phase conj(c0) on
+    the coherences.  It is exact on the truncated space, because loss
+    never raises the photon number.
+    """
+    rho_in = np.asarray(rho_in, dtype=complex)
+    dim = rho_in.shape[0]
+    c0 = complex(c0)
+    if abs(c0) > 1.0 + 1e-12:
+        raise ValueError(f"|c0| = {abs(c0):.6f} exceeds 1")
+    top_two = float(rho_in[dim - 1, dim - 1].real + rho_in[dim - 2, dim - 2].real)
+    if top_two > TOP_LEVEL_TOL:
+        raise TruncationOverflow(
+            f"top two Fock levels hold {top_two:.3e} of the population; enlarge the basis"
+        )
+
+    lost, kept, n, root_binomial = _kraus_layout(dim)
+    levels = np.arange(dim)
+    kept_amplitude = np.conj(c0) ** levels
+    # |c0| may exceed 1 by rounding (see the guard above): clamp r^2 at 0
+    lost_amplitude = math.sqrt(max(1.0 - abs(c0) ** 2, 0.0)) ** levels
+    kraus = np.zeros((dim, dim, dim), dtype=complex)
+    kraus[lost, kept, n] = root_binomial * kept_amplitude[kept] * lost_amplitude[lost]
+    return (kraus @ rho_in @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
+
+
+def projector_series_oracle(rho_in: np.ndarray, c0: complex) -> np.ndarray:
+    """Independent loss-channel construction by the projector series.
 
     Elements are evaluated by the normally-ordered projector expansion:
     rho_out[m, n] = sum_l (-1)^l / (l! sqrt(m! n!))

@@ -144,12 +144,20 @@ class PropagationMatrix:
 
 
 def propagation_matrix(params: SystemParams, omega: float = 0.0) -> PropagationMatrix:
-    """Full pipeline: spectral solve -> e^{-ML} -> backward boundary form."""
+    """Full pipeline: spectral solve -> e^{-ML} -> backward boundary form.
+
+    Raises IllPosedBoundary when the raw or the resolved matrix is not
+    finite: at large optical depth the unscaled e^{-ML} overflows.
+    """
     coeffs = solve_susceptibilities(params, omega)
     m = coupling_matrix(coeffs)
     raw = expm2(m * LENGTH)
+    if not np.isfinite(raw).all():
+        raise IllPosedBoundary("e^{-ML} overflowed to a non-finite matrix")
     det_raw = np.exp(-(coeffs.lambda_p + coeffs.lambda_s) * LENGTH)
     resolved = boundary_resolve(raw, det_raw=det_raw)
+    if not np.isfinite(resolved).all():
+        raise IllPosedBoundary("the boundary re-solve of e^{-ML} is not finite")
     return PropagationMatrix(raw=raw, resolved=resolved, omega=omega)
 
 

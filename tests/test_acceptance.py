@@ -28,6 +28,7 @@ from eitqfc.states import (
     input_variances,
     output_variance,
     output_variances,
+    projector_series_oracle,
 )
 from eitqfc.transfer import (
     conversion_efficiency,
@@ -107,15 +108,20 @@ def test_criterion_3_spectral_oracle():
 
 
 def test_criterion_4_channel_oracle():
-    with _Criterion(4, "loss channel equals beam-splitter oracle (Frobenius 1e-9)", budget=10.0):
+    with _Criterion(
+        4, "Kraus channel equals series and beam-splitter oracles (Frobenius 1e-9)", budget=10.0
+    ):
         dim = 24
         transmissivities = (0.0, 0.25, 0.5, 0.9612, 1.0)
         inputs = [fock_dm(n, dim) for n in range(6)]
         inputs += [coherent_dm(beta, dim) for beta in (0.5, 1.0, 2.0, 1.0 + 1.0j)]
         for rho in inputs:
             for t in transmissivities:
-                series = apply_loss_channel(rho, math.sqrt(t))
+                kraus = apply_loss_channel(rho, math.sqrt(t))
+                series = projector_series_oracle(rho, math.sqrt(t))
                 oracle = beam_splitter_oracle(rho, t, dim)
+                assert np.linalg.norm(kraus - oracle) < 1e-9
+                assert np.linalg.norm(kraus - series) < 1e-9
                 assert np.linalg.norm(series - oracle) < 1e-9
 
 

@@ -176,6 +176,21 @@ class TestMain:
         assert "alpha=" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fig2", "custom"])
+    def test_overflowing_transfer_matrix_exits_3(self, tmp_path, capsys, command):
+        # with omega_d = 2 the unscaled e^{-ML} is already nan at alpha = 5000
+        cfg = tmp_path / "large_od.cfg"
+        cfg.write_text("omega_d = 2\n")
+        out = tmp_path / "never.csv"
+        argv = [command, "--config", str(cfg), "--alpha-max", "20000", "--grid-points", "5"]
+        with np.errstate(all="ignore"):
+            code = main([*argv, "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "at alpha=5000.0" in err
+        assert not out.exists()
+
     def test_invalid_physical_params_exit_2(self, tmp_path):
         cfg = tmp_path / "bad_phys.cfg"
         cfg.write_text("gamma31 = -1\n")

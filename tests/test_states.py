@@ -20,6 +20,7 @@ from eitqfc.states import (
     input_variances,
     output_variance,
     output_variances,
+    projector_series_oracle,
     trace_distance,
     validate_density_matrix,
 )
@@ -51,17 +52,39 @@ class TestApplyLossChannel:
             out = apply_loss_channel(fock_dm(0, 5), c0)
             assert np.allclose(out, fock_dm(0, 5), atol=1e-14)
 
+    def test_full_loss_and_identity_channel(self):
+        dim = 20
+        for rho in (fock_dm(3, dim), coherent_dm(1.0 + 0.5j, dim)):
+            assert np.max(np.abs(apply_loss_channel(rho, 0.0) - fock_dm(0, dim))) < 1e-14
+            assert np.max(np.abs(apply_loss_channel(rho, 1.0) - rho)) < 1e-15
+
     def test_two_photon_binomial(self):
         out = apply_loss_channel(fock_dm(2, 8), math.sqrt(0.5))
         assert np.allclose(np.diag(out).real[:3], [0.25, 0.5, 0.25], atol=1e-13)
 
     def test_output_is_valid_density_matrix(self):
-        for rho, c0 in (
-            (fock_dm(3, 12), 0.7),
-            (coherent_dm(1.2, 20), 0.9 * np.exp(0.3j)),
-        ):
+        cases = [(fock_dm(3, 12), 0.7)]
+        for dim in (20, 24):
+            inputs = [fock_dm(n, dim) for n in (1, 3, 5)]
+            inputs += [coherent_dm(beta, dim) for beta in (1.2, 1.0 + 1.0j)]
+            for c0 in (0.9 * np.exp(0.3j), 0.5 * np.exp(-2.0j), 1j):
+                cases += [(rho, c0) for rho in inputs]
+        for rho, c0 in cases:
             out = apply_loss_channel(rho, c0)
             validate_density_matrix(out, trace_tol=1e-9)
+            # the Kraus sum preserves the trace of the truncated input itself
+            assert abs(np.trace(out) - np.trace(rho)) < 1e-14
+
+    def test_composition_law(self):
+        # T(c1) after T(c2) is T(c1 c2), phases included
+        dim = 20
+        amplitudes = (0.8 * np.exp(0.4j), 0.6 * np.exp(-1.1j), 0.95)
+        for rho in (fock_dm(4, dim), coherent_dm(0.7 - 1.0j, dim)):
+            for c1 in amplitudes:
+                for c2 in amplitudes:
+                    twice = apply_loss_channel(apply_loss_channel(rho, c2), c1)
+                    once = apply_loss_channel(rho, c1 * c2)
+                    assert np.linalg.norm(twice - once) < 1e-14
 
     def test_trace_preserved(self):
         out = apply_loss_channel(coherent_dm(1.5, 24), 0.55)
@@ -76,6 +99,9 @@ class TestApplyLossChannel:
     def test_amplitude_bound(self):
         with pytest.raises(ValueError):
             apply_loss_channel(fock_dm(1, 6), 1.2)
+        # rounding above |c0| = 1 is accepted as the identity channel
+        rho = coherent_dm(0.5, 12)
+        assert np.max(np.abs(apply_loss_channel(rho, 1.0 + 5e-13) - rho)) < 1e-11
 
 
 class TestBeamSplitterOracle:
@@ -104,24 +130,34 @@ class TestBeamSplitterOracle:
             beam_splitter_oracle(fock_dm(1, 8), 1.5, 8)
 
 
+def _assert_routes_agree(*routes):
+    for k, first in enumerate(routes):
+        for second in routes[k + 1 :]:
+            assert np.linalg.norm(first - second) < 1e-9
+
+
 class TestChannelEquivalence:
+    """Kraus sum, projector series and beam splitter: three independent routes."""
+
     def test_fock_inputs(self):
         dim = 24
         for n in range(6):
             rho = fock_dm(n, dim)
             for t in (0.0, 0.25, 0.5, 0.9612, 1.0):
-                series = apply_loss_channel(rho, math.sqrt(t))
+                kraus = apply_loss_channel(rho, math.sqrt(t))
+                series = projector_series_oracle(rho, math.sqrt(t))
                 oracle = beam_splitter_oracle(rho, t, dim)
-                assert np.linalg.norm(series - oracle) < 1e-9
+                _assert_routes_agree(kraus, series, oracle)
 
     def test_coherent_inputs(self):
         dim = 24
         for beta in (0.5, 1.0, 2.0, 1.0 + 1.0j):
             rho = coherent_dm(beta, dim)
             for t in (0.25, 0.9612):
-                series = apply_loss_channel(rho, math.sqrt(t))
+                kraus = apply_loss_channel(rho, math.sqrt(t))
+                series = projector_series_oracle(rho, math.sqrt(t))
                 oracle = beam_splitter_oracle(rho, t, dim)
-                assert np.linalg.norm(series - oracle) < 1e-9
+                _assert_routes_agree(kraus, series, oracle)
 
     def test_complex_amplitude_phase_adjustment(self):
         # a complex channel amplitude equals the real-transmissivity beam
@@ -129,11 +165,12 @@ class TestChannelEquivalence:
         dim = 20
         c0 = math.sqrt(0.7) * np.exp(0.8j)
         rho = coherent_dm(1.0, dim)
-        series = apply_loss_channel(rho, c0)
+        kraus = apply_loss_channel(rho, c0)
+        series = projector_series_oracle(rho, c0)
         oracle = beam_splitter_oracle(rho, abs(c0) ** 2, dim)
         phase = np.exp(-1j * np.angle(c0) * np.arange(dim))
         rotated = phase[:, None] * oracle * np.conj(phase)[None, :]
-        assert np.linalg.norm(series - rotated) < 1e-9
+        _assert_routes_agree(kraus, series, rotated)
 
 
 class TestCoherentOutput:
@@ -188,6 +225,13 @@ class TestFidelity:
         for ce in np.linspace(0.0, 1.0, 50):
             out = apply_loss_channel(fock_dm(1, 4), math.sqrt(ce))
             assert abs(fidelity(Fock(1), out) - math.sqrt(ce)) < 1e-10
+        # |n> keeps the amplitude |c0|^n, whatever the phase of c0
+        for n in range(6):
+            rho = fock_dm(n, 20)
+            for ce in np.linspace(0.0, 1.0, 50):
+                c0 = math.sqrt(ce) * np.exp(1.3j)
+                out = apply_loss_channel(rho, c0)
+                assert abs(fidelity(Fock(n), out) - abs(c0) ** n) <= 1e-14
 
     def test_monotone_in_ce(self):
         ces = np.linspace(0.0, 1.0, 40)
