@@ -12,6 +12,11 @@ All integrals carry the correlation prefactor L/(2 pi c) with L and c
 normalized to 1 (c drops out of the dimensionless model once the
 i*omega/c propagation term is neglected).
 
+Each grid level is evaluated in blocks of about BLOCK_PAIRS (omega, z)
+pairs: a stacked spectral solve, a stacked e^{-ML} and a kernel block
+per block of frequencies, with the quadratic form and both quadrature
+weight contractions done on the block arrays.
+
 Ground-state dephasing (gamma21 > 0) enters the deterministic
 propagation coefficients but not the diffusion matrix here: its
 Langevin back-action on the photon statistics is not modeled, and a
@@ -28,8 +33,8 @@ import numpy as np
 
 from .errors import NonConvergedIntegral
 from .params import GAMMA, LENGTH, SystemParams, validate
-from .spectral import solve_susceptibilities
-from .transfer import coupling_matrix, expm2, noise_kernels, resolved_coefficients
+from .spectral import solve_susceptibility_stack
+from .transfer import expm2, noise_kernel_block, resolved_coefficients
 
 #: Row labels jk of the diffusion matrix and their adjoint pairs k'j'.
 DIFFUSION_ROWS = (21, 31, 41)
@@ -37,6 +42,9 @@ DIFFUSION_COLS = (12, 13, 14)
 
 #: Convergence target for grid doubling of the noise integrals.
 INTEGRAL_TOL = 1e-8
+
+#: (omega, z) pairs evaluated at once; a block holds BLOCK_PAIRS // n_z frequencies.
+BLOCK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,17 @@ def gauss_legendre_grid(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndar
     return a + half * (x + 1), half * w
 
 
+def _block_form(
+    params: SystemParams, d: np.ndarray, row: int, omegas: np.ndarray, z_nodes: np.ndarray
+) -> np.ndarray:
+    """sum_ab K_a d_ab K*_b on a block of omega nodes and the z nodes, shape (omega, z)."""
+    stack = solve_susceptibility_stack(params, omegas)
+    raw = expm2(stack.generator * LENGTH)
+    k = noise_kernel_block(stack, raw, z_nodes, row)  # (omega, z, noise slot)
+    kd = k @ d
+    return np.einsum("...a,...a->...", kd.real, k.real) + np.einsum("...a,...a->...", kd.imag, k.imag)
+
+
 def _integral_on_grid(
     params: SystemParams,
     diffusion: DiffusionMatrix,
@@ -93,17 +112,19 @@ def _integral_on_grid(
     z_nodes: np.ndarray,
     z_weights: np.ndarray,
 ) -> float:
-    """sum_jk,j'k' of int dz d_omega K_jk D K*_j'k' / (2 pi) on fixed grids."""
-    d = diffusion.entries
+    """sum_jk,j'k' of int dz d_omega K_jk D K*_j'k' / (2 pi) on fixed grids.
+
+    The omega nodes are taken in blocks of about BLOCK_PAIRS (omega, z)
+    pairs: one stacked spectral solve, one stacked e^{-ML} and one kernel
+    block per block, and no Python loop over omega.
+    """
+    row = 0 if kernel == "P" else 1
+    size = max(1, BLOCK_PAIRS // len(z_nodes))
     total = 0.0
-    for omega, w_omega in zip(omega_nodes, omega_weights):
-        coeffs = solve_susceptibilities(params, float(omega))
-        raw = expm2(coupling_matrix(coeffs) * LENGTH)
-        kernels = noise_kernels(coeffs, raw, z_nodes)
-        k = kernels.p if kernel == "P" else kernels.q
-        # quadratic form over the noise slots, per z node
-        form = np.einsum("az,ab,bz->z", k, d, np.conj(k)).real
-        total += w_omega * float(z_weights @ form)
+    for start in range(0, len(omega_nodes), size):
+        block = slice(start, start + size)
+        form = _block_form(params, diffusion.entries, row, omega_nodes[block], z_nodes)
+        total += float(omega_weights[block] @ (form @ z_weights))
     return total * LENGTH / (2 * np.pi)
 
 
@@ -124,17 +145,24 @@ def _adaptive_noise_integral(
         window = default_window(params)
 
     previous = None
+    change = None
+    nodes = 0
     for level in range(max_doublings + 1):
-        omega_nodes, omega_weights = gauss_legendre_grid(-window, window, n_omega * 2**level)
+        nodes = n_omega * 2**level
+        omega_nodes, omega_weights = gauss_legendre_grid(-window, window, nodes)
         z_nodes, z_weights = gauss_legendre_grid(0.0, LENGTH, n_z * 2**level)
         value = _integral_on_grid(
             params, diffusion, kernel, omega_nodes, omega_weights, z_nodes, z_weights
         )
-        if previous is not None and abs(value - previous) < tol:
-            return value
+        if previous is not None:
+            change = abs(value - previous)
+            if change < tol:
+                return value
         previous = value
+    last = "none (one level has nothing to compare)" if change is None else f"{change:.3e}"
     raise NonConvergedIntegral(
-        f"noise integral changed by more than {tol} at the deepest grid level"
+        f"noise integral not converged after {max(max_doublings + 1, 0)} grid level(s), "
+        f"the last with {nodes} omega nodes: last |change| {last}, tol {tol:.3e}"
     )
 
 

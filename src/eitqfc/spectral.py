@@ -7,8 +7,11 @@ equations yields, per frequency, the EIT profile coefficients Lambda,
 the cross-coupling coefficients kappa and the Langevin noise couplings
 zeta.  Two routes are provided:
 
-* ``solve_susceptibilities`` -- numeric 3x3 solve, valid for arbitrary
-  (also asymmetric, dephasing) parameters;
+* the numeric 3x3 solve, valid for arbitrary (also asymmetric,
+  dephasing) parameters.  One stacked SVD condition test and one stacked
+  inverse serve a whole array of frequencies at once
+  (``solve_susceptibility_stack``, used by the noise integrals);
+  ``solve_susceptibilities`` is its one-frequency view;
 * ``closed_form_coefficients`` -- literal transcription of the
   symmetric-case closed forms, used as an oracle for the numeric route.
 """
@@ -28,6 +31,8 @@ NOISE_INDICES = (21, 31, 41)
 #: Condition-number threshold beyond which the 3x3 solve is rejected.
 COND_LIMIT = 1e12
 
+_EYE3 = np.eye(3)
+
 
 @dataclass(frozen=True)
 class FirstOrderSystem:
@@ -43,12 +48,15 @@ class FirstOrderSystem:
     drift: np.ndarray
     drive_p: np.ndarray
     drive_s: np.ndarray
-    omega: float
+    omega: float | np.ndarray
 
     @property
     def system_matrix(self) -> np.ndarray:
-        """The matrix (i*omega*I - drift) to be inverted."""
-        return 1j * self.omega * np.eye(3) - self.drift
+        """The matrix (i*omega*I - drift) to be inverted.
+
+        Shape (3, 3) for one omega, (n, 3, 3) for an array of n omegas.
+        """
+        return np.multiply.outer(1j * self.omega, _EYE3) - self.drift
 
 
 @dataclass(frozen=True)
@@ -77,8 +85,24 @@ class SpectralCoefficients:
         return np.array([self.zeta_s[jk] for jk in NOISE_INDICES])
 
 
-def build_first_order_system(params: SystemParams, omega: float) -> FirstOrderSystem:
+@dataclass(frozen=True)
+class SpectralStack:
+    """The coefficients of SpectralCoefficients on an array of n frequencies.
+
+    ``generator`` (n, 2, 2) holds M = [[Lambda_p, kappa_p], [kappa_s,
+    Lambda_s]]; ``zeta`` (n, 2, 3) holds the rows zeta_p and zeta_s, with
+    columns ordered like NOISE_INDICES.
+    """
+
+    generator: np.ndarray
+    zeta: np.ndarray
+    omega: np.ndarray
+
+
+def build_first_order_system(params: SystemParams, omega: float | np.ndarray) -> FirstOrderSystem:
     """Assemble the first-order coherence equations at frequency omega.
+
+    ``omega`` may also be a 1-D array; the drift does not depend on it.
 
     Row order is (sigma_21, sigma_31, sigma_41): the ground-state
     coherence decays at gamma21/2 and couples to both optical coherences
@@ -101,25 +125,50 @@ def build_first_order_system(params: SystemParams, omega: float) -> FirstOrderSy
     return FirstOrderSystem(drift=drift, drive_p=drive_p, drive_s=drive_s, omega=omega)
 
 
-def _coefficients_from_inverse(alpha: float, ainv: np.ndarray, omega: float) -> SpectralCoefficients:
-    """Map the inverted 3x3 response onto Lambda, kappa and zeta."""
+def _inverse_response(params: SystemParams, omega: float | np.ndarray) -> np.ndarray:
+    """(i*omega*I - drift)^{-1} for one omega (3, 3) or a 1-D array of them (n, 3, 3).
+
+    Every matrix must pass the SVD condition test against COND_LIMIT;
+    SingularSystem names the first omega that fails it.
+    """
+    matrix = build_first_order_system(params, omega).system_matrix
+    # the 2-norm condition number s_max/s_min of np.linalg.cond, compared
+    # without the division so that s_min = 0 needs no special case
+    singular_values = np.linalg.svd(matrix, compute_uv=False)
+    well_posed = singular_values[..., 0] <= COND_LIMIT * singular_values[..., -1]
+    if not well_posed.all():
+        first = np.flatnonzero(~well_posed)[0]
+        raise SingularSystem(
+            f"atomic response matrix at omega={np.ravel(omega)[first]} "
+            f"has condition number {np.ravel(np.linalg.cond(matrix))[first]:.3e}"
+        )
+    return np.linalg.inv(matrix)
+
+
+def _couplings(alpha: float, ainv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map the inverted 3x3 response(s) onto M (..., 2, 2) and zeta (..., 2, 3).
+
+    Lambda_p, kappa_p = strength * ainv[1, 1:], kappa_s, Lambda_s =
+    -strength * ainv[2, 1:]; zeta_p = -i root ainv[1, :] and zeta_s =
+    i root ainv[2, :], with root = sqrt(strength).
+    """
     strength = alpha * GAMMA / (4 * LENGTH)
     root = np.sqrt(strength)
-    lambda_p = strength * ainv[1, 1]
-    kappa_p = strength * ainv[1, 2]
-    lambda_s = -strength * ainv[2, 2]
-    kappa_s = -strength * ainv[2, 1]
-    zeta_p = {jk: -1j * root * ainv[1, k] for k, jk in enumerate(NOISE_INDICES)}
-    zeta_s = {jk: 1j * root * ainv[2, k] for k, jk in enumerate(NOISE_INDICES)}
-    return SpectralCoefficients(
-        lambda_p=lambda_p,
-        lambda_s=lambda_s,
-        kappa_p=kappa_p,
-        kappa_s=kappa_s,
-        zeta_p=zeta_p,
-        zeta_s=zeta_s,
-        omega=omega,
-    )
+    generator = np.array([[strength], [-strength]]) * ainv[..., 1:, 1:]
+    zeta = np.array([[-1j * root], [1j * root]]) * ainv[..., 1:, :]
+    return generator, zeta
+
+
+def solve_susceptibility_stack(params: SystemParams, omegas: np.ndarray) -> SpectralStack:
+    """Numeric elimination of the atomic coherences on a 1-D array of frequencies.
+
+    One stacked condition test and one stacked inverse serve all of
+    them; raises SingularSystem like solve_susceptibilities, naming the
+    first ill-conditioned frequency.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    generator, zeta = _couplings(params.alpha, _inverse_response(params, omegas))
+    return SpectralStack(generator=generator, zeta=zeta, omega=omegas)
 
 
 def solve_susceptibilities(params: SystemParams, omega: float) -> SpectralCoefficients:
@@ -130,16 +179,18 @@ def solve_susceptibilities(params: SystemParams, omega: float) -> SpectralCoeffi
     SingularSystem when the response matrix is ill-conditioned beyond
     COND_LIMIT, which signals a physically degenerate configuration
     (e.g. both Rabi frequencies and the dephasing vanish at omega = 0).
+    The one-frequency view of solve_susceptibility_stack.
     """
-    system = build_first_order_system(params, omega)
-    matrix = system.system_matrix
-    cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSystem(
-            f"atomic response matrix at omega={omega} has condition number {cond:.3e}"
-        )
-    ainv = np.linalg.inv(matrix)
-    return _coefficients_from_inverse(params.alpha, ainv, omega)
+    generator, zeta = _couplings(params.alpha, _inverse_response(params, omega))
+    return SpectralCoefficients(
+        lambda_p=generator[0, 0],
+        lambda_s=generator[1, 1],
+        kappa_p=generator[0, 1],
+        kappa_s=generator[1, 0],
+        zeta_p=dict(zip(NOISE_INDICES, zeta[0])),
+        zeta_s=dict(zip(NOISE_INDICES, zeta[1])),
+        omega=omega,
+    )
 
 
 def eit_denominator(params: SystemParams, omega: float) -> complex:

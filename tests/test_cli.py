@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,12 +184,14 @@ class TestMain:
         cfg.write_text("omega_d = 2\n")
         out = tmp_path / "never.csv"
         argv = [command, "--config", str(cfg), "--alpha-max", "20000", "--grid-points", "5"]
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([*argv, "--out", str(out)])
         assert code == 3
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
-        assert "numerical failure" in err
-        assert "at alpha=5000.0" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("eitqfc: numerical failure: at alpha=5000.0: ")
         assert not out.exists()
 
     def test_invalid_physical_params_exit_2(self, tmp_path):

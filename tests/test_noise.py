@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from eitqfc import noise
+from eitqfc.errors import NonConvergedIntegral, SingularSystem
 from eitqfc.noise import (
     DiffusionMatrix,
     default_window,
@@ -9,7 +11,7 @@ from eitqfc.noise import (
     eta2,
     langevin_photon_noise,
 )
-from eitqfc.params import symmetric_params
+from eitqfc.params import SystemParams, symmetric_params
 from eitqfc.spectral import solve_susceptibilities
 from eitqfc.transfer import coupling_matrix, expm2, noise_kernels, resolved_coefficients
 
@@ -90,6 +92,40 @@ class TestNoiseIntegrals:
         assert langevin_photon_noise(p, doubled) == pytest.approx(
             2 * langevin_photon_noise(p, d), rel=1e-10
         )
+
+    def test_block_size_does_not_change_the_value(self, monkeypatch):
+        # 1000 pairs make 15 and 7 frequencies per block, with a ragged last block on both levels
+        p = symmetric_params(3.0, 0.8)
+        d = diffusion_matrix(0.3, 0.1)
+        default = eta1(p, d)
+        monkeypatch.setattr(noise, "BLOCK_PAIRS", 1000)
+        assert eta1(p, d) == pytest.approx(default, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("diffusion", [None, diffusion_matrix(0.5, 0.5)])
+    def test_singular_system_names_the_frequency(self, diffusion):
+        # no Rabi fields and no dephasing: the response is singular at the omega = 0 node
+        p = SystemParams(alpha=2.0, omega_c=0.0, omega_d=0.0)
+        with pytest.raises(SingularSystem, match=r"omega=0\.0 "):
+            langevin_photon_noise(p, diffusion)
+
+    def test_single_level_cannot_converge(self):
+        p = symmetric_params(4.0)
+        with pytest.raises(NonConvergedIntegral) as exc:
+            eta1(p, diffusion_matrix(0.5, 0.5), max_doublings=0)
+        message = str(exc.value)
+        assert "after 1 grid level(s)" in message
+        assert "513 omega nodes" in message
+        assert "one level has nothing to compare" in message
+
+    def test_non_convergence_reports_the_last_change(self):
+        p = symmetric_params(4.0)
+        with pytest.raises(NonConvergedIntegral) as exc:
+            eta1(p, diffusion_matrix(0.5, 0.5), n_omega=65, n_z=16, tol=1e-30, max_doublings=1)
+        message = str(exc.value)
+        assert "after 2 grid level(s), the last with 130 omega nodes" in message
+        change = float(message.split("last |change| ")[1].split(",")[0])
+        assert 1e-30 <= change < 1e-3
+        assert "tol 1.000e-30" in message
 
 
 class TestEta2:

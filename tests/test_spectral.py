@@ -9,6 +9,7 @@ from eitqfc.spectral import (
     closed_form_coefficients,
     eit_denominator,
     solve_susceptibilities,
+    solve_susceptibility_stack,
 )
 
 
@@ -162,3 +163,26 @@ def test_system_invertible_whenever_guaranteed():
         )
         coeffs = solve_susceptibilities(p, rng.uniform(-15.0, 15.0))
         assert np.all(np.isfinite(_all_coefficients(coeffs)))
+
+
+def test_stack_matches_one_frequency_solves():
+    p = SystemParams(
+        alpha=25.0, omega_c=1.3, omega_d=0.8 * np.exp(0.4j), gamma31=1.1, gamma41=0.9, gamma21=0.02
+    )
+    omegas = np.linspace(-12.0, 12.0, 37)
+    stack = solve_susceptibility_stack(p, omegas)
+    assert stack.generator.shape == (37, 2, 2)
+    assert stack.zeta.shape == (37, 2, 3)
+    for n, omega in enumerate(omegas):
+        one = solve_susceptibilities(p, omega)
+        generator = [[one.lambda_p, one.kappa_p], [one.kappa_s, one.lambda_s]]
+        zeta = [one.zeta_p_vector, one.zeta_s_vector]
+        assert np.max(np.abs(stack.generator[n] - generator)) <= 1e-15 * np.max(np.abs(generator))
+        assert np.max(np.abs(stack.zeta[n] - zeta)) <= 1e-15 * np.max(np.abs(zeta))
+
+
+def test_stack_names_first_singular_frequency():
+    p = SystemParams(alpha=5.0, omega_c=0.0, omega_d=0.0)
+    with pytest.raises(SingularSystem, match=r"omega=0\.0 has condition number inf"):
+        solve_susceptibility_stack(p, np.array([-1.0, 0.0, 2.0, 0.0]))
+    assert solve_susceptibility_stack(p, np.array([-1.0, 2.0])).generator.shape == (2, 2, 2)

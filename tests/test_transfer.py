@@ -5,12 +5,13 @@ import scipy.linalg
 from eitqfc import transfer
 from eitqfc.errors import IllPosedBoundary, ShootingFailure
 from eitqfc.params import SystemParams, symmetric_params
-from eitqfc.spectral import solve_susceptibilities
+from eitqfc.spectral import solve_susceptibilities, solve_susceptibility_stack
 from eitqfc.transfer import (
     boundary_resolve,
     conversion_efficiency,
     coupling_matrix,
     expm2,
+    noise_kernel_block,
     noise_kernels,
     propagation_matrix,
     reassemble_raw,
@@ -67,6 +68,64 @@ class TestExpm2:
             assert np.max(np.abs(whole - half @ half)) < 1e-12 * max(1.0, scale)
 
 
+def _with_q(mu: complex, q: complex) -> np.ndarray:
+    """mu I + [[0, 1], [q, 0]]: its (d/2)^2 = (tr^2 - 4 det)/4 is q."""
+    return np.array([[mu, 1.0], [q, mu]], dtype=complex)
+
+
+def _test_stack() -> np.ndarray:
+    rng = np.random.default_rng(17)
+    members = list(
+        (rng.normal(size=(40, 2, 2)) + 1j * rng.normal(size=(40, 2, 2)))
+        * rng.uniform(0.05, 5.0, size=(40, 1, 1))
+    )
+    members += [
+        symmetric_m(alpha) * np.exp(1j * phase) for alpha, phase in ((4.0, 0.0), (200.0, 1.1), (0.0, 0.0))
+    ]
+    members += [np.array([[1.0, 1.0], [eps, 1.0]], dtype=complex) for eps in (1e-6, 1e-9, 1e-12)]
+    for side in (1 - 1e-3, 1 + 1e-3):  # either side of the |q| = 0.25 series/hyperbolic switch
+        for phase in (0.0, 0.7, np.pi, -2.0):
+            for mu in (0.0, 0.3 - 1.2j):
+                members.append(_with_q(mu, 0.25 * side * np.exp(1j * phase)))
+    return np.array(members)
+
+
+class TestStackedExpm2:
+    def test_branch_members_sit_where_intended(self):
+        below = _with_q(0.3 - 1.2j, 0.25 * (1 - 1e-3) * np.exp(0.7j))
+        above = _with_q(0.3 - 1.2j, 0.25 * (1 + 1e-3) * np.exp(0.7j))
+        assert abs(transfer._mu_q(below)[1]) < 0.25 < abs(transfer._mu_q(above)[1])
+
+    def test_stack_against_scipy(self):
+        stack = _test_stack()
+        ours = expm2(stack)
+        assert ours.shape == stack.shape
+        for m, got in zip(stack, ours):
+            ref = scipy.linalg.expm(-m)
+            assert np.max(np.abs(got - ref)) < 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+    def test_stack_member_equals_single_matrix_bit_for_bit(self):
+        stack = _test_stack()
+        whole = expm2(stack)
+        for i, m in enumerate(stack):
+            single = expm2(m)
+            assert np.array_equal(expm2(stack[i : i + 1])[0], single)
+            assert np.array_equal(whole[i], single)
+
+    def test_leading_axes(self):
+        stack = _test_stack()[:12]
+        assert np.array_equal(expm2(stack.reshape(3, 4, 2, 2)), expm2(stack).reshape(3, 4, 2, 2))
+
+    def test_overflow_is_silent_and_non_finite(self):
+        # the omega_d = 2, alpha = 5000 generator overflows e^{-ML}; callers turn that into IllPosedBoundary
+        m = coupling_matrix(solve_susceptibilities(SystemParams(alpha=5000.0, omega_d=2.0), 0.0))
+        with np.errstate(over="raise", invalid="raise"):
+            raw = expm2(m)
+        assert not np.isfinite(raw).all()
+        with pytest.raises(IllPosedBoundary):
+            propagation_matrix(SystemParams(alpha=5000.0, omega_d=2.0))
+
+
 class TestBoundaryResolve:
     def test_identity(self):
         assert np.allclose(boundary_resolve(np.eye(2)), np.eye(2), atol=1e-15)
@@ -121,6 +180,54 @@ class TestNoiseKernels:
         expected_q = -zs / raw[1, 1]
         assert np.allclose(kernels.p[:, 1], expected_p, atol=1e-14)
         assert np.allclose(kernels.q[:, 1], expected_q, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "params", [symmetric_params(8.0), SystemParams(alpha=6.0, omega_c=1.5, omega_d=0.8, gamma21=0.02)]
+    )
+    def test_matches_per_omega_expm_route(self, params):
+        # the route the kernels replaced: a full e^{-M(L-z)} per z node, then the boundary mixing
+        z = np.array([0.0, 0.13, 0.5, 0.87, 1.0])
+        for omega in (0.0, 0.4, -0.4, 3.0, -3.0):
+            coeffs = solve_susceptibilities(params, omega)
+            m = coupling_matrix(coeffs)
+            raw = expm2(m)
+            kernels = noise_kernels(coeffs, raw, z)
+            zeta = np.stack([coeffs.zeta_p_vector, coeffs.zeta_s_vector])
+            boundary = np.array([[1.0, -raw[0, 1] / raw[1, 1]], [0.0, -1.0 / raw[1, 1]]])
+            for i, zi in enumerate(z):
+                expected = boundary @ scipy.linalg.expm(-m * (1.0 - zi)) @ zeta
+                scale = max(1.0, np.max(np.abs(expected)))
+                assert np.max(np.abs(kernels.p[:, i] - expected[0])) < 1e-13 * scale
+                assert np.max(np.abs(kernels.q[:, i] - expected[1])) < 1e-13 * scale
+
+    def test_block_matches_one_frequency_view(self):
+        params = SystemParams(alpha=6.0, omega_c=1.5, omega_d=0.8, gamma21=0.02)
+        omegas = np.array([-3.0, -0.4, 0.0, 0.4, 3.0])
+        z = np.linspace(0.0, 1.0, 7)
+        stack = solve_susceptibility_stack(params, omegas)
+        block = noise_kernel_block(stack, expm2(stack.generator), z)
+        assert block.shape == (5, 7, 2, 3)
+        for row in (0, 1):
+            one_row = noise_kernel_block(stack, expm2(stack.generator), z, row)
+            assert np.max(np.abs(one_row - block[:, :, row])) < 1e-15 * np.max(np.abs(block))
+        for n, omega in enumerate(omegas):
+            coeffs = solve_susceptibilities(params, omega)
+            view = noise_kernels(coeffs, expm2(coupling_matrix(coeffs)), z)
+            scale = np.max(np.abs(block[n]))
+            assert np.max(np.abs(block[n, :, 0, :].T - view.p)) < 1e-14 * scale
+            assert np.max(np.abs(block[n, :, 1, :].T - view.q)) < 1e-14 * scale
+
+    def test_block_rejects_ill_posed_raw(self):
+        stack = solve_susceptibility_stack(symmetric_params(8.0), np.array([0.0, 1.0]))
+        raw = expm2(stack.generator)
+        singular = raw.copy()
+        singular[1, 1, 1] = 0.0
+        with pytest.raises(IllPosedBoundary, match="omega=1.0"):
+            noise_kernel_block(stack, singular, np.array([0.5]))
+        overflowed = raw.copy()
+        overflowed[0, 0, 0] = np.inf
+        with pytest.raises(IllPosedBoundary, match="non-finite"):
+            noise_kernel_block(stack, overflowed, np.array([0.5]))
 
     def test_nilpotent_closed_form(self):
         # at line center e^{M(z-L)} = I + M(z-L) exactly
