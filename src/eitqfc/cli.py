@@ -4,18 +4,24 @@ Subcommands:
 
 * ``fig2``   -- probe transmittance and conversion efficiency versus
                optical depth, quantum closed-channel columns next to the
-               independent semiclassical boundary-value solution;
+               independent semiclassical boundary-value solution, each
+               from one sweep over the whole grid; a row that breaks
+               passivity or where the two routes disagree is a
+               numerical failure;
 * ``fig3``   -- conversion fidelity versus CE for coherent inputs with
                mean photon number 1 and 10 and for the one-photon Fock
                input;
 * ``fig4``   -- output quadrature variances versus CE for a squeezed
                (variant a) or one-photon Fock (variant b) input;
 * ``custom`` -- combined sweep over optical depth emitting transfer,
-               fidelity and variance columns for a chosen input state.
+               fidelity and variance columns for a chosen input state;
+               the transfer columns come from one sweep over the grid.
 
 Numbers are emitted with 15 significant digits so rows round-trip
 through the CSV; identical inputs produce byte-identical files.
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
+Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.  A
+numerical failure names the first grid value that failed, as a row by
+row evaluation would meet it, and nothing is written.
 """
 
 from __future__ import annotations
@@ -41,10 +47,15 @@ from .states import (
     input_variances,
     output_variance,
 )
-from .transfer import resolved_coefficients, semiclassical_solve
+from .transfer import propagation_sweep, semiclassical_sweep
 
 #: Default squeezing magnitude: variance ratio of exactly 4 (6.02 dB).
 DEFAULT_SQUEEZE_R = math.log(2.0)
+
+#: A fig2 power column above 1 + PASSIVITY_TOL breaks passivity.
+PASSIVITY_TOL = 1e-9
+#: Largest gap allowed between the semiclassical and the quantum fig2 columns.
+ORACLE_TOL = 1e-6
 
 _PHYSICAL_KEYS = ("omega_c", "omega_d", "gamma31", "gamma41", "gamma21")
 
@@ -87,21 +98,75 @@ def _base_params(alpha: float, overrides: dict) -> SystemParams:
         raise ConfigError(str(exc)) from exc
 
 
+def _sweep_params(alphas: np.ndarray, overrides: dict) -> SystemParams:
+    """The validated physical parameters of an optical-depth sweep.
+
+    The grid's smallest value stands in for the optical depth, so a
+    negative one is a configuration error like an invalid physical key.
+    """
+    return _base_params(float(np.min(alphas, initial=0.0)), overrides)
+
+
+def _raise_first(*failures: QfcError | None) -> None:
+    """Raise the first failure that is not None."""
+    for failure in failures:
+        if failure is not None:
+            raise failure
+
+
+def _check_oracle(row: list[float]) -> None:
+    """QfcError unless a fig2 row is passive and its two routes agree.
+
+    The passing test is spelled out so that a NaN column fails it.
+    """
+    alpha, tq, cq, ts, cs = row
+    limit = 1 + PASSIVITY_TOL
+    if (
+        tq <= limit
+        and cq <= limit
+        and ts <= limit
+        and cs <= limit
+        and abs(ts - tq) <= ORACLE_TOL
+        and abs(cs - cq) <= ORACLE_TOL
+    ):
+        return
+    excess = [v for v in row[1:] if v > limit]
+    if excess:
+        raise QfcError(f"at alpha={alpha!r}: passivity broken, largest power column {max(excess):.6g}")
+    gap = float(np.maximum(abs(ts - tq), abs(cs - cq)))  # a NaN gap stays NaN
+    raise QfcError(
+        f"at alpha={alpha!r}: semiclassical columns leave the quantum ones by {gap:.3e} (limit {ORACLE_TOL})"
+    )
+
+
 def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[str], list[list[float]]]:
-    """Transmittance and CE versus optical depth, quantum and semiclassical."""
+    """Transmittance and CE versus optical depth, quantum and semiclassical.
+
+    The quantum columns come from one propagation_sweep and the
+    semiclassical ones from one semiclassical_sweep over the rows the
+    quantum sweep solved.  A row whose power columns exceed
+    1 + PASSIVITY_TOL, or whose semiclassical columns leave the quantum
+    ones by more than ORACLE_TOL, is a numerical failure: it is never
+    written.
+    """
     overrides = overrides or {}
     header = ["alpha", "tp_quantum", "ce_quantum", "tp_semiclassical", "ce_semiclassical"]
+    params = _sweep_params(alphas, overrides)
+    quantum = propagation_sweep(params, alphas)
+    classical = semiclassical_sweep(params, quantum.alphas)
     rows = []
-    for alpha in alphas:
-        params = _base_params(float(alpha), overrides)
-        try:
-            a0, _, c0, _ = resolved_coefficients(params, 0.0)
-            tq = float(abs(a0) ** 2)
-            cq = float(abs(c0) ** 2)
-            ts, cs = semiclassical_solve(params)
-        except QfcError as exc:
-            raise type(exc)(f"at alpha={float(alpha)!r}: {exc}") from exc
-        rows.append([float(alpha), tq, cq, ts, cs])
+    for alpha, a0, c0, ts, cs in zip(
+        classical.alphas,
+        quantum.resolved[:, 0, 0],
+        quantum.resolved[:, 1, 0],
+        classical.transmittance,
+        classical.conversion_efficiency,
+    ):
+        # |A|^2 from numpy scalars: an array ** 2 can round differently in the last bit
+        row = [float(alpha), float(abs(a0) ** 2), float(abs(c0) ** 2), float(ts), float(cs)]
+        _check_oracle(row)
+        rows.append(row)
+    _raise_first(classical.failure, quantum.failure)
     return header, rows
 
 
@@ -157,12 +222,12 @@ def run_custom(
 ) -> tuple[list[str], list[list[float]]]:
     """Combined optical-depth sweep for one input state.
 
-    Each row runs the transfer pipeline once for the probe transmittance
-    |A_0|^2, the CE |C_0|^2 and the channel amplitude C_0.  It emits
-    those plus the conversion fidelity (Fock input: |n><n| pushed through
-    the Kraus-form loss channel on the truncated basis; coherent input:
-    closed-form overlap) and the converted-signal quadrature variances.
-    Squeezed inputs carry no fidelity column.
+    One propagation_sweep gives every row's probe transmittance |A_0|^2,
+    CE |C_0|^2 and channel amplitude C_0.  Each row emits those plus the
+    conversion fidelity (Fock input: |n><n| pushed through the
+    Kraus-form loss channel on the truncated basis, row by row; coherent
+    input: closed-form overlap) and the converted-signal quadrature
+    variances.  Squeezed inputs carry no fidelity column.
     """
     overrides = overrides or {}
     if state_kind == "fock":
@@ -178,25 +243,25 @@ def run_custom(
     header = ["alpha", "tp", "ce"] + (["fidelity"] if with_fidelity else []) + ["var_x", "var_y"]
     vin = input_variances(state)
     rho_in = fock_dm(state.n) if isinstance(state, Fock) else None
+    quantum = propagation_sweep(_sweep_params(alphas, overrides), alphas)
     rows = []
-    for alpha in alphas:
-        params = _base_params(float(alpha), overrides)
-        try:
-            a0, _, c0, _ = resolved_coefficients(params, 0.0)
-            tp = float(abs(a0) ** 2)
-            c0 = complex(c0)
-            ce = abs(c0) ** 2
-            row = [float(alpha), tp, ce]
-            if isinstance(state, Fock):
-                rho_out = apply_loss_channel(rho_in, c0)
-                row.append(fidelity(state, rho_out))
-            elif isinstance(state, Coherent):
-                row.append(coherent_fidelity(abs(state.beta) ** 2, ce))
-            row.append(convention_scale * output_variance(vin.var_x, ce))
-            row.append(convention_scale * output_variance(vin.var_y, ce))
-        except QfcError as exc:
-            raise type(exc)(f"at alpha={float(alpha)!r}: {exc}") from exc
+    for alpha, a0, c0 in zip(quantum.alphas, quantum.resolved[:, 0, 0], quantum.resolved[:, 1, 0]):
+        alpha = float(alpha)
+        tp = float(abs(a0) ** 2)
+        c0 = complex(c0)
+        ce = abs(c0) ** 2
+        row = [alpha, tp, ce]
+        if isinstance(state, Fock):
+            try:
+                row.append(fidelity(state, apply_loss_channel(rho_in, c0)))
+            except QfcError as exc:
+                raise type(exc)(f"at alpha={alpha!r}: {exc}") from exc
+        elif isinstance(state, Coherent):
+            row.append(coherent_fidelity(abs(state.beta) ** 2, ce))
+        row.append(convention_scale * output_variance(vin.var_x, ce))
+        row.append(convention_scale * output_variance(vin.var_y, ce))
         rows.append(row)
+    _raise_first(quantum.failure)
     return header, rows
 
 

@@ -11,7 +11,9 @@ zeta.  Two routes are provided:
   dephasing) parameters.  One stacked SVD condition test and one stacked
   inverse serve a whole array of frequencies at once
   (``solve_susceptibility_stack``, used by the noise integrals);
-  ``solve_susceptibilities`` is its one-frequency view;
+  ``solve_susceptibilities`` is its one-frequency view.  Since M is
+  linear in the optical depth, ``generator_sweep`` gives M on a whole
+  optical-depth grid from one 3x3 solve;
 * ``closed_form_coefficients`` -- literal transcription of the
   symmetric-case closed forms, used as an oracle for the numeric route.
 """
@@ -32,6 +34,8 @@ NOISE_INDICES = (21, 31, 41)
 COND_LIMIT = 1e12
 
 _EYE3 = np.eye(3)
+#: Row signs of M: [Lambda_p, kappa_p] carry +strength, [kappa_s, Lambda_s] -strength.
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -145,18 +149,40 @@ def _inverse_response(params: SystemParams, omega: float | np.ndarray) -> np.nda
     return np.linalg.inv(matrix)
 
 
+def _generator(alpha: float | np.ndarray, ainv: np.ndarray) -> np.ndarray:
+    """Map the inverted 3x3 response(s) onto M (..., 2, 2).
+
+    Lambda_p, kappa_p = strength * ainv[1, 1:] and kappa_s, Lambda_s =
+    -strength * ainv[2, 1:] with strength = alpha / 4 (GAMMA = LENGTH
+    = 1).  ``alpha`` is one optical depth (with one ainv or a stack) or
+    a 1-D array of them (with one ainv); every entry is the same single
+    product either way.
+    """
+    strength = alpha * GAMMA / (4 * LENGTH)
+    return np.multiply.outer(strength, _SIGNS) * ainv[..., 1:, 1:]
+
+
 def _couplings(alpha: float, ainv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map the inverted 3x3 response(s) onto M (..., 2, 2) and zeta (..., 2, 3).
 
-    Lambda_p, kappa_p = strength * ainv[1, 1:], kappa_s, Lambda_s =
-    -strength * ainv[2, 1:]; zeta_p = -i root ainv[1, :] and zeta_s =
+    M as in _generator; zeta_p = -i root ainv[1, :] and zeta_s =
     i root ainv[2, :], with root = sqrt(strength).
     """
-    strength = alpha * GAMMA / (4 * LENGTH)
-    root = np.sqrt(strength)
-    generator = np.array([[strength], [-strength]]) * ainv[..., 1:, 1:]
+    root = np.sqrt(alpha * GAMMA / (4 * LENGTH))
     zeta = np.array([[-1j * root], [1j * root]]) * ainv[..., 1:, :]
-    return generator, zeta
+    return _generator(alpha, ainv), zeta
+
+
+def generator_sweep(params: SystemParams, alphas: np.ndarray, omega: float = 0.0) -> np.ndarray:
+    """M at one frequency on a 1-D array of optical depths, shape (n, 2, 2).
+
+    M is linear in the optical depth and the 3x3 response does not
+    depend on it, so one condition test and one inverse serve the whole
+    grid; ``params.alpha`` is only validated.  Row k equals the
+    generator solve_susceptibilities gives at alphas[k] bit for bit.
+    Raises SingularSystem like solve_susceptibilities.
+    """
+    return _generator(np.asarray(alphas, dtype=float), _inverse_response(params, omega))
 
 
 def solve_susceptibility_stack(params: SystemParams, omegas: np.ndarray) -> SpectralStack:

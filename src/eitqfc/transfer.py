@@ -8,6 +8,16 @@ The same machinery yields the spatial noise kernels P_jk, Q_jk and the
 single-mode (omega = 0) transmittance and conversion efficiency; an
 independent semiclassical boundary-value solver cross-checks the latter.
 
+Every optical-depth computation goes through one sweep core.  M(alpha)
+= alpha M(1), and the 3x3 response behind M(1) does not depend on
+alpha, so ``propagation_sweep`` needs one 3x3 solve, one stacked
+``expm2`` and one stacked boundary re-solve for a whole grid, and
+``semiclassical_sweep`` one field integration (Phi_alpha(L) = Psi(alpha)
+with dPsi/dt = -M(1) L Psi).  Both return the rows before the first
+optical depth that fails plus that row's error.  ``propagation_matrix``,
+``resolved_coefficients`` and ``semiclassical_solve`` are their one-row
+views.
+
 There is one 2x2 exponential: ``expm2`` takes one matrix or a stack
 (..., 2, 2), and one matrix is evaluated in Python scalars with the same
 arithmetic as a stack.  ``noise_kernel_block`` uses the same closed form
@@ -22,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import IllPosedBoundary, ShootingFailure
+from .errors import IllPosedBoundary, NegativeOD, QfcError, ShootingFailure, SingularSystem
 from .params import LENGTH, SystemParams, validate
-from .spectral import NOISE_INDICES, SpectralCoefficients, SpectralStack, solve_susceptibilities
+from .spectral import NOISE_INDICES, SpectralCoefficients, SpectralStack, generator_sweep
 
 #: |D'| below this is treated as a backward-geometry resonance.
 BOUNDARY_TOL = 1e-12
@@ -131,11 +141,25 @@ def expm2(m: np.ndarray) -> np.ndarray:
     callers raise IllPosedBoundary for it.
     """
     m = np.asarray(m, dtype=complex)
+    shape = m.shape
+    if m.size == 4:
+        m = m.reshape(2, 2)  # a stack of one: the Python-scalar route rounds alike and costs less
     with np.errstate(over="ignore", invalid="ignore"):
         mu, quarter_d2 = _mu_q(m)  # quarter_d2 = (d/2)^2, an even invariant
         c, s = _cosh_sinch(quarter_d2)
         traceless = m - np.multiply.outer(mu, _EYE)
-        return _stacked(np.exp(-mu)) * (_stacked(c) * _EYE - _stacked(s) * traceless)
+        return (_stacked(np.exp(-mu)) * (_stacked(c) * _EYE - _stacked(s) * traceless)).reshape(shape)
+
+
+def _resolve(raw: np.ndarray, det_raw) -> np.ndarray:
+    """[[det/D', B'/D'], [-C'/D', 1/D']] of one raw matrix or a stack (..., 2, 2), unchecked."""
+    d_raw = raw[..., 1, 1]
+    resolved = np.empty_like(raw)
+    resolved[..., 0, 0] = det_raw / d_raw
+    resolved[..., 0, 1] = raw[..., 0, 1] / d_raw
+    resolved[..., 1, 0] = -raw[..., 1, 0] / d_raw
+    resolved[..., 1, 1] = 1.0 / d_raw
+    return resolved
 
 
 def boundary_resolve(raw: np.ndarray, det_raw: complex | None = None) -> np.ndarray:
@@ -153,13 +177,7 @@ def boundary_resolve(raw: np.ndarray, det_raw: complex | None = None) -> np.ndar
         raise IllPosedBoundary(f"|D'| = {abs(d_raw):.3e} below {BOUNDARY_TOL}")
     if det_raw is None:
         det_raw = raw[0, 0] * raw[1, 1] - raw[0, 1] * raw[1, 0]
-    return np.array(
-        [
-            [det_raw / d_raw, raw[0, 1] / d_raw],
-            [-raw[1, 0] / d_raw, 1.0 / d_raw],
-        ],
-        dtype=complex,
-    )
+    return _resolve(raw, det_raw)
 
 
 def reassemble_raw(resolved: np.ndarray) -> np.ndarray:
@@ -168,6 +186,52 @@ def reassemble_raw(resolved: np.ndarray) -> np.ndarray:
     a, b, c, d = resolved[0, 0], resolved[0, 1], resolved[1, 0], resolved[1, 1]
     d_raw = 1.0 / d
     return np.array([[a - b * c / d, b / d], [-c / d, d_raw]], dtype=complex)
+
+
+def _optical_depths(alphas) -> np.ndarray:
+    """A 1-D optical-depth grid as floats; NegativeOD for a negative entry."""
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1:
+        raise ValueError(f"optical depths must form a 1-D grid, got shape {alphas.shape}")
+    if (alphas < 0).any():
+        raise NegativeOD(f"optical depth must be >= 0, got {alphas[alphas < 0][0]}")
+    return alphas
+
+
+def _at(alpha: float, exc: QfcError) -> QfcError:
+    """The same kind of error, its message prefixed by the optical depth of the failing row."""
+    return type(exc)(f"at alpha={float(alpha)!r}: {exc}")
+
+
+def _grid_generator(
+    params: SystemParams, alphas: np.ndarray, omega: float, depths: np.ndarray | None = None
+) -> np.ndarray:
+    """generator_sweep at ``depths`` (default: the grid ``alphas`` itself).
+
+    The 3x3 response is alpha-free, so a SingularSystem fails the first
+    row of the grid, and its message names that row.
+    """
+    try:
+        return generator_sweep(params, alphas if depths is None else depths, omega)
+    except SingularSystem as exc:
+        raise (_at(alphas[0], exc) if alphas.size else exc) from exc
+
+
+def _first_failure(alphas: np.ndarray, checks) -> tuple[int, QfcError | None]:
+    """The number of rows before the first failing one, and that row's error.
+
+    ``checks`` pairs a boolean mask over the grid with a function of the
+    row index that builds the error, in the order the checks apply
+    within one row.  The error is None when no row fails.
+    """
+    bad = np.zeros(alphas.shape, dtype=bool)
+    for mask, _ in checks:
+        bad |= mask
+    if not bad.any():
+        return alphas.size, None
+    k = int(np.flatnonzero(bad)[0])
+    error = next(make(k) for mask, make in checks if mask[k])
+    return k, _at(alphas[k], error)
 
 
 @dataclass(frozen=True)
@@ -179,22 +243,70 @@ class PropagationMatrix:
     omega: float
 
 
-def propagation_matrix(params: SystemParams, omega: float = 0.0) -> PropagationMatrix:
-    """Full pipeline: spectral solve -> e^{-ML} -> backward boundary form.
+@dataclass(frozen=True)
+class PropagationSweep:
+    """e^{-ML} and its boundary form on an optical-depth grid at one omega.
 
-    Raises IllPosedBoundary when the raw or the resolved matrix is not
-    finite: at large optical depth the unscaled e^{-ML} overflows.
+    The rows stop before the first optical depth that fails: ``raw`` and
+    ``resolved`` (n, 2, 2) belong to ``alphas``, the first n values of
+    the requested grid, and ``failure`` is the error of the next value
+    (its message names that alpha), or None when every row solved.
     """
-    coeffs = solve_susceptibilities(params, omega)
-    m = coupling_matrix(coeffs)
-    raw = expm2(m * LENGTH)
-    if not np.isfinite(raw).all():
-        raise IllPosedBoundary("e^{-ML} overflowed to a non-finite matrix")
-    det_raw = np.exp(-(coeffs.lambda_p + coeffs.lambda_s) * LENGTH)
-    resolved = boundary_resolve(raw, det_raw=det_raw)
-    if not np.isfinite(resolved).all():
-        raise IllPosedBoundary("the boundary re-solve of e^{-ML} is not finite")
-    return PropagationMatrix(raw=raw, resolved=resolved, omega=omega)
+
+    alphas: np.ndarray
+    raw: np.ndarray
+    resolved: np.ndarray
+    failure: QfcError | None
+
+
+def propagation_sweep(params: SystemParams, alphas: np.ndarray, omega: float = 0.0) -> PropagationSweep:
+    """Spectral solve -> e^{-ML} -> backward boundary form on a 1-D grid of optical depths.
+
+    M(alpha) = alpha M(1), so one 3x3 solve (generator_sweep), one
+    stacked expm2 and one stacked boundary re-solve with det e^{-ML} =
+    e^{-tr(M) L} serve the whole grid; ``params.alpha`` is only
+    validated.  Each row is bit for bit what the one-row grid gives.  A
+    row fails with IllPosedBoundary when e^{-ML} is not finite (at large
+    optical depth the unscaled exponential overflows), when |D'| <
+    BOUNDARY_TOL, or when the resolved matrix is not finite.  A singular
+    3x3 response raises SingularSystem naming the first optical depth.
+    """
+    alphas = _optical_depths(alphas)
+    generator = _grid_generator(params, alphas, omega)
+    raw = expm2(generator * LENGTH)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det_raw = np.exp(-(generator[:, 0, 0] + generator[:, 1, 1]) * LENGTH)
+        resolved = _resolve(raw, det_raw)
+    d_abs = np.abs(raw[:, 1, 1])
+    n, failure = _first_failure(
+        alphas,
+        [
+            (
+                ~np.isfinite(raw).all(axis=(1, 2)),
+                lambda k: IllPosedBoundary("e^{-ML} overflowed to a non-finite matrix"),
+            ),
+            (
+                d_abs < BOUNDARY_TOL,
+                lambda k: IllPosedBoundary(f"|D'| = {d_abs[k]:.3e} below {BOUNDARY_TOL}"),
+            ),
+            (
+                ~np.isfinite(resolved).all(axis=(1, 2)),
+                lambda k: IllPosedBoundary("the boundary re-solve of e^{-ML} is not finite"),
+            ),
+        ],
+    )
+    return PropagationSweep(alphas=alphas[:n], raw=raw[:n], resolved=resolved[:n], failure=failure)
+
+
+def propagation_matrix(params: SystemParams, omega: float = 0.0) -> PropagationMatrix:
+    """Full pipeline at the optical depth of ``params``: the one-row view of propagation_sweep.
+
+    Raises the row's error, e.g. IllPosedBoundary when e^{-ML} overflows.
+    """
+    sweep = propagation_sweep(params, [params.alpha], omega)
+    if sweep.failure is not None:
+        raise sweep.failure
+    return PropagationMatrix(raw=sweep.raw[0], resolved=sweep.resolved[0], omega=omega)
 
 
 @dataclass(frozen=True)
@@ -322,41 +434,104 @@ def conversion_efficiency(params: SystemParams) -> float:
     return float(abs(c0) ** 2)
 
 
-def _fundamental_matrix_ode(m: np.ndarray, rtol: float, atol: float) -> np.ndarray:
-    """Integrate dPhi/dz = -M Phi from z=0 to z=L with Phi(0) = I."""
+def _fundamental_matrices(m: np.ndarray, alphas: np.ndarray, rtol: float, atol: float) -> np.ndarray:
+    """Psi(alpha) on a 1-D grid of optical depths (>= 0), shape (n, 2, 2).
 
-    def rhs(_z: float, y: np.ndarray) -> np.ndarray:
-        return (-m @ y.reshape(2, 2)).ravel()
+    One DOP853 integration of dPsi/dt = -M Psi, Psi(0) = I, over t in
+    [0, max alpha] with t_eval at the distinct grid values, where ``m``
+    is the generator at unit optical depth times L.  Rows the
+    integration does not reach are NaN.  A grid of zeros needs no solve:
+    Psi(0) = I.
+    """
+    times, row_of = np.unique(alphas, return_inverse=True)
+    psi = np.full((times.size, 4), np.nan, dtype=complex)
+    if times.size and times[-1] > 0:
+        neg_m = -m
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, LENGTH),
-        np.eye(2, dtype=complex).ravel(),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        def rhs(_t: float, y: np.ndarray) -> np.ndarray:
+            return (neg_m @ y.reshape(2, 2)).ravel()
+
+        sol = solve_ivp(
+            rhs,
+            (0.0, times[-1]),
+            _EYE.astype(complex).ravel(),
+            method="DOP853",
+            t_eval=times,
+            rtol=rtol,
+            atol=atol,
+        )
+        psi[: sol.t.size] = sol.y.T
+    else:
+        psi[:] = _EYE.ravel()
+    return psi[row_of].reshape(-1, 2, 2)
+
+
+@dataclass(frozen=True)
+class SemiclassicalSweep:
+    """Classical (|probe(L)|^2, |signal(0)|^2) on an optical-depth grid at omega = 0.
+
+    The rows stop before the first optical depth that fails, like
+    PropagationSweep: ``transmittance`` and ``conversion_efficiency``
+    (n,) belong to ``alphas``, and ``failure`` is the error of the next
+    grid value, or None.
+    """
+
+    alphas: np.ndarray
+    transmittance: np.ndarray
+    conversion_efficiency: np.ndarray
+    failure: QfcError | None
+
+
+def semiclassical_sweep(
+    params: SystemParams, alphas: np.ndarray, rtol: float = 1e-12, atol: float = 1e-14
+) -> SemiclassicalSweep:
+    """Classical two-point boundary-value solution at omega = 0 on a 1-D optical-depth grid.
+
+    Drops all noise terms and integrates the coupled field equations
+    directly (no matrix exponential) for the fundamental matrix Phi(L).
+    M(alpha) = alpha M(1), so Phi_alpha(L) = Psi(alpha) with dPsi/dt =
+    -M(1) L Psi: one integration serves the grid.  The linear shooting
+    step then solves for the unknown backward signal amplitude u at
+    z = 0: probe(0) = 1 and signal(L) = Phi_21 + Phi_22 u = 0.  A row
+    fails with ShootingFailure when Phi is not finite or |Phi_22| <
+    BOUNDARY_TOL.  ``params.alpha`` is only validated.
+    """
+    alphas = _optical_depths(alphas)
+    m_unit = _grid_generator(params, alphas, 0.0, depths=np.ones(1))[0]
+    phi = _fundamental_matrices(m_unit * LENGTH, alphas, rtol, atol)
+    phi22_abs = np.abs(phi[:, 1, 1])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = -phi[:, 1, 0] / phi[:, 1, 1]
+        probe_out = phi[:, 0, 0] + phi[:, 0, 1] * u
+    n, failure = _first_failure(
+        alphas,
+        [
+            (
+                ~np.isfinite(phi).all(axis=(1, 2)),
+                lambda k: ShootingFailure("the field integration gave no finite Phi(L)"),
+            ),
+            (
+                phi22_abs < BOUNDARY_TOL,
+                lambda k: ShootingFailure(f"shooting solve singular: |Phi_22| = {phi22_abs[k]:.3e}"),
+            ),
+        ],
     )
-    if not sol.success:
-        raise ShootingFailure(f"field integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(2, 2)
+    return SemiclassicalSweep(
+        alphas=alphas[:n],
+        transmittance=np.abs(probe_out[:n]) ** 2,
+        conversion_efficiency=np.abs(u[:n]) ** 2,
+        failure=failure,
+    )
 
 
 def semiclassical_solve(
     params: SystemParams, rtol: float = 1e-12, atol: float = 1e-14
 ) -> tuple[float, float]:
-    """Classical two-point boundary-value solution at omega = 0.
+    """(|probe(L)|^2, |signal(0)|^2) at the optical depth of ``params``.
 
-    Drops all noise terms, integrates the coupled field equations
-    directly (no matrix exponential) for the fundamental matrix Phi(L),
-    then performs the linear shooting step for the unknown backward
-    signal amplitude u at z = 0: probe(0) = 1 and signal(L) =
-    Phi_21 + Phi_22 u = 0.  Returns (|probe(L)|^2, |signal(0)|^2).
+    The one-row view of semiclassical_sweep; raises the row's error.
     """
-    coeffs = solve_susceptibilities(validate(params), 0.0)
-    m = coupling_matrix(coeffs)
-    phi = _fundamental_matrix_ode(m, rtol, atol)
-    if abs(phi[1, 1]) < BOUNDARY_TOL:
-        raise ShootingFailure(f"shooting solve singular: |Phi_22| = {abs(phi[1, 1]):.3e}")
-    u = -phi[1, 0] / phi[1, 1]
-    probe_out = phi[0, 0] + phi[0, 1] * u
-    return float(abs(probe_out) ** 2), float(abs(u) ** 2)
+    sweep = semiclassical_sweep(params, [params.alpha], rtol, atol)
+    if sweep.failure is not None:
+        raise sweep.failure
+    return float(sweep.transmittance[0]), float(sweep.conversion_efficiency[0])

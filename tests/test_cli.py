@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from eitqfc import cli
 from eitqfc.cli import (
     format_csv,
     main,
@@ -13,7 +14,7 @@ from eitqfc.cli import (
     run_fig4,
     run_custom,
 )
-from eitqfc.errors import ConfigError
+from eitqfc.errors import ConfigError, QfcError
 
 
 class TestRunFig2:
@@ -33,6 +34,32 @@ class TestRunFig2:
         assert rows[0][2] == pytest.approx(ce, rel=1e-12)
         assert rows[0][3] == pytest.approx(tp, abs=1e-6)
         assert rows[0][4] == pytest.approx(ce, abs=1e-6)
+
+    def test_largest_optical_depth_passes_the_oracle_gate(self):
+        alphas = np.linspace(0.0, 1e6, 401)
+        _, rows = run_fig2(alphas, {"omega_c": 2.2j, "omega_d": 2.2j})
+        assert [row[0] for row in rows] == list(alphas)
+        for alpha, tq, cq, ts, cs in rows:
+            assert abs(ts - tq) <= 1e-6 and abs(cs - cq) <= 1e-6
+            assert abs(cq - (alpha / (4 + alpha)) ** 2) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([90.0, 0.1, 0.8, 2.6e64, 0.8], "passivity broken, largest power column 2.6e+64"),
+            ([90.0, 0.1, 0.8, 0.1, float("nan")], "leave the quantum ones by nan"),
+            ([90.0, 0.1, 0.8, 0.1, 0.8 + 2e-6], "leave the quantum ones by 2.000e-06"),
+        ],
+    )
+    def test_oracle_gate(self, row, message):
+        with pytest.raises(QfcError, match=r"^at alpha=90\.0: ") as exc:
+            cli._check_oracle(row)
+        assert message in str(exc.value)
+        cli._check_oracle([90.0, 0.1, 0.8, 0.1 + 9e-7, 0.8])
+
+    def test_negative_optical_depth_is_a_configuration_error(self):
+        with pytest.raises(ConfigError, match="optical depth"):
+            run_fig2(np.array([0.0, -1.0]))
 
 
 class TestRunFig3:
@@ -192,6 +219,38 @@ class TestMain:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("eitqfc: numerical failure: at alpha=5000.0: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, first_bad",
+        [
+            ("omega_c = 1.5\nomega_d = 0.8\n", "90.0"),
+            ("omega_c = 1.2\nomega_d = 1.0\ngamma21 = 0.01\n", "240.0"),
+        ],
+        ids=["asymmetric", "dephased"],
+    )
+    def test_semiclassical_oracle_failure_exits_3(self, tmp_path, capsys, config, first_bad):
+        # the shooting step loses the decaying solution by cancellation: the semiclassical
+        # columns break passivity or leave the quantum ones, and no such row is written
+        cfg = tmp_path / "asymmetric.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "never.csv"
+        code = main(["fig2", "--config", str(cfg), "--grid-points", "41", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"eitqfc: numerical failure: at alpha={first_bad}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fig2", "custom"])
+    def test_singular_response_exits_3_at_first_alpha(self, tmp_path, capsys, command):
+        # no Rabi fields and no dephasing: the 3x3 response at omega = 0 is singular for every alpha
+        cfg = tmp_path / "singular.cfg"
+        cfg.write_text("omega_c = 0\nomega_d = 0\n")
+        out = tmp_path / "never.csv"
+        assert main([command, "--config", str(cfg), "--grid-points", "11", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("eitqfc: numerical failure: at alpha=0.0: atomic response matrix")
         assert not out.exists()
 
     def test_invalid_physical_params_exit_2(self, tmp_path):

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from eitqfc import transfer
-from eitqfc.errors import IllPosedBoundary, ShootingFailure
+from eitqfc.errors import IllPosedBoundary, NegativeOD, ShootingFailure, SingularSystem
 from eitqfc.params import SystemParams, symmetric_params
 from eitqfc.spectral import solve_susceptibilities, solve_susceptibility_stack
 from eitqfc.transfer import (
@@ -14,9 +16,11 @@ from eitqfc.transfer import (
     noise_kernel_block,
     noise_kernels,
     propagation_matrix,
+    propagation_sweep,
     reassemble_raw,
     resolved_coefficients,
     semiclassical_solve,
+    semiclassical_sweep,
     transmittance,
 )
 
@@ -317,7 +321,9 @@ class TestSemiclassical:
         # a quarter-turn rotation makes the shooting solve singular
         rotation = np.array([[0.0, np.pi / 2], [-np.pi / 2, 0.0]], dtype=complex)
         monkeypatch.setattr(
-            transfer, "_fundamental_matrix_ode", lambda m, rtol, atol: expm2(rotation)
+            transfer,
+            "_fundamental_matrices",
+            lambda m, alphas, rtol, atol: np.broadcast_to(expm2(rotation), (len(alphas), 2, 2)),
         )
         with pytest.raises(ShootingFailure):
             semiclassical_solve(symmetric_params(4.0))
@@ -328,3 +334,141 @@ class TestSemiclassical:
         tp_s, ce_s = semiclassical_solve(p)
         assert abs(tp_s - transmittance(p)) < 1e-8
         assert abs(ce_s - conversion_efficiency(p)) < 1e-8
+
+
+def _per_point_resolved(params: SystemParams, omega: float) -> np.ndarray:
+    """The pipeline one optical depth at a time: 3x3 solve, expm2, scalar boundary re-solve."""
+    coeffs = solve_susceptibilities(params, omega)
+    raw = expm2(coupling_matrix(coeffs))
+    det_raw = np.exp(-(coeffs.lambda_p + coeffs.lambda_s))
+    (_, b, c, d) = raw.ravel()
+    return np.array([[det_raw / d, b / d], [-c / d, 1.0 / d]], dtype=complex)
+
+
+def _random_symmetric(rng) -> SystemParams:
+    return symmetric_params(0.0, rng.uniform(0.5, 3.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi)))
+
+
+_ASYMMETRIC = [
+    SystemParams(alpha=0.0, omega_c=1.5, omega_d=0.8),
+    SystemParams(alpha=0.0, omega_c=1.2, omega_d=1.0, gamma21=0.01),
+    SystemParams(alpha=0.0, omega_c=1.5, omega_d=0.9, gamma31=1.2, gamma41=0.8, gamma21=0.01),
+    SystemParams(alpha=0.0, omega_d=2.0),
+]
+
+
+class TestPropagationSweep:
+    @pytest.mark.parametrize("omega", [0.0, 0.37, -2.5])
+    def test_symmetric_rows_equal_per_point_route_bit_for_bit(self, omega):
+        rng = np.random.default_rng(11)
+        alphas = np.linspace(0.0, 400.0, 41)
+        for _ in range(4):
+            params = _random_symmetric(rng)
+            sweep = propagation_sweep(params, alphas, omega)
+            assert sweep.failure is None
+            assert sweep.resolved.shape == (41, 2, 2)
+            for alpha, resolved in zip(alphas, sweep.resolved):
+                point = replace(params, alpha=float(alpha))
+                assert np.array_equal(resolved, _per_point_resolved(point, omega))
+                assert np.array_equal(resolved, propagation_matrix(point, omega).resolved)
+
+    @pytest.mark.parametrize("params", _ASYMMETRIC)
+    @pytest.mark.parametrize("omega", [0.0, 0.37])
+    def test_asymmetric_and_dephased_rows_equal_per_point_route(self, params, omega):
+        # below the optical depth where e^{-ML} overflows
+        alphas = np.linspace(0.0, 400.0, 41)
+        sweep = propagation_sweep(params, alphas, omega)
+        assert sweep.failure is None
+        for alpha, raw, resolved in zip(alphas, sweep.raw, sweep.resolved):
+            point = replace(params, alpha=float(alpha))
+            assert np.array_equal(resolved, _per_point_resolved(point, omega))
+            assert np.array_equal(raw, propagation_matrix(point, omega).raw)
+
+    @pytest.mark.parametrize("alpha", [0.0, 4.0])
+    def test_single_point_grid(self, alpha):
+        params = symmetric_params(alpha)
+        sweep = propagation_sweep(params, [alpha])
+        assert np.array_equal(sweep.resolved[0], propagation_matrix(params).resolved)
+        expected = np.array([[4.0, alpha], [alpha, 4.0]]) / (4.0 + alpha)
+        assert np.max(np.abs(sweep.resolved[0] - expected)) < 1e-15
+
+    def test_rows_stop_at_the_first_failing_optical_depth(self):
+        # with omega_d = 2 the unscaled e^{-ML} overflows between alpha = 4000 and 5000
+        sweep = propagation_sweep(SystemParams(alpha=0.0, omega_d=2.0), [0.0, 4000.0, 5000.0, 20000.0, 1.0])
+        assert isinstance(sweep.failure, IllPosedBoundary)
+        assert str(sweep.failure) == "at alpha=5000.0: e^{-ML} overflowed to a non-finite matrix"
+        assert list(sweep.alphas) == [0.0, 4000.0]
+        assert sweep.resolved.shape == (2, 2, 2)
+        assert np.isfinite(sweep.resolved).all()
+
+    def test_singular_response_names_the_first_optical_depth(self):
+        with pytest.raises(SingularSystem, match=r"^at alpha=3\.0: .*omega=0\.0"):
+            propagation_sweep(SystemParams(alpha=0.0, omega_c=0.0, omega_d=0.0), [3.0, 0.0])
+
+    def test_negative_optical_depth_is_rejected(self):
+        with pytest.raises(NegativeOD):
+            propagation_sweep(symmetric_params(1.0), [1.0, -2.0])
+        with pytest.raises(NegativeOD):
+            semiclassical_sweep(symmetric_params(1.0), [-2.0])
+
+
+class TestSemiclassicalSweep:
+    def test_matches_one_point_view(self):
+        # the asymmetric and dephased shooting step loses accuracy by cancellation beyond alpha ~ 50
+        cases = [(symmetric_params(0.0, 1.7 * np.exp(2.1j)), 400.0), (_ASYMMETRIC[3], 400.0)]
+        cases += [(params, 40.0) for params in _ASYMMETRIC[:3]]
+        for params, alpha_max in cases:
+            alphas = np.linspace(0.0, alpha_max, 21)
+            sweep = semiclassical_sweep(params, alphas)
+            assert sweep.failure is None
+            for alpha, tp, ce in zip(alphas, sweep.transmittance, sweep.conversion_efficiency):
+                tp_1, ce_1 = semiclassical_solve(replace(params, alpha=float(alpha)))
+                assert abs(tp - tp_1) < 1e-10
+                assert abs(ce - ce_1) < 1e-10
+
+    def test_grid_order_and_repeats_do_not_matter(self):
+        params = symmetric_params(0.0, 1.3)
+        shuffled = np.array([300.0, 4.0, 0.0, 300.0, 17.5])
+        sweep = semiclassical_sweep(params, shuffled)
+        ordered = semiclassical_sweep(params, np.sort(shuffled))
+        order = np.argsort(shuffled, kind="stable")
+        assert np.array_equal(sweep.transmittance[order], ordered.transmittance)
+        assert np.array_equal(sweep.conversion_efficiency[order], ordered.conversion_efficiency)
+
+    def test_zero_grid_needs_no_integration(self, monkeypatch):
+        monkeypatch.setattr(transfer, "solve_ivp", None)  # any call would fail
+        sweep = semiclassical_sweep(symmetric_params(0.0), [0.0, 0.0])
+        assert list(sweep.transmittance) == [1.0, 1.0]
+        assert list(sweep.conversion_efficiency) == [0.0, 0.0]
+
+    def test_single_point_crossover(self):
+        sweep = semiclassical_sweep(symmetric_params(0.0), [4.0])
+        assert sweep.transmittance[0] == pytest.approx(0.25, abs=1e-12)
+        assert sweep.conversion_efficiency[0] == pytest.approx(0.25, abs=1e-12)
+
+    def test_largest_optical_depth_stays_on_the_quantum_columns(self):
+        alphas = np.linspace(0.0, 1e6, 401)
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            params = _random_symmetric(rng)
+            quantum = propagation_sweep(params, alphas)
+            classical = semiclassical_sweep(params, alphas)
+            assert quantum.failure is None and classical.failure is None
+            tp = np.abs(quantum.resolved[:, 0, 0]) ** 2
+            ce = np.abs(quantum.resolved[:, 1, 0]) ** 2
+            assert np.max(np.abs(classical.transmittance - tp)) <= 1e-6
+            assert np.max(np.abs(classical.conversion_efficiency - ce)) <= 1e-6
+            assert np.max(np.abs(ce - (alphas / (4 + alphas)) ** 2)) <= 1e-12
+
+    def test_shooting_failure_names_the_first_singular_row(self, monkeypatch):
+        rotation = expm2(np.array([[0.0, np.pi / 2], [-np.pi / 2, 0.0]], dtype=complex))
+
+        def fundamental(m, alphas, rtol, atol):
+            return np.where((alphas >= 10.0)[:, None, None], rotation, np.eye(2))
+
+        monkeypatch.setattr(transfer, "_fundamental_matrices", fundamental)
+        sweep = semiclassical_sweep(symmetric_params(0.0), [0.0, 5.0, 10.0, 20.0])
+        assert isinstance(sweep.failure, ShootingFailure)
+        assert str(sweep.failure).startswith("at alpha=10.0: shooting solve singular")
+        assert list(sweep.alphas) == [0.0, 5.0]
+        assert list(sweep.transmittance) == [1.0, 1.0]
