@@ -17,17 +17,17 @@ from eitqfc import (
     Fock,
     apply_loss_channel,
     beam_splitter_oracle,
-    channel_amplitude,
     coherent_dm,
     coherent_fidelity,
     fidelity,
     fock_dm,
+    resolved_coefficients,
     symmetric_params,
     trace_distance,
 )
 
 p = symmetric_params(200.0)
-c0 = channel_amplitude(p)
+c0 = complex(resolved_coefficients(p)[2])  # the channel amplitude C_0
 ce = abs(c0) ** 2
 print(f"optical depth 200: C_0 = {c0.real:.6f}, CE = {ce:.4f}\n")
 

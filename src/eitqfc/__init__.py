@@ -23,18 +23,14 @@ from .spectral import (
 )
 from .transfer import (
     NoiseKernels,
-    PropagationMatrix,
     PropagationSweep,
     SemiclassicalSweep,
-    boundary_resolve,
     conversion_efficiency,
     coupling_matrix,
     expm2,
     noise_kernel_block,
     noise_kernels,
-    propagation_matrix,
     propagation_sweep,
-    reassemble_raw,
     resolved_coefficients,
     semiclassical_solve,
     semiclassical_sweep,
@@ -58,11 +54,9 @@ from .states import (
     Squeezed,
     apply_loss_channel,
     beam_splitter_oracle,
-    channel_amplitude,
     coherent_dm,
     coherent_fidelity,
     coherent_vector,
-    density_matrix_coherent,
     destroy,
     fidelity,
     fock_dm,
@@ -76,68 +70,3 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GAMMA",
-    "LENGTH",
-    "SystemParams",
-    "is_symmetric",
-    "symmetric_params",
-    "validate",
-    "NOISE_INDICES",
-    "FirstOrderSystem",
-    "SpectralCoefficients",
-    "SpectralStack",
-    "build_first_order_system",
-    "closed_form_coefficients",
-    "eit_denominator",
-    "generator_sweep",
-    "solve_susceptibilities",
-    "solve_susceptibility_stack",
-    "NoiseKernels",
-    "PropagationMatrix",
-    "PropagationSweep",
-    "SemiclassicalSweep",
-    "boundary_resolve",
-    "conversion_efficiency",
-    "coupling_matrix",
-    "expm2",
-    "noise_kernel_block",
-    "noise_kernels",
-    "propagation_matrix",
-    "propagation_sweep",
-    "reassemble_raw",
-    "resolved_coefficients",
-    "semiclassical_solve",
-    "semiclassical_sweep",
-    "transmittance",
-    "DiffusionMatrix",
-    "default_window",
-    "diffusion_matrix",
-    "eta1",
-    "eta2",
-    "gauss_legendre_grid",
-    "langevin_photon_noise",
-    "DEFAULT_DIM",
-    "Coherent",
-    "Fock",
-    "InputState",
-    "QuadratureStats",
-    "Squeezed",
-    "apply_loss_channel",
-    "beam_splitter_oracle",
-    "channel_amplitude",
-    "coherent_dm",
-    "coherent_fidelity",
-    "coherent_vector",
-    "density_matrix_coherent",
-    "destroy",
-    "fidelity",
-    "fock_dm",
-    "input_variances",
-    "output_variance",
-    "output_variances",
-    "projector_series_oracle",
-    "trace_distance",
-    "validate_density_matrix",
-    "errors",
-]

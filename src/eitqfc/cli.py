@@ -56,6 +56,9 @@ DEFAULT_SQUEEZE_R = math.log(2.0)
 PASSIVITY_TOL = 1e-9
 #: Largest gap allowed between the semiclassical and the quantum fig2 columns.
 ORACLE_TOL = 1e-6
+#: Largest squeezing accepted, in dB either way: the quadrature variances
+#: then stay within a factor 1e30 of the vacuum's, far from float overflow.
+MAX_SQUEEZE_DB = 300.0
 
 _PHYSICAL_KEYS = ("omega_c", "omega_d", "gamma31", "gamma41", "gamma21")
 
@@ -90,21 +93,17 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[float]])
     Path(path).write_text(format_csv(header, rows), encoding="ascii", newline="\n")
 
 
-def _base_params(alpha: float, overrides: dict) -> SystemParams:
-    kwargs = {k: overrides[k] for k in _PHYSICAL_KEYS if k in overrides}
-    try:
-        return validate(SystemParams(alpha=alpha, **kwargs))
-    except QfcError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _sweep_params(alphas: np.ndarray, overrides: dict) -> SystemParams:
     """The validated physical parameters of an optical-depth sweep.
 
     The grid's smallest value stands in for the optical depth, so a
     negative one is a configuration error like an invalid physical key.
     """
-    return _base_params(float(np.min(alphas, initial=0.0)), overrides)
+    kwargs = {k: overrides[k] for k in _PHYSICAL_KEYS if k in overrides}
+    try:
+        return validate(SystemParams(alpha=float(np.min(alphas, initial=0.0)), **kwargs))
+    except QfcError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _raise_first(*failures: QfcError | None) -> None:
@@ -227,12 +226,18 @@ def run_custom(
     conversion fidelity (Fock input: |n><n| pushed through the
     Kraus-form loss channel on the truncated basis, row by row; coherent
     input: closed-form overlap) and the converted-signal quadrature
-    variances.  Squeezed inputs carry no fidelity column.
+    variances.  Squeezed inputs carry no fidelity column.  ``nbar`` is
+    the Fock level, a whole number >= 0, or the coherent mean photon
+    number, finite and >= 0; anything else is a ConfigError.
     """
     overrides = overrides or {}
     if state_kind == "fock":
-        state: Fock | Coherent | Squeezed = Fock(int(round(nbar)))
+        if not (nbar >= 0 and float(nbar).is_integer()):
+            raise ConfigError(f"a Fock input needs a whole photon number nbar >= 0, got {nbar}")
+        state: Fock | Coherent | Squeezed = Fock(int(nbar))
     elif state_kind == "coherent":
+        if not 0 <= nbar < math.inf:
+            raise ConfigError(f"a coherent input needs a finite nbar >= 0, got {nbar}")
         state = Coherent(math.sqrt(nbar))
     elif state_kind == "squeezed":
         state = Squeezed(squeeze_r)
@@ -339,7 +344,12 @@ def _merge_settings(args: argparse.Namespace) -> dict:
 def _squeeze_r(settings: dict) -> float:
     if settings.get("squeeze_db") is None:
         return DEFAULT_SQUEEZE_R
-    return float(settings["squeeze_db"]) * math.log(10.0) / 20.0
+    squeeze_db = float(settings["squeeze_db"])
+    if not abs(squeeze_db) <= MAX_SQUEEZE_DB:
+        raise ConfigError(
+            f"squeeze_db must lie in [-{MAX_SQUEEZE_DB:g}, {MAX_SQUEEZE_DB:g}], got {squeeze_db}"
+        )
+    return squeeze_db * math.log(10.0) / 20.0
 
 
 def _alpha_grid(settings: dict) -> np.ndarray:
@@ -347,7 +357,7 @@ def _alpha_grid(settings: dict) -> np.ndarray:
     alpha_max = float(settings["alpha_max"])
     if n < 1:
         raise ConfigError(f"grid_points must be >= 1, got {n}")
-    if alpha_max < 0 or alpha_max > 1e6:
+    if not 0.0 <= alpha_max <= 1e6:  # also rejects NaN
         raise ConfigError(f"alpha_max must lie in [0, 1e6], got {alpha_max}")
     if n > 1 and alpha_max == 0.0:
         raise ConfigError("alpha_max = 0 only supports a single grid point")

@@ -17,6 +17,10 @@ class NonPositiveDecay(QfcError):
     """A coherence decay rate that must be strictly positive is not."""
 
 
+class NonFiniteParameter(QfcError):
+    """A physical parameter is NaN or infinite."""
+
+
 class SingularSystem(QfcError):
     """The 3x3 atomic response matrix is singular or too ill-conditioned."""
 

@@ -12,9 +12,10 @@ every validated parameter set is accepted under that assumption.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
-from .errors import NegativeOD, NonPositiveDecay
+from .errors import NegativeOD, NonFiniteParameter, NonPositiveDecay
 
 #: Unit conventions: all rates are measured in units of GAMMA, all
 #: per-length coefficients in units of 1/LENGTH.
@@ -44,13 +45,21 @@ class SystemParams:
     gamma21: float = 0.0
 
 
+_FIELDS = ("alpha", "omega_c", "omega_d", "gamma31", "gamma41", "gamma21")
+
+
 def validate(params: SystemParams) -> SystemParams:
     """Check the parameter invariants, returning the params unchanged.
 
-    Raises NegativeOD if alpha < 0 and NonPositiveDecay if gamma31 or
-    gamma41 is not strictly positive (gamma21 only has to be >= 0).
-    Idempotent by construction.
+    Raises NonFiniteParameter if a field is NaN or infinite, NegativeOD
+    if alpha < 0 and NonPositiveDecay if gamma31 or gamma41 is not
+    strictly positive (gamma21 only has to be >= 0).  Idempotent by
+    construction.
     """
+    for name in _FIELDS:
+        value = getattr(params, name)
+        if not cmath.isfinite(value):
+            raise NonFiniteParameter(f"{name} must be finite, got {value}")
     if params.alpha < 0:
         raise NegativeOD(f"optical depth must be >= 0, got {params.alpha}")
     if params.gamma31 <= 0 or params.gamma41 <= 0:

@@ -40,18 +40,16 @@ _SIGNS = np.array([[1.0], [-1.0]])
 
 @dataclass(frozen=True)
 class FirstOrderSystem:
-    """Linear system (i*omega*I - drift) sigma = drive_p a_p^+ + drive_s a_s^+ + F.
+    """Linear system (i*omega*I - drift) sigma = -i a_p^+ e_31 - i a_s^+ e_41 + F.
 
     ``drift`` holds the coefficients of (sigma_21, sigma_31, sigma_41) in
-    their equations of motion; ``drive_p``/``drive_s`` the structural
-    coefficients of the field creation operators (the coupling constants
-    g_p, g_s are absorbed into the optical depth downstream).  The
-    Langevin operators F enter with unit coefficients.
+    their equations of motion.  The probe and signal creation operators
+    drive sigma_31 and sigma_41 (their coupling constants g_p, g_s are
+    absorbed into the optical depth downstream), and the Langevin
+    operators F enter with unit coefficients.
     """
 
     drift: np.ndarray
-    drive_p: np.ndarray
-    drive_s: np.ndarray
     omega: float | np.ndarray
 
     @property
@@ -124,9 +122,7 @@ def build_first_order_system(params: SystemParams, omega: float | np.ndarray) ->
         ],
         dtype=complex,
     )
-    drive_p = np.array([0.0, -1j, 0.0])
-    drive_s = np.array([0.0, 0.0, -1j])
-    return FirstOrderSystem(drift=drift, drive_p=drive_p, drive_s=drive_s, omega=omega)
+    return FirstOrderSystem(drift=drift, omega=omega)
 
 
 def _inverse_response(params: SystemParams, omega: float | np.ndarray) -> np.ndarray:

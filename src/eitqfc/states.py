@@ -7,7 +7,9 @@ output density matrices in a truncated Fock basis as the pure-loss Kraus
 sum (Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)), keeps two
 independent constructions of the same channel as test oracles (the
 normally-ordered projector series and a two-mode beam splitter), and
-computes fidelities and quadrature variances.
+computes fidelities and quadrature variances.  It takes the channel
+amplitude C_0 as a number and does not depend on the propagation
+layers; ``transfer.resolved_coefficients(params)[2]`` gives C_0.
 
 Quadrature convention: X = (a + a^+)/2, Y = (a - a^+)/2i, so the vacuum
 variance is 1/4.  Callers that want the doubled-variance convention
@@ -25,8 +27,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionTooSmall, TruncationOverflow
-from .params import SystemParams
-from .transfer import resolved_coefficients
 
 #: Default Fock-space truncation; supports |beta| <= 2 and n <= 5 inputs
 #: with wide margin.
@@ -115,15 +115,6 @@ def coherent_dm(beta: complex, dim: int = DEFAULT_DIM) -> np.ndarray:
     return rho
 
 
-def density_matrix_coherent(beta: complex, c0: complex, dim: int = DEFAULT_DIM) -> np.ndarray:
-    """Converted-signal density matrix for a coherent input.
-
-    The output is the coherent state of amplitude conj(c0) * beta, with
-    elements e^{-|g|^2} g^m conj(g)^n / sqrt(m! n!) where g = conj(c0)*beta.
-    """
-    return coherent_dm(np.conj(complex(c0)) * complex(beta), dim)
-
-
 def validate_density_matrix(
     rho: np.ndarray,
     hermiticity_tol: float = 1e-12,
@@ -143,10 +134,23 @@ def validate_density_matrix(
         raise ValueError(f"density matrix has eigenvalue {smallest:.3e}")
 
 
-def channel_amplitude(params: SystemParams) -> complex:
-    """Signal-from-probe transfer amplitude C_0; |C_0|^2 is the CE."""
-    _, _, c0, _ = resolved_coefficients(params, 0.0)
-    return complex(c0)
+def _channel_input(rho_in: np.ndarray, c0: complex) -> tuple[np.ndarray, complex]:
+    """rho_in as a complex array and c0 as a complex number, once both pass the channel guards.
+
+    |c0| may exceed 1 only by rounding, and the top two levels of the
+    truncated basis must stay (nearly) empty.
+    """
+    rho_in = np.asarray(rho_in, dtype=complex)
+    dim = rho_in.shape[0]
+    c0 = complex(c0)
+    if abs(c0) > 1.0 + 1e-12:
+        raise ValueError(f"|c0| = {abs(c0):.6f} exceeds 1")
+    top_two = float(rho_in[dim - 1, dim - 1].real + rho_in[dim - 2, dim - 2].real)
+    if top_two > TOP_LEVEL_TOL:
+        raise TruncationOverflow(
+            f"top two Fock levels hold {top_two:.3e} of the population; enlarge the basis"
+        )
+    return rho_in, c0
 
 
 @functools.lru_cache(maxsize=8)
@@ -174,21 +178,13 @@ def apply_loss_channel(rho_in: np.ndarray, c0: complex) -> np.ndarray:
     the coherences.  It is exact on the truncated space, because loss
     never raises the photon number.
     """
-    rho_in = np.asarray(rho_in, dtype=complex)
+    rho_in, c0 = _channel_input(rho_in, c0)
     dim = rho_in.shape[0]
-    c0 = complex(c0)
-    if abs(c0) > 1.0 + 1e-12:
-        raise ValueError(f"|c0| = {abs(c0):.6f} exceeds 1")
-    top_two = float(rho_in[dim - 1, dim - 1].real + rho_in[dim - 2, dim - 2].real)
-    if top_two > TOP_LEVEL_TOL:
-        raise TruncationOverflow(
-            f"top two Fock levels hold {top_two:.3e} of the population; enlarge the basis"
-        )
 
     lost, kept, n, root_binomial = _kraus_layout(dim)
     levels = np.arange(dim)
     kept_amplitude = np.conj(c0) ** levels
-    # |c0| may exceed 1 by rounding (see the guard above): clamp r^2 at 0
+    # |c0| may exceed 1 by rounding (see _channel_input): clamp r^2 at 0
     lost_amplitude = math.sqrt(max(1.0 - abs(c0) ** 2, 0.0)) ** levels
     kraus = np.zeros((dim, dim, dim), dtype=complex)
     kraus[lost, kept, n] = root_binomial * kept_amplitude[kept] * lost_amplitude[lost]
@@ -205,16 +201,8 @@ def projector_series_oracle(rho_in: np.ndarray, c0: complex) -> np.ndarray:
     vanish identically).  Equivalent to a pure-loss channel of
     transmissivity |c0|^2 with phase conj(c0) on the coherences.
     """
-    rho_in = np.asarray(rho_in, dtype=complex)
+    rho_in, c0 = _channel_input(rho_in, c0)
     dim = rho_in.shape[0]
-    c0 = complex(c0)
-    if abs(c0) > 1.0 + 1e-12:
-        raise ValueError(f"|c0| = {abs(c0):.6f} exceeds 1")
-    top_two = float(rho_in[dim - 1, dim - 1].real + rho_in[dim - 2, dim - 2].real)
-    if top_two > TOP_LEVEL_TOL:
-        raise TruncationOverflow(
-            f"top two Fock levels hold {top_two:.3e} of the population; enlarge the basis"
-        )
 
     a = destroy(dim)
     # lowered[k] = a^k rho_in ; raiser[j] = a^j (real), so that

@@ -14,9 +14,11 @@ alpha, so ``propagation_sweep`` needs one 3x3 solve, one stacked
 ``expm2`` and one stacked boundary re-solve for a whole grid, and
 ``semiclassical_sweep`` one field integration (Phi_alpha(L) = Psi(alpha)
 with dPsi/dt = -M(1) L Psi).  Both return the rows before the first
-optical depth that fails plus that row's error.  ``propagation_matrix``,
-``resolved_coefficients`` and ``semiclassical_solve`` are their one-row
-views.
+optical depth that fails plus that row's error.  ``resolved_coefficients``
+and ``semiclassical_solve`` are their one-row views; ``transmittance``
+and ``conversion_efficiency`` read the former.  One set of checks
+decides whether a stack of e^{-ML} (or of Phi(L)) is boundary-solvable,
+for the sweeps and the noise kernels alike.
 
 There is one 2x2 exponential: ``expm2`` takes one matrix or a stack
 (..., 2, 2), and one matrix is evaluated in Python scalars with the same
@@ -33,8 +35,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IllPosedBoundary, NegativeOD, QfcError, ShootingFailure, SingularSystem
-from .params import LENGTH, SystemParams, validate
-from .spectral import NOISE_INDICES, SpectralCoefficients, SpectralStack, generator_sweep
+from .params import LENGTH, SystemParams
+from .spectral import SpectralCoefficients, SpectralStack, generator_sweep
 
 #: |D'| below this is treated as a backward-geometry resonance.
 BOUNDARY_TOL = 1e-12
@@ -152,7 +154,14 @@ def expm2(m: np.ndarray) -> np.ndarray:
 
 
 def _resolve(raw: np.ndarray, det_raw) -> np.ndarray:
-    """[[det/D', B'/D'], [-C'/D', 1/D']] of one raw matrix or a stack (..., 2, 2), unchecked."""
+    """Re-solve e^{-ML} = (A',B';C',D') (one matrix or a stack (..., 2, 2)) into the backward boundary form.
+
+    [[A, B], [C, D]] = [[A'-B'C'/D', B'/D'], [-C'/D', 1/D']] maps (probe
+    in at 0, signal in at L) to (probe out at L, signal out at 0).  A is
+    formed as det(raw)/D', so a caller that knows det e^{-ML} = e^{-tr(M)
+    L} avoids the cancellation in A' - B'C'/D' at large optical depth.
+    Unchecked: _solvable holds the conditions under which it is defined.
+    """
     d_raw = raw[..., 1, 1]
     resolved = np.empty_like(raw)
     resolved[..., 0, 0] = det_raw / d_raw
@@ -160,32 +169,6 @@ def _resolve(raw: np.ndarray, det_raw) -> np.ndarray:
     resolved[..., 1, 0] = -raw[..., 1, 0] / d_raw
     resolved[..., 1, 1] = 1.0 / d_raw
     return resolved
-
-
-def boundary_resolve(raw: np.ndarray, det_raw: complex | None = None) -> np.ndarray:
-    """Re-solve e^{-ML} = (A',B';C',D') into the backward boundary form.
-
-    Returns [[A, B], [C, D]] = [[A'-B'C'/D', B'/D'], [-C'/D', 1/D']],
-    mapping (probe in at 0, signal in at L) to (probe out at L, signal
-    out at 0).  The A entry equals det(raw)/D'; when the caller knows
-    det(raw) analytically (det e^{-ML} = e^{-tr(M) L}) it can be passed
-    in to avoid the cancellation in A' - B'C'/D' at large optical depth.
-    """
-    raw = np.asarray(raw, dtype=complex)
-    d_raw = raw[1, 1]
-    if abs(d_raw) < BOUNDARY_TOL:
-        raise IllPosedBoundary(f"|D'| = {abs(d_raw):.3e} below {BOUNDARY_TOL}")
-    if det_raw is None:
-        det_raw = raw[0, 0] * raw[1, 1] - raw[0, 1] * raw[1, 0]
-    return _resolve(raw, det_raw)
-
-
-def reassemble_raw(resolved: np.ndarray) -> np.ndarray:
-    """Invert the boundary re-solve, recovering (A',B';C',D') from (A,B;C,D)."""
-    resolved = np.asarray(resolved, dtype=complex)
-    a, b, c, d = resolved[0, 0], resolved[0, 1], resolved[1, 0], resolved[1, 1]
-    d_raw = 1.0 / d
-    return np.array([[a - b * c / d, b / d], [-c / d, d_raw]], dtype=complex)
 
 
 def _optical_depths(alphas) -> np.ndarray:
@@ -198,9 +181,9 @@ def _optical_depths(alphas) -> np.ndarray:
     return alphas
 
 
-def _at(alpha: float, exc: QfcError) -> QfcError:
-    """The same kind of error, its message prefixed by the optical depth of the failing row."""
-    return type(exc)(f"at alpha={float(alpha)!r}: {exc}")
+def _at(value: float, exc: QfcError, name: str = "alpha") -> QfcError:
+    """The same kind of error, its message prefixed by the grid value (``name``) of the failing row."""
+    return type(exc)(f"at {name}={float(value)!r}: {exc}")
 
 
 def _grid_generator(
@@ -217,30 +200,41 @@ def _grid_generator(
         raise (_at(alphas[0], exc) if alphas.size else exc) from exc
 
 
-def _first_failure(alphas: np.ndarray, checks) -> tuple[int, QfcError | None]:
+def _first_failure(grid: np.ndarray, checks, name: str = "alpha") -> tuple[int, QfcError | None]:
     """The number of rows before the first failing one, and that row's error.
 
     ``checks`` pairs a boolean mask over the grid with a function of the
     row index that builds the error, in the order the checks apply
-    within one row.  The error is None when no row fails.
+    within one row.  The error names the failing grid value as
+    ``name``=value, and is None when no row fails.
     """
-    bad = np.zeros(alphas.shape, dtype=bool)
+    bad = np.zeros(grid.shape, dtype=bool)
     for mask, _ in checks:
         bad |= mask
     if not bad.any():
-        return alphas.size, None
+        return grid.size, None
     k = int(np.flatnonzero(bad)[0])
     error = next(make(k) for mask, make in checks if mask[k])
-    return k, _at(alphas[k], error)
+    return k, _at(grid[k], error, name)
 
 
-@dataclass(frozen=True)
-class PropagationMatrix:
-    """Raw transfer matrix e^{-ML} and its boundary-resolved counterpart."""
+def _solvable(
+    matrices: np.ndarray,
+    error: type[QfcError] = IllPosedBoundary,
+    non_finite: str = "e^{-ML} overflowed to a non-finite matrix",
+    small_pivot: str = f"|D'| = {{:.3e}} below {BOUNDARY_TOL}",
+) -> list:
+    """The checks, for _first_failure, that a stack (n, 2, 2) can be boundary-solved.
 
-    raw: np.ndarray
-    resolved: np.ndarray
-    omega: float
+    Each matrix must be finite and its [1, 1] entry (D' of e^{-ML}, or
+    Phi_22 of the semiclassical Phi(L)) must reach BOUNDARY_TOL in
+    magnitude; ``small_pivot`` formats that magnitude.
+    """
+    pivot = np.abs(matrices[:, 1, 1])
+    return [
+        (~np.isfinite(matrices).all(axis=(1, 2)), lambda k: error(non_finite)),
+        (pivot < BOUNDARY_TOL, lambda k: error(small_pivot.format(pivot[k]))),
+    ]
 
 
 @dataclass(frozen=True)
@@ -277,36 +271,17 @@ def propagation_sweep(params: SystemParams, alphas: np.ndarray, omega: float = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det_raw = np.exp(-(generator[:, 0, 0] + generator[:, 1, 1]) * LENGTH)
         resolved = _resolve(raw, det_raw)
-    d_abs = np.abs(raw[:, 1, 1])
     n, failure = _first_failure(
         alphas,
-        [
-            (
-                ~np.isfinite(raw).all(axis=(1, 2)),
-                lambda k: IllPosedBoundary("e^{-ML} overflowed to a non-finite matrix"),
-            ),
-            (
-                d_abs < BOUNDARY_TOL,
-                lambda k: IllPosedBoundary(f"|D'| = {d_abs[k]:.3e} below {BOUNDARY_TOL}"),
-            ),
+        _solvable(raw)
+        + [
             (
                 ~np.isfinite(resolved).all(axis=(1, 2)),
                 lambda k: IllPosedBoundary("the boundary re-solve of e^{-ML} is not finite"),
-            ),
+            )
         ],
     )
     return PropagationSweep(alphas=alphas[:n], raw=raw[:n], resolved=resolved[:n], failure=failure)
-
-
-def propagation_matrix(params: SystemParams, omega: float = 0.0) -> PropagationMatrix:
-    """Full pipeline at the optical depth of ``params``: the one-row view of propagation_sweep.
-
-    Raises the row's error, e.g. IllPosedBoundary when e^{-ML} overflows.
-    """
-    sweep = propagation_sweep(params, [params.alpha], omega)
-    if sweep.failure is not None:
-        raise sweep.failure
-    return PropagationMatrix(raw=sweep.raw[0], resolved=sweep.resolved[0], omega=omega)
 
 
 @dataclass(frozen=True)
@@ -322,31 +297,10 @@ class NoiseKernels:
     q: np.ndarray
     omega: float
 
-    def p_of(self, jk: int) -> np.ndarray:
-        return self.p[NOISE_INDICES.index(jk)]
-
-    def q_of(self, jk: int) -> np.ndarray:
-        return self.q[NOISE_INDICES.index(jk)]
-
 
 def default_z_grid(n: int = 257) -> np.ndarray:
     """Uniform z grid on [0, L]."""
     return np.linspace(0.0, LENGTH, n)
-
-
-def _check_raw(raw: np.ndarray, omega: np.ndarray) -> None:
-    """IllPosedBoundary unless every e^{-ML} in the stack is finite with |D'| >= BOUNDARY_TOL."""
-    finite = np.isfinite(raw).all(axis=(-2, -1))
-    if not finite.all():
-        first = np.flatnonzero(~finite)[0]
-        raise IllPosedBoundary(f"e^{{-ML}} overflowed to a non-finite matrix at omega={omega[first]}")
-    d_abs = np.abs(raw[:, 1, 1])
-    resonant = d_abs < BOUNDARY_TOL
-    if resonant.any():
-        first = np.flatnonzero(resonant)[0]
-        raise IllPosedBoundary(
-            f"|D'| = {d_abs[first]:.3e} below {BOUNDARY_TOL} at omega={omega[first]}"
-        )
 
 
 def noise_kernel_block(
@@ -366,7 +320,9 @@ def noise_kernel_block(
     """
     z_grid = np.asarray(z_grid, dtype=float)
     raw = np.asarray(raw, dtype=complex)
-    _check_raw(raw, stack.omega)
+    _, failure = _first_failure(stack.omega, _solvable(raw), "omega")
+    if failure is not None:
+        raise failure
     d_raw = raw[:, 1, 1]
     boundary = np.zeros_like(raw)
     boundary[:, 0, 0] = 1.0
@@ -417,21 +373,27 @@ def noise_kernels(
 
 
 def resolved_coefficients(params: SystemParams, omega: float = 0.0) -> tuple[complex, complex, complex, complex]:
-    """(A, B, C, D) of the backward-resolved transfer matrix at omega."""
-    resolved = propagation_matrix(params, omega).resolved
-    return resolved[0, 0], resolved[0, 1], resolved[1, 0], resolved[1, 1]
+    """(A, B, C, D) of the backward-resolved transfer matrix at the optical depth of ``params``.
+
+    The one-row view of propagation_sweep; raises the row's error, e.g.
+    IllPosedBoundary when e^{-ML} overflows.  C at omega = 0 is the
+    channel amplitude C_0 that carries the input state to the signal.
+    """
+    sweep = propagation_sweep(params, [params.alpha], omega)
+    if sweep.failure is not None:
+        raise sweep.failure
+    (a, b), (c, d) = sweep.resolved[0]
+    return a, b, c, d
 
 
 def transmittance(params: SystemParams) -> float:
     """Single-mode probe transmittance |A_0|^2 (equals (4/(4+alpha))^2 symmetric)."""
-    a0, _, _, _ = resolved_coefficients(validate(params), 0.0)
-    return float(abs(a0) ** 2)
+    return float(abs(resolved_coefficients(params)[0]) ** 2)
 
 
 def conversion_efficiency(params: SystemParams) -> float:
     """Single-mode conversion efficiency |C_0|^2 (equals (alpha/(4+alpha))^2 symmetric)."""
-    _, _, c0, _ = resolved_coefficients(validate(params), 0.0)
-    return float(abs(c0) ** 2)
+    return float(abs(resolved_coefficients(params)[2]) ** 2)
 
 
 def _fundamental_matrices(m: np.ndarray, alphas: np.ndarray, rtol: float, atol: float) -> np.ndarray:
@@ -499,22 +461,17 @@ def semiclassical_sweep(
     alphas = _optical_depths(alphas)
     m_unit = _grid_generator(params, alphas, 0.0, depths=np.ones(1))[0]
     phi = _fundamental_matrices(m_unit * LENGTH, alphas, rtol, atol)
-    phi22_abs = np.abs(phi[:, 1, 1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = -phi[:, 1, 0] / phi[:, 1, 1]
         probe_out = phi[:, 0, 0] + phi[:, 0, 1] * u
     n, failure = _first_failure(
         alphas,
-        [
-            (
-                ~np.isfinite(phi).all(axis=(1, 2)),
-                lambda k: ShootingFailure("the field integration gave no finite Phi(L)"),
-            ),
-            (
-                phi22_abs < BOUNDARY_TOL,
-                lambda k: ShootingFailure(f"shooting solve singular: |Phi_22| = {phi22_abs[k]:.3e}"),
-            ),
-        ],
+        _solvable(
+            phi,
+            ShootingFailure,
+            "the field integration gave no finite Phi(L)",
+            "shooting solve singular: |Phi_22| = {:.3e}",
+        ),
     )
     return SemiclassicalSweep(
         alphas=alphas[:n],

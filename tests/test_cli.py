@@ -258,6 +258,62 @@ class TestMain:
         cfg.write_text("gamma31 = -1\n")
         assert main(["fig2", "--config", str(cfg), "--grid-points", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["custom", "--state", "coherent", "--nbar", "-1"],
+            ["custom", "--state", "coherent", "--nbar", "nan"],
+            ["custom", "--state", "coherent", "--nbar", "inf"],
+            ["custom", "--state", "fock", "--nbar", "inf"],
+            ["custom", "--state", "fock", "--nbar", "nan"],
+            ["custom", "--state", "fock", "--nbar", "1.5"],
+            ["custom", "--state", "fock", "--nbar", "2.5"],
+            ["custom", "--state", "fock", "--nbar", "-1"],
+            ["fig2", "--alpha-max", "nan"],
+            ["custom", "--alpha-max", "nan"],
+            ["fig4", "--squeeze-db", "nan"],
+            ["custom", "--state", "squeezed", "--squeeze-db", "inf"],
+            ["fig4", "--squeeze-db=-inf"],
+            ["fig4", "--squeeze-db", "1e4"],  # cosh(2r) overflows a float
+        ],
+    )
+    def test_bad_numeric_setting_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "never.csv"
+        assert main([*argv, "--grid-points", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("eitqfc: invalid configuration: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nbar, level", [("0", 0), ("3", 3), ("2.0", 2)])
+    def test_whole_fock_level_is_used_as_given(self, tmp_path, nbar, level):
+        out = tmp_path / "fock.csv"
+        argv = ["custom", "--state", "fock", "--nbar", nbar, "--alpha-max", "4", "--grid-points", "2"]
+        assert main([*argv, "--out", str(out)]) == 0
+        var_x = float(out.read_text().splitlines()[-1].split(",")[4])
+        assert var_x == pytest.approx(0.25 * (0.25 * (2 * level + 1)) + 0.75 * 0.25, abs=1e-14)
+
+    def test_largest_squeezing_is_accepted(self, tmp_path):
+        out = tmp_path / "fig4.csv"
+        for db in ("300", "-300"):
+            argv = ["fig4", "--squeeze-db", db, "--grid-points", "3", "--convention-scale", "2"]
+            assert main([*argv, "--out", str(out)]) == 0
+            values = [float(v) for line in out.read_text().splitlines()[1:] for v in line.split(",")]
+            assert all(math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", cli._PHYSICAL_KEYS)
+    @pytest.mark.parametrize("command", ["fig2", "custom"])
+    def test_non_finite_physical_parameter_exits_2(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "non_finite.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "never.csv"
+        assert main([command, "--config", str(cfg), "--grid-points", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        parsed = cli._CONFIG_SCHEMA[key](value)
+        assert err == f"eitqfc: invalid configuration: {key} must be finite, got {parsed}\n"
+        assert not out.exists()
+
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["fig4", "--convention-scale", "3"])

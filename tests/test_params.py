@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eitqfc.errors import NegativeOD, NonPositiveDecay
+from eitqfc.errors import NegativeOD, NonFiniteParameter, NonPositiveDecay
 from eitqfc.params import SystemParams, is_symmetric, symmetric_params, validate
 
 
@@ -23,6 +23,13 @@ def test_negative_decay_rejected():
         validate(SystemParams(alpha=50.0, gamma41=0.0))
     with pytest.raises(NonPositiveDecay):
         validate(SystemParams(alpha=50.0, gamma21=-0.1))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), complex(1.0, float("nan"))])
+@pytest.mark.parametrize("key", ["alpha", "omega_c", "omega_d", "gamma31", "gamma41", "gamma21"])
+def test_non_finite_parameter_rejected(key, value):
+    with pytest.raises(NonFiniteParameter, match=f"^{key} must be finite"):
+        validate(SystemParams(**{"alpha": 1.0, key: value}))
 
 
 def test_negative_od_rejected():

@@ -31,8 +31,6 @@ def test_first_order_system_diagonal_at_resonance():
     assert system.drift[2, 0] == -0.5j
     assert system.drift[1, 2] == 0.0
     assert system.drift[2, 1] == 0.0
-    assert np.allclose(system.drive_p, [0.0, -1j, 0.0])
-    assert np.allclose(system.drive_s, [0.0, 0.0, -1j])
 
 
 def test_first_order_system_decouples_without_rabi_fields():

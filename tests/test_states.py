@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eitqfc import states
 from eitqfc.errors import DimensionTooSmall, TruncationOverflow
 from eitqfc.params import symmetric_params
 from eitqfc.states import (
@@ -11,10 +14,8 @@ from eitqfc.states import (
     Squeezed,
     apply_loss_channel,
     beam_splitter_oracle,
-    channel_amplitude,
     coherent_dm,
     coherent_fidelity,
-    density_matrix_coherent,
     fidelity,
     fock_dm,
     input_variances,
@@ -24,20 +25,21 @@ from eitqfc.states import (
     trace_distance,
     validate_density_matrix,
 )
+from eitqfc.transfer import resolved_coefficients
 
 CE_HEADLINE = (200 / 204) ** 2  # conversion efficiency at optical depth 200
 
 
 class TestChannelAmplitude:
     def test_headline_od(self):
-        c0 = channel_amplitude(symmetric_params(200.0))
+        c0 = resolved_coefficients(symmetric_params(200.0))[2]
         assert abs(c0 - 200 / 204) < 1e-13
 
     def test_empty_medium(self):
-        assert abs(channel_amplitude(symmetric_params(0.0))) < 1e-14
+        assert abs(resolved_coefficients(symmetric_params(0.0))[2]) < 1e-14
 
     def test_crossover(self):
-        assert abs(channel_amplitude(symmetric_params(4.0)) - 0.5) < 1e-13
+        assert abs(resolved_coefficients(symmetric_params(4.0))[2] - 0.5) < 1e-13
 
 
 class TestApplyLossChannel:
@@ -175,28 +177,28 @@ class TestChannelEquivalence:
 
 class TestCoherentOutput:
     def test_vacuum_input(self):
-        out = density_matrix_coherent(0.0, 0.9, 10)
+        out = coherent_dm(np.conj(0.9) * 0.0, 10)
         assert np.allclose(out, fock_dm(0, 10), atol=1e-14)
 
     def test_unit_amplitude_element(self):
-        out = density_matrix_coherent(1.0, 1.0, 20)
+        out = coherent_dm(np.conj(1.0) * 1.0, 20)
         assert out[0, 0].real == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_matches_loss_channel(self):
         c0 = math.sqrt(0.5)
-        direct = density_matrix_coherent(1.0, c0, 25)
+        direct = coherent_dm(np.conj(c0) * 1.0, 25)
         channel = apply_loss_channel(coherent_dm(1.0, 25), c0)
         assert trace_distance(direct, channel) < 1e-9
 
     def test_complex_amplitude_phase(self):
         c0 = math.sqrt(0.6) * np.exp(0.5j)
-        direct = density_matrix_coherent(0.9, c0, 22)
+        direct = coherent_dm(np.conj(c0) * 0.9, 22)
         channel = apply_loss_channel(coherent_dm(0.9, 22), c0)
         assert trace_distance(direct, channel) < 1e-9
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationOverflow):
-            density_matrix_coherent(3.0, 1.0, 10)
+            coherent_dm(np.conj(1.0) * 3.0, 10)
 
 
 class TestFidelity:
@@ -292,3 +294,10 @@ class TestQuadratures:
         vpi = input_variances(Squeezed(0.5, theta=math.pi))
         assert v0.var_x == pytest.approx(vpi.var_y, rel=1e-12)
         assert v0.var_y == pytest.approx(vpi.var_x, rel=1e-12)
+
+
+def test_states_takes_the_channel_amplitude_as_a_number():
+    # the state layer does not reach into the propagation layers for C_0
+    tree = ast.parse(Path(states.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported.isdisjoint({"transfer", "spectral", "noise"})

@@ -9,15 +9,12 @@ from eitqfc.errors import IllPosedBoundary, NegativeOD, ShootingFailure, Singula
 from eitqfc.params import SystemParams, symmetric_params
 from eitqfc.spectral import solve_susceptibilities, solve_susceptibility_stack
 from eitqfc.transfer import (
-    boundary_resolve,
     conversion_efficiency,
     coupling_matrix,
     expm2,
     noise_kernel_block,
     noise_kernels,
-    propagation_matrix,
     propagation_sweep,
-    reassemble_raw,
     resolved_coefficients,
     semiclassical_solve,
     semiclassical_sweep,
@@ -127,17 +124,32 @@ class TestStackedExpm2:
             raw = expm2(m)
         assert not np.isfinite(raw).all()
         with pytest.raises(IllPosedBoundary):
-            propagation_matrix(SystemParams(alpha=5000.0, omega_d=2.0))
+            resolved_coefficients(SystemParams(alpha=5000.0, omega_d=2.0))
+
+
+def checked_resolve(raw: np.ndarray) -> np.ndarray:
+    """The boundary form of one raw matrix through the shared solvability check and _resolve."""
+    raw = np.asarray(raw, dtype=complex)
+    _, failure = transfer._first_failure(np.zeros(1), transfer._solvable(raw[None]))
+    if failure is not None:
+        raise failure
+    return transfer._resolve(raw, raw[0, 0] * raw[1, 1] - raw[0, 1] * raw[1, 0])
+
+
+def reassemble_raw(resolved: np.ndarray) -> np.ndarray:
+    """Invert the boundary re-solve, recovering (A',B';C',D') from (A,B;C,D)."""
+    a, b, c, d = np.asarray(resolved, dtype=complex).ravel()
+    return np.array([[a - b * c / d, b / d], [-c / d, 1.0 / d]], dtype=complex)
 
 
 class TestBoundaryResolve:
     def test_identity(self):
-        assert np.allclose(boundary_resolve(np.eye(2)), np.eye(2), atol=1e-15)
+        assert np.allclose(checked_resolve(np.eye(2)), np.eye(2), atol=1e-15)
 
     def test_line_center_closed_form(self):
         for alpha in (4.0, 200.0, 0.0):
             raw = np.eye(2) - symmetric_m(alpha)
-            resolved = boundary_resolve(raw)
+            resolved = checked_resolve(raw)
             expected = np.array(
                 [
                     [4 / (4 + alpha), alpha / (4 + alpha)],
@@ -148,22 +160,38 @@ class TestBoundaryResolve:
 
     def test_ill_posed_boundary(self):
         raw = np.array([[1.0, 1.0], [1.0, 0.0]], dtype=complex)
-        with pytest.raises(IllPosedBoundary):
-            boundary_resolve(raw)
+        with pytest.raises(IllPosedBoundary, match=r"\|D'\| = 0\.000e\+00 below 1e-12"):
+            checked_resolve(raw)
+
+    def test_shared_check_finds_the_first_unsolvable_row(self):
+        stack = np.array([np.eye(2), np.eye(2), np.eye(2), np.eye(2)], dtype=complex)
+        stack[1, 1, 1] = 1e-13
+        stack[2, 0, 0] = np.nan
+        checks = transfer._solvable(stack)
+        non_finite, small_pivot = (list(mask) for mask, _ in checks)
+        assert non_finite == [False, False, True, False]
+        assert small_pivot == [False, True, False, False]
+        n, failure = transfer._first_failure(np.array([0.0, 0.5, 1.0, 2.0]), checks, "omega")
+        assert n == 1
+        assert str(failure) == "at omega=0.5: |D'| = 1.000e-13 below 1e-12"
+        n, failure = transfer._first_failure(np.array([0.0, 0.5, 1.0, 2.0]), checks[:1])
+        assert (n, str(failure)) == (2, "at alpha=1.0: e^{-ML} overflowed to a non-finite matrix")
+        assert transfer._first_failure(np.zeros(4), checks[:0]) == (4, None)
 
     def test_reassembly_recovers_raw(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             raw = expm2(m)
-            back = reassemble_raw(boundary_resolve(raw))
+            back = reassemble_raw(checked_resolve(raw))
             assert np.max(np.abs(back - raw)) < 1e-12 * max(1.0, np.max(np.abs(raw)))
 
     def test_reassembly_on_physical_sweep(self):
-        for alpha in (0.0, 1.0, 40.0, 400.0):
-            pm = propagation_matrix(symmetric_params(alpha), 0.0)
-            back = reassemble_raw(pm.resolved)
-            assert np.max(np.abs(back - pm.raw)) < 1e-12 * max(1.0, np.max(np.abs(pm.raw)))
+        sweep = propagation_sweep(symmetric_params(0.0), [0.0, 1.0, 40.0, 400.0])
+        assert sweep.failure is None
+        for raw, resolved in zip(sweep.raw, sweep.resolved):
+            back = reassemble_raw(resolved)
+            assert np.max(np.abs(back - raw)) < 1e-12 * max(1.0, np.max(np.abs(raw)))
 
 
 class TestNoiseKernels:
@@ -370,7 +398,7 @@ class TestPropagationSweep:
             for alpha, resolved in zip(alphas, sweep.resolved):
                 point = replace(params, alpha=float(alpha))
                 assert np.array_equal(resolved, _per_point_resolved(point, omega))
-                assert np.array_equal(resolved, propagation_matrix(point, omega).resolved)
+                assert np.array_equal(resolved.ravel(), resolved_coefficients(point, omega))
 
     @pytest.mark.parametrize("params", _ASYMMETRIC)
     @pytest.mark.parametrize("omega", [0.0, 0.37])
@@ -382,13 +410,13 @@ class TestPropagationSweep:
         for alpha, raw, resolved in zip(alphas, sweep.raw, sweep.resolved):
             point = replace(params, alpha=float(alpha))
             assert np.array_equal(resolved, _per_point_resolved(point, omega))
-            assert np.array_equal(raw, propagation_matrix(point, omega).raw)
+            assert np.array_equal(raw, propagation_sweep(point, [point.alpha], omega).raw[0])
 
     @pytest.mark.parametrize("alpha", [0.0, 4.0])
     def test_single_point_grid(self, alpha):
         params = symmetric_params(alpha)
         sweep = propagation_sweep(params, [alpha])
-        assert np.array_equal(sweep.resolved[0], propagation_matrix(params).resolved)
+        assert np.array_equal(sweep.resolved[0].ravel(), resolved_coefficients(params))
         expected = np.array([[4.0, alpha], [alpha, 4.0]]) / (4.0 + alpha)
         assert np.max(np.abs(sweep.resolved[0] - expected)) < 1e-15
 
