@@ -3,13 +3,13 @@ Conversion efficiency and probe transmittance versus optical depth
 ==================================================================
 
 Walks the optical depth from 0 to 400 and compares the quantum
-transfer-matrix route against the independent semiclassical
+scattering-matrix route against the independent semiclassical
 boundary-value solver.  In the symmetric configuration both must land
 on the closed forms (4/(4+a))^2 and (a/(4+a))^2: the medium converts
 the probe into the backward signal with efficiency approaching 1 while
 the transmitted probe dies off.  Each route covers the whole grid in
-one call: one 3x3 solve and one stacked exponential for the quantum
-columns, one field integration for the semiclassical ones.
+one call: one 3x3 solve and one pass of the scattering core for the
+quantum columns, one field integration for the semiclassical ones.
 """
 
 import numpy as np

@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ConfigError, QfcError
 from .params import SystemParams, validate
 from .states import (
+    DEFAULT_DIM,
     Coherent,
     Fock,
     Squeezed,
@@ -59,6 +60,9 @@ ORACLE_TOL = 1e-6
 #: Largest squeezing accepted, in dB either way: the quadrature variances
 #: then stay within a factor 1e30 of the vacuum's, far from float overflow.
 MAX_SQUEEZE_DB = 300.0
+#: Largest Fock input level: the channel's guard wants the top two levels of
+#: the DEFAULT_DIM basis empty, and its Kraus stack grows as dim^3.
+MAX_FOCK_LEVEL = DEFAULT_DIM - 3
 
 _PHYSICAL_KEYS = ("omega_c", "omega_d", "gamma31", "gamma41", "gamma21")
 
@@ -227,13 +231,14 @@ def run_custom(
     Kraus-form loss channel on the truncated basis, row by row; coherent
     input: closed-form overlap) and the converted-signal quadrature
     variances.  Squeezed inputs carry no fidelity column.  ``nbar`` is
-    the Fock level, a whole number >= 0, or the coherent mean photon
-    number, finite and >= 0; anything else is a ConfigError.
+    the Fock level, a whole number in [0, MAX_FOCK_LEVEL], or the
+    coherent mean photon number, finite and >= 0; anything else is a
+    ConfigError.
     """
     overrides = overrides or {}
     if state_kind == "fock":
-        if not (nbar >= 0 and float(nbar).is_integer()):
-            raise ConfigError(f"a Fock input needs a whole photon number nbar >= 0, got {nbar}")
+        if not (0 <= nbar <= MAX_FOCK_LEVEL and float(nbar).is_integer()):
+            raise ConfigError(f"a Fock input needs a whole nbar in [0, {MAX_FOCK_LEVEL}], got {nbar}")
         state: Fock | Coherent | Squeezed = Fock(int(nbar))
     elif state_kind == "coherent":
         if not 0 <= nbar < math.inf:
@@ -338,6 +343,8 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
+    if settings.get("convention_scale", 1) not in (1, 2):  # the flag's choices, for a config file's value
+        raise ConfigError(f"convention_scale must be 1 or 2, got {settings['convention_scale']}")
     return settings
 
 

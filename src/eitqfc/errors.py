@@ -34,7 +34,7 @@ class SingularG(QfcError):
 
 
 class IllPosedBoundary(QfcError):
-    """|D'| too small: the backward boundary re-solve would divide by ~0."""
+    """A resolved matrix that is not finite or has |1/D| (= |D'|) below BOUNDARY_TOL: a backward resonance."""
 
 
 class ShootingFailure(QfcError):

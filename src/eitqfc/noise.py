@@ -13,9 +13,9 @@ normalized to 1 (c drops out of the dimensionless model once the
 i*omega/c propagation term is neglected).
 
 Each grid level is evaluated in blocks of about BLOCK_PAIRS (omega, z)
-pairs: a stacked spectral solve, a stacked e^{-ML} and a kernel block
-per block of frequencies, with the quadratic form and both quadrature
-weight contractions done on the block arrays.
+pairs: a stacked spectral solve and a kernel block per block of
+frequencies (e^{-ML} is never formed), with the quadratic form and both
+quadrature weight contractions done on the block arrays.
 
 Ground-state dephasing (gamma21 > 0) enters the deterministic
 propagation coefficients but not the diffusion matrix here: its
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import NonConvergedIntegral
 from .params import GAMMA, LENGTH, SystemParams, validate
 from .spectral import solve_susceptibility_stack
-from .transfer import expm2, noise_kernel_block, resolved_coefficients
+from .transfer import noise_kernel_block, resolved_coefficients
 
 #: Row labels jk of the diffusion matrix and their adjoint pairs k'j'.
 DIFFUSION_ROWS = (21, 31, 41)
@@ -97,8 +97,7 @@ def _block_form(
 ) -> np.ndarray:
     """sum_ab K_a d_ab K*_b on a block of omega nodes and the z nodes, shape (omega, z)."""
     stack = solve_susceptibility_stack(params, omegas)
-    raw = expm2(stack.generator * LENGTH)
-    k = noise_kernel_block(stack, raw, z_nodes, row)  # (omega, z, noise slot)
+    k = noise_kernel_block(stack, z_nodes, row)  # (omega, z, noise slot)
     kd = k @ d
     return np.einsum("...a,...a->...", kd.real, k.real) + np.einsum("...a,...a->...", kd.imag, k.imag)
 
@@ -115,8 +114,8 @@ def _integral_on_grid(
     """sum_jk,j'k' of int dz d_omega K_jk D K*_j'k' / (2 pi) on fixed grids.
 
     The omega nodes are taken in blocks of about BLOCK_PAIRS (omega, z)
-    pairs: one stacked spectral solve, one stacked e^{-ML} and one kernel
-    block per block, and no Python loop over omega.
+    pairs: one stacked spectral solve and one kernel block per block,
+    and no Python loop over omega.
     """
     row = 0 if kernel == "P" else 1
     size = max(1, BLOCK_PAIRS // len(z_nodes))

@@ -1,30 +1,28 @@
-"""Spatial propagation through the medium and the backward boundary re-solve.
+"""Spatial propagation through the medium and the backward boundary solution.
 
 The coupled probe/signal equations integrate to a 2x2 transfer matrix
-e^{-M L} relating the fields at z = 0 and z = L.  In the backward
-geometry the physical inputs are the probe at z = 0 and the (vacuum)
-signal at z = L, so the raw matrix is re-solved into boundary form.
-The same machinery yields the spatial noise kernels P_jk, Q_jk and the
-single-mode (omega = 0) transmittance and conversion efficiency; an
-independent semiclassical boundary-value solver cross-checks the latter.
+e^{-ML} relating the fields at z = 0 and z = L.  In the backward
+geometry the inputs are the probe at z = 0 and the (vacuum) signal at
+z = L, so what is needed is the resolved (scattering) matrix [[A, B],
+[C, D]], the spatial noise kernels P_jk, Q_jk and the single-mode
+(omega = 0) transmittance and conversion efficiency; an independent
+semiclassical boundary-value solver cross-checks the latter.
 
-Every optical-depth computation goes through one sweep core.  M(alpha)
-= alpha M(1), and the 3x3 response behind M(1) does not depend on
-alpha, so ``propagation_sweep`` needs one 3x3 solve, one stacked
-``expm2`` and one stacked boundary re-solve for a whole grid, and
-``semiclassical_sweep`` one field integration (Phi_alpha(L) = Psi(alpha)
-with dPsi/dt = -M(1) L Psi).  Both return the rows before the first
-optical depth that fails plus that row's error.  ``resolved_coefficients``
-and ``semiclassical_solve`` are their one-row views; ``transmittance``
-and ``conversion_efficiency`` read the former.  One set of checks
-decides whether a stack of e^{-ML} (or of Phi(L)) is boundary-solvable,
-for the sweeps and the noise kernels alike.
-
-There is one 2x2 exponential: ``expm2`` takes one matrix or a stack
-(..., 2, 2), and one matrix is evaluated in Python scalars with the same
-arithmetic as a stack.  ``noise_kernel_block`` uses the same closed form
-to give the kernels on a whole block of frequencies and z nodes at once;
-``noise_kernels`` is its one-frequency view.
+e^{-ML} grows without bound with the optical depth, while the resolved
+entries of a passive medium stay bounded.  So one core (``_scattering``)
+maps a stack of generators straight to the resolved matrices, with cosh
+and sinch scaled by e^{-w} (w = sqrt(q), Re w >= 0) so that every entry
+is a ratio of bounded terms (L. Li, JOSA A 13, 1024 (1996)).  M(alpha)
+= alpha M(1), so ``propagation_sweep`` needs one 3x3 solve and one pass
+of the core for a whole optical-depth grid, and ``semiclassical_sweep``
+one field integration (Phi_alpha(L) = Psi(alpha), dPsi/dt = -M(1) L Psi).
+Both return the rows before the first optical depth that fails plus that
+row's error; ``resolved_coefficients`` and ``semiclassical_solve`` are
+their one-row views, and ``transmittance`` and ``conversion_efficiency``
+read the former.  ``noise_kernel_block`` takes B and D of each frequency
+from the core (``noise_kernels`` is its one-frequency view).  ``expm2``,
+e^{-M} itself on the same scaled cosh and sinch, is the reference route
+of the tests: the package never forms e^{-ML}.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .errors import IllPosedBoundary, NegativeOD, QfcError, ShootingFailure, Sin
 from .params import LENGTH, SystemParams
 from .spectral import SpectralCoefficients, SpectralStack, generator_sweep
 
-#: |D'| below this is treated as a backward-geometry resonance.
+#: |1/D| (= |D'| of e^{-ML}) below this is treated as a backward-geometry resonance.
 BOUNDARY_TOL = 1e-12
 
 _EYE = np.eye(2)
@@ -53,18 +51,14 @@ def coupling_matrix(coeffs: SpectralCoefficients) -> np.ndarray:
 
 
 def _mu_q(m: np.ndarray) -> tuple:
-    """mu = tr(M)/2 and q = (d/2)^2 = (tr^2 - 4 det)/4 of one 2x2 matrix or a stack.
+    """mu = tr(M)/2 and q = (d/2)^2 = (tr^2 - 4 det)/4 of a stack (..., 2, 2).
 
     The complex products are formed from real and imaginary parts: numpy
     may fuse the multiply-adds inside its complex array multiply, while
-    separate real operations round one by one everywhere.  So one matrix
-    (done in Python scalars, which are cheap) and a stack holding it give
-    bit-identical results.
+    separate real operations round one by one everywhere, so a matrix
+    gives the same bits in any stack that holds it.
     """
-    if m.ndim == 2:
-        (a, b), (c, d) = m.tolist()
-    else:
-        a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     tr_re, tr_im = a.real + d.real, a.imag + d.imag
     det_re = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
     det_im = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
@@ -98,32 +92,30 @@ def _series(q, offset: int):
     return acc_re + 1j * acc_im
 
 
-def _hyperbolic(q) -> tuple:
-    w = np.sqrt(q)
-    return np.cosh(w), np.divide(np.sinh(w), w)
+def _cosh_sinch(q: np.ndarray) -> tuple:
+    """e^{-v} cosh(w), e^{-v} sinh(w)/w and the scale v, for w = sqrt(q) on an array q.
 
-
-def _cosh_sinch(q) -> tuple:
-    """cosh(sqrt(q)) and sinh(sqrt(q))/sqrt(q) as even functions of sqrt(q).
-
-    Both are entire functions of q itself, so a series in q is used for
-    small |q| (uniformly accurate through the degenerate-eigenvalue case,
-    where q -> 0) and the hyperbolic forms otherwise.  ``q`` is a complex
-    scalar (one matrix, branched without masks) or an array.
+    Both functions are entire in q itself.  For |q| < 0.25 a series in q
+    is used (uniformly accurate through the degenerate-eigenvalue case,
+    where q -> 0) and v = 0.  Otherwise v = w with Re w >= 0, and the
+    scaled forms (1 + e^{-2w})/2 and (1 - e^{-2w})/(2w) are ratios of
+    bounded terms however large w grows.
     """
-    if np.ndim(q) == 0:
-        return (_series(q, 0), _series(q, 1)) if abs(q) < 0.25 else _hyperbolic(q)
     small = np.abs(q) < 0.25
     c = np.empty_like(q)
     s = np.empty_like(q)
+    v = np.zeros_like(q)
     if small.any():
         q_small = q[small]
-        c[small] = _series(q_small, 0)
-        s[small] = _series(q_small, 1)
+        c[small], s[small] = _series(q_small, 0), _series(q_small, 1)
     if not small.all():
         large = ~small
-        c[large], s[large] = _hyperbolic(q[large])
-    return c, s
+        w = np.sqrt(q[large])
+        decay = np.exp(-2 * w)
+        c[large] = (1 + decay) / 2
+        s[large] = (1 - decay) / (2 * w)
+        v[large] = w
+    return c, s, v
 
 
 def _stacked(x) -> np.ndarray:
@@ -138,36 +130,38 @@ def expm2(m: np.ndarray) -> np.ndarray:
     - sinch(d/2) (M - mu I)] with mu = tr(M)/2 and d^2 = tr^2 - 4 det,
     evaluated through even functions of d so that the nilpotent /
     repeated-eigenvalue limit (d -> 0) is smooth and exact (reducing to
-    I - M + mu-corrections without any branch switch).  Overflow is not
-    reported here: an overflowing e^{-M} comes back non-finite, and the
-    callers raise IllPosedBoundary for it.
+    I - M + mu-corrections without any branch switch).  One matrix is a
+    stack of one.  An overflowing e^{-M} comes back non-finite.
     """
     m = np.asarray(m, dtype=complex)
-    shape = m.shape
-    if m.size == 4:
-        m = m.reshape(2, 2)  # a stack of one: the Python-scalar route rounds alike and costs less
+    stack = m.reshape(-1, 2, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        mu, quarter_d2 = _mu_q(m)  # quarter_d2 = (d/2)^2, an even invariant
-        c, s = _cosh_sinch(quarter_d2)
-        traceless = m - np.multiply.outer(mu, _EYE)
-        return (_stacked(np.exp(-mu)) * (_stacked(c) * _EYE - _stacked(s) * traceless)).reshape(shape)
+        mu, quarter_d2 = _mu_q(stack)  # quarter_d2 = (d/2)^2, an even invariant
+        c, s, v = _cosh_sinch(quarter_d2)
+        traceless = stack - np.multiply.outer(mu, _EYE)
+        return (_stacked(np.exp(v - mu)) * (_stacked(c) * _EYE - _stacked(s) * traceless)).reshape(m.shape)
 
 
-def _resolve(raw: np.ndarray, det_raw) -> np.ndarray:
-    """Re-solve e^{-ML} = (A',B';C',D') (one matrix or a stack (..., 2, 2)) into the backward boundary form.
+def _scattering(m: np.ndarray) -> np.ndarray:
+    """The resolved [[A, B], [C, D]] of e^{-M} for a stack of generators (..., 2, 2).
 
-    [[A, B], [C, D]] = [[A'-B'C'/D', B'/D'], [-C'/D', 1/D']] maps (probe
-    in at 0, signal in at L) to (probe out at L, signal out at 0).  A is
-    formed as det(raw)/D', so a caller that knows det e^{-ML} = e^{-tr(M)
-    L} avoids the cancellation in A' - B'C'/D' at large optical depth.
-    Unchecked: _solvable holds the conditions under which it is defined.
+    [[A, B], [C, D]] = [[A'-B'C'/D', B'/D'], [-C'/D', 1/D']] of (A', B';
+    C', D') = e^{-M} maps (probe in at 0, signal in at L) to (probe out
+    at L, signal out at 0).  By expm2's closed form with _cosh_sinch's
+    scaled c, s and scale v, D' = e^{v - mu} t with t = c - s (m22 - mu)
+    and det e^{-M} = e^{-2 mu}, so A = e^{-mu-v}/t, B = -s m12/t, C =
+    s m21/t and D = e^{mu-v}/t: ratios of bounded terms.  Unchecked:
+    _solvable holds the conditions under which the result is usable.
     """
-    d_raw = raw[..., 1, 1]
-    resolved = np.empty_like(raw)
-    resolved[..., 0, 0] = det_raw / d_raw
-    resolved[..., 0, 1] = raw[..., 0, 1] / d_raw
-    resolved[..., 1, 0] = -raw[..., 1, 0] / d_raw
-    resolved[..., 1, 1] = 1.0 / d_raw
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu, q = _mu_q(m)
+        c, s, v = _cosh_sinch(q)
+        t = c - s * (m[..., 1, 1] - mu)
+        resolved = np.empty_like(m)
+        resolved[..., 0, 0] = np.exp(-mu - v) / t
+        resolved[..., 0, 1] = -s * m[..., 0, 1] / t
+        resolved[..., 1, 0] = s * m[..., 1, 0] / t
+        resolved[..., 1, 1] = np.exp(mu - v) / t
     return resolved
 
 
@@ -220,17 +214,20 @@ def _first_failure(grid: np.ndarray, checks, name: str = "alpha") -> tuple[int, 
 
 def _solvable(
     matrices: np.ndarray,
+    pivot: np.ndarray | None = None,
     error: type[QfcError] = IllPosedBoundary,
-    non_finite: str = "e^{-ML} overflowed to a non-finite matrix",
-    small_pivot: str = f"|D'| = {{:.3e}} below {BOUNDARY_TOL}",
+    non_finite: str = "the resolved matrix is not finite",
+    small_pivot: str = f"|1/D| = {{:.3e}} below {BOUNDARY_TOL}",
 ) -> list:
-    """The checks, for _first_failure, that a stack (n, 2, 2) can be boundary-solved.
+    """The checks, for _first_failure, that a stack (n, 2, 2) is a usable boundary solution.
 
-    Each matrix must be finite and its [1, 1] entry (D' of e^{-ML}, or
-    Phi_22 of the semiclassical Phi(L)) must reach BOUNDARY_TOL in
-    magnitude; ``small_pivot`` formats that magnitude.
+    Each matrix must be finite and its ``pivot`` (by default |1/D| of a
+    resolved stack; |Phi_22| of the semiclassical Phi(L)) must reach
+    BOUNDARY_TOL in magnitude; ``small_pivot`` formats that magnitude.
     """
-    pivot = np.abs(matrices[:, 1, 1])
+    if pivot is None:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            pivot = 1.0 / np.abs(matrices[:, 1, 1])
     return [
         (~np.isfinite(matrices).all(axis=(1, 2)), lambda k: error(non_finite)),
         (pivot < BOUNDARY_TOL, lambda k: error(small_pivot.format(pivot[k]))),
@@ -239,49 +236,33 @@ def _solvable(
 
 @dataclass(frozen=True)
 class PropagationSweep:
-    """e^{-ML} and its boundary form on an optical-depth grid at one omega.
+    """The resolved [[A, B], [C, D]] on an optical-depth grid at one omega.
 
-    The rows stop before the first optical depth that fails: ``raw`` and
-    ``resolved`` (n, 2, 2) belong to ``alphas``, the first n values of
+    The rows stop before the first optical depth that fails:
+    ``resolved`` (n, 2, 2) belongs to ``alphas``, the first n values of
     the requested grid, and ``failure`` is the error of the next value
     (its message names that alpha), or None when every row solved.
     """
 
     alphas: np.ndarray
-    raw: np.ndarray
     resolved: np.ndarray
     failure: QfcError | None
 
 
 def propagation_sweep(params: SystemParams, alphas: np.ndarray, omega: float = 0.0) -> PropagationSweep:
-    """Spectral solve -> e^{-ML} -> backward boundary form on a 1-D grid of optical depths.
+    """Spectral solve -> resolved (scattering) matrix on a 1-D grid of optical depths.
 
-    M(alpha) = alpha M(1), so one 3x3 solve (generator_sweep), one
-    stacked expm2 and one stacked boundary re-solve with det e^{-ML} =
-    e^{-tr(M) L} serve the whole grid; ``params.alpha`` is only
-    validated.  Each row is bit for bit what the one-row grid gives.  A
-    row fails with IllPosedBoundary when e^{-ML} is not finite (at large
-    optical depth the unscaled exponential overflows), when |D'| <
-    BOUNDARY_TOL, or when the resolved matrix is not finite.  A singular
-    3x3 response raises SingularSystem naming the first optical depth.
+    M(alpha) = alpha M(1), so one 3x3 solve (generator_sweep) and one
+    pass of the scattering core serve the whole grid; ``params.alpha``
+    is only validated.  Each row is bit for bit what the one-row grid
+    gives.  A row fails with IllPosedBoundary when its resolved matrix
+    fails _solvable (a backward resonance).  A singular 3x3 response
+    raises SingularSystem naming the first optical depth.
     """
     alphas = _optical_depths(alphas)
-    generator = _grid_generator(params, alphas, omega)
-    raw = expm2(generator * LENGTH)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        det_raw = np.exp(-(generator[:, 0, 0] + generator[:, 1, 1]) * LENGTH)
-        resolved = _resolve(raw, det_raw)
-    n, failure = _first_failure(
-        alphas,
-        _solvable(raw)
-        + [
-            (
-                ~np.isfinite(resolved).all(axis=(1, 2)),
-                lambda k: IllPosedBoundary("the boundary re-solve of e^{-ML} is not finite"),
-            )
-        ],
-    )
-    return PropagationSweep(alphas=alphas[:n], raw=raw[:n], resolved=resolved[:n], failure=failure)
+    resolved = _scattering(_grid_generator(params, alphas, omega) * LENGTH)
+    n, failure = _first_failure(alphas, _solvable(resolved))
+    return PropagationSweep(alphas=alphas[:n], resolved=resolved[:n], failure=failure)
 
 
 @dataclass(frozen=True)
@@ -304,40 +285,41 @@ def default_z_grid(n: int = 257) -> np.ndarray:
 
 
 def noise_kernel_block(
-    stack: SpectralStack, raw: np.ndarray, z_grid: np.ndarray, row: int | None = None
+    stack: SpectralStack, z_grid: np.ndarray, row: int | None = None, resolved: np.ndarray | None = None
 ) -> np.ndarray:
     """Noise kernels on a block of n frequencies and a z grid.
 
     [P_jk; Q_jk](z) = b e^{M (z - L)} [zeta_p; zeta_s] with the boundary
-    mixing b = [[1, -B'/D'], [0, -1/D']] of each frequency's raw matrix
-    e^{-ML} (shape (n, 2, 2)).  With t = L - z and the closed form of
-    expm2, e^{-Mt} = e^{-mu t} [c(q t^2) I - t s(q t^2) (M - mu I)], so
-    the kernels are e^{-mu t} (c u - t s w) with u = b zeta and
-    w = b (M - mu I) zeta, and no 2x2 product is formed per (omega, z)
-    pair.  Returns shape (n, nz, 2, 3), rows (P, Q) and columns ordered
-    like NOISE_INDICES; ``row`` = 0 or 1 returns only P or only Q,
-    shape (n, nz, 3).
+    mixing b = [[1, -B], [0, -D]] of each frequency's resolved matrix
+    (shape (n, 2, 2); by default the scattering core's at the stack's
+    generators; only B and D are read).  With t = L - z, e^{-Mt} =
+    e^{v - mu t} [c I - t s (M - mu I)] with c, s, v = _cosh_sinch(q t^2),
+    so the kernels are e^{v - mu t} (c u - t s w) with u = b zeta and
+    w = b (M - mu I) zeta: no 2x2 product per (omega, z) pair.  Returns
+    shape (n, nz, 2, 3), rows (P, Q) and columns ordered like
+    NOISE_INDICES; ``row`` = 0 or 1 returns only P or only Q, shape
+    (n, nz, 3).  IllPosedBoundary names the first frequency whose
+    resolved matrix fails _solvable.
     """
     z_grid = np.asarray(z_grid, dtype=float)
-    raw = np.asarray(raw, dtype=complex)
-    _, failure = _first_failure(stack.omega, _solvable(raw), "omega")
+    if resolved is None:
+        resolved = _scattering(stack.generator * LENGTH)
+    _, failure = _first_failure(stack.omega, _solvable(resolved), "omega")
     if failure is not None:
         raise failure
-    d_raw = raw[:, 1, 1]
-    boundary = np.zeros_like(raw)
+    boundary = np.zeros_like(resolved)
     boundary[:, 0, 0] = 1.0
-    boundary[:, 0, 1] = -raw[:, 0, 1] / d_raw
-    boundary[:, 1, 1] = -1.0 / d_raw
+    boundary[:, :, 1] = -resolved[:, :, 1]
     if row is not None:
         boundary = boundary[:, row : row + 1]
     t = LENGTH - z_grid
     with np.errstate(over="ignore", invalid="ignore"):
         mu, quarter_d2 = _mu_q(stack.generator)
-        c, s = _cosh_sinch(np.multiply.outer(quarter_d2, t * t))
-        decay = np.exp(-np.multiply.outer(mu, t))
-        c *= decay  # now e^{-mu t} c
+        c, s, v = _cosh_sinch(np.multiply.outer(quarter_d2, t * t))
+        decay = np.exp(v - np.multiply.outer(mu, t))
+        c *= decay  # now e^{v - mu t} c
         s *= decay
-        s *= t  # now e^{-mu t} t s
+        s *= t  # now e^{v - mu t} t s
         traceless = stack.generator - np.multiply.outer(mu, _EYE)
         u = (boundary @ stack.zeta)[:, None]
         w = (boundary @ traceless @ stack.zeta)[:, None]
@@ -353,17 +335,20 @@ def noise_kernels(
 ) -> NoiseKernels:
     """Evaluate the boundary-consistent noise kernels on a z grid.
 
-    [P_jk; Q_jk](z) = [[1, -B'/D'], [0, -1/D']] e^{M (z - L)} [zeta_p; zeta_s].
-    The one-frequency view of noise_kernel_block.
+    [P_jk; Q_jk](z) = [[1, -B'/D'], [0, -1/D']] e^{M (z - L)} [zeta_p; zeta_s]
+    with (A', B'; C', D') = ``raw``, the caller's e^{-ML}.  The
+    one-frequency view of noise_kernel_block.
     """
     if z_grid is None:
         z_grid = default_z_grid()
+    with np.errstate(divide="ignore", invalid="ignore"):  # B and D, all the block reads
+        resolved = np.array([[[0.0, raw[0][1]], [0.0, 1.0]]]) / complex(raw[1][1])
     stack = SpectralStack(
         generator=coupling_matrix(coeffs)[None],
         zeta=np.stack([coeffs.zeta_p_vector, coeffs.zeta_s_vector])[None],
         omega=np.array([coeffs.omega]),
     )
-    kernels = noise_kernel_block(stack, np.asarray(raw, dtype=complex)[None], z_grid)[0]
+    kernels = noise_kernel_block(stack, z_grid, resolved=resolved)[0]
     return NoiseKernels(
         z_grid=np.asarray(z_grid, dtype=float),
         p=kernels[:, 0, :].T,
@@ -376,7 +361,7 @@ def resolved_coefficients(params: SystemParams, omega: float = 0.0) -> tuple[com
     """(A, B, C, D) of the backward-resolved transfer matrix at the optical depth of ``params``.
 
     The one-row view of propagation_sweep; raises the row's error, e.g.
-    IllPosedBoundary when e^{-ML} overflows.  C at omega = 0 is the
+    IllPosedBoundary at a backward resonance.  C at omega = 0 is the
     channel amplitude C_0 that carries the input state to the signal.
     """
     sweep = propagation_sweep(params, [params.alpha], omega)
@@ -413,15 +398,16 @@ def _fundamental_matrices(m: np.ndarray, alphas: np.ndarray, rtol: float, atol: 
         def rhs(_t: float, y: np.ndarray) -> np.ndarray:
             return (neg_m @ y.reshape(2, 2)).ravel()
 
-        sol = solve_ivp(
-            rhs,
-            (0.0, times[-1]),
-            _EYE.astype(complex).ravel(),
-            method="DOP853",
-            t_eval=times,
-            rtol=rtol,
-            atol=atol,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail the caller's check
+            sol = solve_ivp(
+                rhs,
+                (0.0, times[-1]),
+                _EYE.astype(complex).ravel(),
+                method="DOP853",
+                t_eval=times,
+                rtol=rtol,
+                atol=atol,
+            )
         psi[: sol.t.size] = sol.y.T
     else:
         psi[:] = _EYE.ravel()
@@ -463,11 +449,13 @@ def semiclassical_sweep(
     phi = _fundamental_matrices(m_unit * LENGTH, alphas, rtol, atol)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = -phi[:, 1, 0] / phi[:, 1, 1]
-        probe_out = phi[:, 0, 0] + phi[:, 0, 1] * u
+        transmittance = np.abs(phi[:, 0, 0] + phi[:, 0, 1] * u) ** 2  # an overflow fails the caller's gate
+        conversion = np.abs(u) ** 2
     n, failure = _first_failure(
         alphas,
         _solvable(
             phi,
+            np.abs(phi[:, 1, 1]),
             ShootingFailure,
             "the field integration gave no finite Phi(L)",
             "shooting solve singular: |Phi_22| = {:.3e}",
@@ -475,8 +463,8 @@ def semiclassical_sweep(
     )
     return SemiclassicalSweep(
         alphas=alphas[:n],
-        transmittance=np.abs(probe_out[:n]) ** 2,
-        conversion_efficiency=np.abs(u[:n]) ** 2,
+        transmittance=transmittance[:n],
+        conversion_efficiency=conversion[:n],
         failure=failure,
     )
 

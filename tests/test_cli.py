@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -205,21 +206,42 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fig2", "custom"])
-    def test_overflowing_transfer_matrix_exits_3(self, tmp_path, capsys, command):
-        # with omega_d = 2 the unscaled e^{-ML} is already nan at alpha = 5000
+    def test_large_optical_depth_writes_finite_passive_rows(self, tmp_path, command):
+        # with omega_d = 2 the unscaled e^{-ML} route broke down from alpha = 5000 on
         cfg = tmp_path / "large_od.cfg"
         cfg.write_text("omega_d = 2\n")
-        out = tmp_path / "never.csv"
+        out = tmp_path / "large_od.csv"
         argv = [command, "--config", str(cfg), "--alpha-max", "20000", "--grid-points", "5"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main([*argv, "--out", str(out)])
-        assert code == 3
+        assert code == 0
         assert [str(w.message) for w in caught] == []
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("eitqfc: numerical failure: at alpha=5000.0: ")
-        assert not out.exists()
+        lines = out.read_text().splitlines()
+        header, rows = lines[0].split(","), [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [row[0] for row in rows] == [0.0, 5000.0, 10000.0, 15000.0, 20000.0]
+        assert all(math.isfinite(v) for row in rows for v in row)
+        assert header[1:3] in (["tp_quantum", "ce_quantum"], ["tp", "ce"])
+        assert all(row[1] + row[2] <= 1.0 + 1e-12 for row in rows)
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ("omega_c = 1.5\nomega_d = 0.8\n", "the field integration gave no finite Phi(L)"),
+            ("gamma21 = 0.01\n", "passivity broken, largest power column 1.60094e+278"),
+        ],
+        ids=["asymmetric", "dephased"],
+    )
+    def test_overflowing_semiclassical_columns_exit_3_quietly(self, tmp_path, capsys, config, message):
+        # the quantum rows stay finite to alpha = 1e6; the semiclassical oracle overflows first
+        cfg = tmp_path / "large_od.cfg"
+        cfg.write_text(config)
+        argv = ["fig2", "--config", str(cfg), "--alpha-max", "1e6", "--grid-points", "101"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(tmp_path / "never.csv")]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == f"eitqfc: numerical failure: at alpha=10000.0: {message}\n"
 
     @pytest.mark.parametrize(
         "config, first_bad",
@@ -314,6 +336,31 @@ class TestMain:
         assert err == f"eitqfc: invalid configuration: {key} must be finite, got {parsed}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale, code", [("1", 0), ("2", 0), ("0", 2), ("5", 2), ("-1", 2)])
+    def test_config_convention_scale_is_checked_like_the_flag(self, tmp_path, capsys, scale, code):
+        cfg = tmp_path / "scale.cfg"
+        cfg.write_text(f"convention_scale = {scale}\n")
+        out = tmp_path / "fig4.csv"
+        assert main(["fig4", "--config", str(cfg), "--grid-points", "3", "--out", str(out)]) == code
+        if code == 2:
+            assert capsys.readouterr().err == (
+                f"eitqfc: invalid configuration: convention_scale must be 1 or 2, got {scale}\n"
+            )
+            assert not out.exists()
+
+    @pytest.mark.parametrize("level, code", [("17", 0), ("18", 2), ("20", 2)])
+    def test_fock_level_must_fit_the_basis(self, tmp_path, capsys, level, code):
+        out = tmp_path / "fock.csv"
+        argv = ["custom", "--state", "fock", "--nbar", level, "--grid-points", "5", "--out", str(out)]
+        assert main(argv) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert err.startswith("eitqfc: invalid configuration: ")
+            assert f"a whole nbar in [0, {cli.MAX_FOCK_LEVEL}], got {float(level)}" in err
+            assert not out.exists()
+        else:
+            assert float(out.read_text().splitlines()[-1].split(",")[3]) > 0.0
+
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["fig4", "--convention-scale", "3"])
@@ -322,3 +369,22 @@ class TestMain:
     def test_parse_config_rejects_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/path.cfg")
+
+
+#: sha256 of each subcommand's CSV at its default settings.
+GOLDEN_DIGESTS = {
+    "fig2": "671daf7f1688e296a4689a2c577a5a669fcec8c753133e3f30bb41779e41d252",
+    "fig3": "13e3b979aa1d6147a98713e56412703d76e8776c8d0b215d3b1ea0f98b854968",
+    "fig4 --state squeezed": "905bf0b59b3c4df1c0c458fc57552e5d7dbd801bbb7752ecdb4a053461a9bfc0",
+    "fig4 --state fock": "f512a2febb3cbf0eb48ee95de2530e685983391cb541f143cc84a3b5474040fd",
+    "custom --state fock": "24948a7af6d1fd4572ec488a36668374327cb52c7ef1310862773b14bf7da398",
+    "custom --state coherent": "a8799759cb01248995dfb65d187041ee9c7b64f9359b3f931a15c0b2586c82a6",
+    "custom --state squeezed": "3036de99270f7b2a2322c1d4a38c2492a37088cbcf7679c7559a3584899442fc",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS))
+def test_default_csv_bytes_are_pinned(tmp_path, argv):
+    out = tmp_path / "default.csv"
+    assert main([*argv.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[argv]

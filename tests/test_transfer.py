@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.linalg
 from eitqfc import transfer
 from eitqfc.errors import IllPosedBoundary, NegativeOD, ShootingFailure, SingularSystem
 from eitqfc.params import SystemParams, symmetric_params
-from eitqfc.spectral import solve_susceptibilities, solve_susceptibility_stack
+from eitqfc.spectral import generator_sweep, solve_susceptibilities, solve_susceptibility_stack
 from eitqfc.transfer import (
     conversion_efficiency,
     coupling_matrix,
@@ -118,22 +119,24 @@ class TestStackedExpm2:
         assert np.array_equal(expm2(stack.reshape(3, 4, 2, 2)), expm2(stack).reshape(3, 4, 2, 2))
 
     def test_overflow_is_silent_and_non_finite(self):
-        # the omega_d = 2, alpha = 5000 generator overflows e^{-ML}; callers turn that into IllPosedBoundary
-        m = coupling_matrix(solve_susceptibilities(SystemParams(alpha=5000.0, omega_d=2.0), 0.0))
+        # at this optical depth e^{-ML} itself overflows; the resolved route never forms it
+        params = SystemParams(alpha=5000.0, omega_c=1.5, omega_d=0.8)
         with np.errstate(over="raise", invalid="raise"):
-            raw = expm2(m)
+            raw = expm2(coupling_matrix(solve_susceptibilities(params, 0.0)))
         assert not np.isfinite(raw).all()
-        with pytest.raises(IllPosedBoundary):
-            resolved_coefficients(SystemParams(alpha=5000.0, omega_d=2.0))
+        a, b, c, d = resolved_coefficients(params)
+        assert np.isfinite([a, b, c, d]).all()
+        assert abs(a) ** 2 + abs(c) ** 2 <= 1.0 + 1e-12
+        assert abs(b) ** 2 + abs(d) ** 2 <= 1.0 + 1e-12
 
 
-def checked_resolve(raw: np.ndarray) -> np.ndarray:
-    """The boundary form of one raw matrix through the shared solvability check and _resolve."""
-    raw = np.asarray(raw, dtype=complex)
-    _, failure = transfer._first_failure(np.zeros(1), transfer._solvable(raw[None]))
+def checked_scattering(m: np.ndarray) -> np.ndarray:
+    """The resolved form of one generator through the scattering core and the shared solvability check."""
+    resolved = transfer._scattering(np.asarray(m, dtype=complex)[None])
+    _, failure = transfer._first_failure(np.zeros(1), transfer._solvable(resolved))
     if failure is not None:
         raise failure
-    return transfer._resolve(raw, raw[0, 0] * raw[1, 1] - raw[0, 1] * raw[1, 0])
+    return resolved[0]
 
 
 def reassemble_raw(resolved: np.ndarray) -> np.ndarray:
@@ -144,12 +147,11 @@ def reassemble_raw(resolved: np.ndarray) -> np.ndarray:
 
 class TestBoundaryResolve:
     def test_identity(self):
-        assert np.allclose(checked_resolve(np.eye(2)), np.eye(2), atol=1e-15)
+        assert np.allclose(checked_scattering(np.zeros((2, 2))), np.eye(2), atol=1e-15)
 
     def test_line_center_closed_form(self):
-        for alpha in (4.0, 200.0, 0.0):
-            raw = np.eye(2) - symmetric_m(alpha)
-            resolved = checked_resolve(raw)
+        for alpha in (4.0, 200.0, 0.0, 1e6):
+            resolved = checked_scattering(symmetric_m(alpha))
             expected = np.array(
                 [
                     [4 / (4 + alpha), alpha / (4 + alpha)],
@@ -159,13 +161,14 @@ class TestBoundaryResolve:
             assert np.allclose(resolved, expected, atol=1e-13)
 
     def test_ill_posed_boundary(self):
-        raw = np.array([[1.0, 1.0], [1.0, 0.0]], dtype=complex)
-        with pytest.raises(IllPosedBoundary, match=r"\|D'\| = 0\.000e\+00 below 1e-12"):
-            checked_resolve(raw)
+        # a quarter turn: D' = cos(pi/2) of e^{-M} vanishes up to rounding
+        rotation = np.array([[0.0, np.pi / 2], [-np.pi / 2, 0.0]], dtype=complex)
+        with pytest.raises(IllPosedBoundary, match=r"\|1/D\| = \d\.\d{3}e-1[6-7] below 1e-12"):
+            checked_scattering(rotation)
 
     def test_shared_check_finds_the_first_unsolvable_row(self):
         stack = np.array([np.eye(2), np.eye(2), np.eye(2), np.eye(2)], dtype=complex)
-        stack[1, 1, 1] = 1e-13
+        stack[1, 1, 1] = 1e13
         stack[2, 0, 0] = np.nan
         checks = transfer._solvable(stack)
         non_finite, small_pivot = (list(mask) for mask, _ in checks)
@@ -173,9 +176,9 @@ class TestBoundaryResolve:
         assert small_pivot == [False, True, False, False]
         n, failure = transfer._first_failure(np.array([0.0, 0.5, 1.0, 2.0]), checks, "omega")
         assert n == 1
-        assert str(failure) == "at omega=0.5: |D'| = 1.000e-13 below 1e-12"
+        assert str(failure) == "at omega=0.5: |1/D| = 1.000e-13 below 1e-12"
         n, failure = transfer._first_failure(np.array([0.0, 0.5, 1.0, 2.0]), checks[:1])
-        assert (n, str(failure)) == (2, "at alpha=1.0: e^{-ML} overflowed to a non-finite matrix")
+        assert (n, str(failure)) == (2, "at alpha=1.0: the resolved matrix is not finite")
         assert transfer._first_failure(np.zeros(4), checks[:0]) == (4, None)
 
     def test_reassembly_recovers_raw(self):
@@ -183,15 +186,23 @@ class TestBoundaryResolve:
         for _ in range(100):
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             raw = expm2(m)
-            back = reassemble_raw(checked_resolve(raw))
+            back = reassemble_raw(checked_scattering(m))
             assert np.max(np.abs(back - raw)) < 1e-12 * max(1.0, np.max(np.abs(raw)))
 
     def test_reassembly_on_physical_sweep(self):
-        sweep = propagation_sweep(symmetric_params(0.0), [0.0, 1.0, 40.0, 400.0])
+        params = symmetric_params(0.0)
+        alphas = np.array([0.0, 1.0, 40.0, 400.0])
+        sweep = propagation_sweep(params, alphas)
         assert sweep.failure is None
-        for raw, resolved in zip(sweep.raw, sweep.resolved):
+        for raw, resolved in zip(expm2(generator_sweep(params, alphas)), sweep.resolved):
             back = reassemble_raw(resolved)
             assert np.max(np.abs(back - raw)) < 1e-12 * max(1.0, np.max(np.abs(raw)))
+
+    def test_stack_member_equals_single_generator_bit_for_bit(self):
+        stack = _test_stack()
+        whole = transfer._scattering(stack)
+        for i in range(len(stack)):
+            assert np.array_equal(transfer._scattering(stack[i : i + 1])[0], whole[i])
 
 
 class TestNoiseKernels:
@@ -237,10 +248,10 @@ class TestNoiseKernels:
         omegas = np.array([-3.0, -0.4, 0.0, 0.4, 3.0])
         z = np.linspace(0.0, 1.0, 7)
         stack = solve_susceptibility_stack(params, omegas)
-        block = noise_kernel_block(stack, expm2(stack.generator), z)
+        block = noise_kernel_block(stack, z)
         assert block.shape == (5, 7, 2, 3)
         for row in (0, 1):
-            one_row = noise_kernel_block(stack, expm2(stack.generator), z, row)
+            one_row = noise_kernel_block(stack, z, row)
             assert np.max(np.abs(one_row - block[:, :, row])) < 1e-15 * np.max(np.abs(block))
         for n, omega in enumerate(omegas):
             coeffs = solve_susceptibilities(params, omega)
@@ -251,15 +262,20 @@ class TestNoiseKernels:
 
     def test_block_rejects_ill_posed_raw(self):
         stack = solve_susceptibility_stack(symmetric_params(8.0), np.array([0.0, 1.0]))
-        raw = expm2(stack.generator)
-        singular = raw.copy()
-        singular[1, 1, 1] = 0.0
+        resolved = transfer._scattering(stack.generator)
+        resonant = resolved.copy()
+        resonant[1, 1, 1] = 1e13
+        with pytest.raises(IllPosedBoundary, match=r"omega=1\.0: \|1/D\| = 1\.000e-13"):
+            noise_kernel_block(stack, np.array([0.5]), resolved=resonant)
+        overflowed = resolved.copy()
+        overflowed[0, 0, 1] = np.inf
+        with pytest.raises(IllPosedBoundary, match="omega=0.0: the resolved matrix is not finite"):
+            noise_kernel_block(stack, np.array([0.5]), resolved=overflowed)
+        singular_raw = expm2(stack.generator[1])
+        singular_raw[1, 1] = 0.0
+        coeffs = solve_susceptibilities(symmetric_params(8.0), 1.0)
         with pytest.raises(IllPosedBoundary, match="omega=1.0"):
-            noise_kernel_block(stack, singular, np.array([0.5]))
-        overflowed = raw.copy()
-        overflowed[0, 0, 0] = np.inf
-        with pytest.raises(IllPosedBoundary, match="non-finite"):
-            noise_kernel_block(stack, overflowed, np.array([0.5]))
+            noise_kernels(coeffs, singular_raw, np.array([0.5]))
 
     def test_nilpotent_closed_form(self):
         # at line center e^{M(z-L)} = I + M(z-L) exactly
@@ -364,13 +380,16 @@ class TestSemiclassical:
         assert abs(ce_s - conversion_efficiency(p)) < 1e-8
 
 
+def _re_solved(raw: np.ndarray, trace: complex) -> np.ndarray:
+    """The boundary form of a reference e^{-ML}, with det e^{-ML} = e^{-tr(ML)}."""
+    d = raw[1, 1]
+    return np.array([[np.exp(-trace) / d, raw[0, 1] / d], [-raw[1, 0] / d, 1.0 / d]], dtype=complex)
+
+
 def _per_point_resolved(params: SystemParams, omega: float) -> np.ndarray:
-    """The pipeline one optical depth at a time: 3x3 solve, expm2, scalar boundary re-solve."""
+    """The raw-matrix pipeline one optical depth at a time: 3x3 solve, expm2, scalar boundary re-solve."""
     coeffs = solve_susceptibilities(params, omega)
-    raw = expm2(coupling_matrix(coeffs))
-    det_raw = np.exp(-(coeffs.lambda_p + coeffs.lambda_s))
-    (_, b, c, d) = raw.ravel()
-    return np.array([[det_raw / d, b / d], [-c / d, 1.0 / d]], dtype=complex)
+    return _re_solved(expm2(coupling_matrix(coeffs)), coeffs.lambda_p + coeffs.lambda_s)
 
 
 def _random_symmetric(rng) -> SystemParams:
@@ -385,32 +404,30 @@ _ASYMMETRIC = [
 ]
 
 
+def _assert_rows_match_per_point_route(params: SystemParams, alphas: np.ndarray, omega: float) -> None:
+    """Sweep rows against the raw-matrix route to 1e-13, and bit for bit against the one-row view."""
+    sweep = propagation_sweep(params, alphas, omega)
+    assert sweep.failure is None
+    assert sweep.resolved.shape == (len(alphas), 2, 2)
+    for alpha, resolved in zip(alphas, sweep.resolved):
+        point = replace(params, alpha=float(alpha))
+        expected = _per_point_resolved(point, omega)
+        assert np.max(np.abs(resolved - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.array_equal(resolved.ravel(), resolved_coefficients(point, omega))
+
+
 class TestPropagationSweep:
     @pytest.mark.parametrize("omega", [0.0, 0.37, -2.5])
-    def test_symmetric_rows_equal_per_point_route_bit_for_bit(self, omega):
+    def test_symmetric_rows_match_per_point_route(self, omega):
         rng = np.random.default_rng(11)
-        alphas = np.linspace(0.0, 400.0, 41)
         for _ in range(4):
-            params = _random_symmetric(rng)
-            sweep = propagation_sweep(params, alphas, omega)
-            assert sweep.failure is None
-            assert sweep.resolved.shape == (41, 2, 2)
-            for alpha, resolved in zip(alphas, sweep.resolved):
-                point = replace(params, alpha=float(alpha))
-                assert np.array_equal(resolved, _per_point_resolved(point, omega))
-                assert np.array_equal(resolved.ravel(), resolved_coefficients(point, omega))
+            _assert_rows_match_per_point_route(_random_symmetric(rng), np.linspace(0.0, 400.0, 41), omega)
 
     @pytest.mark.parametrize("params", _ASYMMETRIC)
     @pytest.mark.parametrize("omega", [0.0, 0.37])
-    def test_asymmetric_and_dephased_rows_equal_per_point_route(self, params, omega):
-        # below the optical depth where e^{-ML} overflows
-        alphas = np.linspace(0.0, 400.0, 41)
-        sweep = propagation_sweep(params, alphas, omega)
-        assert sweep.failure is None
-        for alpha, raw, resolved in zip(alphas, sweep.raw, sweep.resolved):
-            point = replace(params, alpha=float(alpha))
-            assert np.array_equal(resolved, _per_point_resolved(point, omega))
-            assert np.array_equal(raw, propagation_sweep(point, [point.alpha], omega).raw[0])
+    def test_asymmetric_and_dephased_rows_match_per_point_route(self, params, omega):
+        # below the optical depth where the raw route's e^{-ML} overflows
+        _assert_rows_match_per_point_route(params, np.linspace(0.0, 400.0, 41), omega)
 
     @pytest.mark.parametrize("alpha", [0.0, 4.0])
     def test_single_point_grid(self, alpha):
@@ -420,11 +437,21 @@ class TestPropagationSweep:
         expected = np.array([[4.0, alpha], [alpha, 4.0]]) / (4.0 + alpha)
         assert np.max(np.abs(sweep.resolved[0] - expected)) < 1e-15
 
-    def test_rows_stop_at_the_first_failing_optical_depth(self):
-        # with omega_d = 2 the unscaled e^{-ML} overflows between alpha = 4000 and 5000
-        sweep = propagation_sweep(SystemParams(alpha=0.0, omega_d=2.0), [0.0, 4000.0, 5000.0, 20000.0, 1.0])
+    def test_rows_stop_at_the_first_failing_optical_depth(self, monkeypatch):
+        # a core that puts a backward resonance (|1/D| = 1e-13) on every row beyond alpha = 4500
+        params = SystemParams(alpha=0.0, omega_d=2.0)
+        unit = np.max(np.abs(generator_sweep(params, [1.0])))
+        core = transfer._scattering
+
+        def resonant_core(m):
+            resolved = core(m)
+            resolved[np.max(np.abs(m), axis=(1, 2)) > 4500 * unit, 1, 1] = 1e13
+            return resolved
+
+        monkeypatch.setattr(transfer, "_scattering", resonant_core)
+        sweep = propagation_sweep(params, [0.0, 4000.0, 5000.0, 20000.0, 1.0])
         assert isinstance(sweep.failure, IllPosedBoundary)
-        assert str(sweep.failure) == "at alpha=5000.0: e^{-ML} overflowed to a non-finite matrix"
+        assert str(sweep.failure) == "at alpha=5000.0: |1/D| = 1.000e-13 below 1e-12"
         assert list(sweep.alphas) == [0.0, 4000.0]
         assert sweep.resolved.shape == (2, 2, 2)
         assert np.isfinite(sweep.resolved).all()
@@ -438,6 +465,68 @@ class TestPropagationSweep:
             propagation_sweep(symmetric_params(1.0), [1.0, -2.0])
         with pytest.raises(NegativeOD):
             semiclassical_sweep(symmetric_params(1.0), [-2.0])
+
+
+_INVARIANT_CONFIGS = [
+    symmetric_params(0.0),
+    symmetric_params(0.0, 1.7 * np.exp(2.1j)),
+    *_ASYMMETRIC,
+    SystemParams(alpha=0.0, gamma21=0.01),
+]
+_INVARIANT_IDS = ["symmetric", "symmetric-phase", "asymmetric", "dephased", "mixed", "omega_d=2", "gamma21"]
+_INVARIANT_OMEGAS = [0.0, 0.3, -1.0]
+_LARGE_OD_GRID = np.concatenate([np.linspace(0.0, 400.0, 41), np.geomspace(500.0, 1e6, 21)])
+#: Up to here scipy.linalg.expm holds 1e-12 on these generators.  Its scaling and
+#: squaring loses about eps |ML|^2 on the defective line-centre ones beyond
+#: (3.5e-7 at alpha = 1e6), so the larger rows are checked against mpmath.
+_SCIPY_ALPHA_MAX = 1000.0
+
+
+def _mpmath_resolved(m: np.ndarray) -> np.ndarray:
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        raw = mpmath.expm(-mpmath.matrix(m.tolist()))
+        trace = mpmath.mpc(m[0, 0]) + mpmath.mpc(m[1, 1])
+        d = raw[1, 1]
+        resolved = [[mpmath.exp(-trace) / d, raw[0, 1] / d], [-raw[1, 0] / d, 1 / d]]
+        return np.array([[complex(x) for x in row] for row in resolved])
+
+
+class TestScatteringInvariants:
+    @pytest.mark.parametrize("omega", _INVARIANT_OMEGAS)
+    @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
+    def test_rows_are_finite_and_passive_up_to_the_largest_optical_depth(self, params, omega):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = propagation_sweep(params, _LARGE_OD_GRID, omega)
+        assert sweep.failure is None
+        r = sweep.resolved
+        assert np.isfinite(r).all()
+        assert np.max(np.abs(r[:, 0, 0]) ** 2 + np.abs(r[:, 1, 0]) ** 2) <= 1.0 + 1e-12
+        assert np.max(np.abs(r[:, 0, 1]) ** 2 + np.abs(r[:, 1, 1]) ** 2) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("omega", _INVARIANT_OMEGAS)
+    @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
+    def test_rows_match_the_expm_route_wherever_it_is_finite(self, params, omega):
+        sweep = propagation_sweep(params, _LARGE_OD_GRID, omega)
+        generators = generator_sweep(params, _LARGE_OD_GRID, omega)
+        compared = 0
+        for alpha, m, resolved in zip(_LARGE_OD_GRID, generators, sweep.resolved):
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                raw = scipy.linalg.expm(-m)
+            if not np.isfinite(raw).all():
+                continue
+            if alpha <= _SCIPY_ALPHA_MAX:
+                expected = _re_solved(raw, m[0, 0] + m[1, 1])
+            else:
+                expected = _mpmath_resolved(m)
+            # near the defective line-centre case the resolved matrix moves by about eps |ML|
+            # (relative) under the rounding the float generator already carries
+            tol = max(1e-12, np.finfo(float).eps * np.max(np.abs(m)))
+            assert np.max(np.abs(resolved - expected)) <= tol * np.max(np.abs(expected)), alpha
+            compared += 1
+        assert compared >= 44  # the whole linear part and a few rows beyond
 
 
 class TestSemiclassicalSweep:
