@@ -82,14 +82,9 @@ _CONFIG_SCHEMA: dict[str, type] = {
 }
 
 
-def _format(value: float) -> str:
-    return f"{value:.14e}"
-
-
 def format_csv(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format(v) for v in row))
+    lines += [",".join(["%.14e"] * len(row)) % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

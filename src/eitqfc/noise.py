@@ -43,7 +43,11 @@ DIFFUSION_COLS = (12, 13, 14)
 #: Convergence target for grid doubling of the noise integrals.
 INTEGRAL_TOL = 1e-8
 
-#: (omega, z) pairs evaluated at once; a block holds BLOCK_PAIRS // n_z frequencies.
+#: Gauss-Legendre nodes in omega and in z at the first grid level; each level doubles both.
+N_OMEGA = 513
+N_Z = 64
+
+#: (omega, z) pairs evaluated at once; a block holds BLOCK_PAIRS // (z nodes) frequencies.
 BLOCK_PAIRS = 8192
 
 
@@ -128,77 +132,54 @@ def _integral_on_grid(
 
 
 def _adaptive_noise_integral(
-    params: SystemParams,
-    diffusion: DiffusionMatrix | None,
-    kernel: str,
-    window: float | None,
-    n_omega: int,
-    n_z: int,
-    tol: float,
-    max_doublings: int,
+    params: SystemParams, diffusion: DiffusionMatrix | None, kernel: str, max_doublings: int
 ) -> float:
+    """The P or Q integral on doubling grids; N_OMEGA, N_Z and INTEGRAL_TOL are read at call time."""
     validate(params)
     if diffusion is None:
         diffusion = diffusion_matrix()
-    if window is None:
-        window = default_window(params)
+    window = default_window(params)
 
     previous = None
     change = None
     nodes = 0
     for level in range(max_doublings + 1):
-        nodes = n_omega * 2**level
+        nodes = N_OMEGA * 2**level
         omega_nodes, omega_weights = gauss_legendre_grid(-window, window, nodes)
-        z_nodes, z_weights = gauss_legendre_grid(0.0, LENGTH, n_z * 2**level)
+        z_nodes, z_weights = gauss_legendre_grid(0.0, LENGTH, N_Z * 2**level)
         value = _integral_on_grid(
             params, diffusion, kernel, omega_nodes, omega_weights, z_nodes, z_weights
         )
         if previous is not None:
             change = abs(value - previous)
-            if change < tol:
+            if change < INTEGRAL_TOL:
                 return value
         previous = value
     last = "none (one level has nothing to compare)" if change is None else f"{change:.3e}"
     raise NonConvergedIntegral(
         f"noise integral not converged after {max(max_doublings + 1, 0)} grid level(s), "
-        f"the last with {nodes} omega nodes: last |change| {last}, tol {tol:.3e}"
+        f"the last with {nodes} omega nodes: last |change| {last}, tol {INTEGRAL_TOL:.3e}"
     )
 
 
 def langevin_photon_noise(
-    params: SystemParams,
-    diffusion: DiffusionMatrix | None = None,
-    window: float | None = None,
-    n_omega: int = 513,
-    n_z: int = 64,
-    tol: float = INTEGRAL_TOL,
-    max_doublings: int = 4,
+    params: SystemParams, diffusion: DiffusionMatrix | None = None, max_doublings: int = 4
 ) -> float:
     """Langevin contribution to the output probe photon number (P kernels).
 
-    Gauss-Legendre in z over [0, L] and in omega over [-window, window],
-    with both grids doubled until the value changes by less than ``tol``
-    (NonConvergedIntegral otherwise).  Exactly zero for the default
-    weak-probe diffusion matrix.
+    Gauss-Legendre in z over [0, L] and in omega over [-W, W] (W =
+    default_window), with both grids doubled until the value changes by
+    less than INTEGRAL_TOL (NonConvergedIntegral otherwise).  Exactly
+    zero for the default weak-probe diffusion matrix.
     """
-    return _adaptive_noise_integral(
-        params, diffusion, "P", window, n_omega, n_z, tol, max_doublings
-    )
+    return _adaptive_noise_integral(params, diffusion, "P", max_doublings)
 
 
 def eta1(
-    params: SystemParams,
-    diffusion: DiffusionMatrix | None = None,
-    window: float | None = None,
-    n_omega: int = 513,
-    n_z: int = 64,
-    tol: float = INTEGRAL_TOL,
-    max_doublings: int = 4,
+    params: SystemParams, diffusion: DiffusionMatrix | None = None, max_doublings: int = 4
 ) -> float:
     """Signal-side Langevin variance term (Q kernels); zero for default diffusion."""
-    return _adaptive_noise_integral(
-        params, diffusion, "Q", window, n_omega, n_z, tol, max_doublings
-    )
+    return _adaptive_noise_integral(params, diffusion, "Q", max_doublings)
 
 
 def eta2(params: SystemParams, diffusion: DiffusionMatrix | None = None) -> float:

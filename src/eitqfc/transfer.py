@@ -12,17 +12,19 @@ e^{-ML} grows without bound with the optical depth, while the resolved
 entries of a passive medium stay bounded.  So one core (``_scattering``)
 maps a stack of generators straight to the resolved matrices, with cosh
 and sinch scaled by e^{-w} (w = sqrt(q), Re w >= 0) so that every entry
-is a ratio of bounded terms (L. Li, JOSA A 13, 1024 (1996)).  M(alpha)
-= alpha M(1), so ``propagation_sweep`` needs one 3x3 solve and one pass
-of the core for a whole optical-depth grid, and ``semiclassical_sweep``
-one field integration (Phi_alpha(L) = Psi(alpha), dPsi/dt = -M(1) L Psi).
-Both return the rows before the first optical depth that fails plus that
-row's error; ``resolved_coefficients`` and ``semiclassical_solve`` are
-their one-row views, and ``transmittance`` and ``conversion_efficiency``
-read the former.  ``noise_kernel_block`` takes B and D of each frequency
-from the core (``noise_kernels`` is its one-frequency view).  ``expm2``,
-e^{-M} itself on the same scaled cosh and sinch, is the reference route
-of the tests: the package never forms e^{-ML}.
+is a ratio of bounded terms (L. Li, JOSA A 13, 1024 (1996)).  One
+expression serves every q: expm1 carries the sinch through q -> 0.
+M(alpha) = alpha M(1), so ``propagation_sweep`` needs one 3x3 solve and
+one pass of the core for a whole optical-depth grid, and
+``semiclassical_sweep`` one field integration (Phi_alpha(L) =
+Psi(alpha), dPsi/dt = -M(1) L Psi).  Both return the rows before the
+first optical depth that fails plus that row's error;
+``resolved_coefficients`` and ``semiclassical_solve`` are their one-row
+views, and ``transmittance`` and ``conversion_efficiency`` read the
+former.  ``noise_kernel_block`` takes B and D of each frequency from the
+core (``noise_kernels`` is its one-frequency view).  ``expm2``, e^{-M}
+itself on the same scaled cosh and sinch, is the reference route of the
+tests: the package never forms e^{-ML}.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ from .spectral import SpectralCoefficients, SpectralStack, generator_sweep
 
 #: |1/D| (= |D'| of e^{-ML}) below this is treated as a backward-geometry resonance.
 BOUNDARY_TOL = 1e-12
+
+#: Relative and absolute tolerances of the semiclassical field integration.
+ODE_RTOL = 1e-12
+ODE_ATOL = 1e-14
 
 _EYE = np.eye(2)
 
@@ -67,55 +73,18 @@ def _mu_q(m: np.ndarray) -> tuple:
     return (tr_re + 1j * tr_im) / 2, q_re + 1j * q_im
 
 
-def _series(q, offset: int):
-    """Taylor sum in q of cosh(sqrt(q)) (offset 0) or sinh(sqrt(q))/sqrt(q) (offset 1), |q| < 0.25.
-
-    Term k carries 1/(2k + offset)! and is formed in real arithmetic.
-    It is at most 0.25^k/(2k)!, and from k = 11 on it is below half an
-    ulp of the partial sum (real part at least cos(1/2), imaginary part
-    at least |Im q|/7), so ten terms give the same sum as any longer
-    series.
-    """
-    q_re, q_im = q.real, q.imag
-    term_re, term_im, acc_re, acc_im = 1.0, 0.0, 1.0, 0.0
-    for k in range(1, 11):
-        scale = 1.0 / ((2 * k - 1 + offset) * (2 * k + offset))
-        re = term_re * q_re
-        re -= term_im * q_im
-        re *= scale
-        im = term_re * q_im
-        im += term_im * q_re
-        im *= scale
-        term_re, term_im = re, im
-        acc_re += re
-        acc_im += im
-    return acc_re + 1j * acc_im
-
-
 def _cosh_sinch(q: np.ndarray) -> tuple:
-    """e^{-v} cosh(w), e^{-v} sinh(w)/w and the scale v, for w = sqrt(q) on an array q.
+    """e^{-w} cosh(w), e^{-w} sinh(w)/w and the scale w, for w = sqrt(q) on an array q.
 
-    Both functions are entire in q itself.  For |q| < 0.25 a series in q
-    is used (uniformly accurate through the degenerate-eigenvalue case,
-    where q -> 0) and v = 0.  Otherwise v = w with Re w >= 0, and the
-    scaled forms (1 + e^{-2w})/2 and (1 - e^{-2w})/(2w) are ratios of
-    bounded terms however large w grows.
+    w is the principal root, so Re w >= 0 and e^{-2w} is bounded: the
+    scaled forms (1 + e^{-2w})/2 and -expm1(-2w)/(2w) are ratios of
+    bounded terms however large w grows.  expm1 keeps the sinch accurate
+    as q -> 0 (the degenerate-eigenvalue case), and q = 0 gives exactly
+    1, 1 and 0.
     """
-    small = np.abs(q) < 0.25
-    c = np.empty_like(q)
-    s = np.empty_like(q)
-    v = np.zeros_like(q)
-    if small.any():
-        q_small = q[small]
-        c[small], s[small] = _series(q_small, 0), _series(q_small, 1)
-    if not small.all():
-        large = ~small
-        w = np.sqrt(q[large])
-        decay = np.exp(-2 * w)
-        c[large] = (1 + decay) / 2
-        s[large] = (1 - decay) / (2 * w)
-        v[large] = w
-    return c, s, v
+    w = np.sqrt(q)
+    s = np.divide(-np.expm1(-2 * w), 2 * w, out=np.ones_like(w), where=w != 0)
+    return (1 + np.exp(-2 * w)) / 2, s, w
 
 
 def _stacked(x) -> np.ndarray:
@@ -279,11 +248,6 @@ class NoiseKernels:
     omega: float
 
 
-def default_z_grid(n: int = 257) -> np.ndarray:
-    """Uniform z grid on [0, L]."""
-    return np.linspace(0.0, LENGTH, n)
-
-
 def noise_kernel_block(
     stack: SpectralStack, z_grid: np.ndarray, row: int | None = None, resolved: np.ndarray | None = None
 ) -> np.ndarray:
@@ -336,11 +300,12 @@ def noise_kernels(
     """Evaluate the boundary-consistent noise kernels on a z grid.
 
     [P_jk; Q_jk](z) = [[1, -B'/D'], [0, -1/D']] e^{M (z - L)} [zeta_p; zeta_s]
-    with (A', B'; C', D') = ``raw``, the caller's e^{-ML}.  The
-    one-frequency view of noise_kernel_block.
+    with (A', B'; C', D') = ``raw``, the caller's e^{-ML}, on ``z_grid``
+    (by default 257 uniform nodes on [0, L]).  The one-frequency view of
+    noise_kernel_block.
     """
     if z_grid is None:
-        z_grid = default_z_grid()
+        z_grid = np.linspace(0.0, LENGTH, 257)
     with np.errstate(divide="ignore", invalid="ignore"):  # B and D, all the block reads
         resolved = np.array([[[0.0, raw[0][1]], [0.0, 1.0]]]) / complex(raw[1][1])
     stack = SpectralStack(
@@ -381,7 +346,7 @@ def conversion_efficiency(params: SystemParams) -> float:
     return float(abs(resolved_coefficients(params)[2]) ** 2)
 
 
-def _fundamental_matrices(m: np.ndarray, alphas: np.ndarray, rtol: float, atol: float) -> np.ndarray:
+def _fundamental_matrices(m: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Psi(alpha) on a 1-D grid of optical depths (>= 0), shape (n, 2, 2).
 
     One DOP853 integration of dPsi/dt = -M Psi, Psi(0) = I, over t in
@@ -405,8 +370,8 @@ def _fundamental_matrices(m: np.ndarray, alphas: np.ndarray, rtol: float, atol: 
                 _EYE.astype(complex).ravel(),
                 method="DOP853",
                 t_eval=times,
-                rtol=rtol,
-                atol=atol,
+                rtol=ODE_RTOL,
+                atol=ODE_ATOL,
             )
         psi[: sol.t.size] = sol.y.T
     else:
@@ -430,9 +395,7 @@ class SemiclassicalSweep:
     failure: QfcError | None
 
 
-def semiclassical_sweep(
-    params: SystemParams, alphas: np.ndarray, rtol: float = 1e-12, atol: float = 1e-14
-) -> SemiclassicalSweep:
+def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> SemiclassicalSweep:
     """Classical two-point boundary-value solution at omega = 0 on a 1-D optical-depth grid.
 
     Drops all noise terms and integrates the coupled field equations
@@ -446,7 +409,7 @@ def semiclassical_sweep(
     """
     alphas = _optical_depths(alphas)
     m_unit = _grid_generator(params, alphas, 0.0, depths=np.ones(1))[0]
-    phi = _fundamental_matrices(m_unit * LENGTH, alphas, rtol, atol)
+    phi = _fundamental_matrices(m_unit * LENGTH, alphas)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = -phi[:, 1, 0] / phi[:, 1, 1]
         transmittance = np.abs(phi[:, 0, 0] + phi[:, 0, 1] * u) ** 2  # an overflow fails the caller's gate
@@ -469,14 +432,12 @@ def semiclassical_sweep(
     )
 
 
-def semiclassical_solve(
-    params: SystemParams, rtol: float = 1e-12, atol: float = 1e-14
-) -> tuple[float, float]:
+def semiclassical_solve(params: SystemParams) -> tuple[float, float]:
     """(|probe(L)|^2, |signal(0)|^2) at the optical depth of ``params``.
 
     The one-row view of semiclassical_sweep; raises the row's error.
     """
-    sweep = semiclassical_sweep(params, [params.alpha], rtol, atol)
+    sweep = semiclassical_sweep(params, [params.alpha])
     if sweep.failure is not None:
         raise sweep.failure
     return float(sweep.transmittance[0]), float(sweep.conversion_efficiency[0])

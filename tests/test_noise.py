@@ -117,10 +117,13 @@ class TestNoiseIntegrals:
         assert "513 omega nodes" in message
         assert "one level has nothing to compare" in message
 
-    def test_non_convergence_reports_the_last_change(self):
+    def test_non_convergence_reports_the_last_change(self, monkeypatch):
         p = symmetric_params(4.0)
+        monkeypatch.setattr(noise, "N_OMEGA", 65)
+        monkeypatch.setattr(noise, "N_Z", 16)
+        monkeypatch.setattr(noise, "INTEGRAL_TOL", 1e-30)
         with pytest.raises(NonConvergedIntegral) as exc:
-            eta1(p, diffusion_matrix(0.5, 0.5), n_omega=65, n_z=16, tol=1e-30, max_doublings=1)
+            eta1(p, diffusion_matrix(0.5, 0.5), max_doublings=1)
         message = str(exc.value)
         assert "after 2 grid level(s), the last with 130 omega nodes" in message
         change = float(message.split("last |change| ")[1].split(",")[0])

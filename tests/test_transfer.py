@@ -85,19 +85,34 @@ def _test_stack() -> np.ndarray:
         symmetric_m(alpha) * np.exp(1j * phase) for alpha, phase in ((4.0, 0.0), (200.0, 1.1), (0.0, 0.0))
     ]
     members += [np.array([[1.0, 1.0], [eps, 1.0]], dtype=complex) for eps in (1e-6, 1e-9, 1e-12)]
-    for side in (1 - 1e-3, 1 + 1e-3):  # either side of the |q| = 0.25 series/hyperbolic switch
+    for side in (1 - 1e-3, 1 + 1e-3):  # |q| just either side of 0.25, at four phases and two traces
         for phase in (0.0, 0.7, np.pi, -2.0):
             for mu in (0.0, 0.3 - 1.2j):
                 members.append(_with_q(mu, 0.25 * side * np.exp(1j * phase)))
     return np.array(members)
 
 
-class TestStackedExpm2:
-    def test_branch_members_sit_where_intended(self):
-        below = _with_q(0.3 - 1.2j, 0.25 * (1 - 1e-3) * np.exp(0.7j))
-        above = _with_q(0.3 - 1.2j, 0.25 * (1 + 1e-3) * np.exp(0.7j))
-        assert abs(transfer._mu_q(below)[1]) < 0.25 < abs(transfer._mu_q(above)[1])
+class TestCoshSinch:
+    def test_exact_at_zero_and_accurate_below_a_quarter(self):
+        c, s, w = transfer._cosh_sinch(np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0)]))
+        assert np.array_equal(c, np.ones(3)) and np.array_equal(s, np.ones(3))
+        assert np.array_equal(w, np.zeros(3))
+        # |q| from 1e-30 up to 0.25 at all phases, the real axis of either sign included
+        mpmath = pytest.importorskip("mpmath")
+        mags = np.geomspace(1e-30, 0.25, 60, endpoint=False)
+        q = np.multiply.outer(mags, np.exp(1j * np.linspace(-np.pi, np.pi, 37))).ravel()
+        q = np.concatenate([q, mags + 0j, -mags + 0j])
+        worst = 0.0
+        with mpmath.workdps(50):
+            for qi, *got in zip(q, *transfer._cosh_sinch(q)):
+                root = mpmath.sqrt(mpmath.mpc(qi))
+                scale = mpmath.exp(-root)
+                refs = (scale * mpmath.cosh(root), scale * mpmath.sinh(root) / root, root)
+                worst = max(worst, *(float(abs(mpmath.mpc(g) - r) / abs(r)) for g, r in zip(got, refs)))
+        assert worst <= 1e-15
 
+
+class TestStackedExpm2:
     def test_stack_against_scipy(self):
         stack = _test_stack()
         ours = expm2(stack)
@@ -367,7 +382,7 @@ class TestSemiclassical:
         monkeypatch.setattr(
             transfer,
             "_fundamental_matrices",
-            lambda m, alphas, rtol, atol: np.broadcast_to(expm2(rotation), (len(alphas), 2, 2)),
+            lambda m, alphas: np.broadcast_to(expm2(rotation), (len(alphas), 2, 2)),
         )
         with pytest.raises(ShootingFailure):
             semiclassical_solve(symmetric_params(4.0))
@@ -580,7 +595,7 @@ class TestSemiclassicalSweep:
     def test_shooting_failure_names_the_first_singular_row(self, monkeypatch):
         rotation = expm2(np.array([[0.0, np.pi / 2], [-np.pi / 2, 0.0]], dtype=complex))
 
-        def fundamental(m, alphas, rtol, atol):
+        def fundamental(m, alphas):
             return np.where((alphas >= 10.0)[:, None, None], rotation, np.eye(2))
 
         monkeypatch.setattr(transfer, "_fundamental_matrices", fundamental)
