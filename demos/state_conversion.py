@@ -46,10 +46,12 @@ print(f"coherent beta = {beta}: trace distance to beam-splitter oracle "
 print(f"fidelity (matrix route)  = {fidelity(Coherent(beta), rho_coh):.6f}")
 print(f"fidelity (closed form)   = {coherent_fidelity(abs(beta) ** 2, ce):.6f}\n")
 
-# fidelity versus conversion efficiency for the three canonical inputs
+# fidelity versus conversion efficiency for the three canonical inputs:
+# one channel call takes the whole stack of amplitudes
+ce_points = np.array([0.1, 0.25, 0.5, 0.75, 0.9612, 1.0])
+fock_out = apply_loss_channel(fock_dm(1, 4), np.sqrt(ce_points))
 print(f"{'CE':>5}  {'Fock(1)':>9}  {'coh n=1':>9}  {'coh n=10':>9}")
-for ce_point in (0.1, 0.25, 0.5, 0.75, 0.9612, 1.0):
-    rho = apply_loss_channel(fock_dm(1, 4), np.sqrt(ce_point))
+for ce_point, rho in zip(ce_points, fock_out):
     print(
         f"{ce_point:5.2f}  {fidelity(Fock(1), rho):9.4f}"
         f"  {coherent_fidelity(1.0, ce_point):9.4f}"

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, QfcError
+from .errors import ConfigError, NonPassiveAmplitude, QfcError
 from .params import SystemParams, validate
 from .states import (
     DEFAULT_DIM,
@@ -43,7 +43,6 @@ from .states import (
     Squeezed,
     apply_loss_channel,
     coherent_fidelity,
-    fidelity,
     fock_dm,
     input_variances,
     output_variance,
@@ -61,7 +60,8 @@ ORACLE_TOL = 1e-6
 #: then stay within a factor 1e30 of the vacuum's, far from float overflow.
 MAX_SQUEEZE_DB = 300.0
 #: Largest Fock input level: the channel's guard wants the top two levels of
-#: the DEFAULT_DIM basis empty, and its Kraus stack grows as dim^3.
+#: the DEFAULT_DIM basis empty, and its weighted shift tensor grows as dim^3
+#: (its output as grid points x dim^2).
 MAX_FOCK_LEVEL = DEFAULT_DIM - 3
 
 _PHYSICAL_KEYS = ("omega_c", "omega_d", "gamma31", "gamma41", "gamma21")
@@ -222,11 +222,13 @@ def run_custom(
 
     One propagation_sweep gives every row's probe transmittance |A_0|^2,
     CE |C_0|^2 and channel amplitude C_0.  Each row emits those plus the
-    conversion fidelity (Fock input: |n><n| pushed through the
-    Kraus-form loss channel on the truncated basis, row by row; coherent
-    input: closed-form overlap) and the converted-signal quadrature
-    variances.  Squeezed inputs carry no fidelity column.  ``nbar`` is
-    the Fock level, a whole number in [0, MAX_FOCK_LEVEL], or the
+    conversion fidelity (Fock input: |n><n| pushed through the loss
+    channel on the truncated basis in one call for the sweep's whole
+    stack of amplitudes, read off the stack's diagonal; coherent input:
+    closed-form overlap) and the converted-signal quadrature variances.
+    An amplitude with |C_0| > 1 is a NonPassiveAmplitude naming its
+    alpha.  Squeezed inputs carry no fidelity column.  ``nbar`` is the
+    Fock level, a whole number in [0, MAX_FOCK_LEVEL], or the
     coherent mean photon number, finite and >= 0; anything else is a
     ConfigError.
     """
@@ -247,20 +249,25 @@ def run_custom(
     with_fidelity = not isinstance(state, Squeezed)
     header = ["alpha", "tp", "ce"] + (["fidelity"] if with_fidelity else []) + ["var_x", "var_y"]
     vin = input_variances(state)
-    rho_in = fock_dm(state.n) if isinstance(state, Fock) else None
     quantum = propagation_sweep(_sweep_params(alphas, overrides), alphas)
+    amplitudes = quantum.resolved[:, 1, 0]
+    if isinstance(state, Fock):
+        try:
+            channel = apply_loss_channel(fock_dm(state.n), amplitudes)
+        except NonPassiveAmplitude as exc:
+            alpha = float(quantum.alphas[exc.row])
+            raise NonPassiveAmplitude(f"at alpha={alpha!r}: {exc}", exc.row) from exc
+        # fidelity(state, rho) = sqrt(max(<n|rho|n>, 0)) down the whole stack
+        populations = channel[:, state.n, state.n].real
+        fock_fidelities = np.sqrt(np.where(populations < 0.0, 0.0, populations))
     rows = []
-    for alpha, a0, c0 in zip(quantum.alphas, quantum.resolved[:, 0, 0], quantum.resolved[:, 1, 0]):
+    for k, alpha in enumerate(quantum.alphas):
         alpha = float(alpha)
-        tp = float(abs(a0) ** 2)
-        c0 = complex(c0)
-        ce = abs(c0) ** 2
+        tp = float(abs(quantum.resolved[k, 0, 0]) ** 2)
+        ce = abs(complex(amplitudes[k])) ** 2
         row = [alpha, tp, ce]
         if isinstance(state, Fock):
-            try:
-                row.append(fidelity(state, apply_loss_channel(rho_in, c0)))
-            except QfcError as exc:
-                raise type(exc)(f"at alpha={alpha!r}: {exc}") from exc
+            row.append(float(fock_fidelities[k]))
         elif isinstance(state, Coherent):
             row.append(coherent_fidelity(abs(state.beta) ** 2, ce))
         row.append(convention_scale * output_variance(vin.var_x, ce))

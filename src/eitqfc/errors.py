@@ -49,6 +49,18 @@ class TruncationOverflow(QfcError):
     """A state occupies the top of the truncated Fock basis; results untrustworthy."""
 
 
+class NonPassiveAmplitude(QfcError, ValueError):
+    """A channel amplitude with |c0| above 1 beyond rounding, which no passive medium gives.
+
+    ``row`` is the position of the first such amplitude in the stack the
+    channel was given (0 for one amplitude).
+    """
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
+
+
 class DimensionTooSmall(QfcError):
     """Fock-space dimension insufficient for the requested construction."""
 

@@ -3,13 +3,18 @@
 At omega = 0 the medium acts on the probe as a pure-loss channel of
 transmissivity |C_0|^2: the converted signal keeps the input wave
 function up to the amplitude factor conj(C_0).  This module builds the
-output density matrices in a truncated Fock basis as the pure-loss Kraus
-sum (Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)), keeps two
-independent constructions of the same channel as test oracles (the
-normally-ordered projector series and a two-mode beam splitter), and
-computes fidelities and quadrature variances.  It takes the channel
-amplitude C_0 as a number and does not depend on the propagation
-layers; ``transfer.resolved_coefficients(params)[2]`` gives C_0.
+output density matrices in a truncated Fock basis from the pure-loss
+Kraus sum (Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)).  Each Kraus
+operator K_l moves |m+l> to |m> only, so the sum collapses onto shifted
+diagonals of the input, weighted by powers of the loss 1 - |C_0|^2
+(see apply_loss_channel); one call takes a whole stack of amplitudes.
+The module keeps two independent constructions of the same channel as
+test oracles (the normally-ordered projector series and a two-mode beam
+splitter), and computes fidelities and quadrature variances.  It takes
+the channel amplitude C_0 as a number, or a 1-D stack of them, and does
+not depend on the propagation layers;
+``transfer.propagation_sweep(params, alphas).resolved[:, 1, 0]`` gives
+C_0 on an optical-depth grid.
 
 Quadrature convention: X = (a + a^+)/2, Y = (a - a^+)/2i, so the vacuum
 variance is 1/4.  Callers that want the doubled-variance convention
@@ -26,7 +31,7 @@ from typing import NamedTuple, Union
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionTooSmall, TruncationOverflow
+from .errors import DimensionTooSmall, NonPassiveAmplitude, TruncationOverflow
 
 #: Default Fock-space truncation; supports |beta| <= 2 and n <= 5 inputs
 #: with wide margin.
@@ -134,42 +139,45 @@ def validate_density_matrix(
         raise ValueError(f"density matrix has eigenvalue {smallest:.3e}")
 
 
-def _channel_input(rho_in: np.ndarray, c0: complex) -> tuple[np.ndarray, complex]:
-    """rho_in as a complex array and c0 as a complex number, once both pass the channel guards.
+def _channel_input(rho_in: np.ndarray, c0: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho_in as a complex array and c0 as a 1-D complex stack, once both pass the channel guards.
 
     |c0| may exceed 1 only by rounding, and the top two levels of the
-    truncated basis must stay (nearly) empty.
+    truncated basis must stay (nearly) empty.  One amplitude is a stack
+    of one; NonPassiveAmplitude names the first amplitude that fails.
     """
     rho_in = np.asarray(rho_in, dtype=complex)
     dim = rho_in.shape[0]
-    c0 = complex(c0)
-    if abs(c0) > 1.0 + 1e-12:
-        raise ValueError(f"|c0| = {abs(c0):.6f} exceeds 1")
+    amplitudes = np.asarray(c0, dtype=complex)
+    if amplitudes.ndim > 1:
+        raise ValueError(f"c0 must be one amplitude or a 1-D stack, got shape {amplitudes.shape}")
+    amplitudes = amplitudes.reshape(-1)
+    bad = np.flatnonzero(~(np.abs(amplitudes) <= 1.0 + 1e-12))  # NaN fails too
+    if bad.size:
+        row = int(bad[0])
+        raise NonPassiveAmplitude(f"|c0| = {abs(amplitudes[row]):.6f} exceeds 1", row)
     top_two = float(rho_in[dim - 1, dim - 1].real + rho_in[dim - 2, dim - 2].real)
     if top_two > TOP_LEVEL_TOL:
         raise TruncationOverflow(
             f"top two Fock levels hold {top_two:.3e} of the population; enlarge the basis"
         )
-    return rho_in, c0
+    return rho_in, amplitudes
 
 
 @functools.lru_cache(maxsize=8)
-def _kraus_layout(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero elements <n-l|K_l|n> of the loss Kraus operators on a dim basis.
-
-    Returns the photons lost l, kept n - l and present n of each element
-    (all l <= n < dim) and sqrt(C(n, l)) on it; the arrays are read-only.
-    """
-    lost, n = np.triu_indices(dim)
-    kept = n - lost
-    root_binomial = np.array([math.sqrt(math.comb(int(k), int(j))) for j, k in zip(lost, n)])
-    for table in (lost, kept, n, root_binomial):
-        table.setflags(write=False)
-    return lost, kept, n, root_binomial
+def _shift_weights(dim: int) -> np.ndarray:
+    """sqrt(C(m+l, l) C(n+l, l)) at [l, m, n] where m + l and n + l < dim, else 0; read-only."""
+    binomial = np.array(
+        [[math.comb(m + lost, lost) if m + lost < dim else 0 for m in range(dim)] for lost in range(dim)],
+        dtype=float,
+    )
+    weights = np.sqrt(binomial[:, :, None] * binomial[:, None, :])
+    weights.setflags(write=False)
+    return weights
 
 
-def apply_loss_channel(rho_in: np.ndarray, c0: complex) -> np.ndarray:
-    """Push a state through the conversion channel of amplitude c0.
+def apply_loss_channel(rho_in: np.ndarray, c0: complex | np.ndarray) -> np.ndarray:
+    """Push a state through the conversion channel of amplitude c0, or of each amplitude in a 1-D stack.
 
     The channel is the pure-loss Kraus sum rho_out = sum_l K_l rho_in K_l^+
     with K_l = sum_n sqrt(C(n, l)) conj(c0)^{n-l} r^l |n-l><n| and
@@ -177,18 +185,41 @@ def apply_loss_channel(rho_in: np.ndarray, c0: complex) -> np.ndarray:
     a pure-loss channel of transmissivity |c0|^2 with phase conj(c0) on
     the coherences.  It is exact on the truncated space, because loss
     never raises the photon number.
-    """
-    rho_in, c0 = _channel_input(rho_in, c0)
-    dim = rho_in.shape[0]
 
-    lost, kept, n, root_binomial = _kraus_layout(dim)
+    K_l only takes |m+l> to |m>, so <m|K_l rho_in K_l^+|n> has one term
+    and the sum collapses onto shifted diagonals of rho_in:
+    rho_out[m, n] = conj(c0)^m c0^n
+                    * sum_l sqrt(C(m+l, l) C(n+l, l)) T^l rho_in[m+l, n+l]
+    with T = r^2.  The weighted shifts of rho_in (a dim^3 tensor) do not
+    depend on c0, so a stack of k amplitudes costs one (k, dim^2) product
+    of the powers T^l against them, then the two phases in place.  One
+    amplitude is a stack of one: a scalar c0 gives one (dim, dim) matrix,
+    a stack of k gives (k, dim, dim), and each member equals the
+    one-amplitude result bit for bit.
+    """
+    rho_in, amplitudes = _channel_input(rho_in, c0)
+    dim = rho_in.shape[0]
     levels = np.arange(dim)
-    kept_amplitude = np.conj(c0) ** levels
-    # |c0| may exceed 1 by rounding (see _channel_input): clamp r^2 at 0
-    lost_amplitude = math.sqrt(max(1.0 - abs(c0) ** 2, 0.0)) ** levels
-    kraus = np.zeros((dim, dim, dim), dtype=complex)
-    kraus[lost, kept, n] = root_binomial * kept_amplitude[kept] * lost_amplitude[lost]
-    return (kraus @ rho_in @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
+
+    # rho_in[m+l, n+l] at [l, m, n]: a strided view of rho_in zero-padded to twice its size
+    padded = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    padded[:dim, :dim] = rho_in
+    row_stride, column_stride = padded.strides
+    diagonals = np.lib.stride_tricks.as_strided(
+        padded, (dim, dim, dim), (row_stride + column_stride, row_stride, column_stride), writeable=False
+    )
+    shifted = _shift_weights(dim) * diagonals
+    # |c0| may exceed 1 by rounding (see _channel_input): clamp T at 0
+    loss_powers = np.maximum(1.0 - np.abs(amplitudes) ** 2, 0.0)[:, None] ** levels
+    # T^l is real, so the product runs on the (re, im) pairs of the shifts.  It
+    # is one vector-matrix product per amplitude: a matrix-matrix product would
+    # round a stack of one differently from its members.
+    rho_out = (loss_powers[:, None, :] @ shifted.view(float).reshape(dim, -1)).view(complex)
+    rho_out = rho_out.reshape(amplitudes.size, dim, dim)
+    kept_phase = np.conj(amplitudes)[:, None] ** levels
+    rho_out *= kept_phase[:, :, None]
+    rho_out *= np.conj(kept_phase)[:, None, :]
+    return rho_out.reshape(np.shape(c0) + (dim, dim))
 
 
 def projector_series_oracle(rho_in: np.ndarray, c0: complex) -> np.ndarray:
@@ -201,7 +232,8 @@ def projector_series_oracle(rho_in: np.ndarray, c0: complex) -> np.ndarray:
     vanish identically).  Equivalent to a pure-loss channel of
     transmissivity |c0|^2 with phase conj(c0) on the coherences.
     """
-    rho_in, c0 = _channel_input(rho_in, c0)
+    rho_in, amplitudes = _channel_input(rho_in, c0)
+    (c0,) = amplitudes.tolist()
     dim = rho_in.shape[0]
 
     a = destroy(dim)

@@ -15,7 +15,8 @@ from eitqfc.cli import (
     run_fig4,
     run_custom,
 )
-from eitqfc.errors import ConfigError, QfcError
+from eitqfc.errors import ConfigError, IllPosedBoundary, QfcError
+from eitqfc.transfer import PropagationSweep
 
 
 class TestRunFig2:
@@ -275,6 +276,45 @@ class TestMain:
         assert err.startswith("eitqfc: numerical failure: at alpha=0.0: atomic response matrix")
         assert not out.exists()
 
+    def test_non_passive_amplitude_exits_3_naming_its_alpha(self, tmp_path, capsys, monkeypatch):
+        # a sweep row with |C0| just above 1 beyond rounding: the channel refuses it
+        real_sweep = cli.propagation_sweep
+
+        def sweep_with_gain(params, alphas):
+            sweep = real_sweep(params, alphas)
+            resolved = sweep.resolved.copy()
+            resolved[2, 1, 0] = 1.0 + 1e-10
+            return PropagationSweep(sweep.alphas, resolved, sweep.failure)
+
+        monkeypatch.setattr(cli, "propagation_sweep", sweep_with_gain)
+        out = tmp_path / "never.csv"
+        argv = ["custom", "--state", "fock", "--alpha-max", "4", "--grid-points", "5", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "eitqfc: numerical failure: at alpha=2.0: |c0| = 1.000000 exceeds 1\n"
+        assert not out.exists()
+
+    def test_sweep_failing_at_first_alpha_gives_the_channel_no_rows(self, tmp_path, capsys, monkeypatch):
+        real_sweep, real_channel = cli.propagation_sweep, cli.apply_loss_channel
+        stacks = []
+
+        def sweep_failing_at_first_alpha(params, alphas):
+            sweep = real_sweep(params, alphas)
+            failure = IllPosedBoundary(f"at alpha={float(alphas[0])!r}: backward resonance")
+            return PropagationSweep(sweep.alphas[:0], sweep.resolved[:0], failure)
+
+        def recording_channel(rho_in, c0):
+            rho_out = real_channel(rho_in, c0)
+            stacks.append(rho_out.shape)
+            return rho_out
+
+        monkeypatch.setattr(cli, "propagation_sweep", sweep_failing_at_first_alpha)
+        monkeypatch.setattr(cli, "apply_loss_channel", recording_channel)
+        out = tmp_path / "never.csv"
+        assert main(["custom", "--state", "fock", "--grid-points", "5", "--out", str(out)]) == 3
+        assert stacks == [(0, 20, 20)]
+        assert capsys.readouterr().err == "eitqfc: numerical failure: at alpha=0.0: backward resonance\n"
+        assert not out.exists()
+
     def test_invalid_physical_params_exit_2(self, tmp_path):
         cfg = tmp_path / "bad_phys.cfg"
         cfg.write_text("gamma31 = -1\n")
@@ -388,3 +428,27 @@ def test_default_csv_bytes_are_pinned(tmp_path, argv):
     out = tmp_path / "default.csv"
     assert main([*argv.split(), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
+#: sha256 of `custom --state fock` CSVs at non-default physical settings.
+FOCK_SWEEP_CONFIGS = {
+    "complex-phase symmetric": "omega_c = (0.8+1.1j)\nomega_d = (0.8+1.1j)\n",
+    "asymmetric": "omega_c = 1.5\nomega_d = 0.8\n",
+}
+FOCK_SWEEP_DIGESTS = {
+    ("complex-phase symmetric", "0"): "5e728b87320cddefaf52e14324cbc66acb2f2ed22dd4976bbbae7174b2e6dd55",
+    ("complex-phase symmetric", "3"): "e0af9b26fd8b0ccc4f67e577c0e95b12ec0fa0787893dc4af03d68e43ba05935",
+    ("complex-phase symmetric", "17"): "140312e4c26341dc5935e3640a028e2861654140fc7a2a163354786ca74b2858",
+    ("asymmetric", "0"): "1ccc15675bf94f3dadbd0deb02dd86fa20fb02e9c64ad48aa870f89a8f763d1f",
+    ("asymmetric", "3"): "72c07f0d7aa7ac26a5d3a74f63c0f24636ee8dc22eed401daad7c5696781849e",
+    ("asymmetric", "17"): "ab4550b2d4059d573ab24fd42349e0f52c0f33b4a2e98a996ca39f15f267970b",
+}
+
+
+@pytest.mark.parametrize("config, nbar", list(FOCK_SWEEP_DIGESTS))
+def test_fock_sweep_bytes_are_pinned(tmp_path, config, nbar):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(FOCK_SWEEP_CONFIGS[config])
+    out = tmp_path / "fock.csv"
+    assert main(["custom", "--state", "fock", "--nbar", nbar, "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FOCK_SWEEP_DIGESTS[config, nbar]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from eitqfc import states
-from eitqfc.errors import DimensionTooSmall, TruncationOverflow
-from eitqfc.params import symmetric_params
+from eitqfc.errors import DimensionTooSmall, NonPassiveAmplitude, QfcError, TruncationOverflow
+from eitqfc.params import SystemParams, symmetric_params
 from eitqfc.states import (
     Coherent,
     Fock,
@@ -25,7 +25,7 @@ from eitqfc.states import (
     trace_distance,
     validate_density_matrix,
 )
-from eitqfc.transfer import resolved_coefficients
+from eitqfc.transfer import propagation_sweep, resolved_coefficients
 
 CE_HEADLINE = (200 / 204) ** 2  # conversion efficiency at optical depth 200
 
@@ -104,6 +104,70 @@ class TestApplyLossChannel:
         # rounding above |c0| = 1 is accepted as the identity channel
         rho = coherent_dm(0.5, 12)
         assert np.max(np.abs(apply_loss_channel(rho, 1.0 + 5e-13) - rho)) < 1e-11
+
+
+#: Optical-depth grids whose channel amplitudes are complex or asymmetric.
+SWEEP_CONFIGS = {
+    "complex-phase symmetric": {"omega_c": 0.8 + 1.1j, "omega_d": 0.8 + 1.1j},
+    "asymmetric": {"omega_c": 1.5, "omega_d": 0.8},
+}
+
+
+def _sweep_amplitudes(config, grid_points):
+    sweep = propagation_sweep(SystemParams(alpha=0.0, **config), np.linspace(0.0, 400.0, grid_points))
+    assert sweep.failure is None
+    return sweep.resolved[:, 1, 0]
+
+
+class TestStackedChannel:
+    """One call on a 1-D stack of amplitudes: the shape the CLI sweeps use."""
+
+    @pytest.mark.parametrize("config", list(SWEEP_CONFIGS))
+    def test_members_equal_single_amplitude_calls(self, config):
+        amplitudes = _sweep_amplitudes(SWEEP_CONFIGS[config], 401)
+        for rho in (fock_dm(3), coherent_dm(1.0 + 0.5j, 20)):
+            stack = apply_loss_channel(rho, amplitudes)
+            assert stack.shape == (401, 20, 20)
+            for c0, member in zip(amplitudes, stack):
+                assert np.array_equal(member, apply_loss_channel(rho, c0))
+                assert np.array_equal(member, apply_loss_channel(rho, complex(c0)))
+
+    @pytest.mark.parametrize("config", list(SWEEP_CONFIGS))
+    def test_stack_matches_both_oracles(self, config):
+        dim = 16
+        amplitudes = _sweep_amplitudes(SWEEP_CONFIGS[config], 9)
+        for rho in (fock_dm(3, dim), coherent_dm(1.0 + 0.5j, dim)):
+            stack = apply_loss_channel(rho, amplitudes)
+            for c0, member in zip(amplitudes, stack):
+                series = projector_series_oracle(rho, c0)
+                # the beam splitter is real; conj(c0)'s phase rotates its output
+                phase = np.exp(-1j * np.angle(c0) * np.arange(dim))
+                oracle = beam_splitter_oracle(rho, abs(c0) ** 2, dim)
+                _assert_routes_agree(member, series, phase[:, None] * oracle * np.conj(phase)[None, :])
+
+    @pytest.mark.parametrize("config", list(SWEEP_CONFIGS))
+    def test_members_are_hermitian_with_unit_trace(self, config):
+        amplitudes = _sweep_amplitudes(SWEEP_CONFIGS[config], 401)
+        for rho in (fock_dm(0), fock_dm(5), fock_dm(17), coherent_dm(1.2 - 0.7j, 20)):
+            for member in apply_loss_channel(rho, amplitudes):
+                validate_density_matrix(member, hermiticity_tol=1e-15, trace_tol=1e-12)
+
+    def test_empty_stack(self):
+        assert apply_loss_channel(fock_dm(1), np.array([], dtype=complex)).shape == (0, 20, 20)
+
+    def test_non_passive_amplitude_names_its_row(self):
+        amplitudes = np.array([0.2, 0.9j, 1.0 + 5e-13, 1.0 + 1e-10, 1.5])
+        with pytest.raises(NonPassiveAmplitude, match=r"\|c0\| = 1\.000000 exceeds 1") as exc:
+            apply_loss_channel(fock_dm(1), amplitudes)
+        assert exc.value.row == 3
+        assert isinstance(exc.value, QfcError) and isinstance(exc.value, ValueError)
+        with pytest.raises(NonPassiveAmplitude) as exc:
+            apply_loss_channel(fock_dm(1), np.array([0.5, complex("nan")]))
+        assert exc.value.row == 1
+
+    def test_amplitudes_form_at_most_one_axis(self):
+        with pytest.raises(ValueError, match="1-D stack"):
+            apply_loss_channel(fock_dm(1), np.full((2, 2), 0.5))
 
 
 class TestBeamSplitterOracle:
