@@ -6,31 +6,36 @@ Scans the Fourier frequency through the transparency window and prints
 the probe profile coefficient Lambda_p and the cross-coupling kappa_p.
 On resonance the absorptive part of Lambda_p + kappa_p cancels (that is
 the EIT transparency doing its job for the phase-matched combination),
-while away from resonance absorption returns.  The numeric 3x3 solve is
-checked against the symmetric-case closed forms at every point.
+while away from resonance absorption returns.  One stacked 3x3 solve
+covers the scan, and it is checked against the symmetric-case closed
+forms at every point.
 """
 
 import numpy as np
 
-from eitqfc import closed_form_coefficients, solve_susceptibilities, symmetric_params
+from eitqfc import NOISE_INDICES, closed_form_coefficients, solve_susceptibility_stack, symmetric_params
 
 p = symmetric_params(20.0)
 omegas = np.linspace(-4.0, 4.0, 17)
+ZETA_41 = NOISE_INDICES.index(41)
+
+# generator[:, 0] is (Lambda_p, kappa_p) and zeta[:, 0] is zeta_p at every omega
+stack = solve_susceptibility_stack(p, omegas)
 
 print(f"{'omega':>7}  {'Re L_p':>10}  {'Im L_p':>10}  {'Re k_p':>10}  {'|L_p+k_p|':>10}")
 worst = 0.0
-for omega in omegas:
-    c = solve_susceptibilities(p, float(omega))
+for omega, (lambda_p, kappa_p), zeta_p in zip(omegas, stack.generator[:, 0], stack.zeta[:, 0]):
     ref = closed_form_coefficients(p, float(omega))
+    (ref_lambda_p, ref_kappa_p), ref_zeta_p = ref.generator[0, 0], ref.zeta[0, 0]
     for got, expected in (
-        (c.lambda_p, ref.lambda_p),
-        (c.kappa_p, ref.kappa_p),
-        (c.zeta_p[41], ref.zeta_p[41]),
+        (lambda_p, ref_lambda_p),
+        (kappa_p, ref_kappa_p),
+        (zeta_p[ZETA_41], ref_zeta_p[ZETA_41]),
     ):
         worst = max(worst, abs(got - expected) / max(abs(expected), 1e-30))
     print(
-        f"{omega:7.2f}  {c.lambda_p.real:10.4f}  {c.lambda_p.imag:10.4f}"
-        f"  {c.kappa_p.real:10.4f}  {abs(c.lambda_p + c.kappa_p):10.4f}"
+        f"{omega:7.2f}  {lambda_p.real:10.4f}  {lambda_p.imag:10.4f}"
+        f"  {kappa_p.real:10.4f}  {abs(lambda_p + kappa_p):10.4f}"
     )
 
 print(f"\nworst numeric-vs-closed-form relative error on this scan: {worst:.3e}")
@@ -39,6 +44,6 @@ print(f"\nworst numeric-vs-closed-form relative error on this scan: {worst:.3e}"
 from eitqfc import SystemParams
 
 dephased = SystemParams(alpha=20.0, gamma21=0.01)
-c = solve_susceptibilities(dephased, 0.0)
-print(f"with gamma21 = 0.01: |Lambda_p + kappa_p|(0) = {abs(c.lambda_p + c.kappa_p):.4f}")
+lambda_p, kappa_p = solve_susceptibility_stack(dephased, [0.0]).generator[0, 0]
+print(f"with gamma21 = 0.01: |Lambda_p + kappa_p|(0) = {abs(lambda_p + kappa_p):.4f}")
 print("(no closed form exists there; the numeric route is the only one)")

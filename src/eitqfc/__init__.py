@@ -11,13 +11,10 @@ from . import errors
 from .params import GAMMA, LENGTH, SystemParams, is_symmetric, symmetric_params, validate
 from .spectral import (
     NOISE_INDICES,
-    FirstOrderSystem,
-    SpectralCoefficients,
     SpectralStack,
     build_first_order_system,
     closed_form_coefficients,
     eit_denominator,
-    generator_sweep,
     solve_susceptibilities,
     solve_susceptibility_stack,
 )

@@ -43,6 +43,7 @@ from .states import (
     Squeezed,
     apply_loss_channel,
     coherent_fidelity,
+    fidelity,
     fock_dm,
     input_variances,
     output_variance,
@@ -257,9 +258,7 @@ def run_custom(
         except NonPassiveAmplitude as exc:
             alpha = float(quantum.alphas[exc.row])
             raise NonPassiveAmplitude(f"at alpha={alpha!r}: {exc}", exc.row) from exc
-        # fidelity(state, rho) = sqrt(max(<n|rho|n>, 0)) down the whole stack
-        populations = channel[:, state.n, state.n].real
-        fock_fidelities = np.sqrt(np.where(populations < 0.0, 0.0, populations))
+        fock_fidelities = fidelity(state, channel)
     rows = []
     for k, alpha in enumerate(quantum.alphas):
         alpha = float(alpha)
@@ -307,17 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eitqfc",
         description="Deterministic CSV sweeps of the FWM frequency-conversion model.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fig2", "fig3", "fig4", "custom"):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--alpha-max", type=float, default=None, help="largest optical depth")
-        cmd.add_argument("--grid-points", type=int, default=None, help="number of grid points")
-        cmd.add_argument("--state", choices=("fock", "coherent", "squeezed"), default=None)
-        cmd.add_argument("--nbar", type=float, default=None, help="mean photon number / Fock level")
-        cmd.add_argument("--squeeze-db", type=float, default=None, help="squeezing in dB")
-        cmd.add_argument("--convention-scale", type=int, choices=(1, 2), default=None)
-        cmd.add_argument("--out", type=str, default=None, help="output CSV path")
-        cmd.add_argument("--config", type=str, default=None, help="key=value config file")
+    parser.add_argument("command", choices=("fig2", "fig3", "fig4", "custom"))
+    parser.add_argument("--alpha-max", type=float, default=None, help="largest optical depth")
+    parser.add_argument("--grid-points", type=int, default=None, help="number of grid points")
+    parser.add_argument("--state", choices=("fock", "coherent", "squeezed"), default=None)
+    parser.add_argument("--nbar", type=float, default=None, help="mean photon number / Fock level")
+    parser.add_argument("--squeeze-db", type=float, default=None, help="squeezing in dB")
+    parser.add_argument("--convention-scale", type=int, choices=(1, 2), default=None)
+    parser.add_argument("--out", type=str, default=None, help="output CSV path")
+    parser.add_argument("--config", type=str, default=None, help="key=value config file")
     return parser
 
 

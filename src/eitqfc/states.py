@@ -322,24 +322,30 @@ def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(eigs)))
 
 
-def fidelity(state: InputState, rho_out: np.ndarray) -> float:
+def fidelity(state: InputState, rho_out: np.ndarray) -> float | np.ndarray:
     """Fidelity sqrt(<psi|rho_out|psi>) of the output against a pure input.
 
-    Defined for Fock and Coherent inputs; for a coherent input this
-    reproduces the overlap |<beta|conj(C_0) beta>| of the ideal
-    converted state.
+    ``rho_out`` is one density matrix (dim, dim), giving a float, or a
+    stack (k, dim, dim), giving k fidelities: one matrix is a stack of
+    one.  A negative overlap (rounding) is clamped at 0.  Defined for
+    Fock and Coherent inputs; for a coherent input this reproduces the
+    overlap |<beta|conj(C_0) beta>| of the ideal converted state.
     """
     rho_out = np.asarray(rho_out, dtype=complex)
-    dim = rho_out.shape[0]
+    stack = rho_out.reshape((-1,) + rho_out.shape[-2:])
+    dim = stack.shape[-1]
     if isinstance(state, Fock):
         if state.n >= dim:
             raise DimensionTooSmall(f"Fock level {state.n} outside dimension {dim}")
-        return math.sqrt(max(float(rho_out[state.n, state.n].real), 0.0))
-    if isinstance(state, Coherent):
+        overlap = stack[:, state.n, state.n].real
+    elif isinstance(state, Coherent):
         vec = coherent_vector(state.beta, dim)
-        overlap = np.conj(vec) @ rho_out @ vec
-        return math.sqrt(max(float(overlap.real), 0.0))
-    raise TypeError(f"fidelity is not defined for {type(state).__name__} inputs")
+        # a row sum, not a product with vec: that would round a stack of one differently from its members
+        overlap = ((np.conj(vec) @ stack) * vec).sum(axis=-1).real
+    else:
+        raise TypeError(f"fidelity is not defined for {type(state).__name__} inputs")
+    fidelities = np.sqrt(np.where(overlap < 0.0, 0.0, overlap))
+    return float(fidelities[0]) if rho_out.ndim == 2 else fidelities
 
 
 def coherent_fidelity(nbar: float, ce: float) -> float:

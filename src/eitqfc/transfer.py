@@ -14,11 +14,12 @@ maps a stack of generators straight to the resolved matrices, with cosh
 and sinch scaled by e^{-w} (w = sqrt(q), Re w >= 0) so that every entry
 is a ratio of bounded terms (L. Li, JOSA A 13, 1024 (1996)).  One
 expression serves every q: expm1 carries the sinch through q -> 0.
-M(alpha) = alpha M(1), so ``propagation_sweep`` needs one 3x3 solve and
-one pass of the core for a whole optical-depth grid, and
-``semiclassical_sweep`` one field integration (Phi_alpha(L) =
-Psi(alpha), dPsi/dt = -M(1) L Psi).  Both return the rows before the
-first optical depth that fails plus that row's error;
+M(alpha) = alpha M(1), so both sweeps take the unit-depth generator
+M(1) from one stack-of-one spectral solve and scale it:
+``propagation_sweep`` then needs one pass of the core for a whole
+optical-depth grid, and ``semiclassical_sweep`` one field integration
+(Phi_alpha(L) = Psi(alpha), dPsi/dt = -M(1) L Psi).  Both return the
+rows before the first optical depth that fails plus that row's error;
 ``resolved_coefficients`` and ``semiclassical_solve`` are their one-row
 views, and ``transmittance`` and ``conversion_efficiency`` read the
 former.  ``noise_kernel_block`` takes B and D of each frequency from the
@@ -29,14 +30,14 @@ tests: the package never forms e^{-ML}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IllPosedBoundary, NegativeOD, QfcError, ShootingFailure, SingularSystem
-from .params import LENGTH, SystemParams
-from .spectral import SpectralCoefficients, SpectralStack, generator_sweep
+from .params import LENGTH, SystemParams, validate
+from .spectral import SpectralStack, solve_susceptibility_stack
 
 #: |1/D| (= |D'| of e^{-ML}) below this is treated as a backward-geometry resonance.
 BOUNDARY_TOL = 1e-12
@@ -48,12 +49,9 @@ ODE_ATOL = 1e-14
 _EYE = np.eye(2)
 
 
-def coupling_matrix(coeffs: SpectralCoefficients) -> np.ndarray:
-    """The 2x2 propagation generator M = [[Lambda_p, kappa_p], [kappa_s, Lambda_s]]."""
-    return np.array(
-        [[coeffs.lambda_p, coeffs.kappa_p], [coeffs.kappa_s, coeffs.lambda_s]],
-        dtype=complex,
-    )
+def coupling_matrix(stack: SpectralStack) -> np.ndarray:
+    """The 2x2 propagation generator M = [[Lambda_p, kappa_p], [kappa_s, Lambda_s]] of a stack of one."""
+    return stack.generator[0]
 
 
 def _mu_q(m: np.ndarray) -> tuple:
@@ -149,16 +147,18 @@ def _at(value: float, exc: QfcError, name: str = "alpha") -> QfcError:
     return type(exc)(f"at {name}={float(value)!r}: {exc}")
 
 
-def _grid_generator(
-    params: SystemParams, alphas: np.ndarray, omega: float, depths: np.ndarray | None = None
-) -> np.ndarray:
-    """generator_sweep at ``depths`` (default: the grid ``alphas`` itself).
+def _unit_generator(params: SystemParams, alphas: np.ndarray, omega: float) -> np.ndarray:
+    """M(1) (2, 2) at ``omega``, from one stack-of-one spectral solve at unit optical depth.
 
-    The 3x3 response is alpha-free, so a SingularSystem fails the first
-    row of the grid, and its message names that row.
+    M(alpha) = alpha M(1), so ``alphas[:, None, None] * M(1)`` is the
+    generator on the whole grid.  The caller's ``params`` is validated,
+    though its alpha is not read.  The 3x3 response is alpha-free, so a
+    SingularSystem fails the first row of the grid, and its message
+    names that row.
     """
+    validate(params)
     try:
-        return generator_sweep(params, alphas if depths is None else depths, omega)
+        return solve_susceptibility_stack(replace(params, alpha=1.0), [omega]).generator[0]
     except SingularSystem as exc:
         raise (_at(alphas[0], exc) if alphas.size else exc) from exc
 
@@ -221,7 +221,7 @@ class PropagationSweep:
 def propagation_sweep(params: SystemParams, alphas: np.ndarray, omega: float = 0.0) -> PropagationSweep:
     """Spectral solve -> resolved (scattering) matrix on a 1-D grid of optical depths.
 
-    M(alpha) = alpha M(1), so one 3x3 solve (generator_sweep) and one
+    M(alpha) = alpha M(1), so one 3x3 solve (_unit_generator) and one
     pass of the scattering core serve the whole grid; ``params.alpha``
     is only validated.  Each row is bit for bit what the one-row grid
     gives.  A row fails with IllPosedBoundary when its resolved matrix
@@ -229,7 +229,7 @@ def propagation_sweep(params: SystemParams, alphas: np.ndarray, omega: float = 0
     raises SingularSystem naming the first optical depth.
     """
     alphas = _optical_depths(alphas)
-    resolved = _scattering(_grid_generator(params, alphas, omega) * LENGTH)
+    resolved = _scattering(alphas[:, None, None] * _unit_generator(params, alphas, omega) * LENGTH)
     n, failure = _first_failure(alphas, _solvable(resolved))
     return PropagationSweep(alphas=alphas[:n], resolved=resolved[:n], failure=failure)
 
@@ -293,7 +293,7 @@ def noise_kernel_block(
 
 
 def noise_kernels(
-    coeffs: SpectralCoefficients,
+    stack: SpectralStack,
     raw: np.ndarray,
     z_grid: np.ndarray | None = None,
 ) -> NoiseKernels:
@@ -301,24 +301,19 @@ def noise_kernels(
 
     [P_jk; Q_jk](z) = [[1, -B'/D'], [0, -1/D']] e^{M (z - L)} [zeta_p; zeta_s]
     with (A', B'; C', D') = ``raw``, the caller's e^{-ML}, on ``z_grid``
-    (by default 257 uniform nodes on [0, L]).  The one-frequency view of
-    noise_kernel_block.
+    (by default 257 uniform nodes on [0, L]), for a stack of one.  The
+    one-frequency view of noise_kernel_block.
     """
     if z_grid is None:
         z_grid = np.linspace(0.0, LENGTH, 257)
     with np.errstate(divide="ignore", invalid="ignore"):  # B and D, all the block reads
         resolved = np.array([[[0.0, raw[0][1]], [0.0, 1.0]]]) / complex(raw[1][1])
-    stack = SpectralStack(
-        generator=coupling_matrix(coeffs)[None],
-        zeta=np.stack([coeffs.zeta_p_vector, coeffs.zeta_s_vector])[None],
-        omega=np.array([coeffs.omega]),
-    )
     kernels = noise_kernel_block(stack, z_grid, resolved=resolved)[0]
     return NoiseKernels(
         z_grid=np.asarray(z_grid, dtype=float),
         p=kernels[:, 0, :].T,
         q=kernels[:, 1, :].T,
-        omega=coeffs.omega,
+        omega=float(stack.omega[0]),
     )
 
 
@@ -408,8 +403,7 @@ def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> Semiclassic
     BOUNDARY_TOL.  ``params.alpha`` is only validated.
     """
     alphas = _optical_depths(alphas)
-    m_unit = _grid_generator(params, alphas, 0.0, depths=np.ones(1))[0]
-    phi = _fundamental_matrices(m_unit * LENGTH, alphas)
+    phi = _fundamental_matrices(_unit_generator(params, alphas, 0.0) * LENGTH, alphas)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = -phi[:, 1, 0] / phi[:, 1, 1]
         transmittance = np.abs(phi[:, 0, 0] + phi[:, 0, 1] * u) ** 2  # an overflow fails the caller's gate

@@ -10,11 +10,7 @@ import numpy as np
 from eitqfc.cli import main, run_fig3
 from eitqfc.noise import eta1, eta2
 from eitqfc.params import symmetric_params
-from eitqfc.spectral import (
-    NOISE_INDICES,
-    closed_form_coefficients,
-    solve_susceptibilities,
-)
+from eitqfc.spectral import closed_form_coefficients, solve_susceptibilities
 from eitqfc.states import (
     Coherent,
     Fock,
@@ -95,14 +91,12 @@ def test_criterion_3_spectral_oracle():
             omega = rng.uniform(-20.0, 20.0)
             numeric = solve_susceptibilities(params, omega)
             closed = closed_form_coefficients(params, omega)
-            pairs = [
-                (numeric.lambda_p, closed.lambda_p),
-                (numeric.lambda_s, closed.lambda_s),
-                (numeric.kappa_p, closed.kappa_p),
-                (numeric.kappa_s, closed.kappa_s),
-            ]
-            pairs += [(numeric.zeta_p[jk], closed.zeta_p[jk]) for jk in NOISE_INDICES]
-            pairs += [(numeric.zeta_s[jk], closed.zeta_s[jk]) for jk in NOISE_INDICES]
+            # Lambda_p, kappa_p, kappa_s, Lambda_s, then zeta_p and zeta_s in NOISE_INDICES order
+            pairs = zip(
+                np.concatenate([numeric.generator.ravel(), numeric.zeta.ravel()]),
+                np.concatenate([closed.generator.ravel(), closed.zeta.ravel()]),
+                strict=True,
+            )
             for got, expected in pairs:
                 assert abs(got - expected) <= 1e-10 * max(abs(expected), 1e-12)
 

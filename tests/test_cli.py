@@ -452,3 +452,33 @@ def test_fock_sweep_bytes_are_pinned(tmp_path, config, nbar):
     out = tmp_path / "fock.csv"
     assert main(["custom", "--state", "fock", "--nbar", nbar, "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FOCK_SWEEP_DIGESTS[config, nbar]
+
+
+#: sha256 of `fig2` CSVs at non-default physical settings: (config, --alpha-max, digest).
+FIG2_SWEEP_RUNS = {
+    "asymmetric": (
+        "omega_c = 1.5\nomega_d = 0.8\n",
+        "60",
+        "38974ab828e6cb8293b788c71c1e4878e3f05d645646bffbddce10413bc78a1a",
+    ),
+    "asymmetric dephased": (
+        "omega_c = 1.2\nomega_d = 1.0\ngamma21 = 0.01\n",
+        "200",
+        "22089eebe51cd9581c7132d98df224ccac1851b0478c9fee7142e1377ad9c6dd",
+    ),
+    "dephased": (
+        "gamma21 = 0.01\n",
+        "200",
+        "2848d1e6a101aeb65ca26df2da7e8879e8e5f02921c62d2190c1ea4158ab7f69",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FIG2_SWEEP_RUNS))
+def test_fig2_sweep_bytes_are_pinned(tmp_path, name):
+    config, alpha_max, digest = FIG2_SWEEP_RUNS[name]
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "fig2.csv"
+    assert main(["fig2", "--config", str(cfg), "--alpha-max", alpha_max, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -13,31 +13,31 @@ from eitqfc.spectral import (
 )
 
 
-def _all_coefficients(coeffs):
-    values = [coeffs.lambda_p, coeffs.lambda_s, coeffs.kappa_p, coeffs.kappa_s]
-    values += [coeffs.zeta_p[jk] for jk in NOISE_INDICES]
-    values += [coeffs.zeta_s[jk] for jk in NOISE_INDICES]
-    return np.array(values)
+def _all_coefficients(stack):
+    """The eight coefficients of a stack of one: M row by row, then zeta_p and zeta_s."""
+    return np.concatenate([stack.generator[0].ravel(), stack.zeta[0].ravel()])
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
 
 
 def test_first_order_system_diagonal_at_resonance():
-    system = build_first_order_system(symmetric_params(10.0), 0.0)
-    diag = np.diag(system.drift)
+    drift = build_first_order_system(symmetric_params(10.0))
+    diag = np.diag(drift)
     assert np.allclose(diag, [0.0, -0.5, -0.5])
     # couplings sit where the Rabi frequencies drive the coherences
-    assert system.drift[0, 1] == -0.5j
-    assert system.drift[0, 2] == -0.5j
-    assert system.drift[1, 0] == -0.5j
-    assert system.drift[2, 0] == -0.5j
-    assert system.drift[1, 2] == 0.0
-    assert system.drift[2, 1] == 0.0
+    assert drift[0, 1] == -0.5j
+    assert drift[0, 2] == -0.5j
+    assert drift[1, 0] == -0.5j
+    assert drift[2, 0] == -0.5j
+    assert drift[1, 2] == 0.0
+    assert drift[2, 1] == 0.0
 
 
 def test_first_order_system_decouples_without_rabi_fields():
-    system = build_first_order_system(
-        SystemParams(alpha=5.0, omega_c=0.0, omega_d=0.0, gamma21=0.3), 0.5
-    )
-    off = system.drift.copy()
+    drift = build_first_order_system(SystemParams(alpha=5.0, omega_c=0.0, omega_d=0.0, gamma21=0.3))
+    off = drift.copy()
     np.fill_diagonal(off, 0.0)
     assert np.all(off == 0.0)
 
@@ -46,15 +46,16 @@ def test_system_determinant_matches_eit_denominator():
     # det(i w I - drift) = G(w)/4 in the symmetric case
     p = symmetric_params(7.0)
     for omega in (1.0, -2.5, 0.0, 13.7):
-        det = np.linalg.det(build_first_order_system(p, omega).system_matrix)
+        det = np.linalg.det(1j * omega * np.eye(3) - build_first_order_system(p))
         assert abs(det - eit_denominator(p, omega) / 4) < 1e-12 * max(1.0, abs(det))
 
 
 def test_solve_at_line_center():
-    coeffs = solve_susceptibilities(symmetric_params(200.0), 0.0)
-    assert abs(coeffs.lambda_p - 50.0) < 1e-12
-    assert abs(coeffs.kappa_p + 50.0) < 1e-12
-    assert abs(coeffs.zeta_p[41] - 1j * np.sqrt(50.0)) < 1e-12
+    stack = solve_susceptibilities(symmetric_params(200.0), 0.0)
+    (lambda_p, kappa_p), _ = stack.generator[0]
+    assert abs(lambda_p - 50.0) < 1e-12
+    assert abs(kappa_p + 50.0) < 1e-12
+    assert abs(stack.zeta[0, 0, NOISE_INDICES.index(41)] - 1j * np.sqrt(50.0)) < 1e-12
 
 
 def test_solve_empty_medium_is_all_zero():
@@ -63,9 +64,14 @@ def test_solve_empty_medium_is_all_zero():
 
 
 def test_closed_form_at_line_center():
-    coeffs = closed_form_coefficients(symmetric_params(200.0), 0.0)
-    assert abs(coeffs.lambda_p - 200.0 / 4) < 1e-12
-    assert abs(coeffs.kappa_p + 200.0 / 4) < 1e-12
+    stack = closed_form_coefficients(symmetric_params(200.0), 0.0)
+    assert stack.generator.shape == (1, 2, 2)
+    assert stack.zeta.shape == (1, 2, 3)
+    assert list(stack.omega) == [0.0]
+    (lambda_p, kappa_p), (_, lambda_s) = stack.generator[0]
+    assert abs(lambda_p - 200.0 / 4) < 1e-12
+    assert abs(kappa_p + 200.0 / 4) < 1e-12
+    assert lambda_s == -lambda_p
 
 
 def test_closed_form_rejects_asymmetric_params():
@@ -104,10 +110,10 @@ def test_symmetric_antisymmetry_invariant():
             rng.uniform(0.1, 300.0), omega=rng.uniform(0.2, 5.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         )
         omega = rng.uniform(-10, 10)
-        c = solve_susceptibilities(p, omega)
-        scale = max(abs(c.lambda_p), abs(c.kappa_p))
-        assert abs(c.lambda_p + c.lambda_s) < 1e-12 * scale
-        assert abs(c.kappa_p + c.kappa_s) < 1e-12 * scale
+        (lambda_p, kappa_p), (kappa_s, lambda_s) = solve_susceptibilities(p, omega).generator[0]
+        scale = max(abs(lambda_p), abs(kappa_p))
+        assert abs(lambda_p + lambda_s) < 1e-12 * scale
+        assert abs(kappa_p + kappa_s) < 1e-12 * scale
 
 
 def test_conjugation_symmetry_under_real_rabi():
@@ -115,20 +121,19 @@ def test_conjugation_symmetry_under_real_rabi():
     for omega in (0.3, 1.9, 7.5):
         plus = solve_susceptibilities(p, omega)
         minus = solve_susceptibilities(p, -omega)
-        assert abs(minus.lambda_p - np.conj(plus.lambda_p)) < 1e-12 * abs(plus.lambda_p)
-        assert abs(minus.kappa_p - np.conj(plus.kappa_p)) < 1e-12 * abs(plus.kappa_p)
-        for jk in NOISE_INDICES:
-            assert abs(abs(minus.zeta_p[jk]) - abs(plus.zeta_p[jk])) < 1e-12
+        for got, want in zip(minus.generator[0, 0], plus.generator[0, 0]):  # Lambda_p, kappa_p
+            assert abs(got - np.conj(want)) < 1e-12 * abs(want)
+        for got, want in zip(minus.zeta[0, 0], plus.zeta[0, 0]):  # zeta_p, every noise slot
+            assert abs(abs(got) - abs(want)) < 1e-12
 
 
 def test_coefficients_scale_with_optical_depth():
     base = solve_susceptibilities(symmetric_params(10.0), 2.0)
     scaled = solve_susceptibilities(symmetric_params(90.0), 2.0)
-    assert abs(scaled.lambda_p - 9 * base.lambda_p) < 1e-12 * abs(scaled.lambda_p)
-    assert abs(scaled.kappa_p - 9 * base.kappa_p) < 1e-12 * abs(scaled.kappa_p)
-    for jk in NOISE_INDICES:
-        assert abs(scaled.zeta_p[jk] - 3 * base.zeta_p[jk]) < 1e-12 * abs(scaled.zeta_p[jk])
-        assert abs(scaled.zeta_s[jk] - 3 * base.zeta_s[jk]) < 1e-12 * abs(scaled.zeta_s[jk])
+    for got, want in zip(scaled.generator[0, 0], base.generator[0, 0]):  # Lambda_p, kappa_p
+        assert abs(got - 9 * want) < 1e-12 * abs(got)
+    for got, want in zip(scaled.zeta[0].ravel(), base.zeta[0].ravel()):  # zeta_p and zeta_s
+        assert abs(got - 3 * want) < 1e-12 * abs(got)
 
 
 def test_general_parameters_supported():
@@ -173,8 +178,7 @@ def test_stack_matches_one_frequency_solves():
     assert stack.zeta.shape == (37, 2, 3)
     for n, omega in enumerate(omegas):
         one = solve_susceptibilities(p, omega)
-        generator = [[one.lambda_p, one.kappa_p], [one.kappa_s, one.lambda_s]]
-        zeta = [one.zeta_p_vector, one.zeta_s_vector]
+        generator, zeta = one.generator[0], one.zeta[0]
         assert np.max(np.abs(stack.generator[n] - generator)) <= 1e-15 * np.max(np.abs(generator))
         assert np.max(np.abs(stack.zeta[n] - zeta)) <= 1e-15 * np.max(np.abs(zeta))
 
@@ -184,3 +188,23 @@ def test_stack_names_first_singular_frequency():
     with pytest.raises(SingularSystem, match=r"omega=0\.0 has condition number inf"):
         solve_susceptibility_stack(p, np.array([-1.0, 0.0, 2.0, 0.0]))
     assert solve_susceptibility_stack(p, np.array([-1.0, 2.0])).generator.shape == (2, 2, 2)
+
+
+def test_one_frequency_is_a_stack_of_one_bit_for_bit():
+    rng = np.random.default_rng(93)
+    for _ in range(50):
+        p = SystemParams(
+            alpha=rng.uniform(0.0, 400.0),
+            omega_c=rng.uniform(0.1, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
+            omega_d=rng.uniform(0.1, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
+            gamma31=rng.uniform(0.5, 2.0),
+            gamma41=rng.uniform(0.5, 2.0),
+            gamma21=rng.uniform(0.0, 0.1),
+        )
+        omega = rng.uniform(-15.0, 15.0)
+        one = solve_susceptibilities(p, omega)
+        stack = solve_susceptibility_stack(p, [omega])
+        assert one.generator.shape == (1, 2, 2) and one.zeta.shape == (1, 2, 3)
+        assert np.array_equal(_bits(one.generator), _bits(stack.generator))
+        assert np.array_equal(_bits(one.zeta), _bits(stack.zeta))
+        assert np.array_equal(one.omega, stack.omega)

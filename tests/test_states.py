@@ -314,6 +314,29 @@ class TestFidelity:
         with pytest.raises(TypeError):
             fidelity(Squeezed(0.5), fock_dm(0, 5))
 
+    @pytest.mark.parametrize("state", [Fock(3), Coherent(1.0 + 0.5j)], ids=["fock", "coherent"])
+    def test_stack_members_equal_one_matrix_calls_bit_for_bit(self, state):
+        rho_in = fock_dm(3, 20) if isinstance(state, Fock) else coherent_dm(state.beta, 20)
+        channel = apply_loss_channel(rho_in, _sweep_amplitudes(SWEEP_CONFIGS["asymmetric"], 401))
+        stacked = fidelity(state, channel)
+        assert stacked.shape == (401,)
+        singles = [fidelity(state, rho) for rho in channel]
+        assert all(isinstance(f, float) for f in singles)
+        assert np.array_equal(stacked.view(np.int64), np.array(singles).view(np.int64))
+
+    def test_stack_clamps_negative_overlaps_only(self):
+        # -0.0 and NaN pass through unchanged; a negative rounding residue reads 0
+        stack = np.zeros((5, 3, 3), dtype=complex)
+        stack[:, 0, 0] = [-1e-17, -0.0, np.nan, 0.25, 1.0]
+        got = fidelity(Fock(0), stack)
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        assert got[1] == 0.0 and np.signbit(got[1])
+        assert np.isnan(got[2])
+        assert list(got[3:]) == [0.5, 1.0]
+        assert fidelity(Fock(0), np.zeros((0, 3, 3))).shape == (0,)
+        with pytest.raises(DimensionTooSmall):
+            fidelity(Fock(3), stack)
+
 
 class TestQuadratures:
     def test_coherent_input(self):

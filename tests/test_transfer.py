@@ -6,9 +6,9 @@ import pytest
 import scipy.linalg
 
 from eitqfc import transfer
-from eitqfc.errors import IllPosedBoundary, NegativeOD, ShootingFailure, SingularSystem
+from eitqfc.errors import IllPosedBoundary, NegativeOD, NonFiniteParameter, ShootingFailure, SingularSystem
 from eitqfc.params import SystemParams, symmetric_params
-from eitqfc.spectral import generator_sweep, solve_susceptibilities, solve_susceptibility_stack
+from eitqfc.spectral import solve_susceptibilities, solve_susceptibility_stack
 from eitqfc.transfer import (
     conversion_efficiency,
     coupling_matrix,
@@ -21,6 +21,12 @@ from eitqfc.transfer import (
     semiclassical_sweep,
     transmittance,
 )
+
+
+def generator_grid(params: SystemParams, alphas, omega: float = 0.0) -> np.ndarray:
+    """M on an optical-depth grid, (n, 2, 2): the unit-depth generator scaled as the sweeps scale it."""
+    unit = solve_susceptibility_stack(replace(params, alpha=1.0), [omega]).generator[0]
+    return np.asarray(alphas, dtype=float)[:, None, None] * unit
 
 
 def symmetric_m(alpha: float) -> np.ndarray:
@@ -209,7 +215,7 @@ class TestBoundaryResolve:
         alphas = np.array([0.0, 1.0, 40.0, 400.0])
         sweep = propagation_sweep(params, alphas)
         assert sweep.failure is None
-        for raw, resolved in zip(expm2(generator_sweep(params, alphas)), sweep.resolved):
+        for raw, resolved in zip(expm2(generator_grid(params, alphas)), sweep.resolved):
             back = reassemble_raw(resolved)
             assert np.max(np.abs(back - raw)) < 1e-12 * max(1.0, np.max(np.abs(raw)))
 
@@ -233,7 +239,7 @@ class TestNoiseKernels:
         coeffs = solve_susceptibilities(symmetric_params(8.0), 1.2)
         raw = expm2(coupling_matrix(coeffs))
         kernels = noise_kernels(coeffs, raw, np.array([0.0, 1.0]))
-        zp, zs = coeffs.zeta_p_vector, coeffs.zeta_s_vector
+        zp, zs = coeffs.zeta[0]
         expected_p = zp - raw[0, 1] / raw[1, 1] * zs
         expected_q = -zs / raw[1, 1]
         assert np.allclose(kernels.p[:, 1], expected_p, atol=1e-14)
@@ -250,7 +256,7 @@ class TestNoiseKernels:
             m = coupling_matrix(coeffs)
             raw = expm2(m)
             kernels = noise_kernels(coeffs, raw, z)
-            zeta = np.stack([coeffs.zeta_p_vector, coeffs.zeta_s_vector])
+            zeta = coeffs.zeta[0]
             boundary = np.array([[1.0, -raw[0, 1] / raw[1, 1]], [0.0, -1.0 / raw[1, 1]]])
             for i, zi in enumerate(z):
                 expected = boundary @ scipy.linalg.expm(-m * (1.0 - zi)) @ zeta
@@ -299,7 +305,7 @@ class TestNoiseKernels:
         raw = expm2(m)
         z = np.linspace(0.0, 1.0, 9)
         kernels = noise_kernels(coeffs, raw, z)
-        zeta = np.stack([coeffs.zeta_p_vector, coeffs.zeta_s_vector])
+        zeta = coeffs.zeta[0]
         boundary = np.array([[1.0, -raw[0, 1] / raw[1, 1]], [0.0, -1.0 / raw[1, 1]]])
         for i, zi in enumerate(z):
             prop = np.eye(2) + m * (zi - 1.0)
@@ -403,8 +409,8 @@ def _re_solved(raw: np.ndarray, trace: complex) -> np.ndarray:
 
 def _per_point_resolved(params: SystemParams, omega: float) -> np.ndarray:
     """The raw-matrix pipeline one optical depth at a time: 3x3 solve, expm2, scalar boundary re-solve."""
-    coeffs = solve_susceptibilities(params, omega)
-    return _re_solved(expm2(coupling_matrix(coeffs)), coeffs.lambda_p + coeffs.lambda_s)
+    m = coupling_matrix(solve_susceptibilities(params, omega))
+    return _re_solved(expm2(m), m[0, 0] + m[1, 1])
 
 
 def _random_symmetric(rng) -> SystemParams:
@@ -455,7 +461,7 @@ class TestPropagationSweep:
     def test_rows_stop_at_the_first_failing_optical_depth(self, monkeypatch):
         # a core that puts a backward resonance (|1/D| = 1e-13) on every row beyond alpha = 4500
         params = SystemParams(alpha=0.0, omega_d=2.0)
-        unit = np.max(np.abs(generator_sweep(params, [1.0])))
+        unit = np.max(np.abs(generator_grid(params, [1.0])))
         core = transfer._scattering
 
         def resonant_core(m):
@@ -480,6 +486,13 @@ class TestPropagationSweep:
             propagation_sweep(symmetric_params(1.0), [1.0, -2.0])
         with pytest.raises(NegativeOD):
             semiclassical_sweep(symmetric_params(1.0), [-2.0])
+
+    @pytest.mark.parametrize("sweep", [propagation_sweep, semiclassical_sweep])
+    @pytest.mark.parametrize("alpha, error", [(float("nan"), NonFiniteParameter), (-1.0, NegativeOD)])
+    def test_the_callers_params_are_validated(self, sweep, alpha, error):
+        # the sweeps read M(1) at unit optical depth, yet a bad params.alpha still fails
+        with pytest.raises(error, match=r"^optical depth must be >= 0|^alpha must be finite"):
+            sweep(SystemParams(alpha=alpha), [0.0, 4.0])
 
 
 _INVARIANT_CONFIGS = [
@@ -524,7 +537,7 @@ class TestScatteringInvariants:
     @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
     def test_rows_match_the_expm_route_wherever_it_is_finite(self, params, omega):
         sweep = propagation_sweep(params, _LARGE_OD_GRID, omega)
-        generators = generator_sweep(params, _LARGE_OD_GRID, omega)
+        generators = generator_grid(params, _LARGE_OD_GRID, omega)
         compared = 0
         for alpha, m, resolved in zip(_LARGE_OD_GRID, generators, sweep.resolved):
             with np.errstate(all="ignore"), warnings.catch_warnings():
