@@ -15,7 +15,12 @@ i*omega/c propagation term is neglected).
 Each grid level is evaluated in blocks of about BLOCK_PAIRS (omega, z)
 pairs: a stacked spectral solve and a kernel block per block of
 frequencies (e^{-ML} is never formed), with the quadratic form and both
-quadrature weight contractions done on the block arrays.
+quadrature weight contractions done on the block arrays.  Kernels are
+built only for the live noise slots, those whose row or column of the
+diffusion matrix holds a non-zero entry: one of three for the Einstein
+matrix.  Zero diffusion has no live slot, so its integral is exactly
+0.0 at every level; each block is still solved and boundary-checked,
+so a singular or ill-posed frequency raises as it does otherwise.
 
 Ground-state dephasing (gamma21 > 0) enters the deterministic
 propagation coefficients but not the diffusion matrix here: its
@@ -26,7 +31,7 @@ explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -99,10 +104,17 @@ def gauss_legendre_grid(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndar
 def _block_form(
     params: SystemParams, d: np.ndarray, row: int, omegas: np.ndarray, z_nodes: np.ndarray
 ) -> np.ndarray:
-    """sum_ab K_a d_ab K*_b on a block of omega nodes and the z nodes, shape (omega, z)."""
+    """sum_ab K_a d_ab K*_b on a block of omega nodes and the z nodes, shape (omega, z).
+
+    Only the live slots a, those whose row or column of ``d`` holds a
+    non-zero entry, get kernels: one of three for the Einstein matrix,
+    none for zero diffusion (the block is still solved and checked).
+    """
+    nonzero = d != 0
+    live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     stack = solve_susceptibility_stack(params, omegas)
-    k = noise_kernel_block(stack, z_nodes, row)  # (omega, z, noise slot)
-    kd = k @ d
+    k = noise_kernel_block(replace(stack, zeta=stack.zeta[..., live]), z_nodes, row)  # (omega, z, live slot)
+    kd = k @ d[np.ix_(live, live)]
     return np.einsum("...a,...a->...", kd.real, k.real) + np.einsum("...a,...a->...", kd.imag, k.imag)
 
 
@@ -169,8 +181,10 @@ def langevin_photon_noise(
 
     Gauss-Legendre in z over [0, L] and in omega over [-W, W] (W =
     default_window), with both grids doubled until the value changes by
-    less than INTEGRAL_TOL (NonConvergedIntegral otherwise).  Exactly
-    zero for the default weak-probe diffusion matrix.
+    less than INTEGRAL_TOL (NonConvergedIntegral otherwise).  Kernels
+    are built only for the live slots of ``diffusion``, so the default
+    weak-probe (zero) matrix gives exactly 0.0 at the cost of the
+    spectral solves and boundary checks of two grid levels.
     """
     return _adaptive_noise_integral(params, diffusion, "P", max_doublings)
 
@@ -178,7 +192,11 @@ def langevin_photon_noise(
 def eta1(
     params: SystemParams, diffusion: DiffusionMatrix | None = None, max_doublings: int = 4
 ) -> float:
-    """Signal-side Langevin variance term (Q kernels); zero for default diffusion."""
+    """Signal-side Langevin variance term (Q kernels).
+
+    The grids and live slots are those of langevin_photon_noise, so the
+    default (zero) diffusion matrix gives exactly 0.0.
+    """
     return _adaptive_noise_integral(params, diffusion, "Q", max_doublings)
 
 

@@ -123,9 +123,12 @@ def solve_susceptibility_stack(params: SystemParams, omegas: np.ndarray) -> Spec
     SingularSystem, naming the first such frequency, when a response
     matrix is ill-conditioned beyond COND_LIMIT, which signals a
     physically degenerate configuration (e.g. both Rabi frequencies and
-    the dephasing vanish at omega = 0).
+    the dephasing vanish at omega = 0).  ValueError for ``omegas`` that
+    is not 1-D: one frequency is the grid [omega].
     """
     omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 1:
+        raise ValueError(f"frequencies must form a 1-D grid, got shape {omegas.shape}")
     generator, zeta = _couplings(params.alpha, _inverse_response(params, omegas))
     return SpectralStack(generator=generator, zeta=zeta, omega=omegas)
 

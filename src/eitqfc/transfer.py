@@ -71,18 +71,18 @@ def _mu_q(m: np.ndarray) -> tuple:
     return (tr_re + 1j * tr_im) / 2, q_re + 1j * q_im
 
 
-def _cosh_sinch(q: np.ndarray) -> tuple:
-    """e^{-w} cosh(w), e^{-w} sinh(w)/w and the scale w, for w = sqrt(q) on an array q.
+def _cosh_sinch(w: np.ndarray) -> tuple:
+    """e^{-w} cosh(w) and e^{-w} sinh(w)/w on an array of roots w with Re w >= 0.
 
-    w is the principal root, so Re w >= 0 and e^{-2w} is bounded: the
-    scaled forms (1 + e^{-2w})/2 and -expm1(-2w)/(2w) are ratios of
-    bounded terms however large w grows.  expm1 keeps the sinch accurate
-    as q -> 0 (the degenerate-eigenvalue case), and q = 0 gives exactly
-    1, 1 and 0.
+    The caller passes the principal root w of q (np.sqrt(q), or
+    sqrt(q) t for a real t >= 0, the principal root of q t^2), so
+    e^{-2w} is bounded: the scaled forms (1 + e^{-2w})/2 and
+    -expm1(-2w)/(2w) are ratios of bounded terms however large w grows.
+    expm1 keeps the sinch accurate as w -> 0 (the degenerate-eigenvalue
+    case), and w = 0 gives exactly 1 and 1.
     """
-    w = np.sqrt(q)
     s = np.divide(-np.expm1(-2 * w), 2 * w, out=np.ones_like(w), where=w != 0)
-    return (1 + np.exp(-2 * w)) / 2, s, w
+    return (1 + np.exp(-2 * w)) / 2, s
 
 
 def _stacked(x) -> np.ndarray:
@@ -104,7 +104,8 @@ def expm2(m: np.ndarray) -> np.ndarray:
     stack = m.reshape(-1, 2, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         mu, quarter_d2 = _mu_q(stack)  # quarter_d2 = (d/2)^2, an even invariant
-        c, s, v = _cosh_sinch(quarter_d2)
+        v = np.sqrt(quarter_d2)
+        c, s = _cosh_sinch(v)
         traceless = stack - np.multiply.outer(mu, _EYE)
         return (_stacked(np.exp(v - mu)) * (_stacked(c) * _EYE - _stacked(s) * traceless)).reshape(m.shape)
 
@@ -115,14 +116,16 @@ def _scattering(m: np.ndarray) -> np.ndarray:
     [[A, B], [C, D]] = [[A'-B'C'/D', B'/D'], [-C'/D', 1/D']] of (A', B';
     C', D') = e^{-M} maps (probe in at 0, signal in at L) to (probe out
     at L, signal out at 0).  By expm2's closed form with _cosh_sinch's
-    scaled c, s and scale v, D' = e^{v - mu} t with t = c - s (m22 - mu)
-    and det e^{-M} = e^{-2 mu}, so A = e^{-mu-v}/t, B = -s m12/t, C =
-    s m21/t and D = e^{mu-v}/t: ratios of bounded terms.  Unchecked:
-    _solvable holds the conditions under which the result is usable.
+    scaled c, s of the root v = sqrt(q), D' = e^{v - mu} t with t = c -
+    s (m22 - mu) and det e^{-M} = e^{-2 mu}, so A = e^{-mu-v}/t, B =
+    -s m12/t, C = s m21/t and D = e^{mu-v}/t: ratios of bounded terms.
+    Unchecked: _solvable holds the conditions under which the result is
+    usable.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mu, q = _mu_q(m)
-        c, s, v = _cosh_sinch(q)
+        v = np.sqrt(q)
+        c, s = _cosh_sinch(v)
         t = c - s * (m[..., 1, 1] - mu)
         resolved = np.empty_like(m)
         resolved[..., 0, 0] = np.exp(-mu - v) / t
@@ -257,13 +260,17 @@ def noise_kernel_block(
     mixing b = [[1, -B], [0, -D]] of each frequency's resolved matrix
     (shape (n, 2, 2); by default the scattering core's at the stack's
     generators; only B and D are read).  With t = L - z, e^{-Mt} =
-    e^{v - mu t} [c I - t s (M - mu I)] with c, s, v = _cosh_sinch(q t^2),
-    so the kernels are e^{v - mu t} (c u - t s w) with u = b zeta and
-    w = b (M - mu I) zeta: no 2x2 product per (omega, z) pair.  Returns
-    shape (n, nz, 2, 3), rows (P, Q) and columns ordered like
-    NOISE_INDICES; ``row`` = 0 or 1 returns only P or only Q, shape
-    (n, nz, 3).  IllPosedBoundary names the first frequency whose
-    resolved matrix fails _solvable.
+    e^{v - mu t} [c I - t s (M - mu I)] with c, s = _cosh_sinch(v) of
+    the root v = sqrt(q) t of q t^2 (one square root per frequency, as
+    t >= 0), so the kernels are e^{v - mu t} (c u - t s w) with u =
+    b zeta and w = b (M - mu I) zeta: no 2x2 product per (omega, z)
+    pair.  Returns shape (n, nz, 2, k), rows (P, Q) and one column per
+    column of ``stack.zeta`` (k = 3 for a solved stack, ordered like
+    NOISE_INDICES); ``row`` = 0 or 1 returns only P or only Q, shape
+    (n, nz, k).  IllPosedBoundary names the first frequency whose
+    resolved matrix fails _solvable; a stack whose zeta has no columns
+    gets that check and then the empty kernels, with no work per
+    (omega, z) pair.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     if resolved is None:
@@ -271,6 +278,9 @@ def noise_kernel_block(
     _, failure = _first_failure(stack.omega, _solvable(resolved), "omega")
     if failure is not None:
         raise failure
+    if stack.zeta.shape[-1] == 0:
+        empty = np.empty((len(stack.omega), z_grid.size, 2, 0), dtype=complex)
+        return empty if row is None else empty[:, :, row]
     boundary = np.zeros_like(resolved)
     boundary[:, 0, 0] = 1.0
     boundary[:, :, 1] = -resolved[:, :, 1]
@@ -279,7 +289,8 @@ def noise_kernel_block(
     t = LENGTH - z_grid
     with np.errstate(over="ignore", invalid="ignore"):
         mu, quarter_d2 = _mu_q(stack.generator)
-        c, s, v = _cosh_sinch(np.multiply.outer(quarter_d2, t * t))
+        v = np.multiply.outer(np.sqrt(quarter_d2), t)
+        c, s = _cosh_sinch(v)
         decay = np.exp(v - np.multiply.outer(mu, t))
         c *= decay  # now e^{v - mu t} c
         s *= decay

@@ -1,7 +1,11 @@
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from eitqfc import noise
+from eitqfc import noise, transfer
 from eitqfc.errors import NonConvergedIntegral, SingularSystem
 from eitqfc.noise import (
     DiffusionMatrix,
@@ -12,8 +16,21 @@ from eitqfc.noise import (
     langevin_photon_noise,
 )
 from eitqfc.params import SystemParams, symmetric_params
-from eitqfc.spectral import solve_susceptibilities
-from eitqfc.transfer import coupling_matrix, expm2, noise_kernels, resolved_coefficients
+from eitqfc.spectral import solve_susceptibilities, solve_susceptibility_stack
+from eitqfc.transfer import coupling_matrix, expm2, noise_kernel_block, noise_kernels, resolved_coefficients
+
+REFERENCE_TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "noise_reference.json"
+
+
+def _dense_hermitian() -> DiffusionMatrix:
+    a = np.array([[0.3, 0.1 + 0.2j, -0.05j], [0.02, 0.2, 0.07 - 0.01j], [0.1j, 0.03, 0.4]])
+    return DiffusionMatrix(entries=(a + a.conj().T) / 2)
+
+
+def _off_diagonal() -> DiffusionMatrix:
+    entries = np.zeros((3, 3), dtype=complex)
+    entries[0, 2] = 0.3 - 0.4j
+    return DiffusionMatrix(entries=entries)
 
 
 def midpoint_noise_integral(params, diffusion, kernel, n_omega=2048, n_z=2048):
@@ -129,6 +146,56 @@ class TestNoiseIntegrals:
         change = float(message.split("last |change| ")[1].split(",")[0])
         assert 1e-30 <= change < 1e-3
         assert "tol 1.000e-30" in message
+
+
+class TestLiveSlots:
+    @pytest.mark.parametrize(
+        "diffusion",
+        [diffusion_matrix(0.5, 0.5), _dense_hermitian(), _off_diagonal()],
+        ids=["einstein", "dense-hermitian", "off-diagonal"],
+    )
+    @pytest.mark.parametrize("row", [0, 1], ids=["P", "Q"])
+    def test_block_form_matches_the_full_contraction(self, diffusion, row):
+        p = SystemParams(alpha=6.0, omega_c=1.5, omega_d=0.8 * np.exp(0.3j), gamma21=0.02)
+        omegas = np.linspace(-8.0, 8.0, 33)
+        z, _ = noise.gauss_legendre_grid(0.0, 1.0, 24)
+        k = noise_kernel_block(solve_susceptibility_stack(p, omegas), z, row)  # all three slots
+        expected = np.einsum("...a,ab,...b->...", k, diffusion.entries, k.conj()).real
+        got = noise._block_form(p, diffusion.entries, row, omegas, z)
+        assert got.shape == expected.shape == (33, 24)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_zero_diffusion_builds_no_kernels(self, monkeypatch):
+        shapes = []
+        original = transfer._cosh_sinch
+
+        def recording(w):
+            shapes.append(np.shape(w))
+            return original(w)
+
+        monkeypatch.setattr(transfer, "_cosh_sinch", recording)
+        assert eta1(symmetric_params(4.0)) == 0.0
+        assert shapes  # the boundary check still solves every frequency
+        assert all(len(shape) == 1 for shape in shapes)
+
+    @pytest.mark.parametrize("alpha", [2000.0, 20000.0])
+    def test_zero_diffusion_at_large_optical_depth(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert langevin_photon_noise(symmetric_params(alpha)) == 0.0
+
+
+def test_reference_table():
+    # perfbench's stored 2048 x 2048 midpoint integrals at D_21,12 = 1, scaled by the diffusion entry
+    d = diffusion_matrix(0.5, 0.5)
+    d2112 = d.entries[0, 0].real
+    for entry in json.loads(REFERENCE_TABLE.read_text())["entries"]:
+        p = symmetric_params(entry["alpha"], entry["rabi"])
+        for value, unit in (
+            (langevin_photon_noise(p, d), entry["photon_noise_unit"]),
+            (eta1(p, d), entry["eta1_unit"]),
+        ):
+            assert abs(value - d2112 * unit) <= 1e-6 * d2112 * unit, entry
 
 
 class TestEta2:

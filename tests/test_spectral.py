@@ -190,6 +190,12 @@ def test_stack_names_first_singular_frequency():
     assert solve_susceptibility_stack(p, np.array([-1.0, 2.0])).generator.shape == (2, 2, 2)
 
 
+@pytest.mark.parametrize("omegas", [0.3, [[0.3, 0.4]]], ids=["scalar", "2-D"])
+def test_stack_rejects_a_grid_that_is_not_1d(omegas):
+    with pytest.raises(ValueError, match=r"frequencies must form a 1-D grid, got shape \("):
+        solve_susceptibility_stack(symmetric_params(2.0), omegas)
+
+
 def test_one_frequency_is_a_stack_of_one_bit_for_bit():
     rng = np.random.default_rng(93)
     for _ in range(50):

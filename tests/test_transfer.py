@@ -100,17 +100,17 @@ def _test_stack() -> np.ndarray:
 
 class TestCoshSinch:
     def test_exact_at_zero_and_accurate_below_a_quarter(self):
-        c, s, w = transfer._cosh_sinch(np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0)]))
+        c, s = transfer._cosh_sinch(np.sqrt(np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0)])))
         assert np.array_equal(c, np.ones(3)) and np.array_equal(s, np.ones(3))
-        assert np.array_equal(w, np.zeros(3))
         # |q| from 1e-30 up to 0.25 at all phases, the real axis of either sign included
         mpmath = pytest.importorskip("mpmath")
         mags = np.geomspace(1e-30, 0.25, 60, endpoint=False)
         q = np.multiply.outer(mags, np.exp(1j * np.linspace(-np.pi, np.pi, 37))).ravel()
         q = np.concatenate([q, mags + 0j, -mags + 0j])
+        w = np.sqrt(q)
         worst = 0.0
         with mpmath.workdps(50):
-            for qi, *got in zip(q, *transfer._cosh_sinch(q)):
+            for qi, *got in zip(q, *transfer._cosh_sinch(w), w):
                 root = mpmath.sqrt(mpmath.mpc(qi))
                 scale = mpmath.exp(-root)
                 refs = (scale * mpmath.cosh(root), scale * mpmath.sinh(root) / root, root)
@@ -280,6 +280,17 @@ class TestNoiseKernels:
             scale = np.max(np.abs(block[n]))
             assert np.max(np.abs(block[n, :, 0, :].T - view.p)) < 1e-14 * scale
             assert np.max(np.abs(block[n, :, 1, :].T - view.q)) < 1e-14 * scale
+
+    def test_block_without_noise_slots_is_empty_but_checked(self):
+        stack = solve_susceptibility_stack(symmetric_params(8.0), np.array([0.0, 1.0]))
+        empty = replace(stack, zeta=stack.zeta[..., :0])
+        z = np.linspace(0.0, 1.0, 5)
+        assert noise_kernel_block(empty, z).shape == (2, 5, 2, 0)
+        assert noise_kernel_block(empty, z, 1).shape == (2, 5, 0)
+        resonant = transfer._scattering(stack.generator)
+        resonant[1, 1, 1] = 1e13
+        with pytest.raises(IllPosedBoundary, match=r"omega=1\.0: \|1/D\| = 1\.000e-13"):
+            noise_kernel_block(empty, z, resolved=resonant)
 
     def test_block_rejects_ill_posed_raw(self):
         stack = solve_susceptibility_stack(symmetric_params(8.0), np.array([0.0, 1.0]))
