@@ -14,13 +14,14 @@ i*omega/c propagation term is neglected).
 
 Each grid level is evaluated in blocks of about BLOCK_PAIRS (omega, z)
 pairs: a stacked spectral solve and a kernel block per block of
-frequencies (e^{-ML} is never formed), with the quadratic form and both
-quadrature weight contractions done on the block arrays.  Kernels are
-built only for the live noise slots, those whose row or column of the
-diffusion matrix holds a non-zero entry: one of three for the Einstein
-matrix.  Zero diffusion has no live slot, so its integral is exactly
-0.0 at every level; each block is still solved and boundary-checked,
-so a singular or ill-posed frequency raises as it does otherwise.
+frequencies, with the quadratic form and both quadrature weight
+contractions done on the block arrays.  The kernels, two bounded
+exponentials per row from the scattering core, are built only for the
+live noise slots, those whose row or column of the diffusion matrix
+holds a non-zero entry: one of three for the Einstein matrix.  Zero
+diffusion has none: each block is still solved and boundary-checked, so
+a singular or ill-posed frequency raises as otherwise, and its form is
+exactly 0.0 with no contraction.
 
 Ground-state dephasing (gamma21 > 0) enters the deterministic
 propagation coefficients but not the diffusion matrix here: its
@@ -107,13 +108,16 @@ def _block_form(
     """sum_ab K_a d_ab K*_b on a block of omega nodes and the z nodes, shape (omega, z).
 
     Only the live slots a, those whose row or column of ``d`` holds a
-    non-zero entry, get kernels: one of three for the Einstein matrix,
-    none for zero diffusion (the block is still solved and checked).
+    non-zero entry, get kernels: one of three for the Einstein matrix.
+    Zero diffusion has none: the block is solved and checked, and the
+    form is zeros with no contraction.
     """
     nonzero = d != 0
     live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     stack = solve_susceptibility_stack(params, omegas)
     k = noise_kernel_block(replace(stack, zeta=stack.zeta[..., live]), z_nodes, row)  # (omega, z, live slot)
+    if not live.size:
+        return np.zeros(k.shape[:2])
     kd = k @ d[np.ix_(live, live)]
     return np.einsum("...a,...a->...", kd.real, k.real) + np.einsum("...a,...a->...", kd.imag, k.imag)
 

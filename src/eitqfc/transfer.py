@@ -9,23 +9,22 @@ z = L, so what is needed is the resolved (scattering) matrix [[A, B],
 semiclassical boundary-value solver cross-checks the latter.
 
 e^{-ML} grows without bound with the optical depth, while the resolved
-entries of a passive medium stay bounded.  So one core (``_scattering``)
-maps a stack of generators straight to the resolved matrices, with cosh
-and sinch scaled by e^{-w} (w = sqrt(q), Re w >= 0) so that every entry
-is a ratio of bounded terms (L. Li, JOSA A 13, 1024 (1996)).  One
-expression serves every q: expm1 carries the sinch through q -> 0.
-M(alpha) = alpha M(1), so both sweeps take the unit-depth generator
-M(1) from one stack-of-one spectral solve and scale it:
-``propagation_sweep`` then needs one pass of the core for a whole
-optical-depth grid, and ``semiclassical_sweep`` one field integration
-(Phi_alpha(L) = Psi(alpha), dPsi/dt = -M(1) L Psi).  Both return the
-rows before the first optical depth that fails plus that row's error;
+entries of a passive medium stay bounded.  So one scaled propagator
+(``_propagator``: cosh and sinch scaled by e^{-w}, w = sqrt(q), Re w >=
+0; expm1 carries the sinch through q -> 0) feeds everything, as ratios
+of bounded terms (L. Li, JOSA A 13, 1024 (1996)): the scattering core
+``_scattering``, which maps a stack of generators to the resolved
+matrices, and ``noise_kernel_block``, whose kernel rows are two bounded
+exponentials each (``noise_kernels`` is its one-frequency view).
+M(alpha) = alpha M(1), so ``propagation_sweep`` needs one unit-depth
+spectral solve and one pass of the core for a whole optical-depth grid,
+and ``semiclassical_sweep`` one field integration (Phi_alpha(L) =
+Psi(alpha), dPsi/dt = -M(1) L Psi).  Both return the rows before the
+first optical depth that fails plus that row's error;
 ``resolved_coefficients`` and ``semiclassical_solve`` are their one-row
 views, and ``transmittance`` and ``conversion_efficiency`` read the
-former.  ``noise_kernel_block`` takes B and D of each frequency from the
-core (``noise_kernels`` is its one-frequency view).  ``expm2``, e^{-M}
-itself on the same scaled cosh and sinch, is the reference route of the
-tests: the package never forms e^{-ML}.
+former.  ``expm2``, e^{-M} itself in the same form, is the reference
+route of the tests: the package never forms e^{-ML}.
 """
 
 from __future__ import annotations
@@ -71,43 +70,49 @@ def _mu_q(m: np.ndarray) -> tuple:
     return (tr_re + 1j * tr_im) / 2, q_re + 1j * q_im
 
 
-def _cosh_sinch(w: np.ndarray) -> tuple:
-    """e^{-w} cosh(w) and e^{-w} sinh(w)/w on an array of roots w with Re w >= 0.
+def _sinch(w: np.ndarray) -> tuple:
+    """expm1(-2w) and the scaled sinch e^{-w} sinh(w)/w = -expm1(-2w)/(2w) of roots w with Re w >= 0.
 
-    The caller passes the principal root w of q (np.sqrt(q), or
-    sqrt(q) t for a real t >= 0, the principal root of q t^2), so
-    e^{-2w} is bounded: the scaled forms (1 + e^{-2w})/2 and
-    -expm1(-2w)/(2w) are ratios of bounded terms however large w grows.
-    expm1 keeps the sinch accurate as w -> 0 (the degenerate-eigenvalue
-    case), and w = 0 gives exactly 1 and 1.
+    For a principal root (np.sqrt(q), or that times a real t >= 0)
+    e^{-2w} is bounded however large w grows; expm1 keeps the sinch
+    accurate as w -> 0, and w = 0 gives exactly 0 and 1.
     """
-    s = np.divide(-np.expm1(-2 * w), 2 * w, out=np.ones_like(w), where=w != 0)
+    em1 = np.expm1(-2 * w)
+    return em1, np.divide(-em1, 2 * w, out=np.ones_like(w), where=w != 0)
+
+
+def _cosh_sinch(w: np.ndarray) -> tuple:
+    """e^{-w} cosh(w) = (1 + e^{-2w})/2 and the scaled sinch of _sinch; w = 0 gives exactly 1 and 1."""
+    _, s = _sinch(w)
     return (1 + np.exp(-2 * w)) / 2, s
 
 
-def _stacked(x) -> np.ndarray:
-    """A scalar or an array of scalars, broadcastable against (..., 2, 2)."""
-    return np.asarray(x)[..., None, None]
+def _propagator(m: np.ndarray) -> tuple:
+    """mu, w, c, s and tee of a stack of generators (..., 2, 2), all bounded: e^{-M} in scaled form.
+
+    mu = tr(M)/2, w = sqrt(q) of _mu_q and c, s = _cosh_sinch(w), so
+    e^{-M} = e^{w - mu} [c I - s (M - mu I)], exact through degenerate
+    eigenvalues (q -> 0), and its D' = e^{w - mu} tee, tee = c - s (m22 - mu).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, q = _mu_q(m)
+        w = np.sqrt(q)
+        c, s = _cosh_sinch(w)
+        return mu, w, c, s, c - s * (m[..., 1, 1] - mu)
 
 
 def expm2(m: np.ndarray) -> np.ndarray:
-    """e^{-M} for a 2x2 complex matrix or a stack (..., 2, 2), exact through degenerate eigenvalues.
+    """e^{-M} = e^{w - mu} [c I - s (M - mu I)] (_propagator) for a 2x2 complex matrix or a stack (..., 2, 2).
 
-    Uses the spectral closed form e^{-M} = e^{-mu} [cosh(d/2) I
-    - sinch(d/2) (M - mu I)] with mu = tr(M)/2 and d^2 = tr^2 - 4 det,
-    evaluated through even functions of d so that the nilpotent /
-    repeated-eigenvalue limit (d -> 0) is smooth and exact (reducing to
-    I - M + mu-corrections without any branch switch).  One matrix is a
-    stack of one.  An overflowing e^{-M} comes back non-finite.
+    Even in w, so the nilpotent / repeated-eigenvalue limit is smooth and
+    exact without any branch switch.  One matrix is a stack of one.  An
+    overflowing e^{-M} comes back non-finite.
     """
     m = np.asarray(m, dtype=complex)
     stack = m.reshape(-1, 2, 2)
+    mu, w, c, s, _ = (x[:, None, None] for x in _propagator(stack))
     with np.errstate(over="ignore", invalid="ignore"):
-        mu, quarter_d2 = _mu_q(stack)  # quarter_d2 = (d/2)^2, an even invariant
-        v = np.sqrt(quarter_d2)
-        c, s = _cosh_sinch(v)
-        traceless = stack - np.multiply.outer(mu, _EYE)
-        return (_stacked(np.exp(v - mu)) * (_stacked(c) * _EYE - _stacked(s) * traceless)).reshape(m.shape)
+        return (np.exp(w - mu) * (c * _EYE - s * (stack - mu * _EYE))).reshape(m.shape)
 
 
 def _scattering(m: np.ndarray) -> np.ndarray:
@@ -115,23 +120,22 @@ def _scattering(m: np.ndarray) -> np.ndarray:
 
     [[A, B], [C, D]] = [[A'-B'C'/D', B'/D'], [-C'/D', 1/D']] of (A', B';
     C', D') = e^{-M} maps (probe in at 0, signal in at L) to (probe out
-    at L, signal out at 0).  By expm2's closed form with _cosh_sinch's
-    scaled c, s of the root v = sqrt(q), D' = e^{v - mu} t with t = c -
-    s (m22 - mu) and det e^{-M} = e^{-2 mu}, so A = e^{-mu-v}/t, B =
-    -s m12/t, C = s m21/t and D = e^{mu-v}/t: ratios of bounded terms.
-    Unchecked: _solvable holds the conditions under which the result is
-    usable.
+    at L, signal out at 0).  With _propagator's D' = e^{w - mu} tee and
+    det e^{-M} = e^{-2 mu}, A = e^{-mu-w}/tee, B = -s m12/tee, C = s
+    m21/tee and D = e^{mu-w}/tee: ratios of bounded terms.  Unchecked:
+    _solvable holds the conditions under which the result is usable.
     """
+    return _resolve(m, *_propagator(m))
+
+
+def _resolve(m: np.ndarray, mu, w, _, s, tee) -> np.ndarray:
+    """The resolved stack of _scattering from the _propagator values (mu, w, c, s, tee) of ``m``."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mu, q = _mu_q(m)
-        v = np.sqrt(q)
-        c, s = _cosh_sinch(v)
-        t = c - s * (m[..., 1, 1] - mu)
         resolved = np.empty_like(m)
-        resolved[..., 0, 0] = np.exp(-mu - v) / t
-        resolved[..., 0, 1] = -s * m[..., 0, 1] / t
-        resolved[..., 1, 0] = s * m[..., 1, 0] / t
-        resolved[..., 1, 1] = np.exp(mu - v) / t
+        resolved[..., 0, 0] = np.exp(-mu - w) / tee
+        resolved[..., 0, 1] = -s * m[..., 0, 1] / tee
+        resolved[..., 1, 0] = s * m[..., 1, 0] / tee
+        resolved[..., 1, 1] = np.exp(mu - w) / tee
     return resolved
 
 
@@ -251,81 +255,71 @@ class NoiseKernels:
     omega: float
 
 
-def noise_kernel_block(
-    stack: SpectralStack, z_grid: np.ndarray, row: int | None = None, resolved: np.ndarray | None = None
-) -> np.ndarray:
-    """Noise kernels on a block of n frequencies and a z grid.
+def noise_kernel_block(stack: SpectralStack, z_grid: np.ndarray, row: int | None = None) -> np.ndarray:
+    """Noise kernels [P_jk; Q_jk](z) = [[1, -B], [0, -D]] e^{M (z - L)} [zeta_p; zeta_s] on n frequencies.
 
-    [P_jk; Q_jk](z) = b e^{M (z - L)} [zeta_p; zeta_s] with the boundary
-    mixing b = [[1, -B], [0, -D]] of each frequency's resolved matrix
-    (shape (n, 2, 2); by default the scattering core's at the stack's
-    generators; only B and D are read).  With t = L - z, e^{-Mt} =
-    e^{v - mu t} [c I - t s (M - mu I)] with c, s = _cosh_sinch(v) of
-    the root v = sqrt(q) t of q t^2 (one square root per frequency, as
-    t >= 0), so the kernels are e^{v - mu t} (c u - t s w) with u =
-    b zeta and w = b (M - mu I) zeta: no 2x2 product per (omega, z)
-    pair.  Returns shape (n, nz, 2, k), rows (P, Q) and one column per
-    column of ``stack.zeta`` (k = 3 for a solved stack, ordered like
-    NOISE_INDICES); ``row`` = 0 or 1 returns only P or only Q, shape
-    (n, nz, k).  IllPosedBoundary names the first frequency whose
-    resolved matrix fails _solvable; a stack whose zeta has no columns
-    gets that check and then the empty kernels, with no work per
+    B, D are the core's.  With _propagator's mu, w, tee of ML, N = ML -
+    mu I, n = (m11 - m22)/2 and t = 1 - z/L, e^{-Nt} = e^{-wt} I +
+    e^{wt} t s(wt) (w I - N), and exactly (1, -B)(w I - N) = e^{-2w} (w
+    - n, -m12)/tee and D = e^{mu - w}/tee.  So each row is e^{pa - (mu +
+    w) t} a + e^{pb - (mu - w) t} t s(wt) b, two bounded exponentials: P
+    has a = zeta_p - B zeta_s, b = ((w - n) zeta_p - m12 zeta_s)/tee, pa
+    = 0, pb = -2w; Q has a = -zeta_s/tee, b = (m21 zeta_p - (w + n)
+    zeta_s)/tee, pa = pb = mu - w.  No 1/w, no e^{+w}; per (omega, z)
+    pair one expm1 and the two exponentials.  Returns shape (n, nz, 2,
+    k), rows (P, Q) and a column per column of ``stack.zeta`` (k = 3 for
+    a solved stack, ordered like NOISE_INDICES); ``row`` = 0 or 1 gives
+    only P or only Q, shape (n, nz, k).  IllPosedBoundary names the
+    first frequency whose resolved matrix fails _solvable; a zeta with
+    no columns gets that check and then empty kernels, with no work per
     (omega, z) pair.
     """
     z_grid = np.asarray(z_grid, dtype=float)
-    if resolved is None:
-        resolved = _scattering(stack.generator * LENGTH)
+    m = stack.generator * LENGTH
+    mu, w, c, s, tee = _propagator(m)
+    resolved = _resolve(m, mu, w, c, s, tee)
     _, failure = _first_failure(stack.omega, _solvable(resolved), "omega")
     if failure is not None:
         raise failure
     if stack.zeta.shape[-1] == 0:
         empty = np.empty((len(stack.omega), z_grid.size, 2, 0), dtype=complex)
         return empty if row is None else empty[:, :, row]
-    boundary = np.zeros_like(resolved)
-    boundary[:, 0, 0] = 1.0
-    boundary[:, :, 1] = -resolved[:, :, 1]
-    if row is not None:
-        boundary = boundary[:, row : row + 1]
-    t = LENGTH - z_grid
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu, quarter_d2 = _mu_q(stack.generator)
-        v = np.multiply.outer(np.sqrt(quarter_d2), t)
-        c, s = _cosh_sinch(v)
-        decay = np.exp(v - np.multiply.outer(mu, t))
-        c *= decay  # now e^{v - mu t} c
-        s *= decay
-        s *= t  # now e^{v - mu t} t s
-        traceless = stack.generator - np.multiply.outer(mu, _EYE)
-        u = (boundary @ stack.zeta)[:, None]
-        w = (boundary @ traceless @ stack.zeta)[:, None]
-        kernels = _stacked(c) * u
-        kernels -= _stacked(s) * w
-    return kernels if row is None else kernels[:, :, 0]
+    n, tee = (m[:, 0, 0] - m[:, 1, 1]) / 2, tee[:, None]
+    zeta_p, zeta_s = stack.zeta[:, 0], stack.zeta[:, 1]
+    coefficients = (  # (pa, a, pb, b tee) of the P row and of the Q row
+        (0 * mu, zeta_p - resolved[:, 0, 1, None] * zeta_s,
+         -2 * w, (w - n)[:, None] * zeta_p - m[:, 0, 1, None] * zeta_s),
+        (mu - w, -zeta_s / tee,
+         mu - w, m[:, 1, 0, None] * zeta_p - (w + n)[:, None] * zeta_s),
+    )
+    t = 1 - z_grid / LENGTH
+    _, ts = _sinch(np.multiply.outer(w, t))
+    ts *= t
+    kernels = []
+    for pa, a, pb, b in coefficients if row is None else coefficients[row : row + 1]:
+        near = np.exp(pa[:, None] - np.multiply.outer(mu + w, t))
+        far = np.exp(pb[:, None] - np.multiply.outer(mu - w, t)) * ts
+        kernels.append(near[..., None] * a[:, None] + far[..., None] * (b / tee)[:, None])
+    return np.stack(kernels, axis=2) if row is None else kernels[0]
 
 
-def noise_kernels(
-    stack: SpectralStack,
-    raw: np.ndarray,
-    z_grid: np.ndarray | None = None,
-) -> NoiseKernels:
-    """Evaluate the boundary-consistent noise kernels on a z grid.
+def noise_kernels(stack: SpectralStack, raw: np.ndarray, z_grid: np.ndarray | None = None) -> NoiseKernels:
+    """The noise kernels of a stack of one on ``z_grid`` (by default 257 uniform nodes on [0, L]).
 
-    [P_jk; Q_jk](z) = [[1, -B'/D'], [0, -1/D']] e^{M (z - L)} [zeta_p; zeta_s]
-    with (A', B'; C', D') = ``raw``, the caller's e^{-ML}, on ``z_grid``
-    (by default 257 uniform nodes on [0, L]), for a stack of one.  The
-    one-frequency view of noise_kernel_block.
+    ``raw`` = (A', B'; C', D') must be e^{-ML}, the exponential of the
+    stack's generator: it is only checked, and IllPosedBoundary names the
+    frequency when B'/D' or 1/D' is not finite or |D'| < BOUNDARY_TOL.
+    The kernels are noise_kernel_block's, which never form e^{-ML}.
     """
     if z_grid is None:
         z_grid = np.linspace(0.0, LENGTH, 257)
-    with np.errstate(divide="ignore", invalid="ignore"):  # B and D, all the block reads
-        resolved = np.array([[[0.0, raw[0][1]], [0.0, 1.0]]]) / complex(raw[1][1])
-    kernels = noise_kernel_block(stack, z_grid, resolved=resolved)[0]
-    return NoiseKernels(
-        z_grid=np.asarray(z_grid, dtype=float),
-        p=kernels[:, 0, :].T,
-        q=kernels[:, 1, :].T,
-        omega=float(stack.omega[0]),
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        boundary = np.array([[[0.0, raw[0][1]], [0.0, 1.0]]]) / complex(raw[1][1])
+    _, failure = _first_failure(stack.omega, _solvable(boundary), "omega")
+    if failure is not None:
+        raise failure
+    kernels = noise_kernel_block(stack, z_grid)[0]
+    return NoiseKernels(np.asarray(z_grid, dtype=float), kernels[:, 0].T, kernels[:, 1].T, float(stack.omega[0]))
 
 
 def resolved_coefficients(params: SystemParams, omega: float = 0.0) -> tuple[complex, complex, complex, complex]:

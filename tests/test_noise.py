@@ -167,13 +167,13 @@ class TestLiveSlots:
 
     def test_zero_diffusion_builds_no_kernels(self, monkeypatch):
         shapes = []
-        original = transfer._cosh_sinch
+        original = transfer._sinch  # every sinch, per frequency or per (omega, z) pair
 
         def recording(w):
             shapes.append(np.shape(w))
             return original(w)
 
-        monkeypatch.setattr(transfer, "_cosh_sinch", recording)
+        monkeypatch.setattr(transfer, "_sinch", recording)
         assert eta1(symmetric_params(4.0)) == 0.0
         assert shapes  # the boundary check still solves every frequency
         assert all(len(shape) == 1 for shape in shapes)

@@ -226,6 +226,40 @@ class TestBoundaryResolve:
             assert np.array_equal(transfer._scattering(stack[i : i + 1])[0], whole[i])
 
 
+def _inject_into_core(patch: pytest.MonkeyPatch, index: tuple, value: complex) -> None:
+    """Make the scattering core return ``value`` at ``index`` of every resolved stack."""
+    core = transfer._resolve
+
+    def patched(m: np.ndarray, *parts) -> np.ndarray:
+        resolved = core(m, *parts)
+        resolved[index] = value
+        return resolved
+
+    patch.setattr(transfer, "_resolve", patched)
+
+
+def _mpmath_kernels(m: np.ndarray, zeta: np.ndarray, z_grid: np.ndarray) -> np.ndarray:
+    """[[1, -B'/D'], [0, -1/D']] e^{M (z - L)} zeta of (A', B'; C', D') = e^{-ML} at 80 digits, (nz, 2, k)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        generator = mpmath.matrix(m.tolist())
+        raw = mpmath.expm(-generator)
+        boundary = mpmath.matrix([[1, -raw[0, 1] / raw[1, 1]], [0, -1 / raw[1, 1]]])
+        zeta = mpmath.matrix(zeta.tolist())
+        kernels = [boundary * mpmath.expm(generator * (mpmath.mpf(z) - 1)) * zeta for z in z_grid]
+        return np.array([[[complex(k[i, j]) for j in range(k.cols)] for i in range(2)] for k in kernels])
+
+
+_KERNEL_CASES = [
+    symmetric_params(3.392),
+    SystemParams(alpha=7.0, omega_c=1.5, omega_d=0.8, gamma21=0.02),
+    symmetric_params(200.0),
+    SystemParams(alpha=200.0, omega_c=1.5, omega_d=0.8),
+    symmetric_params(400.0),
+]
+_KERNEL_IDS = ["symmetric-3.392", "asymmetric-dephased-7", "symmetric-200", "asymmetric-200", "symmetric-400"]
+
+
 class TestNoiseKernels:
     def test_empty_medium_kernels_vanish(self):
         coeffs = solve_susceptibilities(symmetric_params(0.0), 0.4)
@@ -287,27 +321,37 @@ class TestNoiseKernels:
         z = np.linspace(0.0, 1.0, 5)
         assert noise_kernel_block(empty, z).shape == (2, 5, 2, 0)
         assert noise_kernel_block(empty, z, 1).shape == (2, 5, 0)
-        resonant = transfer._scattering(stack.generator)
-        resonant[1, 1, 1] = 1e13
-        with pytest.raises(IllPosedBoundary, match=r"omega=1\.0: \|1/D\| = 1\.000e-13"):
-            noise_kernel_block(empty, z, resolved=resonant)
+        with pytest.MonkeyPatch.context() as patch:
+            _inject_into_core(patch, (1, 1, 1), 1e13)
+            with pytest.raises(IllPosedBoundary, match=r"omega=1\.0: \|1/D\| = 1\.000e-13"):
+                noise_kernel_block(empty, z)
 
     def test_block_rejects_ill_posed_raw(self):
         stack = solve_susceptibility_stack(symmetric_params(8.0), np.array([0.0, 1.0]))
-        resolved = transfer._scattering(stack.generator)
-        resonant = resolved.copy()
-        resonant[1, 1, 1] = 1e13
-        with pytest.raises(IllPosedBoundary, match=r"omega=1\.0: \|1/D\| = 1\.000e-13"):
-            noise_kernel_block(stack, np.array([0.5]), resolved=resonant)
-        overflowed = resolved.copy()
-        overflowed[0, 0, 1] = np.inf
-        with pytest.raises(IllPosedBoundary, match="omega=0.0: the resolved matrix is not finite"):
-            noise_kernel_block(stack, np.array([0.5]), resolved=overflowed)
+        with pytest.MonkeyPatch.context() as patch:
+            _inject_into_core(patch, (1, 1, 1), 1e13)
+            with pytest.raises(IllPosedBoundary, match=r"omega=1\.0: \|1/D\| = 1\.000e-13"):
+                noise_kernel_block(stack, np.array([0.5]))
+        with pytest.MonkeyPatch.context() as patch:
+            _inject_into_core(patch, (0, 0, 1), np.inf)
+            with pytest.raises(IllPosedBoundary, match="omega=0.0: the resolved matrix is not finite"):
+                noise_kernel_block(stack, np.array([0.5]))
         singular_raw = expm2(stack.generator[1])
         singular_raw[1, 1] = 0.0
         coeffs = solve_susceptibilities(symmetric_params(8.0), 1.0)
         with pytest.raises(IllPosedBoundary, match="omega=1.0"):
             noise_kernels(coeffs, singular_raw, np.array([0.5]))
+
+    @pytest.mark.parametrize("params", _KERNEL_CASES, ids=_KERNEL_IDS)
+    def test_both_rows_match_80_digit_mpmath(self, params):
+        # e^{-ML} grows like e^{|w|} (|w| = 152 at alpha = 400): the reference has the digits to cancel it
+        z = np.array([0.0, 0.5, 1.0])
+        stack = solve_susceptibility_stack(params, np.array([0.0, -0.59, 0.3]))
+        for row in (0, 1):
+            kernels = noise_kernel_block(stack, z, row)
+            for got, m, zeta in zip(kernels, stack.generator, stack.zeta):
+                expected = _mpmath_kernels(m, zeta, z)[:, row]
+                assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_nilpotent_closed_form(self):
         # at line center e^{M(z-L)} = I + M(z-L) exactly
@@ -543,6 +587,16 @@ class TestScatteringInvariants:
         assert np.isfinite(r).all()
         assert np.max(np.abs(r[:, 0, 0]) ** 2 + np.abs(r[:, 1, 0]) ** 2) <= 1.0 + 1e-12
         assert np.max(np.abs(r[:, 0, 1]) ** 2 + np.abs(r[:, 1, 1]) ** 2) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("omega", _INVARIANT_OMEGAS)
+    @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
+    def test_noise_kernels_are_finite_up_to_the_largest_optical_depth(self, params, omega):
+        z = np.linspace(0.0, 1.0, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in _LARGE_OD_GRID:
+                stack = solve_susceptibility_stack(replace(params, alpha=alpha), [omega])
+                assert np.isfinite(noise_kernel_block(stack, z)).all(), alpha
 
     @pytest.mark.parametrize("omega", _INVARIANT_OMEGAS)
     @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
