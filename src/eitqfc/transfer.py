@@ -286,8 +286,8 @@ def noise_kernel_block(stack: SpectralStack, z_grid: np.ndarray, row: int | None
         return empty if row is None else empty[:, :, row]
     n, tee = (m[:, 0, 0] - m[:, 1, 1]) / 2, tee[:, None]
     zeta_p, zeta_s = stack.zeta[:, 0], stack.zeta[:, 1]
-    coefficients = (  # (pa, a, pb, b tee) of the P row and of the Q row
-        (0 * mu, zeta_p - resolved[:, 0, 1, None] * zeta_s,
+    coefficients = (  # (pa, a, pb, tee b) of the P row and of the Q row
+        (np.zeros_like(mu), zeta_p - resolved[:, 0, 1, None] * zeta_s,
          -2 * w, (w - n)[:, None] * zeta_p - m[:, 0, 1, None] * zeta_s),
         (mu - w, -zeta_s / tee,
          mu - w, m[:, 1, 0, None] * zeta_p - (w + n)[:, None] * zeta_s),
