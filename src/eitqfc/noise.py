@@ -12,16 +12,17 @@ All integrals carry the correlation prefactor L/(2 pi c) with L and c
 normalized to 1 (c drops out of the dimensionless model once the
 i*omega/c propagation term is neglected).
 
-Each grid level is evaluated in blocks of about BLOCK_PAIRS (omega, z)
-pairs: a stacked spectral solve and a kernel block per block of
-frequencies, with the quadratic form and both quadrature weight
-contractions done on the block arrays.  The kernels, two bounded
-exponentials per row from the scattering core, are built only for the
+The medium is uniform, so the z integral is exact: each frequency
+contributes sum_ab d_ab G_ab, with G_ab = int_0^L K_a K_b* dz the Gram of
+the kernel row (transfer.noise_kernel_gram, three scalar integrals per
+frequency).  Each grid level in omega is one stacked spectral solve, one
+boundary check and one contraction with the diffusion matrix; the
+levels double the omega nodes only.  The Gram is built only for the
 live noise slots, those whose row or column of the diffusion matrix
 holds a non-zero entry: one of three for the Einstein matrix.  Zero
-diffusion has none: each block is still solved and boundary-checked, so
-a singular or ill-posed frequency raises as otherwise, and its form is
-exactly 0.0 with no contraction.
+diffusion has none: every node is still solved and boundary-checked, so
+a singular or ill-posed frequency raises as otherwise, and the integral
+is exactly 0.0.
 
 Ground-state dephasing (gamma21 > 0) enters the deterministic
 propagation coefficients but not the diffusion matrix here: its
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import NonConvergedIntegral
 from .params import GAMMA, LENGTH, SystemParams, validate
 from .spectral import solve_susceptibility_stack
-from .transfer import noise_kernel_block, resolved_coefficients
+from .transfer import noise_kernel_gram, resolved_coefficients
 
 #: Row labels jk of the diffusion matrix and their adjoint pairs k'j'.
 DIFFUSION_ROWS = (21, 31, 41)
@@ -49,12 +50,8 @@ DIFFUSION_COLS = (12, 13, 14)
 #: Convergence target for grid doubling of the noise integrals.
 INTEGRAL_TOL = 1e-8
 
-#: Gauss-Legendre nodes in omega and in z at the first grid level; each level doubles both.
+#: Gauss-Legendre nodes in omega at the first grid level; each level doubles them.
 N_OMEGA = 513
-N_Z = 64
-
-#: (omega, z) pairs evaluated at once; a block holds BLOCK_PAIRS // (z nodes) frequencies.
-BLOCK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -102,24 +99,19 @@ def gauss_legendre_grid(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndar
     return a + half * (x + 1), half * w
 
 
-def _block_form(
-    params: SystemParams, d: np.ndarray, row: int, omegas: np.ndarray, z_nodes: np.ndarray
-) -> np.ndarray:
-    """sum_ab K_a d_ab K*_b on a block of omega nodes and the z nodes, shape (omega, z).
+def _form(params: SystemParams, d: np.ndarray, row: int, omegas: np.ndarray) -> np.ndarray:
+    """Re sum_ab d_ab int_0^L K_a K*_b dz at each omega node, shape (omega,).
 
     Only the live slots a, those whose row or column of ``d`` holds a
-    non-zero entry, get kernels: one of three for the Einstein matrix.
-    Zero diffusion has none: the block is solved and checked, and the
-    form is zeros with no contraction.
+    non-zero entry, get a Gram: one of three for the Einstein matrix.
+    Zero diffusion has none: the nodes are solved and checked, and the
+    form is zeros.
     """
     nonzero = d != 0
     live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     stack = solve_susceptibility_stack(params, omegas)
-    k = noise_kernel_block(replace(stack, zeta=stack.zeta[..., live]), z_nodes, row)  # (omega, z, live slot)
-    if not live.size:
-        return np.zeros(k.shape[:2])
-    kd = k @ d[np.ix_(live, live)]
-    return np.einsum("...a,...a->...", kd.real, k.real) + np.einsum("...a,...a->...", kd.imag, k.imag)
+    gram = noise_kernel_gram(replace(stack, zeta=stack.zeta[..., live]), row)  # (omega, live, live)
+    return np.einsum("nab,ab->n", gram, d[np.ix_(live, live)]).real
 
 
 def _integral_on_grid(
@@ -128,29 +120,18 @@ def _integral_on_grid(
     kernel: str,
     omega_nodes: np.ndarray,
     omega_weights: np.ndarray,
-    z_nodes: np.ndarray,
-    z_weights: np.ndarray,
 ) -> float:
-    """sum_jk,j'k' of int dz d_omega K_jk D K*_j'k' / (2 pi) on fixed grids.
-
-    The omega nodes are taken in blocks of about BLOCK_PAIRS (omega, z)
-    pairs: one stacked spectral solve and one kernel block per block,
-    and no Python loop over omega.
-    """
-    row = 0 if kernel == "P" else 1
-    size = max(1, BLOCK_PAIRS // len(z_nodes))
-    total = 0.0
-    for start in range(0, len(omega_nodes), size):
-        block = slice(start, start + size)
-        form = _block_form(params, diffusion.entries, row, omega_nodes[block], z_nodes)
-        total += float(omega_weights[block] @ (form @ z_weights))
-    return total * LENGTH / (2 * np.pi)
+    """sum_jk,j'k' of int dz d_omega K_jk D K*_j'k' / (2 pi) on a fixed omega grid, z in closed form."""
+    form = _form(params, diffusion.entries, 0 if kernel == "P" else 1, omega_nodes)
+    return float(omega_weights @ form) * LENGTH / (2 * np.pi)
 
 
 def _adaptive_noise_integral(
     params: SystemParams, diffusion: DiffusionMatrix | None, kernel: str, max_doublings: int
 ) -> float:
-    """The P or Q integral on doubling grids; N_OMEGA, N_Z and INTEGRAL_TOL are read at call time."""
+    """The P or Q integral on doubling omega grids; N_OMEGA and INTEGRAL_TOL are read at call time."""
+    if max_doublings < 0:
+        raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     validate(params)
     if diffusion is None:
         diffusion = diffusion_matrix()
@@ -158,14 +139,10 @@ def _adaptive_noise_integral(
 
     previous = None
     change = None
-    nodes = 0
     for level in range(max_doublings + 1):
         nodes = N_OMEGA * 2**level
         omega_nodes, omega_weights = gauss_legendre_grid(-window, window, nodes)
-        z_nodes, z_weights = gauss_legendre_grid(0.0, LENGTH, N_Z * 2**level)
-        value = _integral_on_grid(
-            params, diffusion, kernel, omega_nodes, omega_weights, z_nodes, z_weights
-        )
+        value = _integral_on_grid(params, diffusion, kernel, omega_nodes, omega_weights)
         if previous is not None:
             change = abs(value - previous)
             if change < INTEGRAL_TOL:
@@ -173,7 +150,7 @@ def _adaptive_noise_integral(
         previous = value
     last = "none (one level has nothing to compare)" if change is None else f"{change:.3e}"
     raise NonConvergedIntegral(
-        f"noise integral not converged after {max(max_doublings + 1, 0)} grid level(s), "
+        f"noise integral not converged after {max_doublings + 1} grid level(s), "
         f"the last with {nodes} omega nodes: last |change| {last}, tol {INTEGRAL_TOL:.3e}"
     )
 
@@ -183,12 +160,14 @@ def langevin_photon_noise(
 ) -> float:
     """Langevin contribution to the output probe photon number (P kernels).
 
-    Gauss-Legendre in z over [0, L] and in omega over [-W, W] (W =
-    default_window), with both grids doubled until the value changes by
-    less than INTEGRAL_TOL (NonConvergedIntegral otherwise).  Kernels
-    are built only for the live slots of ``diffusion``, so the default
-    weak-probe (zero) matrix gives exactly 0.0 at the cost of the
-    spectral solves and boundary checks of two grid levels.
+    The z integral over [0, L] in closed form and Gauss-Legendre in
+    omega over [-W, W] (W = default_window), with the omega nodes
+    doubled until the value changes by less than INTEGRAL_TOL
+    (NonConvergedIntegral otherwise; ValueError for a negative
+    ``max_doublings``).  The Gram is built only for the live slots of
+    ``diffusion``, so the default weak-probe (zero) matrix gives exactly
+    0.0 at the cost of the spectral solves and boundary checks of two
+    grid levels.
     """
     return _adaptive_noise_integral(params, diffusion, "P", max_doublings)
 
@@ -198,7 +177,7 @@ def eta1(
 ) -> float:
     """Signal-side Langevin variance term (Q kernels).
 
-    The grids and live slots are those of langevin_photon_noise, so the
+    The omega grids and live slots are those of langevin_photon_noise, so the
     default (zero) diffusion matrix gives exactly 0.0.
     """
     return _adaptive_noise_integral(params, diffusion, "Q", max_doublings)

@@ -12,7 +12,7 @@ a stack of one), from two sources:
   arbitrary (also asymmetric, dephasing) parameters; one stacked SVD
   condition test and one stacked inverse serve a whole array of
   frequencies.  It is the only numeric route: the noise integrals call
-  it on blocks of frequencies, and the optical-depth sweeps once at unit
+  it once per omega grid level, and the optical-depth sweeps once at unit
   optical depth, since M is linear in it;
 * ``closed_form_coefficients`` -- literal transcription of the
   symmetric-case closed forms, used as an oracle for the numeric route.

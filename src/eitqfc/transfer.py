@@ -14,8 +14,14 @@ entries of a passive medium stay bounded.  So one scaled propagator
 0; expm1 carries the sinch through q -> 0) feeds everything, as ratios
 of bounded terms (L. Li, JOSA A 13, 1024 (1996)): the scattering core
 ``_scattering``, which maps a stack of generators to the resolved
-matrices, and ``noise_kernel_block``, whose kernel rows are two bounded
-exponentials each (``noise_kernels`` is its one-frequency view).
+matrices, and the noise kernels, whose rows are two bounded exponentials
+each (``_kernel_rows``).  Those rows feed two routes.
+``noise_kernel_gram``, which the noise integrals read, integrates their
+products over z in closed form: int_0^L K_a K_b* dz from three divided
+differences of exp per frequency (``_exp_divided_difference``, accurate
+through the degenerate w = 0).  ``noise_kernel_block`` evaluates them on
+a z grid: the tests' quadrature oracle for the Gram, and the engine of
+``noise_kernels``, its one-frequency view.
 M(alpha) = alpha M(1), so ``propagation_sweep`` needs one unit-depth
 spectral solve and one pass of the core for a whole optical-depth grid,
 and ``semiclassical_sweep`` one field integration (Phi_alpha(L) =
@@ -29,6 +35,7 @@ route of the tests: the package never forms e^{-ML}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +47,10 @@ from .spectral import SpectralStack, solve_susceptibility_stack
 
 #: |1/D| (= |D'| of e^{-ML}) below this is treated as a backward-geometry resonance.
 BOUNDARY_TOL = 1e-12
+
+#: Points closer than this take the Taylor series of _exp_divided_difference, with DD_TERMS terms.
+DD_CLUSTER = 0.5
+DD_TERMS = 18
 
 #: Relative and absolute tolerances of the semiclassical field integration.
 ODE_RTOL = 1e-12
@@ -255,52 +266,161 @@ class NoiseKernels:
     omega: float
 
 
-def noise_kernel_block(stack: SpectralStack, z_grid: np.ndarray, row: int | None = None) -> np.ndarray:
-    """Noise kernels [P_jk; Q_jk](z) = [[1, -B], [0, -D]] e^{M (z - L)} [zeta_p; zeta_s] on n frequencies.
+def _kernel_rows(stack: SpectralStack, row: int | None = None) -> tuple:
+    """mu, w and the rows (pa, a, pb, b) of the noise kernels of a stack, after its boundary check.
 
-    B, D are the core's.  With _propagator's mu, w, tee of ML, N = ML -
+    [P_jk; Q_jk](z) = [[1, -B], [0, -D]] e^{M (z - L)} [zeta_p; zeta_s],
+    with B, D the core's.  With _propagator's mu, w, tee of ML, N = ML -
     mu I, n = (m11 - m22)/2 and t = 1 - z/L, e^{-Nt} = e^{-wt} I +
     e^{wt} t s(wt) (w I - N), and exactly (1, -B)(w I - N) = e^{-2w} (w
-    - n, -m12)/tee and D = e^{mu - w}/tee.  So each row is e^{pa - (mu +
-    w) t} a + e^{pb - (mu - w) t} t s(wt) b, two bounded exponentials: P
-    has a = zeta_p - B zeta_s, b = ((w - n) zeta_p - m12 zeta_s)/tee, pa
-    = 0, pb = -2w; Q has a = -zeta_s/tee, b = (m21 zeta_p - (w + n)
-    zeta_s)/tee, pa = pb = mu - w.  No 1/w, no e^{+w}; per (omega, z)
-    pair one expm1 and the two exponentials.  Returns shape (n, nz, 2,
-    k), rows (P, Q) and a column per column of ``stack.zeta`` (k = 3 for
-    a solved stack, ordered like NOISE_INDICES); ``row`` = 0 or 1 gives
-    only P or only Q, shape (n, nz, k).  IllPosedBoundary names the
-    first frequency whose resolved matrix fails _solvable; a zeta with
-    no columns gets that check and then empty kernels, with no work per
-    (omega, z) pair.
+    - n, -m12)/tee and D = e^{mu - w}/tee.  So each row is K(t) =
+    e^{pa - (mu + w) t} a + e^{pb - (mu - w) t} t s(wt) b, two bounded
+    exponentials: P has a = zeta_p - B zeta_s, b = ((w - n) zeta_p - m12
+    zeta_s)/tee, pa = 0, pb = -2w; Q has a = -zeta_s/tee, b = (m21 zeta_p
+    - (w + n) zeta_s)/tee, pa = pb = mu - w.  No 1/w, no e^{+w}.  a and
+    b have a column per column of ``stack.zeta``; ``row`` = 0 or 1 keeps
+    only P or only Q.  IllPosedBoundary names the first frequency whose
+    resolved matrix fails _solvable.
     """
-    z_grid = np.asarray(z_grid, dtype=float)
     m = stack.generator * LENGTH
     mu, w, c, s, tee = _propagator(m)
     resolved = _resolve(m, mu, w, c, s, tee)
     _, failure = _first_failure(stack.omega, _solvable(resolved), "omega")
     if failure is not None:
         raise failure
+    n, tee = (m[:, 0, 0] - m[:, 1, 1]) / 2, tee[:, None]
+    zeta_p, zeta_s = stack.zeta[:, 0], stack.zeta[:, 1]
+    rows = (
+        (np.zeros_like(mu), zeta_p - resolved[:, 0, 1, None] * zeta_s,
+         -2 * w, ((w - n)[:, None] * zeta_p - m[:, 0, 1, None] * zeta_s) / tee),
+        (mu - w, -zeta_s / tee,
+         mu - w, (m[:, 1, 0, None] * zeta_p - (w + n)[:, None] * zeta_s) / tee),
+    )
+    return mu, w, rows if row is None else rows[row : row + 1]
+
+
+def noise_kernel_block(stack: SpectralStack, z_grid: np.ndarray, row: int | None = None) -> np.ndarray:
+    """Noise kernels [P_jk; Q_jk](z) of _kernel_rows on n frequencies and a z grid.
+
+    Per (omega, z) pair one expm1 and the two exponentials.  Returns
+    shape (n, nz, 2, k), rows (P, Q) and a column per column of
+    ``stack.zeta`` (k = 3 for a solved stack, ordered like
+    NOISE_INDICES); ``row`` = 0 or 1 gives only P or only Q, shape (n,
+    nz, k).  A zeta with no columns gets the boundary check and then
+    empty kernels, with no work per (omega, z) pair.
+    """
+    z_grid = np.asarray(z_grid, dtype=float)
+    mu, w, rows = _kernel_rows(stack, row)
     if stack.zeta.shape[-1] == 0:
         empty = np.empty((len(stack.omega), z_grid.size, 2, 0), dtype=complex)
         return empty if row is None else empty[:, :, row]
-    n, tee = (m[:, 0, 0] - m[:, 1, 1]) / 2, tee[:, None]
-    zeta_p, zeta_s = stack.zeta[:, 0], stack.zeta[:, 1]
-    coefficients = (  # (pa, a, pb, tee b) of the P row and of the Q row
-        (np.zeros_like(mu), zeta_p - resolved[:, 0, 1, None] * zeta_s,
-         -2 * w, (w - n)[:, None] * zeta_p - m[:, 0, 1, None] * zeta_s),
-        (mu - w, -zeta_s / tee,
-         mu - w, m[:, 1, 0, None] * zeta_p - (w + n)[:, None] * zeta_s),
-    )
     t = 1 - z_grid / LENGTH
     _, ts = _sinch(np.multiply.outer(w, t))
     ts *= t
     kernels = []
-    for pa, a, pb, b in coefficients if row is None else coefficients[row : row + 1]:
+    for pa, a, pb, b in rows:
         near = np.exp(pa[:, None] - np.multiply.outer(mu + w, t))
         far = np.exp(pb[:, None] - np.multiply.outer(mu - w, t)) * ts
-        kernels.append(near[..., None] * a[:, None] + far[..., None] * (b / tee)[:, None])
+        kernels.append(near[..., None] * a[:, None] + far[..., None] * b[:, None])
     return np.stack(kernels, axis=2) if row is None else kernels[0]
+
+
+def _farthest_pair_orders(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i < j) of k points, and per pair an order of the points that puts i first and j last."""
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    orders = [[i, *(m for m in range(k) if m not in (i, j)), j] for i, j in pairs]
+    return np.array(pairs), np.array(orders)
+
+
+_FARTHEST = {k: _farthest_pair_orders(k) for k in (3, 4)}
+
+
+def _exp_divided_difference(x: np.ndarray) -> np.ndarray:
+    """exp[x_0, ..., x_n], the divided difference of exp at the points x (m, n + 1), shape (m,).
+
+    It is the integral of e^{sum tau_j x_j} over the simplex of weights
+    tau (Hermite-Genocchi), so it is bounded by e^{max Re x}/n!.  Two
+    points give e^{x_b} (1 - e^{-d})/d, d = x_b - x_s with x_b the one of
+    larger real part, and expm1 carries d -> 0.  More points within
+    DD_CLUSTER of each other take DD_TERMS terms of the Taylor series
+    about their mean, e^{c} sum_k h_k(x - c)/(k + n)! with h_k the
+    complete symmetric polynomials; the others the recurrence
+    (exp[x_1..x_n] - exp[x_0..x_{n-1}])/(x_n - x_0) with x_0, x_n the
+    farthest pair (after McCurdy, Ng & Parlett, Math. Comp. 43, 501
+    (1984)).  So coincident points need no branch of their own.
+    """
+    k = x.shape[1]
+    if k == 2:
+        first = x[:, 0].real >= x[:, 1].real
+        big, small = np.where(first, x[:, 0], x[:, 1]), np.where(first, x[:, 1], x[:, 0])
+        d = big - small
+        return np.exp(big) * np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d != 0)
+    pairs, orders = _FARTHEST[k]
+    spread = np.abs(x[:, pairs[:, 1]] - x[:, pairs[:, 0]])
+    best = spread.argmax(axis=1)
+    x = np.take_along_axis(x, orders[best], axis=1)  # the farthest pair first and last
+    near = spread[np.arange(len(x)), best] < DD_CLUSTER
+    out = np.empty(len(x), dtype=complex)
+    far = x[~near]
+    last, first = _exp_divided_difference(np.concatenate([far[:, 1:], far[:, :-1]])).reshape(2, -1)
+    out[~near] = (last - first) / (far[:, -1] - far[:, 0])
+    centre = x[near].mean(axis=1)
+    y = list((x[near] - centre[:, None]).T)
+    h = [np.ones_like(centre)] * k  # h[j] = h_order(y_0, ..., y_j)
+    total, coefficient = np.ones_like(centre), 1.0  # coefficient = (k - 1)!/(order + k - 1)!
+    for order in range(1, DD_TERMS):
+        h[0] = y[0] * h[0]  # h_order(y_0..y_j) = h_order(y_0..y_{j-1}) + y_j h_{order-1}(y_0..y_j)
+        for j in range(1, k):
+            h[j] = h[j - 1] + y[j] * h[j]
+        coefficient /= order + k - 1
+        total += coefficient * h[-1]
+    out[near] = np.exp(centre) * total / math.factorial(k - 1)
+    return out
+
+
+def _pair_integrals(mu: np.ndarray, w: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> tuple:
+    """int_0^1 of u u*, u v* and v v* dt for u = e^{pa - (mu + w) t} and v = e^{pb - (mu - w) t} t s(wt).
+
+    v = e^{pb - mu t} sinh(wt)/w, and each integral is a divided
+    difference of exp at the end exponents of its integrand, so each is
+    bounded wherever the kernels are and exact through w = 0: with
+    lambda = mu + w, u u* gives exp[2 Re pa, 2 Re (pa - lambda)] and u
+    v* gives exp[x, x - lambda - conj(mu - w), x - 2 Re lambda], x = pa +
+    conj(pb).  |sinh(wt)/w|^2 = (sinh^2(at) + sin^2(bt))/|w|^2 for w = a
+    + ib, so v v* gives 2 (a^2 E(a) + b^2 E(ib))/|w|^2 with E(h) =
+    exp[c, y - 2h, y, y + 2h], c = 2 Re pb, y = c - 2 Re mu (weight 1 on
+    E(a) at w = 0, where E(a) = E(ib)).
+    """
+    lam = mu + w
+    e = 2 * pa.real
+    x = pa + np.conj(pb)
+    c = 2 * pb.real
+    y = c - 2 * mu.real
+    uu = _exp_divided_difference(np.stack([e, e - 2 * lam.real], axis=1)).real
+    uv = _exp_divided_difference(np.stack([x, x - lam - np.conj(mu - w), x - 2 * lam.real], axis=1))
+    points = np.array([[c, y - 2 * h, y, y + 2 * h] for h in (w.real, 1j * w.imag)])  # (2, 4, n)
+    ea, eb = _exp_divided_difference(points.transpose(0, 2, 1).reshape(-1, 4)).real.reshape(2, -1)
+    size = np.abs(w) ** 2
+    weight = np.divide(w.real**2, size, out=np.ones_like(size), where=size != 0)
+    return uu, uv, 2 * (weight * ea + (1 - weight) * eb)
+
+
+def noise_kernel_gram(stack: SpectralStack, row: int) -> np.ndarray:
+    """G_ab = int_0^L K_a K_b* dz of one kernel row (0: P, 1: Q) of _kernel_rows, shape (n, k, k).
+
+    With K_a = u a_a + v b_a (u, v of _pair_integrals, t = 1 - z/L),
+    G_ab = L (a_a a_b* I_uu + a_a b_b* I_uv + b_a a_b* conj(I_uv) + b_a
+    b_b* I_vv): three scalar integrals per frequency, for any number k of
+    columns of ``stack.zeta``, and no z grid.  IllPosedBoundary names the
+    first frequency whose resolved matrix fails _solvable; a zeta with no
+    columns gets that check and an empty Gram.
+    """
+    mu, w, ((pa, a, pb, b),) = _kernel_rows(stack, row)
+    if not a.shape[1]:
+        return np.zeros((len(stack.omega), 0, 0), dtype=complex)
+    uu, uv, vv = (v[:, None, None] for v in _pair_integrals(mu, w, pa, pb))
+    a, b, ac, bc = a[:, :, None], b[:, :, None], a.conj()[:, None, :], b.conj()[:, None, :]
+    return LENGTH * (uu * a * ac + uv * a * bc + uv.conj() * b * ac + vv * b * bc)
 
 
 def noise_kernels(stack: SpectralStack, raw: np.ndarray, z_grid: np.ndarray | None = None) -> NoiseKernels:

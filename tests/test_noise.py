@@ -17,7 +17,14 @@ from eitqfc.noise import (
 )
 from eitqfc.params import SystemParams, symmetric_params
 from eitqfc.spectral import solve_susceptibilities, solve_susceptibility_stack
-from eitqfc.transfer import coupling_matrix, expm2, noise_kernel_block, noise_kernels, resolved_coefficients
+from eitqfc.transfer import (
+    coupling_matrix,
+    expm2,
+    noise_kernel_block,
+    noise_kernel_gram,
+    noise_kernels,
+    resolved_coefficients,
+)
 
 REFERENCE_TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "noise_reference.json"
 
@@ -110,13 +117,48 @@ class TestNoiseIntegrals:
             2 * langevin_photon_noise(p, d), rel=1e-10
         )
 
-    def test_block_size_does_not_change_the_value(self, monkeypatch):
-        # 1000 pairs make 15 and 7 frequencies per block, with a ragged last block on both levels
-        p = symmetric_params(3.0, 0.8)
-        d = diffusion_matrix(0.3, 0.1)
-        default = eta1(p, d)
-        monkeypatch.setattr(noise, "BLOCK_PAIRS", 1000)
-        assert eta1(p, d) == pytest.approx(default, rel=1e-13, abs=0.0)
+    @pytest.mark.parametrize(
+        "diffusion",
+        [diffusion_matrix(0.5, 0.5), _dense_hermitian(), _off_diagonal()],
+        ids=["einstein", "dense-hermitian", "off-diagonal"],
+    )
+    @pytest.mark.parametrize("kernel", ["P", "Q"])
+    def test_closed_form_z_matches_gauss_legendre_in_z(self, diffusion, kernel):
+        # the first omega level, its z integral by 256-node Gauss-Legendre over the kernel block
+        p = SystemParams(alpha=6.0, omega_c=1.5, omega_d=0.8 * np.exp(0.3j), gamma21=0.02)
+        window = default_window(p)
+        omegas, omega_weights = noise.gauss_legendre_grid(-window, window, noise.N_OMEGA)
+        z, z_weights = noise.gauss_legendre_grid(0.0, 1.0, 256)
+        k = noise_kernel_block(solve_susceptibility_stack(p, omegas), z, 0 if kernel == "P" else 1)
+        form = np.einsum("...a,ab,...b->...", k, diffusion.entries, k.conj()).real
+        expected = omega_weights @ (form @ z_weights) / (2 * np.pi)
+        got = noise._integral_on_grid(p, diffusion, kernel, omegas, omega_weights)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("diffusion", [None, diffusion_matrix(0.5, 0.5)], ids=["zero", "einstein"])
+    def test_one_spectral_solve_per_level(self, monkeypatch, diffusion):
+        # both values converge at the second level: one solve of 513 and one of 1026 nodes
+        sizes, divided_differences = [], []
+        solve, dd = noise.solve_susceptibility_stack, transfer._exp_divided_difference
+
+        def counting_solve(params, omegas):
+            sizes.append(len(omegas))
+            return solve(params, omegas)
+
+        def counting_dd(x):
+            divided_differences.append(x.shape)
+            return dd(x)
+
+        monkeypatch.setattr(noise, "solve_susceptibility_stack", counting_solve)
+        monkeypatch.setattr(transfer, "_exp_divided_difference", counting_dd)
+        value = eta1(symmetric_params(4.0), diffusion)
+        assert sizes == [513, 1026]
+        assert (value == 0.0) == (not divided_differences) == (diffusion is None)
+
+    @pytest.mark.parametrize("integral", [eta1, langevin_photon_noise])
+    def test_negative_max_doublings_is_rejected(self, integral):
+        with pytest.raises(ValueError, match="max_doublings must be >= 0, got -1"):
+            integral(symmetric_params(4.0), diffusion_matrix(0.5, 0.5), max_doublings=-1)
 
     @pytest.mark.parametrize("diffusion", [None, diffusion_matrix(0.5, 0.5)])
     def test_singular_system_names_the_frequency(self, diffusion):
@@ -137,7 +179,6 @@ class TestNoiseIntegrals:
     def test_non_convergence_reports_the_last_change(self, monkeypatch):
         p = symmetric_params(4.0)
         monkeypatch.setattr(noise, "N_OMEGA", 65)
-        monkeypatch.setattr(noise, "N_Z", 16)
         monkeypatch.setattr(noise, "INTEGRAL_TOL", 1e-30)
         with pytest.raises(NonConvergedIntegral) as exc:
             eta1(p, diffusion_matrix(0.5, 0.5), max_doublings=1)
@@ -155,14 +196,13 @@ class TestLiveSlots:
         ids=["einstein", "dense-hermitian", "off-diagonal"],
     )
     @pytest.mark.parametrize("row", [0, 1], ids=["P", "Q"])
-    def test_block_form_matches_the_full_contraction(self, diffusion, row):
+    def test_form_matches_the_full_contraction(self, diffusion, row):
         p = SystemParams(alpha=6.0, omega_c=1.5, omega_d=0.8 * np.exp(0.3j), gamma21=0.02)
         omegas = np.linspace(-8.0, 8.0, 33)
-        z, _ = noise.gauss_legendre_grid(0.0, 1.0, 24)
-        k = noise_kernel_block(solve_susceptibility_stack(p, omegas), z, row)  # all three slots
-        expected = np.einsum("...a,ab,...b->...", k, diffusion.entries, k.conj()).real
-        got = noise._block_form(p, diffusion.entries, row, omegas, z)
-        assert got.shape == expected.shape == (33, 24)
+        gram = noise_kernel_gram(solve_susceptibility_stack(p, omegas), row)  # all three slots
+        expected = np.einsum("nab,ab->n", gram, diffusion.entries).real
+        got = noise._form(p, diffusion.entries, row, omegas)
+        assert got.shape == expected.shape == (33,)
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_zero_diffusion_builds_no_kernels(self, monkeypatch):

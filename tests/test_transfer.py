@@ -14,6 +14,7 @@ from eitqfc.transfer import (
     coupling_matrix,
     expm2,
     noise_kernel_block,
+    noise_kernel_gram,
     noise_kernels,
     propagation_sweep,
     resolved_coefficients,
@@ -369,6 +370,98 @@ class TestNoiseKernels:
             assert np.max(np.abs(kernels.q[:, i] - expected[1])) < 1e-12
 
 
+def _z_quadrature_gram(stack, row: int, panels: int = 64, nodes: int = 32) -> np.ndarray:
+    """sum of K_a K_b* from noise_kernel_block over a composite Gauss-Legendre rule in z, (n, k, k).
+
+    Equal panels of a few nodes each: one rule of many nodes (numpy's
+    leggauss at 2048) carries node errors of its own near 1e-11.
+    """
+    x, weights = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    half = np.diff(edges)[:, None] / 2
+    z = (edges[:-1, None] + half * (x + 1)).ravel()
+    k = noise_kernel_block(stack, z, row)
+    return np.einsum("z,nza,nzb->nab", (half * weights).ravel(), k, k.conj())
+
+
+def _mpmath_pair_integrals(mu: complex, w: complex, pa: complex, pb: complex) -> tuple:
+    """int_0^1 u u*, u v* and v v* dt of transfer._pair_integrals, good to 50 digits.
+
+    For w != 0 the closed forms in phi(X) = (1 - e^{-X})/X of the four
+    exponentials e^{-(mu +- w) t}, with the digits their 1/w and 1/|w|^2
+    cancel added; at w = 0 mpmath quadrature of the integrands.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    extra = 0 if w == 0 else max(0, int(-2 * np.log10(abs(w)))) + 10
+    with mpmath.workdps(50 + extra):
+        mu, w, pa, pb = (mpmath.mpc(v) for v in (mu, w, pa, pb))
+
+        def phi(x):
+            return 1 if x == 0 else -mpmath.expm1(-x) / x
+
+        def u(t):
+            return mpmath.exp(pa - mu * t)
+
+        def v(t):
+            return mpmath.exp(pb - mu * t) * t
+
+        if w == 0:
+            integrals = (
+                mpmath.quad(lambda t: abs(u(t)) ** 2, [0, 1]),
+                mpmath.quad(lambda t: u(t) * mpmath.conj(v(t)), [0, 1]),
+                mpmath.quad(lambda t: abs(v(t)) ** 2, [0, 1]),
+            )
+        else:
+            lam = (mu + w, mu - w)
+            y = [[lam[i] + mpmath.conj(lam[j]) for j in range(2)] for i in range(2)]
+            integrals = (
+                mpmath.exp(2 * mpmath.re(pa)) * phi(y[0][0]),
+                mpmath.exp(pa + mpmath.conj(pb)) * (phi(y[0][1]) - phi(y[0][0])) / (2 * mpmath.conj(w)),
+                mpmath.exp(2 * mpmath.re(pb))
+                * (phi(y[1][1]) - phi(y[1][0]) - phi(y[0][1]) + phi(y[0][0]))
+                / (4 * abs(w) ** 2),
+            )
+        return tuple(complex(x) for x in integrals)
+
+
+class TestNoiseGram:
+    @pytest.mark.parametrize("params", _KERNEL_CASES, ids=_KERNEL_IDS)
+    def test_matches_z_quadrature_of_the_kernels(self, params):
+        stack = solve_susceptibility_stack(params, np.array([0.0, -0.59, 0.3, 2.0, -9.0]))
+        for row in (0, 1):
+            gram = noise_kernel_gram(stack, row)
+            expected = _z_quadrature_gram(stack, row)
+            assert gram.shape == expected.shape == (5, 3, 3)
+            for got, want in zip(gram, expected):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_without_noise_slots_is_empty_but_checked(self):
+        stack = solve_susceptibility_stack(symmetric_params(8.0), np.array([0.0, 1.0]))
+        empty = replace(stack, zeta=stack.zeta[..., :0])
+        assert noise_kernel_gram(empty, 0).shape == (2, 0, 0)
+        with pytest.MonkeyPatch.context() as patch:
+            _inject_into_core(patch, (1, 1, 1), 1e13)
+            with pytest.raises(IllPosedBoundary, match=r"omega=1\.0: \|1/D\| = 1\.000e-13"):
+                noise_kernel_gram(empty, 1)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3 - 1.2j, -1.5 + 0.2j])
+    @pytest.mark.parametrize("row", [0, 1], ids=["P", "Q"])
+    def test_pair_integrals_through_the_degenerate_point(self, mu, row):
+        # |w| from 1e-30 to 10 at phases across the right half plane, and w = 0 exactly
+        mags = np.geomspace(1e-30, 10.0, 41)
+        w = np.concatenate([[0j], np.multiply.outer(mags, np.exp(1j * np.linspace(-1.5, 1.5, 7))).ravel()])
+        mu = np.full(w.shape, complex(mu))
+        pa, pb = (np.zeros_like(w), -2 * w) if row == 0 else (mu - w, mu - w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = transfer._pair_integrals(mu, w, pa, pb)
+        worst = 0.0
+        for n in range(w.size):
+            expected = _mpmath_pair_integrals(mu[n], w[n], pa[n], pb[n])
+            worst = max(worst, *(abs(g[n] - e) / abs(e) for g, e in zip(got, expected)))
+        assert worst <= 1e-13
+
+
 class TestSingleModeCoefficients:
     def test_transmittance_examples(self):
         assert transmittance(symmetric_params(0.0)) == pytest.approx(1.0, abs=1e-14)
@@ -597,6 +690,18 @@ class TestScatteringInvariants:
             for alpha in _LARGE_OD_GRID:
                 stack = solve_susceptibility_stack(replace(params, alpha=alpha), [omega])
                 assert np.isfinite(noise_kernel_block(stack, z)).all(), alpha
+
+    @pytest.mark.parametrize("omega", _INVARIANT_OMEGAS)
+    @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
+    def test_noise_gram_is_finite_up_to_the_largest_optical_depth(self, params, omega):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in _LARGE_OD_GRID:
+                stack = solve_susceptibility_stack(replace(params, alpha=alpha), [omega])
+                for row in (0, 1):
+                    gram = noise_kernel_gram(stack, row)[0]
+                    assert np.isfinite(gram).all(), (alpha, row)
+                    assert np.min(np.diag(gram).real) >= 0.0, (alpha, row)
 
     @pytest.mark.parametrize("omega", _INVARIANT_OMEGAS)
     @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
