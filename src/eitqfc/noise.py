@@ -15,9 +15,12 @@ i*omega/c propagation term is neglected).
 The medium is uniform, so the z integral is exact: each frequency
 contributes sum_ab d_ab G_ab, with G_ab = int_0^L K_a K_b* dz the Gram of
 the kernel row (transfer.noise_kernel_gram, three scalar integrals per
-frequency).  Each grid level in omega is one stacked spectral solve, one
-boundary check and one contraction with the diffusion matrix; the
-levels double the omega nodes only.  The Gram is built only for the
+frequency).  The grid levels in omega double the nodes.  Every call
+needs the first two levels before it can compare, so they share one
+pass: one stacked spectral solve, one boundary check, one Gram and one
+contraction with the diffusion matrix over their nodes, level 0 first,
+so SingularSystem and IllPosedBoundary name the first failing node in
+level order; each later level is one pass of its own.  The Gram is built only for the
 live noise slots, those whose row or column of the diffusion matrix
 holds a non-zero entry: one of three for the Einstein matrix.  Zero
 diffusion has none: every node is still solved and boundary-checked, so
@@ -33,6 +36,7 @@ explicitly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -114,6 +118,15 @@ def _form(params: SystemParams, d: np.ndarray, row: int, omegas: np.ndarray) -> 
     return np.einsum("nab,ab->n", gram, d[np.ix_(live, live)]).real
 
 
+def _integrals_on_grids(
+    params: SystemParams, diffusion: DiffusionMatrix, kernel: str, grids: list[tuple[np.ndarray, np.ndarray]]
+) -> list[float]:
+    """_integral_on_grid on each (nodes, weights) grid, from one _form over all their nodes in order."""
+    form = _form(params, diffusion.entries, 0 if kernel == "P" else 1, np.concatenate([x for x, _ in grids]))
+    parts = np.split(form, np.cumsum([len(x) for x, _ in grids[:-1]]))
+    return [float(weights @ part) * LENGTH / (2 * np.pi) for (_, weights), part in zip(grids, parts)]
+
+
 def _integral_on_grid(
     params: SystemParams,
     diffusion: DiffusionMatrix,
@@ -122,8 +135,22 @@ def _integral_on_grid(
     omega_weights: np.ndarray,
 ) -> float:
     """sum_jk,j'k' of int dz d_omega K_jk D K*_j'k' / (2 pi) on a fixed omega grid, z in closed form."""
-    form = _form(params, diffusion.entries, 0 if kernel == "P" else 1, omega_nodes)
-    return float(omega_weights @ form) * LENGTH / (2 * np.pi)
+    (value,) = _integrals_on_grids(params, diffusion, kernel, [(omega_nodes, omega_weights)])
+    return value
+
+
+def _level_values(
+    params: SystemParams, diffusion: DiffusionMatrix, kernel: str, max_doublings: int
+) -> Iterator[float]:
+    """The integral on each omega level 0..max_doublings, lazily; levels 0 and 1 share one pass."""
+    window = default_window(params)
+    first = range(min(max_doublings, 1) + 1)  # every call needs both before it can compare
+    yield from _integrals_on_grids(
+        params, diffusion, kernel, [gauss_legendre_grid(-window, window, N_OMEGA * 2**level) for level in first]
+    )
+    for level in range(len(first), max_doublings + 1):
+        nodes, weights = gauss_legendre_grid(-window, window, N_OMEGA * 2**level)
+        yield _integral_on_grid(params, diffusion, kernel, nodes, weights)
 
 
 def _adaptive_noise_integral(
@@ -135,14 +162,10 @@ def _adaptive_noise_integral(
     validate(params)
     if diffusion is None:
         diffusion = diffusion_matrix()
-    window = default_window(params)
 
     previous = None
     change = None
-    for level in range(max_doublings + 1):
-        nodes = N_OMEGA * 2**level
-        omega_nodes, omega_weights = gauss_legendre_grid(-window, window, nodes)
-        value = _integral_on_grid(params, diffusion, kernel, omega_nodes, omega_weights)
+    for value in _level_values(params, diffusion, kernel, max_doublings):
         if previous is not None:
             change = abs(value - previous)
             if change < INTEGRAL_TOL:
@@ -151,7 +174,7 @@ def _adaptive_noise_integral(
     last = "none (one level has nothing to compare)" if change is None else f"{change:.3e}"
     raise NonConvergedIntegral(
         f"noise integral not converged after {max_doublings + 1} grid level(s), "
-        f"the last with {nodes} omega nodes: last |change| {last}, tol {INTEGRAL_TOL:.3e}"
+        f"the last with {N_OMEGA * 2**max_doublings} omega nodes: last |change| {last}, tol {INTEGRAL_TOL:.3e}"
     )
 
 
@@ -166,8 +189,8 @@ def langevin_photon_noise(
     (NonConvergedIntegral otherwise; ValueError for a negative
     ``max_doublings``).  The Gram is built only for the live slots of
     ``diffusion``, so the default weak-probe (zero) matrix gives exactly
-    0.0 at the cost of the spectral solves and boundary checks of two
-    grid levels.
+    0.0 at the cost of the spectral solve and boundary check of the
+    first two grid levels, done as one pass.
     """
     return _adaptive_noise_integral(params, diffusion, "P", max_doublings)
 

@@ -9,11 +9,13 @@ zeta.  They come in one format, the ``SpectralStack`` (one frequency is
 a stack of one), from two sources:
 
 * ``solve_susceptibility_stack`` -- the numeric 3x3 solve, valid for
-  arbitrary (also asymmetric, dephasing) parameters; one stacked SVD
-  condition test and one stacked inverse serve a whole array of
-  frequencies.  It is the only numeric route: the noise integrals call
-  it once per omega grid level, and the optical-depth sweeps once at unit
-  optical depth, since M is linear in it;
+  arbitrary (also asymmetric, dephasing) parameters; one stacked
+  inverse serves a whole array of frequencies, and its Frobenius norms
+  screen the SVD condition test, which runs only on the few frequencies
+  the screen cannot clear.  It is the only numeric route: the noise
+  integrals call it once per pass over the omega grid levels, and the
+  optical-depth sweeps once at unit optical depth, since M is linear in
+  it;
 * ``closed_form_coefficients`` -- literal transcription of the
   symmetric-case closed forms, used as an oracle for the numeric route.
 """
@@ -80,13 +82,8 @@ def build_first_order_system(params: SystemParams) -> np.ndarray:
     )
 
 
-def _inverse_response(params: SystemParams, omegas: np.ndarray) -> np.ndarray:
-    """(i*omega*I - drift)^{-1} on a 1-D array of n frequencies, shape (n, 3, 3).
-
-    Every matrix must pass the SVD condition test against COND_LIMIT;
-    SingularSystem names the first omega that fails it.
-    """
-    matrix = np.multiply.outer(1j * omegas, _EYE3) - build_first_order_system(params)
+def _condition_test(omegas: np.ndarray, matrix: np.ndarray) -> None:
+    """The SVD condition test against COND_LIMIT; SingularSystem names the first omega that fails it."""
     # the 2-norm condition number s_max/s_min of np.linalg.cond, compared
     # without the division so that s_min = 0 needs no special case
     singular_values = np.linalg.svd(matrix, compute_uv=False)
@@ -94,10 +91,36 @@ def _inverse_response(params: SystemParams, omegas: np.ndarray) -> np.ndarray:
     if not well_posed.all():
         first = np.flatnonzero(~well_posed)[0]
         raise SingularSystem(
-            f"atomic response matrix at omega={np.ravel(omegas)[first]} "
-            f"has condition number {np.ravel(np.linalg.cond(matrix))[first]:.3e}"
+            f"atomic response matrix at omega={omegas[first]} "
+            f"has condition number {np.linalg.cond(matrix)[first]:.3e}"
         )
-    return np.linalg.inv(matrix)
+
+
+def _inverse_response(params: SystemParams, omegas: np.ndarray) -> np.ndarray:
+    """(i*omega*I - drift)^{-1} on a 1-D array of n frequencies, shape (n, 3, 3).
+
+    Every matrix must pass the SVD condition test against COND_LIMIT;
+    SingularSystem names the first omega that fails it.  The inverse
+    screens the test: for a 3x3 matrix cond_2 <= ||A||_F ||A^-1||_F <= 3
+    cond_2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, sec. 6.2), so a matrix with ||A||_F ||A^-1||_F <= COND_LIMIT/2
+    passes the SVD test with a factor-2 margin.  Only the others (NaN
+    and inf among them) take it, or the whole stack when np.linalg.inv
+    finds an exactly singular member.
+    """
+    matrix = np.multiply.outer(1j * omegas, _EYE3) - build_first_order_system(params)
+    try:
+        inverse = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        flagged, inverse = np.arange(omegas.size), None
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the screen
+            product = np.square(np.abs(matrix)).sum(axis=(1, 2)) * np.square(np.abs(inverse)).sum(axis=(1, 2))
+        flagged = np.flatnonzero(~(product <= (COND_LIMIT / 2) ** 2))
+    if flagged.size:
+        _condition_test(omegas[flagged], matrix[flagged])
+    # a singular member that passed the SVD test raises inv's LinAlgError again
+    return np.linalg.inv(matrix) if inverse is None else inverse
 
 
 def _couplings(alpha: float, ainv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,9 +142,11 @@ def solve_susceptibility_stack(params: SystemParams, omegas: np.ndarray) -> Spec
 
     Works for arbitrary validated parameters (asymmetric Rabi
     frequencies, unequal decays, ground-state dephasing).  One stacked
-    condition test and one stacked inverse serve all of them.  Raises
-    SingularSystem, naming the first such frequency, when a response
-    matrix is ill-conditioned beyond COND_LIMIT, which signals a
+    inverse serves all of them; the SVD condition test runs only where
+    the inverse's Frobenius screen cannot clear a frequency
+    (_inverse_response).  Raises SingularSystem, naming the first such
+    frequency, when a response matrix is ill-conditioned beyond
+    COND_LIMIT by the SVD test, which signals a
     physically degenerate configuration (e.g. both Rabi frequencies and
     the dephasing vanish at omega = 0).  ValueError for ``omegas`` that
     is not 1-D: one frequency is the grid [omega].

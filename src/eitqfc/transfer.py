@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IllPosedBoundary, NegativeOD, QfcError, ShootingFailure, SingularSystem
 from .params import LENGTH, SystemParams, validate
@@ -475,6 +474,8 @@ def _fundamental_matrices(m: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     integration does not reach are NaN.  A grid of zeros needs no solve:
     Psi(0) = I.
     """
+    from scipy.integrate import solve_ivp  # only the oracle needs it; deferred to keep import eitqfc fast
+
     times, row_of = np.unique(alphas, return_inverse=True)
     psi = np.full((times.size, 4), np.nan, dtype=complex)
     if times.size and times[-1] > 0:

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,3 +486,13 @@ def test_fig2_sweep_bytes_are_pinned(tmp_path, name):
     out = tmp_path / "fig2.csv"
     assert main(["fig2", "--config", str(cfg), "--alpha-max", alpha_max, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_import_leaves_the_ode_solver_unloaded():
+    # scipy.integrate is about a third of the start-up; only the semiclassical oracle imports it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, eitqfc, eitqfc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -136,8 +136,8 @@ class TestNoiseIntegrals:
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("diffusion", [None, diffusion_matrix(0.5, 0.5)], ids=["zero", "einstein"])
-    def test_one_spectral_solve_per_level(self, monkeypatch, diffusion):
-        # both values converge at the second level: one solve of 513 and one of 1026 nodes
+    def test_one_spectral_solve_per_pass(self, monkeypatch, diffusion):
+        # levels 0 and 1 share one solve of 513 + 1026 nodes; a later level is one solve of its own
         sizes, divided_differences = [], []
         solve, dd = noise.solve_susceptibility_stack, transfer._exp_divided_difference
 
@@ -151,9 +151,26 @@ class TestNoiseIntegrals:
 
         monkeypatch.setattr(noise, "solve_susceptibility_stack", counting_solve)
         monkeypatch.setattr(transfer, "_exp_divided_difference", counting_dd)
-        value = eta1(symmetric_params(4.0), diffusion)
-        assert sizes == [513, 1026]
+        p = symmetric_params(4.0)
+        value = eta1(p, diffusion)  # both values converge at the second level
+        assert sizes == [1539]
         assert (value == 0.0) == (not divided_differences) == (diffusion is None)
+
+        sizes.clear()
+        with pytest.raises(NonConvergedIntegral):
+            eta1(p, diffusion, max_doublings=0)
+        assert sizes == [513]
+
+        sizes.clear()
+        monkeypatch.setattr(noise, "N_OMEGA", 65)
+        monkeypatch.setattr(noise, "INTEGRAL_TOL", 1e-30)
+        if diffusion is None:  # two zeros agree at once
+            assert eta1(p, diffusion, max_doublings=2) == 0.0
+            assert sizes == [195]
+        else:
+            with pytest.raises(NonConvergedIntegral, match="after 3 grid level"):
+                eta1(p, diffusion, max_doublings=2)
+            assert sizes == [195, 260]
 
     @pytest.mark.parametrize("integral", [eta1, langevin_photon_noise])
     def test_negative_max_doublings_is_rejected(self, integral):
@@ -236,6 +253,37 @@ def test_reference_table():
             (eta1(p, d), entry["eta1_unit"]),
         ):
             assert abs(value - d2112 * unit) <= 1e-6 * d2112 * unit, entry
+
+
+#: P and Q at the 16 reference points with diffusion_matrix(0.5, 0.5), as float.hex: (alpha, rabi, P, Q).
+REFERENCE_BITS = (
+    (1.346, 1.187, "0x1.0250ea7dbabbbp-4", "0x1.0250ea7dbabbbp-4"),
+    (3.392, 1.01, "0x1.dcf0e4425cec4p-4", "0x1.dcf0e4425cec7p-4"),
+    (2.698, 0.753, "0x1.9f90a0c69c22fp-4", "0x1.9f90a0c69c230p-4"),
+    (4.137, 1.786, "0x1.0b0259cb1f90bp-3", "0x1.0b0259cb1f90bp-3"),
+    (6.057, 1.138, "0x1.410941f24b764p-3", "0x1.410941f24b763p-3"),
+    (2.391, 1.101, "0x1.820ce94d3ee7bp-4", "0x1.820ce94d3ee79p-4"),
+    (3.334, 0.561, "0x1.d4fc0680ab834p-4", "0x1.d4fc0680ab832p-4"),
+    (6.823, 1.679, "0x1.56c5b2f7fcfe0p-3", "0x1.56c5b2f7fcfe0p-3"),
+    (4.579, 1.764, "0x1.19ea326c46f66p-3", "0x1.19ea326c46f66p-3"),
+    (3.976, 0.724, "0x1.02cd1b8f9ba15p-3", "0x1.02cd1b8f9ba15p-3"),
+    (7.75, 1.337, "0x1.670e62119cc82p-3", "0x1.670e62119cc82p-3"),
+    (5.979, 0.945, "0x1.3d00f8d316d88p-3", "0x1.3d00f8d316d89p-3"),
+    (2.046, 1.757, "0x1.5c45b56fe0b16p-4", "0x1.5c45b56fe0b16p-4"),
+    (3.083, 0.641, "0x1.c13c1778ce12ap-4", "0x1.c13c1778ce12dp-4"),
+    (5.278, 0.697, "0x1.28ec63f8ef135p-3", "0x1.28ec63f8ef135p-3"),
+    (4.923, 1.53, "0x1.2496fe2b970e1p-3", "0x1.2496fe2b970e1p-3"),
+)
+
+
+def test_reference_points_bit_for_bit():
+    # the fused first two levels and the screened condition test leave every bit of P and Q in place
+    d = diffusion_matrix(0.5, 0.5)
+    table = [(e["alpha"], e["rabi"]) for e in json.loads(REFERENCE_TABLE.read_text())["entries"]]
+    assert table == [(alpha, rabi) for alpha, rabi, _, _ in REFERENCE_BITS]
+    for alpha, rabi, p_bits, q_bits in REFERENCE_BITS:
+        p = symmetric_params(alpha, rabi)
+        assert (langevin_photon_noise(p, d).hex(), eta1(p, d).hex()) == (p_bits, q_bits), (alpha, rabi)
 
 
 class TestEta2:

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
+from eitqfc import noise, spectral
 from eitqfc.errors import NotSymmetricCase, SingularG, SingularSystem
 from eitqfc.params import SystemParams, symmetric_params
 from eitqfc.spectral import (
+    COND_LIMIT,
     NOISE_INDICES,
     build_first_order_system,
     closed_form_coefficients,
@@ -214,3 +218,75 @@ def test_one_frequency_is_a_stack_of_one_bit_for_bit():
         assert np.array_equal(_bits(one.generator), _bits(stack.generator))
         assert np.array_equal(_bits(one.zeta), _bits(stack.zeta))
         assert np.array_equal(one.omega, stack.omega)
+
+
+class TestConditionScreen:
+    """The Frobenius screen in front of the SVD condition test decides exactly as the SVD test alone."""
+
+    @staticmethod
+    def _recording_svd(monkeypatch):
+        sizes, svd = [], np.linalg.svd
+
+        def recording(matrix, *args, **kwargs):
+            sizes.append(len(matrix))
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        return sizes
+
+    def test_decides_as_the_svd_criterion(self, monkeypatch):
+        # tiny Rabi frequencies, tiny dephasing and frequencies down to 1e-16: condition numbers around COND_LIMIT
+        rng = np.random.default_rng(2026)
+        sizes = self._recording_svd(monkeypatch)
+        outcomes = {"raised": 0, "flagged and passed": 0}
+        for _ in range(2000):
+            rabi = 10.0 ** rng.uniform(-9, -4, size=2) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=2))
+            p = SystemParams(
+                alpha=1.0,
+                omega_c=rabi[0],
+                omega_d=rabi[1],
+                gamma31=rng.uniform(0.5, 2.0),
+                gamma41=rng.uniform(0.5, 2.0),
+                gamma21=rng.choice([0.0, 10.0 ** rng.uniform(-16, -9)]),
+            )
+            omegas = rng.permutation(np.append(rng.choice([-1, 1], 6) * 10.0 ** rng.uniform(-16, -9, 6), 0.0))
+            matrix = np.multiply.outer(1j * omegas, np.eye(3)) - build_first_order_system(p)
+            singular_values = np.linalg.svd(matrix, compute_uv=False)
+            failing = np.flatnonzero(~(singular_values[:, 0] <= COND_LIMIT * singular_values[:, -1]))
+            sizes.clear()
+            if failing.size:
+                with pytest.raises(SingularSystem, match=re.escape(f"omega={omegas[failing[0]]} has condition")):
+                    solve_susceptibility_stack(p, omegas)
+                outcomes["raised"] += 1
+            else:
+                solve_susceptibility_stack(p, omegas)
+                outcomes["flagged and passed"] += bool(sizes)
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_flagged_frequency_that_passes(self, monkeypatch):
+        # condition number 5e11 at omega = 0: over the screen, under COND_LIMIT
+        sizes = self._recording_svd(monkeypatch)
+        p = SystemParams(alpha=1.0, omega_c=1e-6, omega_d=1e-6)
+        stack = solve_susceptibility_stack(p, np.array([-1.0, 0.0, 0.5]))
+        assert np.all(np.isfinite(stack.generator))
+        assert sizes == [1]
+
+    def test_flagged_frequency_that_fails(self, monkeypatch):
+        # condition number 5e13 at omega = 0, yet np.linalg.inv succeeds there
+        sizes = self._recording_svd(monkeypatch)
+        p = SystemParams(alpha=1.0, omega_c=1e-7, omega_d=1e-7)
+        matrix = np.multiply.outer(1j * np.array([-1.0, 0.0, 0.5]), np.eye(3)) - build_first_order_system(p)
+        assert np.all(np.isfinite(np.linalg.inv(matrix)))
+        with pytest.raises(SingularSystem, match=r"omega=0\.0 has condition number 5\.0\d\de\+13"):
+            solve_susceptibility_stack(p, np.array([-1.0, 0.0, 0.5]))
+        assert sizes == [1]
+
+    def test_inverse_is_bit_for_bit_inv_on_a_noise_grid(self):
+        p = SystemParams(alpha=6.0, omega_c=1.5, omega_d=0.8 * np.exp(0.3j), gamma21=0.02)
+        window = noise.default_window(p)
+        omegas = np.concatenate(
+            [noise.gauss_legendre_grid(-window, window, n)[0] for n in (noise.N_OMEGA, 2 * noise.N_OMEGA)]
+        )
+        assert omegas.shape == (1539,)
+        matrix = np.multiply.outer(1j * omegas, np.eye(3)) - build_first_order_system(p)
+        assert np.array_equal(_bits(spectral._inverse_response(p, omegas)), _bits(np.linalg.inv(matrix)))

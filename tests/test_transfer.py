@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from eitqfc import transfer
@@ -751,7 +752,7 @@ class TestSemiclassicalSweep:
         assert np.array_equal(sweep.conversion_efficiency[order], ordered.conversion_efficiency)
 
     def test_zero_grid_needs_no_integration(self, monkeypatch):
-        monkeypatch.setattr(transfer, "solve_ivp", None)  # any call would fail
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", None)  # any call would fail
         sweep = semiclassical_sweep(symmetric_params(0.0), [0.0, 0.0])
         assert list(sweep.transmittance) == [1.0, 1.0]
         assert list(sweep.conversion_efficiency) == [0.0, 0.0]
