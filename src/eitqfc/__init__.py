@@ -1,10 +1,13 @@
 """Quantum frequency conversion through a resonant backward FWM medium.
 
-A numpy/scipy library that models the conversion of a weak probe field
+A numpy library that models the conversion of a weak probe field
 into a counter-propagating signal field inside an EIT-supported
 four-wave-mixing medium: per-frequency propagation coefficients, the
 backward-boundary transfer matrix, vacuum-reservoir noise accounting,
 converted-state density matrices, fidelities and quadrature variances.
+scipy is loaded only by two independent oracles, on first use:
+scipy.integrate by the semiclassical solve behind fig2's semiclassical
+columns, and scipy.linalg by beam_splitter_oracle.
 """
 
 from . import errors

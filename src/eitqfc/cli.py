@@ -64,6 +64,10 @@ MAX_SQUEEZE_DB = 300.0
 #: the DEFAULT_DIM basis empty, and its weighted shift tensor grows as dim^3
 #: (its output as grid points x dim^2).
 MAX_FOCK_LEVEL = DEFAULT_DIM - 3
+#: Most grid points a sweep accepts: 25 times the default optical-depth grid.
+#: A Fock sweep's channel output then holds 10,001 x DEFAULT_DIM^2 complex
+#: values (64 MB), and a larger request exits 2 before anything is allocated.
+MAX_GRID_POINTS = 10_001
 
 _PHYSICAL_KEYS = ("omega_c", "omega_d", "gamma31", "gamma41", "gamma21")
 
@@ -113,22 +117,35 @@ def _raise_first(*failures: QfcError | None) -> None:
             raise failure
 
 
-def _check_oracle(row: list[float]) -> None:
-    """QfcError unless a fig2 row is passive and its two routes agree.
+def _powers(amplitudes: np.ndarray) -> list[float]:
+    """|z|^2 of each amplitude in a 1-D stack, as Python floats.
 
-    The passing test is spelled out so that a NaN column fails it.
+    Each value is libm pow of libm hypot, as abs(z) ** 2 of one amplitude
+    gives it: np.abs and ** 2 on the array round some values differently
+    in the last bit.
     """
-    alpha, tq, cq, ts, cs = row
+    return [abs(z) ** 2 for z in amplitudes.tolist()]
+
+
+def _check_oracle(rows: np.ndarray | Sequence[float]) -> None:
+    """QfcError unless every fig2 row is passive and its two routes agree.
+
+    ``rows`` is one row or a (n, 5) table of them; the error names the
+    first row that fails.  The passing test is spelled out so that a NaN
+    column fails it.
+    """
+    table = np.asarray(rows, dtype=float).reshape(-1, 5)
+    _, tq, cq, ts, cs = table.T
     limit = 1 + PASSIVITY_TOL
-    if (
-        tq <= limit
-        and cq <= limit
-        and ts <= limit
-        and cs <= limit
-        and abs(ts - tq) <= ORACLE_TOL
-        and abs(cs - cq) <= ORACLE_TOL
-    ):
+    passing = (
+        np.all(table[:, 1:] <= limit, axis=1)
+        & (abs(ts - tq) <= ORACLE_TOL)
+        & (abs(cs - cq) <= ORACLE_TOL)
+    )
+    failing = np.flatnonzero(~passing)
+    if not failing.size:
         return
+    alpha, tq, cq, ts, cs = row = table[failing[0]].tolist()
     excess = [v for v in row[1:] if v > limit]
     if excess:
         raise QfcError(f"at alpha={alpha!r}: passivity broken, largest power column {max(excess):.6g}")
@@ -153,20 +170,19 @@ def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[st
     params = _sweep_params(alphas, overrides)
     quantum = propagation_sweep(params, alphas)
     classical = semiclassical_sweep(params, quantum.alphas)
-    rows = []
-    for alpha, a0, c0, ts, cs in zip(
-        classical.alphas,
-        quantum.resolved[:, 0, 0],
-        quantum.resolved[:, 1, 0],
-        classical.transmittance,
-        classical.conversion_efficiency,
-    ):
-        # |A|^2 from numpy scalars: an array ** 2 can round differently in the last bit
-        row = [float(alpha), float(abs(a0) ** 2), float(abs(c0) ** 2), float(ts), float(cs)]
-        _check_oracle(row)
-        rows.append(row)
+    solved = quantum.resolved[: classical.alphas.size]
+    table = np.column_stack(
+        [
+            classical.alphas,
+            _powers(solved[:, 0, 0]),
+            _powers(solved[:, 1, 0]),
+            classical.transmittance,
+            classical.conversion_efficiency,
+        ]
+    )
+    _check_oracle(table)
     _raise_first(classical.failure, quantum.failure)
-    return header, rows
+    return header, table.tolist()
 
 
 def run_fig3(ces: np.ndarray) -> tuple[list[str], list[list[float]]]:
@@ -198,17 +214,15 @@ def run_fig4(
     state = Squeezed(squeeze_r) if variant == "a" else Fock(1)
     vin = input_variances(state)
     header = ["ce", "var_x", "var_y"]
-    rows = []
-    for ce in ces:
-        ce = float(ce)
-        rows.append(
-            [
-                ce,
-                convention_scale * output_variance(vin.var_x, ce),
-                convention_scale * output_variance(vin.var_y, ce),
-            ]
-        )
-    return header, rows
+    ces = np.asarray(ces, dtype=float)
+    table = np.column_stack(
+        [
+            ces,
+            convention_scale * output_variance(vin.var_x, ces),
+            convention_scale * output_variance(vin.var_y, ces),
+        ]
+    )
+    return header, table.tolist()
 
 
 def run_custom(
@@ -252,28 +266,25 @@ def run_custom(
     vin = input_variances(state)
     quantum = propagation_sweep(_sweep_params(alphas, overrides), alphas)
     amplitudes = quantum.resolved[:, 1, 0]
+    ces = _powers(amplitudes)
+    columns = [quantum.alphas, _powers(quantum.resolved[:, 0, 0]), ces]
     if isinstance(state, Fock):
         try:
             channel = apply_loss_channel(fock_dm(state.n), amplitudes)
         except NonPassiveAmplitude as exc:
             alpha = float(quantum.alphas[exc.row])
             raise NonPassiveAmplitude(f"at alpha={alpha!r}: {exc}", exc.row) from exc
-        fock_fidelities = fidelity(state, channel)
-    rows = []
-    for k, alpha in enumerate(quantum.alphas):
-        alpha = float(alpha)
-        tp = float(abs(quantum.resolved[k, 0, 0]) ** 2)
-        ce = abs(complex(amplitudes[k])) ** 2
-        row = [alpha, tp, ce]
-        if isinstance(state, Fock):
-            row.append(float(fock_fidelities[k]))
-        elif isinstance(state, Coherent):
-            row.append(coherent_fidelity(abs(state.beta) ** 2, ce))
-        row.append(convention_scale * output_variance(vin.var_x, ce))
-        row.append(convention_scale * output_variance(vin.var_y, ce))
-        rows.append(row)
+        columns.append(fidelity(state, channel))
+    elif isinstance(state, Coherent):
+        # math.exp per row: no array exponential is known to round as it does
+        nbar = abs(state.beta) ** 2
+        columns.append([coherent_fidelity(nbar, ce) for ce in ces])
+    ce_column = np.array(ces)
+    columns.append(convention_scale * output_variance(vin.var_x, ce_column))
+    columns.append(convention_scale * output_variance(vin.var_y, ce_column))
+    table = np.column_stack(columns)
     _raise_first(quantum.failure)
-    return header, rows
+    return header, table.tolist()
 
 
 def parse_config(path: str) -> dict:
@@ -358,11 +369,18 @@ def _squeeze_r(settings: dict) -> float:
     return squeeze_db * math.log(10.0) / 20.0
 
 
-def _alpha_grid(settings: dict) -> np.ndarray:
+def _grid_points(settings: dict) -> int:
     n = int(settings["grid_points"])
-    alpha_max = float(settings["alpha_max"])
     if n < 1:
         raise ConfigError(f"grid_points must be >= 1, got {n}")
+    if n > MAX_GRID_POINTS:
+        raise ConfigError(f"grid_points must be <= {MAX_GRID_POINTS}, got {n}")
+    return n
+
+
+def _alpha_grid(settings: dict) -> np.ndarray:
+    n = _grid_points(settings)
+    alpha_max = float(settings["alpha_max"])
     if not 0.0 <= alpha_max <= 1e6:  # also rejects NaN
         raise ConfigError(f"alpha_max must lie in [0, 1e6], got {alpha_max}")
     if n > 1 and alpha_max == 0.0:
@@ -371,10 +389,7 @@ def _alpha_grid(settings: dict) -> np.ndarray:
 
 
 def _ce_grid(settings: dict) -> np.ndarray:
-    n = int(settings["grid_points"])
-    if n < 1:
-        raise ConfigError(f"grid_points must be >= 1, got {n}")
-    return np.linspace(0.0, 1.0, n)
+    return np.linspace(0.0, 1.0, _grid_points(settings))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -10,7 +10,8 @@ diagonals of the input, weighted by powers of the loss 1 - |C_0|^2
 (see apply_loss_channel); one call takes a whole stack of amplitudes.
 The module keeps two independent constructions of the same channel as
 test oracles (the normally-ordered projector series and a two-mode beam
-splitter), and computes fidelities and quadrature variances.  It takes
+splitter, the module's one user of scipy, imported on first use), and
+computes fidelities and quadrature variances.  It takes
 the channel amplitude C_0 as a number, or a 1-D stack of them, and does
 not depend on the propagation layers;
 ``transfer.propagation_sweep(params, alphas).resolved[:, 1, 0]`` gives
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionTooSmall, NonPassiveAmplitude, TruncationOverflow
 
@@ -279,6 +279,8 @@ def _top_occupied_level(rho: np.ndarray) -> int:
 @functools.lru_cache(maxsize=16)
 def _beam_splitter_unitary(transmissivity: float, dim: int) -> np.ndarray:
     """exp[theta (a^+ b - a b^+)] with theta = arccos(sqrt(transmissivity))."""
+    import scipy.linalg  # only this oracle needs it; deferred to keep import eitqfc numpy-only
+
     theta = math.acos(math.sqrt(transmissivity))
     a = destroy(dim)
     generator = theta * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
@@ -372,16 +374,21 @@ def input_variances(state: InputState) -> QuadratureStats:
     raise TypeError(f"unknown input state {type(state).__name__}")
 
 
-def output_variance(var_in: float, power_coeff: float) -> float:
+def output_variance(var_in: float, power_coeff: float | np.ndarray) -> float | np.ndarray:
     """Output quadrature variance: power_coeff * var_in + (1 - power_coeff)/4.
 
     power_coeff is |C_0|^2 for the converted signal and |A_0|^2 for the
     transmitted probe; the second term is the vacuum-reservoir share.
+    One coefficient gives one variance and an array of them an array,
+    each element rounded as the one-coefficient call rounds it; the
+    error names the first coefficient outside [0, 1].
     """
     if var_in < 0:
         raise ValueError(f"variance must be >= 0, got {var_in}")
-    if not 0.0 <= power_coeff <= 1.0:
-        raise ValueError(f"power coefficient must lie in [0, 1], got {power_coeff}")
+    coeffs = np.asarray(power_coeff)
+    outside = np.flatnonzero(~((0.0 <= coeffs) & (coeffs <= 1.0)))  # NaN is outside too
+    if outside.size:
+        raise ValueError(f"power coefficient must lie in [0, 1], got {coeffs.flat[outside[0]].item()}")
     return power_coeff * var_in + (1.0 - power_coeff) / 4.0
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -62,6 +63,19 @@ class TestRunFig2:
             cli._check_oracle(row)
         assert message in str(exc.value)
         cli._check_oracle([90.0, 0.1, 0.8, 0.1 + 9e-7, 0.8])
+
+    def test_oracle_gate_names_the_first_failing_row_of_a_table(self):
+        table = np.array(
+            [
+                [10.0, 0.1, 0.8, 0.1, 0.8],
+                [20.0, 0.1, 0.8, 0.1, 0.8 + 2e-6],
+                [30.0, 0.1, 0.8, 2.6e64, 0.8],
+            ]
+        )
+        with pytest.raises(QfcError, match=r"^at alpha=20\.0: .* by 2\.000e-06 "):
+            cli._check_oracle(table)
+        cli._check_oracle(table[:1])
+        cli._check_oracle(table[:0])
 
     def test_negative_optical_depth_is_a_configuration_error(self):
         with pytest.raises(ConfigError, match="optical depth"):
@@ -496,3 +510,80 @@ def test_import_leaves_the_ode_solver_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig3", "fig4", "custom"])
+def test_oversized_grid_exits_2_before_allocating(tmp_path, capsys, command):
+    # unchecked, a grid of 50 million points dies with an uncaught ArrayMemoryError
+    out = tmp_path / "never.csv"
+    tracemalloc.start()
+    try:
+        code = main([command, "--grid-points", str(cli.MAX_GRID_POINTS + 1), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"eitqfc: invalid configuration: grid_points must be <= {cli.MAX_GRID_POINTS}, "
+        f"got {cli.MAX_GRID_POINTS + 1}\n"
+    )
+    assert peak < 1_000_000
+    assert not out.exists()
+
+
+def test_largest_grid_is_accepted(tmp_path):
+    out = tmp_path / "fig3.csv"
+    assert main(["fig3", "--grid-points", str(cli.MAX_GRID_POINTS), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == cli.MAX_GRID_POINTS + 1
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports eitqfc from this tree."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+#: Every production path that needs no oracle, run in a fresh interpreter.
+NUMPY_ONLY_PATHS = """
+import sys
+import eitqfc, eitqfc.cli
+from eitqfc import diffusion_matrix, eta1, eta2, langevin_photon_noise, symmetric_params
+
+out = sys.argv[1]
+for argv in (
+    ["custom", "--state", "fock"],
+    ["custom", "--state", "coherent"],
+    ["custom", "--state", "squeezed"],
+    ["fig3"],
+    ["fig4"],
+    ["fig4", "--state", "fock"],
+):
+    assert eitqfc.cli.main([*argv, "--grid-points", "5", "--out", out]) == 0, argv
+params = symmetric_params(4.0)
+for diffusion in (None, diffusion_matrix(0.01, 0.01)):
+    assert langevin_photon_noise(params, diffusion) >= 0.0
+    assert eta1(params, diffusion) >= 0.0
+assert 0.0 <= eta2(params) <= 1.0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_sweeps_and_noise_integrals_run_without_scipy(tmp_path):
+    # scipy.linalg alone is most of the start-up; only the two oracles load scipy
+    assert _fresh_python(NUMPY_ONLY_PATHS, str(tmp_path / "cold.csv")) == "[]"
+
+
+def test_beam_splitter_oracle_loads_scipy_on_first_use():
+    code = (
+        "import sys\n"
+        "from eitqfc import beam_splitter_oracle, fock_dm\n"
+        "before = 'scipy.linalg' in sys.modules\n"
+        "rho = beam_splitter_oracle(fock_dm(1, 4), 0.5, 4)\n"
+        "print(before, 'scipy.linalg' in sys.modules, round(float(rho[1, 1].real), 12))"
+    )
+    assert _fresh_python(code) == "False True 0.5"

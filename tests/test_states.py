@@ -364,6 +364,18 @@ class TestQuadratures:
         with pytest.raises(ValueError):
             output_variance(0.25, 1.2)
 
+    def test_output_variance_of_an_array_matches_each_coefficient(self):
+        coeffs = np.random.default_rng(7).uniform(0.0, 1.0, 1000)
+        variances = output_variance(1.3, coeffs)
+        assert variances.tolist() == [output_variance(1.3, float(c)) for c in coeffs]
+        assert isinstance(output_variance(1.3, 0.5), float)
+
+    @pytest.mark.parametrize("bad", [1.0 + 4e-16, -1e-300, float("nan")])
+    def test_output_variance_names_the_first_coefficient_outside(self, bad):
+        coeffs = np.array([0.5, bad, 2.0])
+        with pytest.raises(ValueError, match=rf"^power coefficient must lie in \[0, 1\], got {bad!r}$"):
+            output_variance(0.25, coeffs)
+
     def test_fock_outputs_stay_symmetric(self):
         for ce in np.linspace(0.0, 1.0, 21):
             v = output_variances(Fock(1), float(ce))
