@@ -9,7 +9,8 @@ on the closed forms (4/(4+a))^2 and (a/(4+a))^2: the medium converts
 the probe into the backward signal with efficiency approaching 1 while
 the transmitted probe dies off.  Each route covers the whole grid in
 one call: one 3x3 solve and one pass of the scattering core for the
-quantum columns, one field integration for the semiclassical ones.
+quantum columns, one invariant-imbedding pass (a slab per distinct gap,
+star products along the grid) for the semiclassical ones.
 """
 
 import numpy as np

@@ -5,9 +5,9 @@ into a counter-propagating signal field inside an EIT-supported
 four-wave-mixing medium: per-frequency propagation coefficients, the
 backward-boundary transfer matrix, vacuum-reservoir noise accounting,
 converted-state density matrices, fidelities and quadrature variances.
-scipy is loaded only by two independent oracles, on first use:
-scipy.integrate by the semiclassical solve behind fig2's semiclassical
-columns, and scipy.linalg by beam_splitter_oracle.
+scipy is loaded only by one independent oracle, on first use:
+scipy.linalg by beam_splitter_oracle.  The semiclassical oracle behind
+fig2's semiclassical columns is numpy alone.
 """
 
 from . import errors

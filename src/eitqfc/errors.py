@@ -38,7 +38,11 @@ class IllPosedBoundary(QfcError):
 
 
 class ShootingFailure(QfcError):
-    """Linear shooting step for the backward signal amplitude is singular."""
+    """The semiclassical boundary-value solve failed: a singular star product or a non-finite slab.
+
+    The name is kept from the linear shooting step that invariant
+    imbedding replaced.
+    """
 
 
 class NonConvergedIntegral(QfcError):

@@ -23,14 +23,20 @@ through the degenerate w = 0).  ``noise_kernel_block`` evaluates them on
 a z grid: the tests' quadrature oracle for the Gram, and the engine of
 ``noise_kernels``, its one-frequency view.
 M(alpha) = alpha M(1), so ``propagation_sweep`` needs one unit-depth
-spectral solve and one pass of the core for a whole optical-depth grid,
-and ``semiclassical_sweep`` one field integration (Phi_alpha(L) =
-Psi(alpha), dPsi/dt = -M(1) L Psi).  Both return the rows before the
-first optical depth that fails plus that row's error;
-``resolved_coefficients`` and ``semiclassical_solve`` are their one-row
-views, and ``transmittance`` and ``conversion_efficiency`` read the
-former.  ``expm2``, e^{-M} itself in the same form, is the reference
-route of the tests: the package never forms e^{-ML}.
+spectral solve and one pass of the core for a whole optical-depth grid.
+``semiclassical_sweep`` solves the same boundary-value problem by
+invariant imbedding in the optical depth (Bellman & Wing, *An
+Introduction to Invariant Imbedding*, 1975): one slab per distinct gap
+of the sorted grid, a classical RK4 step of the imbedding (Riccati)
+equations on a thin seed widened by star-squarings, and cumulative
+Redheffer star products along the grid.  It forms no e^{-ML}, no
+eigenvalue and no cosh or sinch, so it stays independent of the
+quantum route.  Both sweeps return the rows before the first optical
+depth that fails plus that row's error; ``resolved_coefficients`` and
+``semiclassical_solve`` are their one-row views, and ``transmittance``
+and ``conversion_efficiency`` read the former.  ``expm2``, e^{-M}
+itself in the core's form, is the reference route of the tests: the
+package never forms e^{-ML}.
 """
 
 from __future__ import annotations
@@ -51,9 +57,8 @@ BOUNDARY_TOL = 1e-12
 DD_CLUSTER = 0.5
 DD_TERMS = 18
 
-#: Relative and absolute tolerances of the semiclassical field integration.
-ODE_RTOL = 1e-12
-ODE_ATOL = 1e-14
+#: Largest |m| h of a seed slab of the semiclassical imbedding (one RK4 step of width h).
+SEED_DEPTH = 2.0**-10
 
 _EYE = np.eye(2)
 
@@ -198,25 +203,17 @@ def _first_failure(grid: np.ndarray, checks, name: str = "alpha") -> tuple[int, 
     return k, _at(grid[k], error, name)
 
 
-def _solvable(
-    matrices: np.ndarray,
-    pivot: np.ndarray | None = None,
-    error: type[QfcError] = IllPosedBoundary,
-    non_finite: str = "the resolved matrix is not finite",
-    small_pivot: str = f"|1/D| = {{:.3e}} below {BOUNDARY_TOL}",
-) -> list:
-    """The checks, for _first_failure, that a stack (n, 2, 2) is a usable boundary solution.
+def _solvable(resolved: np.ndarray) -> list:
+    """The checks, for _first_failure, that a resolved stack (n, 2, 2) is a usable boundary solution.
 
-    Each matrix must be finite and its ``pivot`` (by default |1/D| of a
-    resolved stack; |Phi_22| of the semiclassical Phi(L)) must reach
-    BOUNDARY_TOL in magnitude; ``small_pivot`` formats that magnitude.
+    Each matrix must be finite and its |1/D| (= |D'| of e^{-ML}) must
+    reach BOUNDARY_TOL.
     """
-    if pivot is None:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            pivot = 1.0 / np.abs(matrices[:, 1, 1])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pivot = 1.0 / np.abs(resolved[:, 1, 1])
     return [
-        (~np.isfinite(matrices).all(axis=(1, 2)), lambda k: error(non_finite)),
-        (pivot < BOUNDARY_TOL, lambda k: error(small_pivot.format(pivot[k]))),
+        (~np.isfinite(resolved).all(axis=(1, 2)), lambda k: IllPosedBoundary("the resolved matrix is not finite")),
+        (pivot < BOUNDARY_TOL, lambda k: IllPosedBoundary(f"|1/D| = {pivot[k]:.3e} below {BOUNDARY_TOL}")),
     ]
 
 
@@ -465,39 +462,99 @@ def conversion_efficiency(params: SystemParams) -> float:
     return float(abs(resolved_coefficients(params)[2]) ** 2)
 
 
-def _fundamental_matrices(m: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Psi(alpha) on a 1-D grid of optical depths (>= 0), shape (n, 2, 2).
+def _imbedding_rates(m: np.ndarray, slabs: np.ndarray) -> np.ndarray:
+    """d/dt of stacked slabs (4, n) = (A, B, C, D) as a sheet of optical depth dt is added at the far face.
 
-    One DOP853 integration of dPsi/dt = -M Psi, Psi(0) = I, over t in
-    [0, max alpha] with t_eval at the distinct grid values, where ``m``
-    is the generator at unit optical depth times L.  Rows the
-    integration does not reach are NaN.  A grid of zeros needs no solve:
-    Psi(0) = I.
+    With m = M(1) L: A' = A (m21 B - m11), B' = m21 B^2 + (m22 - m11) B -
+    m12, C' = m21 A D and D' = D (m21 B + m22), the thin-sheet limit of
+    _star (a sheet is (1 - m11 dt, -m12 dt, m21 dt, 1 + m22 dt)).
     """
-    from scipy.integrate import solve_ivp  # only the oracle needs it; deferred to keep import eitqfc fast
+    (m11, m12), (m21, m22) = m
+    a, b, _, d = slabs
+    return np.array([a * (m21 * b - m11), (m21 * b + m22 - m11) * b - m12, m21 * a * d, d * (m21 * b + m22)])
 
-    times, row_of = np.unique(alphas, return_inverse=True)
-    psi = np.full((times.size, 4), np.nan, dtype=complex)
-    if times.size and times[-1] > 0:
-        neg_m = -m
 
-        def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-            return (neg_m @ y.reshape(2, 2)).ravel()
+def _seed_slabs(m: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Thin slabs of the optical-depth ``widths`` (n,) as their change from (1, 0, 0, 1), shape (4, n).
 
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail the caller's check
-            sol = solve_ivp(
-                rhs,
-                (0.0, times[-1]),
-                _EYE.astype(complex).ravel(),
-                method="DOP853",
-                t_eval=times,
-                rtol=ODE_RTOL,
-                atol=ODE_ATOL,
-            )
-        psi[: sol.t.size] = sol.y.T
-    else:
-        psi[:] = _EYE.ravel()
-    return psi[row_of].reshape(-1, 2, 2)
+    One classical RK4 step of _imbedding_rates from the empty slab.
+    """
+    empty = np.array([[1.0], [0.0], [0.0], [1.0]])
+    k1 = _imbedding_rates(m, empty)
+    k2 = _imbedding_rates(m, empty + widths / 2 * k1)
+    k3 = _imbedding_rates(m, empty + widths / 2 * k2)
+    k4 = _imbedding_rates(m, empty + widths * k3)
+    return widths / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _star(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Redheffer star product of stacked slabs (4, n), ``first`` nearer z = 0, and its pivot |1 - B1 C2|.
+
+    A slab (A, B, C, D) maps (probe in at its near face, signal in at its
+    far face) to (probe out at the far face, signal out at the near
+    face), like a resolved matrix.  With den = 1 - B1 C2 the pair gives
+    A = A2 A1/den, B = B2 + A2 B1 D2/den, C = C1 + D1 C2 A1/den and D =
+    D1 D2/den.  On whole slabs, so a small A or C keeps its relative
+    precision.
+    """
+    a1, b1, c1, d1 = first
+    a2, b2, c2, d2 = second
+    den = 1 - b1 * c2
+    return np.array([a2 * a1 / den, b2 + a2 * b1 * d2 / den, c1 + d1 * c2 * a1 / den, d1 * d2 / den]), np.abs(den)
+
+
+def _square(change: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_star of each slab with itself, on and to (A - 1, B, C, D - 1), shape (4, n); and its pivot |1 - B C|.
+
+    A^2/den - 1 = ((A - 1)(A + 1) + B C)/den, B (den + A D)/den, C (den +
+    A D)/den and D^2/den - 1 likewise, with den = 1 - B C.  A thin slab
+    so keeps the full precision of its change from the empty slab; held
+    whole, its A and D would round to within eps of 1, an error that k
+    squarings scale by 2^k.
+    """
+    a, b, c, d = change
+    bc = b * c
+    den = 1 - bc
+    both = (den + (1 + a) * (1 + d)) / den
+    return np.array([(a * (2 + a) + bc) / den, b * both, c * both, (d * (2 + d) + bc) / den]), np.abs(den)
+
+
+def _slabs(m: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slabs (4, n) of the optical-depth widths ``gaps`` (n,), and the smallest pivot met in each.
+
+    A width g is a seed (_seed_slabs) of width g/2^k, k the least with
+    |m| g/2^k <= SEED_DEPTH (|m| the largest entry of m), widened by k
+    squarings (_square); a width of 0 is exactly the empty slab (1, 0,
+    0, 1).  If every width is 0 no seed is built.
+    """
+    change, pivot = np.zeros((4, gaps.size), dtype=complex), np.ones(gaps.size)
+    if gaps.any():
+        depth = np.fmax(np.abs(m).max() * gaps / SEED_DEPTH, 1.0)  # a NaN width gives 1
+        k = np.where(np.isfinite(depth), np.ceil(np.log2(depth)), 0).astype(int)
+        change = _seed_slabs(m, np.ldexp(gaps, -k))
+        for doubling in range(k.max()):
+            wider = k > doubling
+            change[:, wider], den = _square(change[:, wider])
+            pivot[wider] = np.fmin(pivot[wider], den)
+    change[[0, 3]] += 1.0
+    return change, pivot
+
+
+def _cumulative_star(slabs: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slab 0 * ... * slab i for each i of (4, n) stacked slabs, and the smallest pivot met in each.
+
+    ``pivot`` holds the one each slab was built with.  An inclusive scan
+    in ceil(log2 n) vectorised rounds (Hillis & Steele, CACM 29, 1170
+    (1986)): the star product is associative.
+    """
+    slabs, pivot = slabs.copy(), pivot.copy()
+    offset = 1
+    while offset < slabs.shape[1]:
+        joined, den = _star(slabs[:, :-offset], slabs[:, offset:])
+        pivot[offset:] = np.fmin(np.fmin(pivot[:-offset], pivot[offset:]), den)
+        slabs[:, offset:] = joined
+        offset *= 2
+    return slabs, pivot
 
 
 @dataclass(frozen=True)
@@ -519,30 +576,35 @@ class SemiclassicalSweep:
 def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> SemiclassicalSweep:
     """Classical two-point boundary-value solution at omega = 0 on a 1-D optical-depth grid.
 
-    Drops all noise terms and integrates the coupled field equations
-    directly (no matrix exponential) for the fundamental matrix Phi(L).
-    M(alpha) = alpha M(1), so Phi_alpha(L) = Psi(alpha) with dPsi/dt =
-    -M(1) L Psi: one integration serves the grid.  The linear shooting
-    step then solves for the unknown backward signal amplitude u at
-    z = 0: probe(0) = 1 and signal(L) = Phi_21 + Phi_22 u = 0.  A row
-    fails with ShootingFailure when Phi is not finite or |Phi_22| <
-    BOUNDARY_TOL.  ``params.alpha`` is only validated.
+    Drops all noise terms and solves the coupled field equations for
+    probe(0) = 1, signal(L) = 0 by invariant imbedding in the optical
+    depth: M(alpha) = alpha M(1), so with m = M(1) L a slab of depth g
+    follows from the imbedding equations (_imbedding_rates), and the
+    grid is the star product of one slab per gap of the sorted distinct
+    values (_slabs, built once per distinct gap, then _cumulative_star).
+    Each row's (A, B, C, D) gives |probe(L)|^2 = |A|^2 and |signal(0)|^2
+    = |C|^2.  No matrix exponential, eigenvalue or shooting step: every
+    entry stays bounded for a passive medium.  A row fails with
+    ShootingFailure when a star product it needed has a pivot |1 - B1
+    C2| below BOUNDARY_TOL, or when its (A, B, C, D) is not finite.
+    ``params.alpha`` is only validated.
     """
     alphas = _optical_depths(alphas)
-    phi = _fundamental_matrices(_unit_generator(params, alphas, 0.0) * LENGTH, alphas)
+    m = _unit_generator(params, alphas, 0.0) * LENGTH
+    times, row_of = np.unique(alphas, return_inverse=True)
+    gaps, gap_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u = -phi[:, 1, 0] / phi[:, 1, 1]
-        transmittance = np.abs(phi[:, 0, 0] + phi[:, 0, 1] * u) ** 2  # an overflow fails the caller's gate
-        conversion = np.abs(u) ** 2
+        slabs, pivot = _slabs(m, gaps)
+        slabs, pivot = _cumulative_star(slabs[:, gap_of], pivot[gap_of])
+        slabs, pivot = slabs[:, row_of], pivot[row_of]
+        transmittance, conversion = np.abs(slabs[0]) ** 2, np.abs(slabs[2]) ** 2
+    finite = np.isfinite(slabs).all(axis=0)
     n, failure = _first_failure(
         alphas,
-        _solvable(
-            phi,
-            np.abs(phi[:, 1, 1]),
-            ShootingFailure,
-            "the field integration gave no finite Phi(L)",
-            "shooting solve singular: |Phi_22| = {:.3e}",
-        ),
+        [
+            (pivot < BOUNDARY_TOL, lambda k: ShootingFailure(f"imbedding singular: |1 - B C| = {pivot[k]:.3e}")),
+            (~finite, lambda k: ShootingFailure("the imbedding gave no finite scattering matrix")),
+        ],
     )
     return SemiclassicalSweep(
         alphas=alphas[:n],

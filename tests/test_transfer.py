@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.linalg
 
 from eitqfc import transfer
@@ -508,6 +507,11 @@ class TestSingleModeCoefficients:
         assert np.all(np.diff(deficit) < 0)
 
 
+#: Slabs (A, B, C, D) as (4, 1) columns: no medium, and a perfect mirror (B = C = 1).
+_EMPTY = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
+_MIRROR = np.array([[0.0], [1.0], [1.0], [0.0]], dtype=complex)
+
+
 class TestSemiclassical:
     def test_matches_quantum_at_crossover(self):
         tp, ce = semiclassical_solve(symmetric_params(4.0))
@@ -532,15 +536,11 @@ class TestSemiclassical:
             assert abs(ce_s - conversion_efficiency(p)) < 1e-6
 
     def test_shooting_failure_guard(self, monkeypatch):
-        # a quarter-turn rotation makes the shooting solve singular
-        rotation = np.array([[0.0, np.pi / 2], [-np.pi / 2, 0.0]], dtype=complex)
-        monkeypatch.setattr(
-            transfer,
-            "_fundamental_matrices",
-            lambda m, alphas: np.broadcast_to(expm2(rotation), (len(alphas), 2, 2)),
-        )
-        with pytest.raises(ShootingFailure):
+        # a perfect mirror facing itself makes the first squaring singular; seeds are changes from the empty slab
+        monkeypatch.setattr(transfer, "_seed_slabs", lambda m, widths: (_MIRROR - _EMPTY) * np.ones(widths.size))
+        with pytest.raises(ShootingFailure) as failure:
             semiclassical_solve(symmetric_params(4.0))
+        assert str(failure.value) == "at alpha=4.0: imbedding singular: |1 - B C| = 0.000e+00"
 
     def test_asymmetric_parameters_still_consistent(self):
         # no closed form here; quantum matrix route and the BVP must agree
@@ -730,11 +730,8 @@ class TestScatteringInvariants:
 
 class TestSemiclassicalSweep:
     def test_matches_one_point_view(self):
-        # the asymmetric and dephased shooting step loses accuracy by cancellation beyond alpha ~ 50
-        cases = [(symmetric_params(0.0, 1.7 * np.exp(2.1j)), 400.0), (_ASYMMETRIC[3], 400.0)]
-        cases += [(params, 40.0) for params in _ASYMMETRIC[:3]]
-        for params, alpha_max in cases:
-            alphas = np.linspace(0.0, alpha_max, 21)
+        for params in [symmetric_params(0.0, 1.7 * np.exp(2.1j)), *_ASYMMETRIC]:
+            alphas = np.linspace(0.0, 400.0, 21)
             sweep = semiclassical_sweep(params, alphas)
             assert sweep.failure is None
             for alpha, tp, ce in zip(alphas, sweep.transmittance, sweep.conversion_efficiency):
@@ -752,7 +749,7 @@ class TestSemiclassicalSweep:
         assert np.array_equal(sweep.conversion_efficiency[order], ordered.conversion_efficiency)
 
     def test_zero_grid_needs_no_integration(self, monkeypatch):
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", None)  # any call would fail
+        monkeypatch.setattr(transfer, "_seed_slabs", None)  # any call would fail
         sweep = semiclassical_sweep(symmetric_params(0.0), [0.0, 0.0])
         assert list(sweep.transmittance) == [1.0, 1.0]
         assert list(sweep.conversion_efficiency) == [0.0, 0.0]
@@ -777,14 +774,61 @@ class TestSemiclassicalSweep:
             assert np.max(np.abs(ce - (alphas / (4 + alphas)) ** 2)) <= 1e-12
 
     def test_shooting_failure_names_the_first_singular_row(self, monkeypatch):
-        rotation = expm2(np.array([[0.0, np.pi / 2], [-np.pi / 2, 0.0]], dtype=complex))
+        # gaps of 5 are empty slabs and gaps of 10 perfect mirrors: two mirrors in a row are singular
+        def slabs(m, gaps):
+            mirror = np.where(gaps[None, :] >= 10.0, _MIRROR - _EMPTY, 0.0)
+            return _EMPTY + mirror, np.ones(gaps.size)
 
-        def fundamental(m, alphas):
-            return np.where((alphas >= 10.0)[:, None, None], rotation, np.eye(2))
-
-        monkeypatch.setattr(transfer, "_fundamental_matrices", fundamental)
-        sweep = semiclassical_sweep(symmetric_params(0.0), [0.0, 5.0, 10.0, 20.0])
+        monkeypatch.setattr(transfer, "_slabs", slabs)
+        sweep = semiclassical_sweep(symmetric_params(0.0), [0.0, 5.0, 15.0, 25.0, 30.0])
         assert isinstance(sweep.failure, ShootingFailure)
-        assert str(sweep.failure).startswith("at alpha=10.0: shooting solve singular")
+        assert str(sweep.failure) == "at alpha=25.0: imbedding singular: |1 - B C| = 0.000e+00"
+        assert list(sweep.alphas) == [0.0, 5.0, 15.0]
+        assert list(sweep.transmittance) == [1.0, 1.0, 0.0]
+        assert list(sweep.conversion_efficiency) == [0.0, 0.0, 1.0]
+
+    def test_non_finite_slab_names_its_row(self, monkeypatch):
+        def slabs(m, gaps):
+            return np.where(gaps[None, :] >= 10.0, np.nan, _EMPTY), np.ones(gaps.size)
+
+        monkeypatch.setattr(transfer, "_slabs", slabs)
+        sweep = semiclassical_sweep(symmetric_params(0.0), [0.0, 5.0, 15.0])
+        assert str(sweep.failure) == "at alpha=15.0: the imbedding gave no finite scattering matrix"
         assert list(sweep.alphas) == [0.0, 5.0]
-        assert list(sweep.transmittance) == [1.0, 1.0]
+
+    def test_star_product_composes_the_quantum_rows(self):
+        # the slab of a + b is the slab of a followed by the slab of b, checked on the independent
+        # quantum route; squaring the change from (1, 0, 0, 1) is the same product
+        for params in _INVARIANT_CONFIGS:
+            slabs = propagation_sweep(params, [45.0, 90.0]).resolved.reshape(-1, 4).T  # (A, B, C, D) columns
+            star, pivot = transfer._star(slabs[:, :1], slabs[:, :1])
+            assert np.max(np.abs(star[:, 0] - slabs[:, 1])) <= 1e-13
+            assert pivot[0] > transfer.BOUNDARY_TOL
+            change, square_pivot = transfer._square(slabs[:, :1] - _EMPTY)
+            assert np.max(np.abs(change[:, 0] + _EMPTY[:, 0] - slabs[:, 1])) <= 1e-13
+            assert square_pivot[0] == pytest.approx(pivot[0], rel=1e-15)
+
+    @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
+    def test_gap_to_the_quantum_columns_on_the_default_grid(self, params):
+        alphas = np.linspace(0.0, 400.0, 401)
+        quantum = propagation_sweep(params, alphas).resolved
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            classical = semiclassical_sweep(params, alphas)
+        assert classical.failure is None
+        assert np.max(np.abs(classical.transmittance - np.abs(quantum[:, 0, 0]) ** 2)) <= 1e-9
+        assert np.max(np.abs(classical.conversion_efficiency - np.abs(quantum[:, 1, 0]) ** 2)) <= 1e-9
+
+    @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
+    def test_gap_to_the_quantum_columns_up_to_the_largest_optical_depth(self, params):
+        alphas = np.concatenate([_LARGE_OD_GRID, np.linspace(0.0, 1e6, 401)])
+        quantum = propagation_sweep(params, alphas).resolved
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            classical = semiclassical_sweep(params, alphas)
+        assert classical.failure is None
+        tp, ce = classical.transmittance, classical.conversion_efficiency
+        assert np.isfinite(tp).all() and np.isfinite(ce).all()
+        assert np.max(tp + ce) <= 1.0 + 1e-9
+        assert np.max(np.abs(tp - np.abs(quantum[:, 0, 0]) ** 2)) <= 1e-6
+        assert np.max(np.abs(ce - np.abs(quantum[:, 1, 0]) ** 2)) <= 1e-6
