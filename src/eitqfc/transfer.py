@@ -57,10 +57,13 @@ BOUNDARY_TOL = 1e-12
 DD_CLUSTER = 0.5
 DD_TERMS = 18
 
-#: Largest |m| h of a seed slab of the semiclassical imbedding (one RK4 step of width h).
-SEED_DEPTH = 2.0**-10
+#: A seed slab of the semiclassical imbedding has |m| h <= 2^-THIN_DOUBLINGS (one RK4 step of
+#: width h); that many squarings, on its change from the empty slab, take it to |m| h <= 1.
+THIN_DOUBLINGS = 10
 
 _EYE = np.eye(2)
+#: The empty slab (A, B, C, D) = (1, 0, 0, 1) as a column, for stacks (4, n) of slabs.
+_EMPTY_SLAB = np.array([[1.0], [0.0], [0.0], [1.0]])
 
 
 def coupling_matrix(stack: SpectralStack) -> np.ndarray:
@@ -479,11 +482,10 @@ def _seed_slabs(m: np.ndarray, widths: np.ndarray) -> np.ndarray:
 
     One classical RK4 step of _imbedding_rates from the empty slab.
     """
-    empty = np.array([[1.0], [0.0], [0.0], [1.0]])
-    k1 = _imbedding_rates(m, empty)
-    k2 = _imbedding_rates(m, empty + widths / 2 * k1)
-    k3 = _imbedding_rates(m, empty + widths / 2 * k2)
-    k4 = _imbedding_rates(m, empty + widths * k3)
+    k1 = _imbedding_rates(m, _EMPTY_SLAB)
+    k2 = _imbedding_rates(m, _EMPTY_SLAB + widths / 2 * k1)
+    k3 = _imbedding_rates(m, _EMPTY_SLAB + widths / 2 * k2)
+    k4 = _imbedding_rates(m, _EMPTY_SLAB + widths * k3)
     return widths / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -523,21 +525,30 @@ def _slabs(m: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The slabs (4, n) of the optical-depth widths ``gaps`` (n,), and the smallest pivot met in each.
 
     A width g is a seed (_seed_slabs) of width g/2^k, k the least with
-    |m| g/2^k <= SEED_DEPTH (|m| the largest entry of m), widened by k
-    squarings (_square); a width of 0 is exactly the empty slab (1, 0,
-    0, 1).  If every width is 0 no seed is built.
+    |m| g/2^k <= 2^-THIN_DOUBLINGS (|m| the largest entry of m), widened
+    by k squarings: the first THIN_DOUBLINGS on the change from the
+    empty slab (_square), the rest, from |m| width <= 1 on, on whole
+    slabs (_star), so a small A or C keeps its relative precision.  A
+    width of 0 is exactly the empty slab (1, 0, 0, 1).  If every width
+    is 0 no seed is built.
     """
     change, pivot = np.zeros((4, gaps.size), dtype=complex), np.ones(gaps.size)
+    k = np.zeros(gaps.size, dtype=int)
     if gaps.any():
-        depth = np.fmax(np.abs(m).max() * gaps / SEED_DEPTH, 1.0)  # a NaN width gives 1
+        depth = np.fmax(np.ldexp(np.abs(m).max() * gaps, THIN_DOUBLINGS), 1.0)  # a NaN width gives 1
         k = np.where(np.isfinite(depth), np.ceil(np.log2(depth)), 0).astype(int)
         change = _seed_slabs(m, np.ldexp(gaps, -k))
-        for doubling in range(k.max()):
-            wider = k > doubling
-            change[:, wider], den = _square(change[:, wider])
-            pivot[wider] = np.fmin(pivot[wider], den)
-    change[[0, 3]] += 1.0
-    return change, pivot
+    thin = min(k.max(initial=0), THIN_DOUBLINGS)
+    for doubling in range(thin):
+        wider = k > doubling
+        change[:, wider], den = _square(change[:, wider])
+        pivot[wider] = np.fmin(pivot[wider], den)
+    slabs = change + _EMPTY_SLAB
+    for doubling in range(thin, k.max(initial=0)):
+        wider = k > doubling
+        slabs[:, wider], den = _star(slabs[:, wider], slabs[:, wider])
+        pivot[wider] = np.fmin(pivot[wider], den)
+    return slabs, pivot
 
 
 def _cumulative_star(slabs: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,11 @@ READ_BACK = (
 def test_blas_threads_default_to_one_and_a_set_count_wins(given, expected):
     env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     result = subprocess.run(
-        [sys.executable, "-c", READ_BACK, str(CONFTEST)], env={**env, **given}, capture_output=True, text=True
+        [sys.executable, "-c", READ_BACK, str(CONFTEST)],
+        env={**env, **given},
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == expected

@@ -830,5 +830,9 @@ class TestSemiclassicalSweep:
         tp, ce = classical.transmittance, classical.conversion_efficiency
         assert np.isfinite(tp).all() and np.isfinite(ce).all()
         assert np.max(tp + ce) <= 1.0 + 1e-9
-        assert np.max(np.abs(tp - np.abs(quantum[:, 0, 0]) ** 2)) <= 1e-6
+        tq = np.abs(quantum[:, 0, 0]) ** 2
+        assert np.max(np.abs(tp - tq)) <= 1e-6
         assert np.max(np.abs(ce - np.abs(quantum[:, 1, 0]) ** 2)) <= 1e-6
+        # a wide slab is squared whole, so a vanishing transmittance keeps its digits too
+        tiny = (tq > 1e-290) & (tq < 1e-30)
+        assert np.all(np.abs(tp[tiny] - tq[tiny]) <= 1e-9 * tq[tiny])
