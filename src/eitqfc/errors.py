@@ -46,7 +46,7 @@ class ShootingFailure(QfcError):
 
 
 class NonConvergedIntegral(QfcError):
-    """Grid doubling did not stabilize a noise integral."""
+    """Panel refinement did not bring a noise integral's error estimate below its tolerance."""
 
 
 class TruncationOverflow(QfcError):

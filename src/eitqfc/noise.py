@@ -15,17 +15,23 @@ i*omega/c propagation term is neglected).
 The medium is uniform, so the z integral is exact: each frequency
 contributes sum_ab d_ab G_ab, with G_ab = int_0^L K_a K_b* dz the Gram of
 the kernel row (transfer.noise_kernel_gram, three scalar integrals per
-frequency).  The grid levels in omega double the nodes.  Every call
-needs the first two levels before it can compare, so they share one
-pass: one stacked spectral solve, one boundary check, one Gram and one
-contraction with the diffusion matrix over their nodes, level 0 first,
-so SingularSystem and IllPosedBoundary name the first failing node in
-level order; each later level is one pass of its own.  The Gram is built only for the
+frequency).  In omega the rule is composite 21-point Gauss-Kronrod
+(QUADPACK's qk21) on panels of [-W, W].  The integrand has a cusp at
+omega = 0 whose half-width shrinks like |Omega|^2 / alpha^2, so the seed
+edges come from the physics: omega = 0, decades toward it down to the
+cusp, the Rabi scale and W/2, W.  Each pass is one stacked spectral
+solve, one boundary check, one Gram and one contraction with the
+diffusion matrix over the Kronrod nodes of its panels.  The seed pass
+also solves and checks the panel edges, with weight 0, so SingularSystem
+and IllPosedBoundary can name omega = 0.  A pass ends with QUADPACK's
+error estimate per panel; while their sum is above INTEGRAL_TOL, the
+next pass bisects each panel whose estimate exceeds its share of the
+tolerance by width.  The Gram is built only for the
 live noise slots, those whose row or column of the diffusion matrix
 holds a non-zero entry: one of three for the Einstein matrix.  Zero
 diffusion has none: every node is still solved and boundary-checked, so
 a singular or ill-posed frequency raises as otherwise, and the integral
-is exactly 0.0.
+is exactly 0.0 after the seed pass.
 
 Ground-state dephasing (gamma21 > 0) enters the deterministic
 propagation coefficients but not the diffusion matrix here: its
@@ -36,9 +42,7 @@ explicitly.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,11 +55,59 @@ from .transfer import noise_kernel_gram, resolved_coefficients
 DIFFUSION_ROWS = (21, 31, 41)
 DIFFUSION_COLS = (12, 13, 14)
 
-#: Convergence target for grid doubling of the noise integrals.
+#: Convergence target for the summed panel error estimates of a noise integral.
 INTEGRAL_TOL = 1e-8
 
-#: Gauss-Legendre nodes in omega at the first grid level; each level doubles them.
-N_OMEGA = 513
+#: The cusp of the integrand at omega = 0 falls to half its height at about
+#: CUSP_WIDTH |Omega|^2 / alpha^2 (seen from alpha = 1e2 to 1e6, |Omega| = 0.3 to 3).
+CUSP_WIDTH = 100.0
+
+#: Seed edges at these multiples of the Rabi scale max(|omega_c|, |omega_d|).
+RABI_EDGES = (0.3, 0.6, 1.0, 2.0, 4.0)
+
+
+def _mirror(half: list[float], sign: float) -> np.ndarray:
+    """A rule on [-1, 1] from its values at x >= 0, listed from x = 1 down to x = 0."""
+    half = np.array(half)
+    return np.concatenate([sign * half[:-1], half[::-1]])
+
+
+#: QUADPACK's qk21 (Piessens et al., QUADPACK, 1983) on [-1, 1], nodes ascending: the
+#: 21 Kronrod nodes, their weights, and the weights of the 10-point Gauss rule on the
+#: same nodes, zero at the ten Kronrod-only ones and the centre.
+_KRONROD_NODES = _mirror(
+    [
+        0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0,
+    ],
+    -1.0,
+)
+_KRONROD_WEIGHTS = _mirror(
+    [
+        0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208745109033, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821,
+    ],
+    1.0,
+)
+_GAUSS_WEIGHTS = _mirror(
+    [
+        0.0, 0.066671344308688137593568809893332,
+        0.0, 0.149451349150580593145776339657697,
+        0.0, 0.219086362515982043995534934228163,
+        0.0, 0.269266719309996355091226921569469,
+        0.0, 0.295524224714752870173892994651338,
+        0.0,
+    ],
+    1.0,
+)
 
 
 @dataclass(frozen=True)
@@ -91,14 +143,9 @@ def default_window(params: SystemParams) -> float:
     return 10.0 * max(GAMMA, abs(params.omega_c), abs(params.omega_d))
 
 
-@lru_cache(maxsize=32)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
 def gauss_legendre_grid(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = _gauss_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     half = (b - a) / 2
     return a + half * (x + 1), half * w
 
@@ -118,63 +165,81 @@ def _form(params: SystemParams, d: np.ndarray, row: int, omegas: np.ndarray) -> 
     return np.einsum("nab,ab->n", gram, d[np.ix_(live, live)]).real
 
 
-def _integrals_on_grids(
-    params: SystemParams, diffusion: DiffusionMatrix, kernel: str, grids: list[tuple[np.ndarray, np.ndarray]]
-) -> list[float]:
-    """_integral_on_grid on each (nodes, weights) grid, from one _form over all their nodes in order."""
-    form = _form(params, diffusion.entries, 0 if kernel == "P" else 1, np.concatenate([x for x, _ in grids]))
-    parts = np.split(form, np.cumsum([len(x) for x, _ in grids[:-1]]))
-    return [float(weights @ part) * LENGTH / (2 * np.pi) for (_, weights), part in zip(grids, parts)]
+def _seed_edges(params: SystemParams) -> np.ndarray:
+    """The first panel edges on [-W, W], W = default_window, mirrored about omega = 0.
 
-
-def _integral_on_grid(
-    params: SystemParams,
-    diffusion: DiffusionMatrix,
-    kernel: str,
-    omega_nodes: np.ndarray,
-    omega_weights: np.ndarray,
-) -> float:
-    """sum_jk,j'k' of int dz d_omega K_jk D K*_j'k' / (2 pi) on a fixed omega grid, z in closed form."""
-    (value,) = _integrals_on_grids(params, diffusion, kernel, [(omega_nodes, omega_weights)])
-    return value
-
-
-def _level_values(
-    params: SystemParams, diffusion: DiffusionMatrix, kernel: str, max_doublings: int
-) -> Iterator[float]:
-    """The integral on each omega level 0..max_doublings, lazily; levels 0 and 1 share one pass."""
+    The Rabi scale R = max(|omega_c|, |omega_d|) times RABI_EDGES, W/2
+    and W, and the decades 0.3 R 10^-k (k >= 1) toward the cusp down to
+    a tenth of its half-width CUSP_WIDTH R^2 / alpha^2.  Edges that
+    coincide, as all of R's do at R = 0, are kept once.
+    """
     window = default_window(params)
-    first = range(min(max_doublings, 1) + 1)  # every call needs both before it can compare
-    yield from _integrals_on_grids(
-        params, diffusion, kernel, [gauss_legendre_grid(-window, window, N_OMEGA * 2**level) for level in first]
-    )
-    for level in range(len(first), max_doublings + 1):
-        nodes, weights = gauss_legendre_grid(-window, window, N_OMEGA * 2**level)
-        yield _integral_on_grid(params, diffusion, kernel, nodes, weights)
+    rabi = max(abs(params.omega_c), abs(params.omega_d))
+    cusp = CUSP_WIDTH * (rabi / max(params.alpha, 1.0)) ** 2
+    decades = 0.3 * rabi * 0.1 ** np.arange(1, 21)  # 20 decades reach the cusp up to alpha ~ 1e10 |Omega|^(1/2)
+    positive = np.concatenate([decades[decades >= cusp / 10], rabi * np.array(RABI_EDGES), [window / 2, window]])
+    return np.unique(np.concatenate([-positive, [0.0], positive]))
+
+
+def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 21 Kronrod nodes of each panel [lo, hi], shape (n, 21), and the half-widths (n,)."""
+    half = (hi - lo) / 2
+    return (lo + half)[:, None] + half[:, None] * _KRONROD_NODES, half
+
+
+def _panel_pass(
+    params: SystemParams, d: np.ndarray, row: int, lo: np.ndarray, hi: np.ndarray, edges: np.ndarray | tuple = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """The qk21 value and error estimate of each panel [lo, hi] of the integral, from one _form.
+
+    The form runs over the panels' Kronrod nodes and then ``edges``,
+    which are solved and checked with weight 0.  The error is QUADPACK's
+    (Piessens et al., QUADPACK, 1983, routine qk21): |K21 - G10| scaled
+    by resasc, the K21 integral of |f - mean f|, and at least 50 eps
+    times the integral of |f|.
+    """
+    nodes, half = _kronrod_nodes(lo, hi)
+    form = _form(params, d, row, np.concatenate([nodes.ravel(), edges])) * (LENGTH / (2 * np.pi))
+    form = form[: nodes.size].reshape(nodes.shape)
+    kronrod, gauss = form @ _KRONROD_WEIGHTS, form @ _GAUSS_WEIGHTS
+    resasc = np.abs(form - kronrod[:, None] / 2) @ _KRONROD_WEIGHTS * half
+    error = np.abs(kronrod - gauss) * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200 * error / resasc) ** 1.5)
+    error = np.where((resasc != 0) & (error != 0), scaled, error)
+    return kronrod * half, np.maximum(error, 50 * np.finfo(float).eps * (np.abs(form) @ _KRONROD_WEIGHTS * half))
 
 
 def _adaptive_noise_integral(
     params: SystemParams, diffusion: DiffusionMatrix | None, kernel: str, max_doublings: int
 ) -> float:
-    """The P or Q integral on doubling omega grids; N_OMEGA and INTEGRAL_TOL are read at call time."""
+    """The P or Q integral by panel-refined Gauss-Kronrod in omega; INTEGRAL_TOL is read at call time."""
     if max_doublings < 0:
         raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     validate(params)
-    if diffusion is None:
-        diffusion = diffusion_matrix()
+    d = (diffusion_matrix() if diffusion is None else diffusion).entries
+    row = 0 if kernel == "P" else 1
 
-    previous = None
-    change = None
-    for value in _level_values(params, diffusion, kernel, max_doublings):
-        if previous is not None:
-            change = abs(value - previous)
-            if change < INTEGRAL_TOL:
-                return value
-        previous = value
-    last = "none (one level has nothing to compare)" if change is None else f"{change:.3e}"
+    edges = _seed_edges(params)
+    lo, hi = edges[:-1], edges[1:]
+    value, error = _panel_pass(params, d, row, lo, hi, edges)
+    solved, width = lo.size * _KRONROD_NODES.size + edges.size, edges[-1] - edges[0]
+    for _ in range(max_doublings):
+        if error.sum() < INTEGRAL_TOL:
+            break
+        # bisect each panel whose error exceeds its share of the tolerance by width
+        split = error > INTEGRAL_TOL * (hi - lo) / width
+        mid = (lo[split] + hi[split]) / 2
+        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        new_value, new_error = _panel_pass(params, d, row, new_lo, new_hi)
+        lo, hi = np.concatenate([lo[~split], new_lo]), np.concatenate([hi[~split], new_hi])
+        value, error = np.concatenate([value[~split], new_value]), np.concatenate([error[~split], new_error])
+        solved += new_lo.size * _KRONROD_NODES.size
+    if error.sum() < INTEGRAL_TOL:
+        return float(value.sum())
     raise NonConvergedIntegral(
-        f"noise integral not converged after {max_doublings + 1} grid level(s), "
-        f"the last with {N_OMEGA * 2**max_doublings} omega nodes: last |change| {last}, tol {INTEGRAL_TOL:.3e}"
+        f"noise integral not converged after {max_doublings} refinement round(s): {lo.size} panels, "
+        f"{solved} omega nodes solved, last error estimate {error.sum():.3e}, tol {INTEGRAL_TOL:.3e}"
     )
 
 
@@ -183,14 +248,15 @@ def langevin_photon_noise(
 ) -> float:
     """Langevin contribution to the output probe photon number (P kernels).
 
-    The z integral over [0, L] in closed form and Gauss-Legendre in
-    omega over [-W, W] (W = default_window), with the omega nodes
-    doubled until the value changes by less than INTEGRAL_TOL
-    (NonConvergedIntegral otherwise; ValueError for a negative
-    ``max_doublings``).  The Gram is built only for the live slots of
-    ``diffusion``, so the default weak-probe (zero) matrix gives exactly
-    0.0 at the cost of the spectral solve and boundary check of the
-    first two grid levels, done as one pass.
+    The z integral over [0, L] in closed form and composite Gauss-Kronrod
+    in omega over [-W, W] (W = default_window), on seed panels from the
+    physics that are bisected where their error estimate is large, until
+    the summed estimate is below INTEGRAL_TOL.  ``max_doublings`` bounds
+    the refinement rounds after the seed pass: NonConvergedIntegral when
+    they do not reach the tolerance, ValueError when it is negative.
+    The Gram is built only for the live slots of ``diffusion``, so the
+    default weak-probe (zero) matrix gives exactly 0.0 at the cost of
+    the spectral solve and boundary check of the seed pass.
     """
     return _adaptive_noise_integral(params, diffusion, "P", max_doublings)
 
@@ -200,8 +266,9 @@ def eta1(
 ) -> float:
     """Signal-side Langevin variance term (Q kernels).
 
-    The omega grids and live slots are those of langevin_photon_noise, so the
-    default (zero) diffusion matrix gives exactly 0.0.
+    The omega rule, ``max_doublings`` and the live slots are those of
+    langevin_photon_noise, so the default (zero) diffusion matrix gives
+    exactly 0.0.
     """
     return _adaptive_noise_integral(params, diffusion, "Q", max_doublings)
 

@@ -13,7 +13,7 @@ a stack of one), from two sources:
   inverse serves a whole array of frequencies, and its Frobenius norms
   screen the SVD condition test, which runs only on the few frequencies
   the screen cannot clear.  It is the only numeric route: the noise
-  integrals call it once per pass over the omega grid levels, and the
+  integrals call it once per pass of their omega panels, and the
   optical-depth sweeps once at unit optical depth, since M is linear in
   it;
 * ``closed_form_coefficients`` -- literal transcription of the

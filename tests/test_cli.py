@@ -577,6 +577,7 @@ params = symmetric_params(4.0)
 for diffusion in (None, diffusion_matrix(0.01, 0.01)):
     assert langevin_photon_noise(params, diffusion) >= 0.0
     assert eta1(params, diffusion) >= 0.0
+assert langevin_photon_noise(symmetric_params(1e4), diffusion_matrix(0.5, 0.5)) > 0.0  # one refinement round
 assert 0.0 <= eta2(params) <= 1.0
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """

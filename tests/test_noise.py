@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 from pathlib import Path
 
@@ -40,22 +41,41 @@ def _off_diagonal() -> DiffusionMatrix:
     return DiffusionMatrix(entries=entries)
 
 
-def midpoint_noise_integral(params, diffusion, kernel, n_omega=2048, n_z=2048):
-    """Independent midpoint-rule evaluation of the same windowed integral."""
+def midpoint_noise_integrals(params, diffusion, n_omega=2048, n_z=2048):
+    """Independent midpoint-rule evaluation of the same windowed integrals, (P, Q) from one pass."""
     window = default_window(params)
     domega = 2 * window / n_omega
     omegas = -window + (np.arange(n_omega) + 0.5) * domega
     dz = 1.0 / n_z
     zs = (np.arange(n_z) + 0.5) * dz
-    total = 0.0
+    totals = np.zeros(2)
     for w in omegas:
         coeffs = solve_susceptibilities(params, float(w))
         raw = expm2(coupling_matrix(coeffs))
         ker = noise_kernels(coeffs, raw, zs)
-        k = ker.p if kernel == "P" else ker.q
-        form = np.einsum("az,ab,bz->z", k, diffusion.entries, k.conj()).real
-        total += domega * dz * form.sum()
-    return total / (2 * np.pi)
+        for k, kernel in enumerate((ker.p, ker.q)):
+            form = np.einsum("az,ab,bz->z", kernel, diffusion.entries, kernel.conj()).real
+            totals[k] += domega * dz * form.sum()
+    return tuple(totals / (2 * np.pi))
+
+
+@pytest.fixture(scope="module")
+def midpoint_oracle():
+    """The midpoint (P, Q) at alpha = 4 with diffusion_matrix(0.5, 0.5), shared by the tests that read it."""
+    return dict(zip("PQ", midpoint_noise_integrals(symmetric_params(4.0), diffusion_matrix(0.5, 0.5))))
+
+
+def dense_composite(params, diffusion, kernel):
+    """A fixed rule for large optical depth: 64 Gauss-Legendre nodes on each of 16 hand-placed panels.
+
+    The edges are 0, +-1e-6, +-1e-5, ..., +-1 and +-W; the form is noise._form's.
+    """
+    positive = np.array([1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, default_window(params)])
+    edges = np.concatenate([-positive[::-1], [0.0], positive])
+    x, w = np.polynomial.legendre.leggauss(64)
+    half = np.diff(edges)[:, None] / 2
+    nodes, weights = (edges[:-1, None] + half * (x + 1)).ravel(), (half * w).ravel()
+    return weights @ noise._form(params, diffusion.entries, 0 if kernel == "P" else 1, nodes) / (2 * np.pi)
 
 
 class TestDiffusionMatrix:
@@ -92,20 +112,20 @@ class TestNoiseIntegrals:
         assert langevin_photon_noise(p, d) == 0.0
         assert eta1(p, d) == 0.0
 
-    def test_injected_diffusion_eta1_against_midpoint_oracle(self):
+    def test_injected_diffusion_eta1_against_midpoint_oracle(self, midpoint_oracle):
         p = symmetric_params(4.0)
         d = diffusion_matrix(0.5, 0.5)
         value = eta1(p, d)
         assert value > 0.0
-        oracle = midpoint_noise_integral(p, d, "Q")
+        oracle = midpoint_oracle["Q"]
         assert abs(value - oracle) < 1e-6 * oracle
 
-    def test_injected_diffusion_photon_noise_against_midpoint_oracle(self):
+    def test_injected_diffusion_photon_noise_against_midpoint_oracle(self, midpoint_oracle):
         p = symmetric_params(4.0)
         d = diffusion_matrix(0.5, 0.5)
         value = langevin_photon_noise(p, d)
         assert value > 0.0
-        oracle = midpoint_noise_integral(p, d, "P")
+        oracle = midpoint_oracle["P"]
         assert abs(value - oracle) < 1e-6 * oracle
 
     def test_bilinearity_in_diffusion(self):
@@ -124,20 +144,21 @@ class TestNoiseIntegrals:
     )
     @pytest.mark.parametrize("kernel", ["P", "Q"])
     def test_closed_form_z_matches_gauss_legendre_in_z(self, diffusion, kernel):
-        # the first omega level, its z integral by 256-node Gauss-Legendre over the kernel block
+        # the seed panels' Kronrod rule in omega, its z integral by 256-node Gauss-Legendre over the kernel block
         p = SystemParams(alpha=6.0, omega_c=1.5, omega_d=0.8 * np.exp(0.3j), gamma21=0.02)
-        window = default_window(p)
-        omegas, omega_weights = noise.gauss_legendre_grid(-window, window, noise.N_OMEGA)
+        edges = noise._seed_edges(p)
+        nodes, half = noise._kronrod_nodes(edges[:-1], edges[1:])
+        omegas, omega_weights = nodes.ravel(), (half[:, None] * noise._KRONROD_WEIGHTS).ravel()
         z, z_weights = noise.gauss_legendre_grid(0.0, 1.0, 256)
         k = noise_kernel_block(solve_susceptibility_stack(p, omegas), z, 0 if kernel == "P" else 1)
         form = np.einsum("...a,ab,...b->...", k, diffusion.entries, k.conj()).real
         expected = omega_weights @ (form @ z_weights) / (2 * np.pi)
-        got = noise._integral_on_grid(p, diffusion, kernel, omegas, omega_weights)
+        got = omega_weights @ noise._form(p, diffusion.entries, 0 if kernel == "P" else 1, omegas) / (2 * np.pi)
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("diffusion", [None, diffusion_matrix(0.5, 0.5)], ids=["zero", "einstein"])
     def test_one_spectral_solve_per_pass(self, monkeypatch, diffusion):
-        # levels 0 and 1 share one solve of 513 + 1026 nodes; a later level is one solve of its own
+        # the seed pass is one solve of 14 panels x 21 Kronrod nodes + 15 edges; each refinement round is one more
         sizes, divided_differences = [], []
         solve, dd = noise.solve_susceptibility_stack, transfer._exp_divided_difference
 
@@ -152,25 +173,19 @@ class TestNoiseIntegrals:
         monkeypatch.setattr(noise, "solve_susceptibility_stack", counting_solve)
         monkeypatch.setattr(transfer, "_exp_divided_difference", counting_dd)
         p = symmetric_params(4.0)
-        value = eta1(p, diffusion)  # both values converge at the second level
-        assert sizes == [1539]
+        value = eta1(p, diffusion)  # both values converge in the seed pass
+        assert sizes == [309]
         assert (value == 0.0) == (not divided_differences) == (diffusion is None)
 
         sizes.clear()
-        with pytest.raises(NonConvergedIntegral):
-            eta1(p, diffusion, max_doublings=0)
-        assert sizes == [513]
-
-        sizes.clear()
-        monkeypatch.setattr(noise, "N_OMEGA", 65)
         monkeypatch.setattr(noise, "INTEGRAL_TOL", 1e-30)
-        if diffusion is None:  # two zeros agree at once
+        if diffusion is None:  # every panel's estimate is exactly 0
             assert eta1(p, diffusion, max_doublings=2) == 0.0
-            assert sizes == [195]
-        else:
-            with pytest.raises(NonConvergedIntegral, match="after 3 grid level"):
+            assert sizes == [309]
+        else:  # no panel meets its share, so each round bisects them all
+            with pytest.raises(NonConvergedIntegral, match="after 2 refinement round"):
                 eta1(p, diffusion, max_doublings=2)
-            assert sizes == [195, 260]
+            assert sizes == [309, 2 * 14 * 21, 4 * 14 * 21]
 
     @pytest.mark.parametrize("integral", [eta1, langevin_photon_noise])
     def test_negative_max_doublings_is_rejected(self, integral):
@@ -184,26 +199,68 @@ class TestNoiseIntegrals:
         with pytest.raises(SingularSystem, match=r"omega=0\.0 "):
             langevin_photon_noise(p, diffusion)
 
-    def test_single_level_cannot_converge(self):
+    def test_single_level_cannot_converge(self, monkeypatch):
+        # the seed pass alone, held to a tolerance no estimate can meet
         p = symmetric_params(4.0)
+        monkeypatch.setattr(noise, "INTEGRAL_TOL", 1e-30)
         with pytest.raises(NonConvergedIntegral) as exc:
             eta1(p, diffusion_matrix(0.5, 0.5), max_doublings=0)
         message = str(exc.value)
-        assert "after 1 grid level(s)" in message
-        assert "513 omega nodes" in message
-        assert "one level has nothing to compare" in message
+        assert "after 0 refinement round(s): 14 panels, 309 omega nodes solved" in message
 
     def test_non_convergence_reports_the_last_change(self, monkeypatch):
         p = symmetric_params(4.0)
-        monkeypatch.setattr(noise, "N_OMEGA", 65)
         monkeypatch.setattr(noise, "INTEGRAL_TOL", 1e-30)
         with pytest.raises(NonConvergedIntegral) as exc:
             eta1(p, diffusion_matrix(0.5, 0.5), max_doublings=1)
         message = str(exc.value)
-        assert "after 2 grid level(s), the last with 130 omega nodes" in message
-        change = float(message.split("last |change| ")[1].split(",")[0])
-        assert 1e-30 <= change < 1e-3
+        assert "after 1 refinement round(s): 28 panels, 897 omega nodes solved" in message
+        error = float(message.split("last error estimate ")[1].split(",")[0])
+        assert 1e-30 <= error < 1e-8
         assert "tol 1.000e-30" in message
+
+    @pytest.mark.parametrize(
+        "kernel, alpha, rabi",
+        [("P", 20.0, 1.0), ("P", 50.0, 1.0), ("P", 200.0, 1.0), ("P", 1e4, 1.0), ("Q", 200.0, 1.5)],
+    )
+    def test_large_optical_depth_matches_the_dense_composite_rule(self, kernel, alpha, rabi):
+        # the cusp at omega = 0 narrows like 1/alpha^2; the global Gauss-Legendre doubling failed from alpha ~ 50
+        p, d = symmetric_params(alpha, rabi), diffusion_matrix(0.01, 0.01)
+        start = time.perf_counter()
+        value = (langevin_photon_noise if kernel == "P" else eta1)(p, d)
+        elapsed = time.perf_counter() - start
+        assert abs(value - dense_composite(p, d, kernel)) <= 1e-9
+        assert elapsed < 1.0, f"{elapsed:.3f} s"
+
+
+class TestKronrodTable:
+    """The hard-coded qk21 table, checked with numpy alone."""
+
+    def test_gauss_subset_is_the_10_point_gauss_legendre_rule(self):
+        x, w = np.polynomial.legendre.leggauss(10)
+        gauss = noise._GAUSS_WEIGHTS != 0
+        assert np.count_nonzero(gauss) == 10
+        assert np.max(np.abs(noise._KRONROD_NODES[gauss] - x)) <= 1e-15
+        assert np.max(np.abs(noise._GAUSS_WEIGHTS[gauss] - w)) <= 1e-15
+
+    def test_nodes_ascend_symmetrically_inside_the_interval(self):
+        x = noise._KRONROD_NODES
+        assert x.shape == (21,) and np.all(np.diff(x) > 0) and -1 < x[0] and x[-1] < 1
+        assert np.array_equal(x, -x[::-1])
+
+    @pytest.mark.parametrize(
+        "weights, degree", [(noise._KRONROD_WEIGHTS, 31), (noise._GAUSS_WEIGHTS, 19)], ids=["K21", "G10"]
+    )
+    def test_polynomial_degree(self, weights, degree):
+        x = noise._KRONROD_NODES
+        assert abs(weights.sum() - 2.0) <= 1e-15
+        for k in range(degree + 2):
+            exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+            error = abs(weights @ x**k - exact)
+            if k <= degree:
+                assert error <= 1e-15, k
+            else:  # the first even power beyond the degree is missed
+                assert error > 1e-12, k
 
 
 class TestLiveSlots:
@@ -257,27 +314,27 @@ def test_reference_table():
 
 #: P and Q at the 16 reference points with diffusion_matrix(0.5, 0.5), as float.hex: (alpha, rabi, P, Q).
 REFERENCE_BITS = (
-    (1.346, 1.187, "0x1.0250ea7dbabbbp-4", "0x1.0250ea7dbabbbp-4"),
-    (3.392, 1.01, "0x1.dcf0e4425cec4p-4", "0x1.dcf0e4425cec7p-4"),
-    (2.698, 0.753, "0x1.9f90a0c69c22fp-4", "0x1.9f90a0c69c230p-4"),
-    (4.137, 1.786, "0x1.0b0259cb1f90bp-3", "0x1.0b0259cb1f90bp-3"),
-    (6.057, 1.138, "0x1.410941f24b764p-3", "0x1.410941f24b763p-3"),
-    (2.391, 1.101, "0x1.820ce94d3ee7bp-4", "0x1.820ce94d3ee79p-4"),
-    (3.334, 0.561, "0x1.d4fc0680ab834p-4", "0x1.d4fc0680ab832p-4"),
-    (6.823, 1.679, "0x1.56c5b2f7fcfe0p-3", "0x1.56c5b2f7fcfe0p-3"),
-    (4.579, 1.764, "0x1.19ea326c46f66p-3", "0x1.19ea326c46f66p-3"),
-    (3.976, 0.724, "0x1.02cd1b8f9ba15p-3", "0x1.02cd1b8f9ba15p-3"),
-    (7.75, 1.337, "0x1.670e62119cc82p-3", "0x1.670e62119cc82p-3"),
-    (5.979, 0.945, "0x1.3d00f8d316d88p-3", "0x1.3d00f8d316d89p-3"),
-    (2.046, 1.757, "0x1.5c45b56fe0b16p-4", "0x1.5c45b56fe0b16p-4"),
-    (3.083, 0.641, "0x1.c13c1778ce12ap-4", "0x1.c13c1778ce12dp-4"),
-    (5.278, 0.697, "0x1.28ec63f8ef135p-3", "0x1.28ec63f8ef135p-3"),
-    (4.923, 1.53, "0x1.2496fe2b970e1p-3", "0x1.2496fe2b970e1p-3"),
+    (1.346, 1.187, "0x1.0250ea7dbac44p-4", "0x1.0250ea7dbac44p-4"),
+    (3.392, 1.01, "0x1.dcf0e4425cfcbp-4", "0x1.dcf0e4425cfcep-4"),
+    (2.698, 0.753, "0x1.9f90a0c69c311p-4", "0x1.9f90a0c69c311p-4"),
+    (4.137, 1.786, "0x1.0b0259cb1f9a2p-3", "0x1.0b0259cb1f9a3p-3"),
+    (6.057, 1.138, "0x1.410941f24b815p-3", "0x1.410941f24b814p-3"),
+    (2.391, 1.101, "0x1.820ce94d3ef4ap-4", "0x1.820ce94d3ef4ap-4"),
+    (3.334, 0.561, "0x1.d4fc0680ab93bp-4", "0x1.d4fc0680ab93bp-4"),
+    (6.823, 1.679, "0x1.56c5b2f7fd09cp-3", "0x1.56c5b2f7fd09cp-3"),
+    (4.579, 1.764, "0x1.19ea326c46ff4p-3", "0x1.19ea326c46ff3p-3"),
+    (3.976, 0.724, "0x1.02cd1b8f9baa0p-3", "0x1.02cd1b8f9baa0p-3"),
+    (7.75, 1.337, "0x1.670e62119cd42p-3", "0x1.670e62119cd42p-3"),
+    (5.979, 0.945, "0x1.3d00f8d316e31p-3", "0x1.3d00f8d316e33p-3"),
+    (2.046, 1.757, "0x1.5c45b56fe0be3p-4", "0x1.5c45b56fe0be1p-4"),
+    (3.083, 0.641, "0x1.c13c1778ce21fp-4", "0x1.c13c1778ce21fp-4"),
+    (5.278, 0.697, "0x1.28ec63f8ef1e0p-3", "0x1.28ec63f8ef1e0p-3"),
+    (4.923, 1.53, "0x1.2496fe2b97181p-3", "0x1.2496fe2b97181p-3"),
 )
 
 
 def test_reference_points_bit_for_bit():
-    # the fused first two levels and the screened condition test leave every bit of P and Q in place
+    # the seed pass of the Gauss-Kronrod rule converges at every point; any change to it moves these bits
     d = diffusion_matrix(0.5, 0.5)
     table = [(e["alpha"], e["rabi"]) for e in json.loads(REFERENCE_TABLE.read_text())["entries"]]
     assert table == [(alpha, rabi) for alpha, rabi, _, _ in REFERENCE_BITS]
