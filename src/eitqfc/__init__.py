@@ -60,6 +60,7 @@ from .states import (
     destroy,
     fidelity,
     fock_dm,
+    fock_fidelity,
     input_variances,
     output_variance,
     output_variances,

@@ -27,6 +27,7 @@ row evaluation would meet it, and nothing is written.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from collections.abc import Iterable, Sequence
@@ -41,12 +42,11 @@ from .states import (
     Coherent,
     Fock,
     Squeezed,
-    apply_loss_channel,
     coherent_fidelity,
-    fidelity,
-    fock_dm,
+    fock_fidelity,
     input_variances,
     output_variance,
+    passive_amplitudes,
 )
 from .transfer import propagation_sweep, semiclassical_sweep
 
@@ -60,13 +60,15 @@ ORACLE_TOL = 1e-6
 #: Largest squeezing accepted, in dB either way: the quadrature variances
 #: then stay within a factor 1e30 of the vacuum's, far from float overflow.
 MAX_SQUEEZE_DB = 300.0
-#: Largest Fock input level: the channel's guard wants the top two levels of
-#: the DEFAULT_DIM basis empty, and its weighted shift tensor grows as dim^3
-#: (its output as grid points x dim^2).
+#: Largest Fock input level: the highest |n><n| that the library's loss
+#: channel accepts on the DEFAULT_DIM basis (its guard wants the top two
+#: levels empty), so every Fock fidelity written is the channel's, which
+#: fock_fidelity reproduces bit for bit.
 MAX_FOCK_LEVEL = DEFAULT_DIM - 3
 #: Most grid points a sweep accepts: 25 times the default optical-depth grid.
-#: A Fock sweep's channel output then holds 10,001 x DEFAULT_DIM^2 complex
-#: values (64 MB), and a larger request exits 2 before anything is allocated.
+#: It bounds what one run holds at once, its table as Python floats and its
+#: CSV text (about 1.3 MB at the limit); a larger request exits 2 before
+#: anything is computed.
 MAX_GRID_POINTS = 10_001
 
 _PHYSICAL_KEYS = ("omega_c", "omega_d", "gamma31", "gamma41", "gamma21")
@@ -88,9 +90,10 @@ _CONFIG_SCHEMA: dict[str, type] = {
 
 
 def format_csv(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(["%.14e"] * len(row)) % tuple(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    """The CSV text: the header line, then one line of len(header) numbers per row."""
+    values = tuple(itertools.chain.from_iterable(rows))
+    line = ",".join(["%.14e"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + line * (len(values) // len(header)) % values
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
@@ -236,16 +239,17 @@ def run_custom(
     """Combined optical-depth sweep for one input state.
 
     One propagation_sweep gives every row's probe transmittance |A_0|^2,
-    CE |C_0|^2 and channel amplitude C_0.  Each row emits those plus the
-    conversion fidelity (Fock input: |n><n| pushed through the loss
-    channel on the truncated basis in one call for the sweep's whole
-    stack of amplitudes, read off the stack's diagonal; coherent input:
-    closed-form overlap) and the converted-signal quadrature variances.
-    An amplitude with |C_0| > 1 is a NonPassiveAmplitude naming its
-    alpha.  Squeezed inputs carry no fidelity column.  ``nbar`` is the
-    Fock level, a whole number in [0, MAX_FOCK_LEVEL], or the
-    coherent mean photon number, finite and >= 0; anything else is a
-    ConfigError.
+    CE |C_0|^2 and channel amplitude C_0.  An amplitude with |C_0| > 1
+    beyond rounding is a NonPassiveAmplitude naming its alpha, whatever
+    the state; within rounding the fidelity and variance formulas take
+    the CE as 1.  Each row emits the transfer columns plus the conversion
+    fidelity (Fock input: fock_fidelity over the sweep's whole stack of
+    amplitudes, the loss channel's value without its density matrices;
+    coherent input: closed-form overlap) and the converted-signal
+    quadrature variances.  Squeezed inputs carry no fidelity column.
+    ``nbar`` is the Fock level, a whole number in [0, MAX_FOCK_LEVEL],
+    or the coherent mean photon number, finite and >= 0; anything else
+    is a ConfigError.
     """
     overrides = overrides or {}
     if state_kind == "fock":
@@ -265,21 +269,21 @@ def run_custom(
     header = ["alpha", "tp", "ce"] + (["fidelity"] if with_fidelity else []) + ["var_x", "var_y"]
     vin = input_variances(state)
     quantum = propagation_sweep(_sweep_params(alphas, overrides), alphas)
-    amplitudes = quantum.resolved[:, 1, 0]
+    try:
+        amplitudes = passive_amplitudes(quantum.resolved[:, 1, 0])
+    except NonPassiveAmplitude as exc:
+        alpha = float(quantum.alphas[exc.row])
+        raise NonPassiveAmplitude(f"at alpha={alpha!r}: {exc}", exc.row) from exc
     ces = _powers(amplitudes)
     columns = [quantum.alphas, _powers(quantum.resolved[:, 0, 0]), ces]
+    # a passive amplitude's CE exceeds 1 at most by rounding
+    ce_column = np.minimum(ces, 1.0)
     if isinstance(state, Fock):
-        try:
-            channel = apply_loss_channel(fock_dm(state.n), amplitudes)
-        except NonPassiveAmplitude as exc:
-            alpha = float(quantum.alphas[exc.row])
-            raise NonPassiveAmplitude(f"at alpha={alpha!r}: {exc}", exc.row) from exc
-        columns.append(fidelity(state, channel))
+        columns.append(fock_fidelity(state.n, amplitudes))
     elif isinstance(state, Coherent):
         # math.exp per row: no array exponential is known to round as it does
         nbar = abs(state.beta) ** 2
-        columns.append([coherent_fidelity(nbar, ce) for ce in ces])
-    ce_column = np.array(ces)
+        columns.append([coherent_fidelity(nbar, ce) for ce in ce_column.tolist()])
     columns.append(convention_scale * output_variance(vin.var_x, ce_column))
     columns.append(convention_scale * output_variance(vin.var_y, ce_column))
     table = np.column_stack(columns)

@@ -11,9 +11,12 @@ diagonals of the input, weighted by powers of the loss 1 - |C_0|^2
 The module keeps two independent constructions of the same channel as
 test oracles (the normally-ordered projector series and a two-mode beam
 splitter, the module's one user of scipy, imported on first use), and
-computes fidelities and quadrature variances.  It takes
-the channel amplitude C_0 as a number, or a 1-D stack of them, and does
-not depend on the propagation layers;
+computes fidelities and quadrature variances; a Fock input's fidelity
+|C_0|^n comes straight from the amplitudes (fock_fidelity), with the
+channel's own arithmetic and no density matrix.  It takes the channel
+amplitude C_0 as a number, or a 1-D stack of them, checks that each is
+passive (passive_amplitudes), and does not depend on the propagation
+layers;
 ``transfer.propagation_sweep(params, alphas).resolved[:, 1, 0]`` gives
 C_0 on an optical-depth grid.
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -139,15 +143,13 @@ def validate_density_matrix(
         raise ValueError(f"density matrix has eigenvalue {smallest:.3e}")
 
 
-def _channel_input(rho_in: np.ndarray, c0: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rho_in as a complex array and c0 as a 1-D complex stack, once both pass the channel guards.
+def passive_amplitudes(c0: complex | np.ndarray) -> np.ndarray:
+    """c0 as a 1-D complex stack, once every amplitude in it is passive.
 
-    |c0| may exceed 1 only by rounding, and the top two levels of the
-    truncated basis must stay (nearly) empty.  One amplitude is a stack
-    of one; NonPassiveAmplitude names the first amplitude that fails.
+    |c0| may exceed 1 only by rounding, by at most 1e-12; NaN fails.  One
+    amplitude is a stack of one; NonPassiveAmplitude names the first
+    amplitude that fails by its row.
     """
-    rho_in = np.asarray(rho_in, dtype=complex)
-    dim = rho_in.shape[0]
     amplitudes = np.asarray(c0, dtype=complex)
     if amplitudes.ndim > 1:
         raise ValueError(f"c0 must be one amplitude or a 1-D stack, got shape {amplitudes.shape}")
@@ -156,6 +158,18 @@ def _channel_input(rho_in: np.ndarray, c0: complex | np.ndarray) -> tuple[np.nda
     if bad.size:
         row = int(bad[0])
         raise NonPassiveAmplitude(f"|c0| = {abs(amplitudes[row]):.6f} exceeds 1", row)
+    return amplitudes
+
+
+def _channel_input(rho_in: np.ndarray, c0: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho_in as a complex array and c0 as a 1-D complex stack, once both pass the channel guards.
+
+    Every amplitude must be passive (see passive_amplitudes), and the top
+    two levels of the truncated basis must stay (nearly) empty.
+    """
+    rho_in = np.asarray(rho_in, dtype=complex)
+    dim = rho_in.shape[0]
+    amplitudes = passive_amplitudes(c0)
     top_two = float(rho_in[dim - 1, dim - 1].real + rho_in[dim - 2, dim - 2].real)
     if top_two > TOP_LEVEL_TOL:
         raise TruncationOverflow(
@@ -209,7 +223,7 @@ def apply_loss_channel(rho_in: np.ndarray, c0: complex | np.ndarray) -> np.ndarr
         padded, (dim, dim, dim), (row_stride + column_stride, row_stride, column_stride), writeable=False
     )
     shifted = _shift_weights(dim) * diagonals
-    # |c0| may exceed 1 by rounding (see _channel_input): clamp T at 0
+    # |c0| may exceed 1 by rounding (see passive_amplitudes): clamp T at 0
     loss_powers = np.maximum(1.0 - np.abs(amplitudes) ** 2, 0.0)[:, None] ** levels
     # T^l is real, so the product runs on the (re, im) pairs of the shifts.  It
     # is one vector-matrix product per amplitude: a matrix-matrix product would
@@ -356,6 +370,28 @@ def coherent_fidelity(nbar: float, ce: float) -> float:
     if nbar < 0 or not 0.0 <= ce <= 1.0:
         raise ValueError(f"need nbar >= 0 and ce in [0, 1], got {nbar}, {ce}")
     return math.exp(-nbar * (1.0 - math.sqrt(ce)) ** 2 / 2.0)
+
+
+def fock_fidelity(n: int, c0: complex | np.ndarray) -> float | np.ndarray:
+    """Conversion fidelity |c0|^n of the Fock input |n>, for one amplitude or each amplitude in a 1-D stack.
+
+    It equals fidelity(Fock(n), apply_loss_channel(fock_dm(n), c0)) bit for
+    bit, without building the channel's output: for |n><n| the channel's
+    shifted-diagonal sum leaves exactly 1 on the [n, n] entry, and its two
+    phases turn that into kept * conj(kept) with kept = conj(c0)^n.  The
+    exponent is an integer array, as in the channel's phases: numpy rounds
+    a power with a scalar integer exponent by another route.  The
+    population is a sum of squares, so it needs no clamp at 0.  One
+    amplitude gives a float; NonPassiveAmplitude names the first amplitude
+    of a stack that is not passive (see passive_amplitudes).
+    """
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"a Fock level must be >= 0, got {n}")
+    amplitudes = passive_amplitudes(c0)
+    kept = np.conj(amplitudes) ** np.full(amplitudes.shape, n)
+    fidelities = np.sqrt((kept * np.conj(kept)).real)
+    return float(fidelities[0]) if np.ndim(c0) == 0 else fidelities
 
 
 def input_variances(state: InputState) -> QuadratureStats:

@@ -299,25 +299,47 @@ class TestMain:
         assert err.startswith("eitqfc: numerical failure: at alpha=0.0: atomic response matrix")
         assert not out.exists()
 
-    def test_non_passive_amplitude_exits_3_naming_its_alpha(self, tmp_path, capsys, monkeypatch):
-        # a sweep row with |C0| just above 1 beyond rounding: the channel refuses it
+    @staticmethod
+    def _sweep_with_amplitude(monkeypatch, row, c0):
+        """Make cli's propagation sweep put c0 as the channel amplitude of one row."""
         real_sweep = cli.propagation_sweep
 
-        def sweep_with_gain(params, alphas):
+        def sweep_with_amplitude(params, alphas):
             sweep = real_sweep(params, alphas)
             resolved = sweep.resolved.copy()
-            resolved[2, 1, 0] = 1.0 + 1e-10
+            resolved[row, 1, 0] = c0
             return PropagationSweep(sweep.alphas, resolved, sweep.failure)
 
-        monkeypatch.setattr(cli, "propagation_sweep", sweep_with_gain)
+        monkeypatch.setattr(cli, "propagation_sweep", sweep_with_amplitude)
+
+    @pytest.mark.parametrize("state", ["fock", "coherent", "squeezed"])
+    def test_non_passive_amplitude_exits_3_naming_its_alpha(self, tmp_path, capsys, monkeypatch, state):
+        # a sweep row with |C0| just above 1 beyond rounding is refused for every input state
+        self._sweep_with_amplitude(monkeypatch, 2, 1.0 + 1e-10)
         out = tmp_path / "never.csv"
-        argv = ["custom", "--state", "fock", "--alpha-max", "4", "--grid-points", "5", "--out", str(out)]
+        argv = ["custom", "--state", state, "--alpha-max", "4", "--grid-points", "5", "--out", str(out)]
         assert main(argv) == 3
         assert capsys.readouterr().err == "eitqfc: numerical failure: at alpha=2.0: |c0| = 1.000000 exceeds 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("state", ["fock", "coherent", "squeezed"])
+    def test_amplitude_above_1_by_rounding_reads_as_full_conversion(self, tmp_path, capsys, monkeypatch, state):
+        # |C0| = 1 + 5e-13 passes the passivity check; its CE exceeds 1 only in the CE column
+        self._sweep_with_amplitude(monkeypatch, 2, 1.0 + 5e-13)
+        out = tmp_path / "rounding.csv"
+        argv = ["custom", "--state", state, "--alpha-max", "4", "--grid-points", "5", "--out", str(out)]
+        assert main([*argv, "--nbar", "2"]) == 0
+        assert capsys.readouterr().err == ""
+        header, *lines = out.read_text().splitlines()
+        row = dict(zip(header.split(","), map(float, lines[2].split(","))))
+        assert row["ce"] == abs(1.0 + 5e-13) ** 2 > 1.0
+        if state != "squeezed":
+            assert row["fidelity"] == pytest.approx(1.0, abs=2e-12)
+        var_in = {"fock": 1.25, "coherent": 0.25, "squeezed": 1.0}[state]
+        assert (row["var_x"], row["var_y"]) == (var_in, 0.0625 if state == "squeezed" else var_in)
+
     def test_sweep_failing_at_first_alpha_gives_the_channel_no_rows(self, tmp_path, capsys, monkeypatch):
-        real_sweep, real_channel = cli.propagation_sweep, cli.apply_loss_channel
+        real_sweep, real_fidelity = cli.propagation_sweep, cli.fock_fidelity
         stacks = []
 
         def sweep_failing_at_first_alpha(params, alphas):
@@ -325,16 +347,15 @@ class TestMain:
             failure = IllPosedBoundary(f"at alpha={float(alphas[0])!r}: backward resonance")
             return PropagationSweep(sweep.alphas[:0], sweep.resolved[:0], failure)
 
-        def recording_channel(rho_in, c0):
-            rho_out = real_channel(rho_in, c0)
-            stacks.append(rho_out.shape)
-            return rho_out
+        def recording_fidelity(n, c0):
+            stacks.append(np.shape(c0))
+            return real_fidelity(n, c0)
 
         monkeypatch.setattr(cli, "propagation_sweep", sweep_failing_at_first_alpha)
-        monkeypatch.setattr(cli, "apply_loss_channel", recording_channel)
+        monkeypatch.setattr(cli, "fock_fidelity", recording_fidelity)
         out = tmp_path / "never.csv"
         assert main(["custom", "--state", "fock", "--grid-points", "5", "--out", str(out)]) == 3
-        assert stacks == [(0, 20, 20)]
+        assert stacks == [(0,)]
         assert capsys.readouterr().err == "eitqfc: numerical failure: at alpha=0.0: backward resonance\n"
         assert not out.exists()
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eitqfc import states
+from eitqfc.cli import MAX_FOCK_LEVEL
 from eitqfc.errors import DimensionTooSmall, NonPassiveAmplitude, QfcError, TruncationOverflow
 from eitqfc.params import SystemParams, symmetric_params
 from eitqfc.states import (
@@ -18,6 +19,7 @@ from eitqfc.states import (
     coherent_fidelity,
     fidelity,
     fock_dm,
+    fock_fidelity,
     input_variances,
     output_variance,
     output_variances,
@@ -168,6 +170,64 @@ class TestStackedChannel:
     def test_amplitudes_form_at_most_one_axis(self):
         with pytest.raises(ValueError, match="1-D stack"):
             apply_loss_channel(fock_dm(1), np.full((2, 2), 0.5))
+
+
+def _unit_disc_amplitudes(count, seed):
+    """Random amplitudes in the closed unit disc, led by 0, its signed zeros, the unit points and one rounding excess."""
+    rng = np.random.default_rng(seed)
+    edges = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+    edges += [1.0, -1.0, 1j, -1j, complex(1.0, -0.0), complex(-0.0, -1.0), 1.0 + 5e-13, 1e-300]
+    inside = np.sqrt(rng.uniform(0.0, 1.0, count)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
+    return np.concatenate([np.array(edges, dtype=complex), inside])
+
+
+class TestFockFidelity:
+    """fock_fidelity: the channel route's Fock fidelity from the amplitudes alone."""
+
+    @staticmethod
+    def _assert_channel_route(n, amplitudes):
+        want = fidelity(Fock(n), apply_loss_channel(fock_dm(n), amplitudes))
+        assert np.array_equal(fock_fidelity(n, amplitudes).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("config", ["default", *SWEEP_CONFIGS])
+    def test_sweep_stack_equals_the_channel_route_bit_for_bit(self, config):
+        amplitudes = _sweep_amplitudes(SWEEP_CONFIGS.get(config, {}), 401)
+        for n in range(MAX_FOCK_LEVEL + 1):
+            self._assert_channel_route(n, amplitudes)
+
+    def test_unit_disc_equals_the_channel_route_bit_for_bit(self):
+        amplitudes = _unit_disc_amplitudes(2000, seed=17)
+        for n in range(MAX_FOCK_LEVEL + 1):
+            self._assert_channel_route(n, amplitudes)
+            for size in (1, 2, 3, 5, 7):  # short stacks too, which numpy may run through other loops
+                self._assert_channel_route(n, amplitudes[size : 2 * size])
+
+    def test_one_amplitude_is_a_stack_of_one(self):
+        for c0 in _unit_disc_amplitudes(20, seed=5).tolist():
+            got = fock_fidelity(3, c0)
+            assert isinstance(got, float)
+            want = fidelity(Fock(3), apply_loss_channel(fock_dm(3), c0))
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+        assert fock_fidelity(2, np.array([], dtype=complex)).shape == (0,)
+
+    def test_square_root_law_beyond_the_channel_basis(self):
+        c0 = 0.9 * np.exp(0.4j)
+        assert fock_fidelity(40, c0) == pytest.approx(0.9**40, rel=1e-13)
+
+    def test_checks_amplitudes_and_level_like_the_channel(self):
+        amplitudes = np.array([0.2, 0.9j, 1.0 + 5e-13, 1.0 + 1e-10, 1.5])
+        with pytest.raises(NonPassiveAmplitude, match=r"\|c0\| = 1\.000000 exceeds 1") as exc:
+            fock_fidelity(1, amplitudes)
+        assert exc.value.row == 3
+        with pytest.raises(NonPassiveAmplitude) as exc:
+            fock_fidelity(1, np.array([0.5, complex("nan")]))
+        assert exc.value.row == 1
+        with pytest.raises(ValueError, match="1-D stack"):
+            fock_fidelity(1, np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match=">= 0"):
+            fock_fidelity(-1, 0.5)
+        with pytest.raises(TypeError):
+            fock_fidelity(1.0, 0.5)
 
 
 class TestBeamSplitterOracle:
