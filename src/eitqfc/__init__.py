@@ -5,9 +5,7 @@ into a counter-propagating signal field inside an EIT-supported
 four-wave-mixing medium: per-frequency propagation coefficients, the
 backward-boundary transfer matrix, vacuum-reservoir noise accounting,
 converted-state density matrices, fidelities and quadrature variances.
-scipy is loaded only by one independent oracle, on first use:
-scipy.linalg by beam_splitter_oracle.  The semiclassical oracle behind
-fig2's semiclassical columns is numpy alone.
+Its one runtime dependency is numpy, the independent oracles included.
 """
 
 from . import errors
@@ -42,7 +40,6 @@ from .noise import (
     diffusion_matrix,
     eta1,
     eta2,
-    gauss_legendre_grid,
     langevin_photon_noise,
 )
 from .states import (

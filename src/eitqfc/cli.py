@@ -97,7 +97,12 @@ def format_csv(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-    Path(path).write_text(format_csv(header, rows), encoding="ascii", newline="\n")
+    """Write the CSV text to path; a path that cannot be written is a ConfigError."""
+    text = format_csv(header, rows)
+    try:
+        Path(path).write_text(text, encoding="ascii", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _sweep_params(alphas: np.ndarray, overrides: dict) -> SystemParams:
@@ -296,7 +301,7 @@ def parse_config(path: str) -> dict:
     values: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -429,14 +434,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                 _squeeze_r(settings),
                 overrides,
             )
+        write_csv(settings["out"], header, rows)
     except ConfigError as exc:
         print(f"eitqfc: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except QfcError as exc:
         print(f"eitqfc: numerical failure: {exc}", file=sys.stderr)
         return 3
-
-    write_csv(settings["out"], header, rows)
     return 0
 
 

@@ -143,13 +143,6 @@ def default_window(params: SystemParams) -> float:
     return 10.0 * max(GAMMA, abs(params.omega_c), abs(params.omega_d))
 
 
-def gauss_legendre_grid(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = (b - a) / 2
-    return a + half * (x + 1), half * w
-
-
 def _form(params: SystemParams, d: np.ndarray, row: int, omegas: np.ndarray) -> np.ndarray:
     """Re sum_ab d_ab int_0^L K_a K*_b dz at each omega node, shape (omega,).
 

@@ -10,7 +10,7 @@ diagonals of the input, weighted by powers of the loss 1 - |C_0|^2
 (see apply_loss_channel); one call takes a whole stack of amplitudes.
 The module keeps two independent constructions of the same channel as
 test oracles (the normally-ordered projector series and a two-mode beam
-splitter, the module's one user of scipy, imported on first use), and
+splitter, exponentiated one photon-number block at a time), and
 computes fidelities and quadrature variances; a Fock input's fidelity
 |C_0|^n comes straight from the amplitudes (fock_fidelity), with the
 channel's own arithmetic and no density matrix.  It takes the channel
@@ -291,14 +291,22 @@ def _top_occupied_level(rho: np.ndarray) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _beam_splitter_unitary(transmissivity: float, dim: int) -> np.ndarray:
-    """exp[theta (a^+ b - a b^+)] with theta = arccos(sqrt(transmissivity))."""
-    import scipy.linalg  # only this oracle needs it; deferred to keep import eitqfc numpy-only
+def _beam_splitter_columns(transmissivity: float, dim: int) -> np.ndarray:
+    """Columns |m, 0> (index m*dim) of exp[theta (a^+ b - a b^+)], theta = arccos(sqrt(transmissivity)).
 
+    The generator keeps N = m + n (Campos, Saleh & Teich, PRA 40, 1371 (1989)), so |N, 0> needs only
+    the block on |k, N-k>: B[k+1, k] = -B[k, k+1] = theta sqrt((k+1)(N-k)), and exp(B) = V e^{-i lambda}
+    V^+ from the eigenpairs of the Hermitian i B.  The result is read-only.
+    """
     theta = math.acos(math.sqrt(transmissivity))
-    a = destroy(dim)
-    generator = theta * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
-    return scipy.linalg.expm(generator)
+    columns = np.zeros((dim * dim, dim), dtype=complex)
+    for total in range(dim):
+        coupling = theta * np.sqrt(np.arange(1, total + 1) * np.arange(total, 0, -1))
+        eigenvalues, vectors = np.linalg.eigh(1j * (np.diag(coupling, -1) - np.diag(coupling, 1)))
+        rows = np.arange(total + 1) * (dim - 1) + total  # |k, total - k>
+        columns[rows, total] = vectors @ (np.exp(-1j * eigenvalues) * vectors[-1].conj())
+    columns.setflags(write=False)
+    return columns
 
 
 def beam_splitter_oracle(rho_in: np.ndarray, transmissivity: float, dim: int) -> np.ndarray:
@@ -306,7 +314,7 @@ def beam_splitter_oracle(rho_in: np.ndarray, transmissivity: float, dim: int) ->
 
     Builds the unitary exp[theta (a^+ b - a b^+)] with
     theta = arccos(sqrt(transmissivity)) on a dim x dim two-mode Fock
-    space from the ladder operators, couples the input to vacuum,
+    space one photon-number block at a time, couples the input to vacuum,
     applies the unitary and traces out the ancilla.
     """
     if not 0.0 <= transmissivity <= 1.0:
@@ -324,10 +332,9 @@ def beam_splitter_oracle(rho_in: np.ndarray, transmissivity: float, dim: int) ->
     rho = np.zeros((dim, dim), dtype=complex)
     rho[: rho_in.shape[0], : rho_in.shape[0]] = rho_in
 
-    unitary = _beam_splitter_unitary(float(transmissivity), dim)
     # rho (x) |0><0| is supported on the ancilla-vacuum columns |m, 0>,
-    # which sit at joint index m*dim; applying U to that block suffices.
-    columns = unitary[:, ::dim]
+    # so applying U to those columns suffices.
+    columns = _beam_splitter_columns(float(transmissivity), dim)
     joint = columns @ rho @ columns.conj().T
     return np.einsum("ajbj->ab", joint.reshape(dim, dim, dim, dim))
 

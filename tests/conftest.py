@@ -1,9 +1,8 @@
 """Test-session set-up, run before any test module imports numpy.
 
-One BLAS thread unless the environment already names a count: the
-scipy.linalg.expm behind beam_splitter_oracle takes about 9x longer
-with 2 OpenBLAS threads than with 1 on a 2-core machine, so without a
-pin the suite's wall time would depend on the machine's default.
+One BLAS thread unless the environment already names a count, so that
+the suite's wall time and the runtime budgets in test_acceptance.py do
+not depend on the machine's default thread count.
 """
 
 import os

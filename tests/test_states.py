@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eitqfc import states
 from eitqfc.cli import MAX_FOCK_LEVEL
@@ -254,6 +255,15 @@ class TestBeamSplitterOracle:
     def test_transmissivity_bounds(self):
         with pytest.raises(ValueError):
             beam_splitter_oracle(fock_dm(1, 8), 1.5, 8)
+
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.9612, 1.0])
+    def test_photon_number_blocks_match_the_dense_exponential(self, dim, t):
+        # scipy's expm of the whole dim^2 x dim^2 kron generator, at the ancilla-vacuum columns |m, 0>
+        a = states.destroy(dim)
+        generator = math.acos(math.sqrt(t)) * (np.kron(a.T, a) - np.kron(a, a.T))
+        expected = scipy.linalg.expm(generator)[:, ::dim]
+        assert np.max(np.abs(states._beam_splitter_columns(t, dim) - expected)) < 1e-13
 
 
 def _assert_routes_agree(*routes):
