@@ -290,12 +290,12 @@ def _kernel_rows(stack: SpectralStack, row: int | None = None) -> tuple:
     n, tee = (m[:, 0, 0] - m[:, 1, 1]) / 2, tee[:, None]
     zeta_p, zeta_s = stack.zeta[:, 0], stack.zeta[:, 1]
     rows = (
-        (np.zeros_like(mu), zeta_p - resolved[:, 0, 1, None] * zeta_s,
-         -2 * w, ((w - n)[:, None] * zeta_p - m[:, 0, 1, None] * zeta_s) / tee),
-        (mu - w, -zeta_s / tee,
-         mu - w, (m[:, 1, 0, None] * zeta_p - (w + n)[:, None] * zeta_s) / tee),
+        lambda: (np.zeros_like(mu), zeta_p - resolved[:, 0, 1, None] * zeta_s,
+                 -2 * w, ((w - n)[:, None] * zeta_p - m[:, 0, 1, None] * zeta_s) / tee),
+        lambda: (mu - w, -zeta_s / tee,
+                 mu - w, (m[:, 1, 0, None] * zeta_p - (w + n)[:, None] * zeta_s) / tee),
     )
-    return mu, w, rows if row is None else rows[row : row + 1]
+    return mu, w, tuple(build() for build in (rows if row is None else rows[row : row + 1]))
 
 
 def noise_kernel_block(stack: SpectralStack, z_grid: np.ndarray, row: int | None = None) -> np.ndarray:
@@ -357,20 +357,19 @@ def _exp_divided_difference(x: np.ndarray) -> np.ndarray:
     pairs, orders = _FARTHEST[k]
     spread = np.abs(x[:, pairs[:, 1]] - x[:, pairs[:, 0]])
     best = spread.argmax(axis=1)
-    x = np.take_along_axis(x, orders[best], axis=1)  # the farthest pair first and last
-    near = spread[np.arange(len(x)), best] < DD_CLUSTER
+    rows = np.arange(len(x))
+    x = x[rows[:, None], orders[best]]  # the farthest pair first and last
+    near = spread[rows, best] < DD_CLUSTER
     out = np.empty(len(x), dtype=complex)
     far = x[~near]
     last, first = _exp_divided_difference(np.concatenate([far[:, 1:], far[:, :-1]])).reshape(2, -1)
     out[~near] = (last - first) / (far[:, -1] - far[:, 0])
     centre = x[near].mean(axis=1)
-    y = list((x[near] - centre[:, None]).T)
-    h = [np.ones_like(centre)] * k  # h[j] = h_order(y_0, ..., y_j)
+    y = (x[near] - centre[:, None]).T
+    h = np.ones_like(y)  # h[j] = h_order(y_0, ..., y_j)
     total, coefficient = np.ones_like(centre), 1.0  # coefficient = (k - 1)!/(order + k - 1)!
     for order in range(1, DD_TERMS):
-        h[0] = y[0] * h[0]  # h_order(y_0..y_j) = h_order(y_0..y_{j-1}) + y_j h_{order-1}(y_0..y_j)
-        for j in range(1, k):
-            h[j] = h[j - 1] + y[j] * h[j]
+        h = np.cumsum(y * h, axis=0)  # h_order(y_0..y_j) = h_order(y_0..y_{j-1}) + y_j h_{order-1}(y_0..y_j)
         coefficient /= order + k - 1
         total += coefficient * h[-1]
     out[near] = np.exp(centre) * total / math.factorial(k - 1)
