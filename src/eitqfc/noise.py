@@ -13,25 +13,28 @@ normalized to 1 (c drops out of the dimensionless model once the
 i*omega/c propagation term is neglected).
 
 The medium is uniform, so the z integral is exact: each frequency
-contributes sum_ab d_ab G_ab, with G_ab = int_0^L K_a K_b* dz the Gram of
-the kernel row (transfer.noise_kernel_gram, three scalar integrals per
-frequency).  In omega the rule is composite 21-point Gauss-Kronrod
-(QUADPACK's qk21) on panels of [-W, W].  The integrand has a cusp at
-omega = 0 whose half-width shrinks like |Omega|^2 / alpha^2, so the seed
-edges come from the physics: omega = 0, decades toward it down to the
-cusp, the Rabi scale and W/2, W.  Each pass is one stacked spectral
-solve, one boundary check, one Gram and one contraction with the
-diffusion matrix over the Kronrod nodes of its panels.  The seed pass
-also solves and checks the panel edges, with weight 0, so SingularSystem
-and IllPosedBoundary can name omega = 0.  A pass ends with QUADPACK's
-error estimate per panel; while their sum is above INTEGRAL_TOL, the
-next pass bisects each panel whose estimate exceeds its share of the
-tolerance by width.  The Gram is built only for the
-live noise slots, those whose row or column of the diffusion matrix
-holds a non-zero entry: one of three for the Einstein matrix.  Zero
-diffusion has none: every node is still solved and boundary-checked, so
-a singular or ill-posed frequency raises as otherwise, and the integral
-is exactly 0.0 after the seed pass.
+contributes sum_ab d_ab G_ab, with G_ab = int_0^L K_a K_b* dz the Gram
+of the kernel row (transfer.noise_kernel_gram, three scalar integrals
+per frequency).  The drift has a real diagonal and off-diagonals -(i/2)
+Omega, so G_ab(-omega) = conj(G_ab(omega) phi_a) phi_b, phi = (1,
+-e^{-2i arg omega_c}, -e^{-2i arg omega_d}), and the rule runs on [0, W]
+of the form of d + conj(d) o (phi phi^H), d's form at omega plus at
+-omega: composite 21-point Gauss-Kronrod (QUADPACK's qk21) on panels.
+The integrand has a cusp at omega = 0 whose half-width shrinks like
+|Omega|^2 / alpha^2, so the seed edges come from the physics: omega = 0,
+decades toward it down to the cusp, the Rabi scale and W/2, W.  Each
+pass is one stacked spectral solve, one boundary check, one Gram and one
+contraction over the Kronrod nodes of its panels.  The seed pass also
+solves and checks the panel edges, with weight 0, so SingularSystem and
+IllPosedBoundary can name omega = 0; the condition number and |1/D| at
+-omega are those at omega.  A pass ends with QUADPACK's error estimate
+per panel; while their sum is above INTEGRAL_TOL, the next pass bisects
+each panel whose estimate exceeds its share of the tolerance by width.
+The Gram is built only for the live noise slots, those whose row or
+column of the diffusion matrix holds a non-zero entry: one of three for
+the Einstein matrix.  Zero diffusion has none: every node is still
+solved and boundary-checked, so a singular or ill-posed frequency raises
+as otherwise, and the integral is exactly 0.0 after the seed pass.
 
 Ground-state dephasing (gamma21 > 0) enters the deterministic
 propagation coefficients but not the diffusion matrix here: its
@@ -115,10 +118,16 @@ class DiffusionMatrix:
     """Normally-ordered diffusion coefficients D_{jk,k'j'}.
 
     entries[a, b] couples noise slot DIFFUSION_ROWS[a] to the adjoint
-    slot DIFFUSION_COLS[b].
+    slot DIFFUSION_COLS[b]: a finite (3, 3) array, stored as complex.
     """
 
     entries: np.ndarray
+
+    def __post_init__(self) -> None:
+        entries = np.asarray(self.entries, dtype=complex)
+        if entries.shape != (3, 3) or not np.isfinite(entries).all():
+            raise ValueError(f"diffusion entries must be a finite 3x3 array, got shape {entries.shape}")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def is_zero(self) -> bool:
@@ -159,7 +168,7 @@ def _form(params: SystemParams, d: np.ndarray, row: int, omegas: np.ndarray) -> 
 
 
 def _seed_edges(params: SystemParams) -> np.ndarray:
-    """The first panel edges on [-W, W], W = default_window, mirrored about omega = 0.
+    """The first panel edges on [0, W], W = default_window: omega = 0 and the edges below.
 
     The Rabi scale R = max(|omega_c|, |omega_d|) times RABI_EDGES, W/2
     and W, and the decades 0.3 R 10^-k (k >= 1) toward the cusp down to
@@ -171,7 +180,7 @@ def _seed_edges(params: SystemParams) -> np.ndarray:
     cusp = CUSP_WIDTH * (rabi / max(params.alpha, 1.0)) ** 2
     decades = 0.3 * rabi * 0.1 ** np.arange(1, 21)  # 20 decades reach the cusp up to alpha ~ 1e10 |Omega|^(1/2)
     positive = np.concatenate([decades[decades >= cusp / 10], rabi * np.array(RABI_EDGES), [window / 2, window]])
-    return np.unique(np.concatenate([-positive, [0.0], positive]))
+    return np.unique(np.concatenate([[0.0], positive]))
 
 
 def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,17 +215,19 @@ def _panel_pass(
 def _adaptive_noise_integral(
     params: SystemParams, diffusion: DiffusionMatrix | None, kernel: str, max_doublings: int
 ) -> float:
-    """The P or Q integral by panel-refined Gauss-Kronrod in omega; INTEGRAL_TOL is read at call time."""
+    """The P or Q integral by panel-refined Gauss-Kronrod on omega >= 0; INTEGRAL_TOL is read at call time."""
     if max_doublings < 0:
         raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     validate(params)
     d = (diffusion_matrix() if diffusion is None else diffusion).entries
+    phi = np.concatenate([[1.0], -np.exp(-2j * np.angle([params.omega_c, params.omega_d]))])
+    d = d + d.conj() * np.outer(phi, phi.conj())  # its form at omega is d's at omega plus at -omega
     row = 0 if kernel == "P" else 1
 
     edges = _seed_edges(params)
     lo, hi = edges[:-1], edges[1:]
     value, error = _panel_pass(params, d, row, lo, hi, edges)
-    solved, width = lo.size * _KRONROD_NODES.size + edges.size, edges[-1] - edges[0]
+    solved, width = lo.size * _KRONROD_NODES.size + edges.size, edges[-1]
     for _ in range(max_doublings):
         if error.sum() < INTEGRAL_TOL:
             break
@@ -242,14 +253,15 @@ def langevin_photon_noise(
     """Langevin contribution to the output probe photon number (P kernels).
 
     The z integral over [0, L] in closed form and composite Gauss-Kronrod
-    in omega over [-W, W] (W = default_window), on seed panels from the
-    physics that are bisected where their error estimate is large, until
-    the summed estimate is below INTEGRAL_TOL.  ``max_doublings`` bounds
-    the refinement rounds after the seed pass: NonConvergedIntegral when
-    they do not reach the tolerance, ValueError when it is negative.
-    The Gram is built only for the live slots of ``diffusion``, so the
-    default weak-probe (zero) matrix gives exactly 0.0 at the cost of
-    the spectral solve and boundary check of the seed pass.
+    in omega on [0, W] (W = default_window) of the integrand folded by its
+    frequency parity, on seed panels from the physics that are bisected
+    where their error estimate is large, until the summed estimate is
+    below INTEGRAL_TOL.  ``max_doublings`` bounds the refinement rounds
+    after the seed pass: NonConvergedIntegral when they do not reach the
+    tolerance, ValueError when it is negative.  The Gram is built only for
+    the live slots of ``diffusion``, so the default weak-probe (zero)
+    matrix gives exactly 0.0 at the cost of the spectral solve and
+    boundary check of the seed pass.
     """
     return _adaptive_noise_integral(params, diffusion, "P", max_doublings)
 
@@ -259,9 +271,9 @@ def eta1(
 ) -> float:
     """Signal-side Langevin variance term (Q kernels).
 
-    The omega rule, ``max_doublings`` and the live slots are those of
-    langevin_photon_noise, so the default (zero) diffusion matrix gives
-    exactly 0.0.
+    The omega rule on [0, W] of the folded integrand, ``max_doublings``
+    and the live slots are those of langevin_photon_noise, so the default
+    (zero) diffusion matrix gives exactly 0.0.
     """
     return _adaptive_noise_integral(params, diffusion, "Q", max_doublings)
 

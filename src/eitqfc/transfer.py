@@ -277,7 +277,7 @@ def _kernel_rows(stack: SpectralStack, row: int | None = None) -> tuple:
     exponentials: P has a = zeta_p - B zeta_s, b = ((w - n) zeta_p - m12
     zeta_s)/tee, pa = 0, pb = -2w; Q has a = -zeta_s/tee, b = (m21 zeta_p
     - (w + n) zeta_s)/tee, pa = pb = mu - w.  No 1/w, no e^{+w}.  a and
-    b have a column per column of ``stack.zeta``; ``row`` = 0 or 1 keeps
+    b have a column per column of ``stack.zeta``; ``row`` = 0 or 1 builds
     only P or only Q.  IllPosedBoundary names the first frequency whose
     resolved matrix fails _solvable.
     """
@@ -357,9 +357,8 @@ def _exp_divided_difference(x: np.ndarray) -> np.ndarray:
     pairs, orders = _FARTHEST[k]
     spread = np.abs(x[:, pairs[:, 1]] - x[:, pairs[:, 0]])
     best = spread.argmax(axis=1)
-    rows = np.arange(len(x))
-    x = x[rows[:, None], orders[best]]  # the farthest pair first and last
-    near = spread[rows, best] < DD_CLUSTER
+    x = x[np.arange(len(x))[:, None], orders[best]]  # the farthest pair first and last
+    near = spread.max(axis=1) < DD_CLUSTER
     out = np.empty(len(x), dtype=complex)
     far = x[~near]
     last, first = _exp_divided_difference(np.concatenate([far[:, 1:], far[:, :-1]])).reshape(2, -1)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitqfc import noise, transfer
 from eitqfc.errors import NonConvergedIntegral, SingularSystem
@@ -39,6 +41,11 @@ def _off_diagonal() -> DiffusionMatrix:
     entries = np.zeros((3, 3), dtype=complex)
     entries[0, 2] = 0.3 - 0.4j
     return DiffusionMatrix(entries=entries)
+
+
+def _parity_phases(params) -> np.ndarray:
+    """phi = (1, -e^{-2i arg omega_c}, -e^{-2i arg omega_d}): the response at -omega is Phi conj(.) Phi^H at omega."""
+    return np.array([1.0, -np.exp(-2j * np.angle(params.omega_c)), -np.exp(-2j * np.angle(params.omega_d))])
 
 
 def midpoint_noise_integrals(params, diffusion, n_omega=2048, n_z=2048):
@@ -93,6 +100,22 @@ class TestDiffusionMatrix:
         assert diffusion_matrix(1.0, 0.0).entries[0, 0] == 0.5
         assert diffusion_matrix(0.25, 0.75).entries[0, 0] == 0.5
 
+    @pytest.mark.parametrize(
+        "entries",
+        [np.eye(2), np.zeros((3, 4)), np.zeros(9), np.diag([0.5, np.nan, 0.0]), np.diag([np.inf, 0.0, 0.0])],
+        ids=["2x2", "3x4", "flat", "nan", "inf"],
+    )
+    def test_entries_that_are_not_a_finite_3x3_array_are_rejected(self, entries):
+        with pytest.raises(ValueError, match="diffusion entries must be a finite 3x3 array"):
+            DiffusionMatrix(entries=entries)
+
+    def test_entries_are_stored_as_a_complex_array(self):
+        d = DiffusionMatrix(entries=[[0.5, 0, 0], [0, 0, 0], [0, 0, 0]])
+        assert d.entries.dtype == complex and d.entries.shape == (3, 3)
+        assert langevin_photon_noise(symmetric_params(4.0), d) == langevin_photon_noise(
+            symmetric_params(4.0), diffusion_matrix(0.5, 0.5)
+        )
+
     def test_population_bounds(self):
         with pytest.raises(ValueError):
             diffusion_matrix(-0.1, 0.0)
@@ -144,9 +167,11 @@ class TestNoiseIntegrals:
     )
     @pytest.mark.parametrize("kernel", ["P", "Q"])
     def test_closed_form_z_matches_gauss_legendre_in_z(self, diffusion, kernel):
-        # the seed panels' Kronrod rule in omega, its z integral by 256-node Gauss-Legendre over the kernel block
+        # the seed panels' Kronrod rule in omega, mirrored onto [-W, W], its z integral by 256-node
+        # Gauss-Legendre over the kernel block
         p = SystemParams(alpha=6.0, omega_c=1.5, omega_d=0.8 * np.exp(0.3j), gamma21=0.02)
-        edges = noise._seed_edges(p)
+        half = noise._seed_edges(p)
+        edges = np.concatenate([-half[:0:-1], half])
         nodes, half = noise._kronrod_nodes(edges[:-1], edges[1:])
         omegas, omega_weights = nodes.ravel(), (half[:, None] * noise._KRONROD_WEIGHTS).ravel()
         x, w = np.polynomial.legendre.leggauss(256)
@@ -159,12 +184,14 @@ class TestNoiseIntegrals:
 
     @pytest.mark.parametrize("diffusion", [None, diffusion_matrix(0.5, 0.5)], ids=["zero", "einstein"])
     def test_one_spectral_solve_per_pass(self, monkeypatch, diffusion):
-        # the seed pass is one solve of 14 panels x 21 Kronrod nodes + 15 edges; each refinement round is one more
-        sizes, divided_differences = [], []
+        # the seed pass is one solve of 7 panels x 21 Kronrod nodes + 8 edges on [0, W]; each refinement round is
+        # one more, and no pass solves a negative frequency: the integrand is folded onto omega >= 0
+        sizes, divided_differences, lowest = [], [], []
         solve, dd = noise.solve_susceptibility_stack, transfer._exp_divided_difference
 
         def counting_solve(params, omegas):
             sizes.append(len(omegas))
+            lowest.append(min(omegas))
             return solve(params, omegas)
 
         def counting_dd(x):
@@ -175,18 +202,19 @@ class TestNoiseIntegrals:
         monkeypatch.setattr(transfer, "_exp_divided_difference", counting_dd)
         p = symmetric_params(4.0)
         value = eta1(p, diffusion)  # both values converge in the seed pass
-        assert sizes == [309]
+        assert sizes == [155]
         assert (value == 0.0) == (not divided_differences) == (diffusion is None)
 
         sizes.clear()
         monkeypatch.setattr(noise, "INTEGRAL_TOL", 1e-30)
         if diffusion is None:  # every panel's estimate is exactly 0
             assert eta1(p, diffusion, max_doublings=2) == 0.0
-            assert sizes == [309]
+            assert sizes == [155]
         else:  # no panel meets its share, so each round bisects them all
             with pytest.raises(NonConvergedIntegral, match="after 2 refinement round"):
                 eta1(p, diffusion, max_doublings=2)
-            assert sizes == [309, 2 * 14 * 21, 4 * 14 * 21]
+            assert sizes == [155, 2 * 7 * 21, 4 * 7 * 21]
+        assert lowest and min(lowest) == 0.0
 
     @pytest.mark.parametrize("integral", [eta1, langevin_photon_noise])
     def test_negative_max_doublings_is_rejected(self, integral):
@@ -207,7 +235,7 @@ class TestNoiseIntegrals:
         with pytest.raises(NonConvergedIntegral) as exc:
             eta1(p, diffusion_matrix(0.5, 0.5), max_doublings=0)
         message = str(exc.value)
-        assert "after 0 refinement round(s): 14 panels, 309 omega nodes solved" in message
+        assert "after 0 refinement round(s): 7 panels, 155 omega nodes solved" in message
 
     def test_non_convergence_reports_the_last_change(self, monkeypatch):
         p = symmetric_params(4.0)
@@ -215,7 +243,7 @@ class TestNoiseIntegrals:
         with pytest.raises(NonConvergedIntegral) as exc:
             eta1(p, diffusion_matrix(0.5, 0.5), max_doublings=1)
         message = str(exc.value)
-        assert "after 1 refinement round(s): 28 panels, 897 omega nodes solved" in message
+        assert "after 1 refinement round(s): 14 panels, 449 omega nodes solved" in message
         error = float(message.split("last error estimate ")[1].split(",")[0])
         assert 1e-30 <= error < 1e-8
         assert "tol 1.000e-30" in message
@@ -300,6 +328,67 @@ class TestLiveSlots:
             assert langevin_photon_noise(symmetric_params(alpha)) == 0.0
 
 
+_RABI = st.one_of(
+    st.just(0.0),
+    st.builds(lambda r, t: r * np.exp(1j * t), st.floats(0.05, 3.0), st.floats(-np.pi, np.pi)),
+)
+
+
+class TestFrequencyParity:
+    """G_ab(-omega) = conj(G_ab(omega)) conj(phi_a) phi_b, and the folded rule it licenses."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(0.01, 200.0),
+        omega_c=_RABI,
+        omega_d=_RABI,
+        gamma31=st.floats(0.2, 2.0),
+        gamma41=st.floats(0.2, 2.0),
+        gamma21=st.floats(1e-3, 0.5),
+        omega=st.floats(1e-3, 30.0),
+    )
+    def test_gram_at_minus_omega_is_the_conjugate_up_to_the_phases(
+        self, alpha, omega_c, omega_d, gamma31, gamma41, gamma21, omega
+    ):
+        p = SystemParams(alpha, omega_c, omega_d, gamma31, gamma41, gamma21)
+        phi = _parity_phases(p)
+        stack = solve_susceptibility_stack(p, [omega, -omega])
+        for row in (0, 1):
+            plus, minus = noise_kernel_gram(stack, row)
+            expected = plus.conj() * np.outer(phi.conj(), phi)
+            assert np.max(np.abs(minus - expected)) <= 1e-13 * np.max(np.abs(plus)), row
+
+    @pytest.mark.parametrize(
+        "diffusion",
+        [diffusion_matrix(0.5, 0.5), _dense_hermitian(), _off_diagonal()],
+        ids=["einstein", "dense-hermitian", "off-diagonal"],
+    )
+    @pytest.mark.parametrize("row", [0, 1], ids=["P", "Q"])
+    def test_folded_pass_matches_both_halves(self, diffusion, row):
+        # one folded pass on the seed panels of [0, W] against d on those panels plus their mirror images
+        p = SystemParams(alpha=6.0, omega_c=1.5, omega_d=0.8 * np.exp(0.3j), gamma31=0.7, gamma21=0.02)
+        d = diffusion.entries
+        folded = d + d.conj() * np.outer(_parity_phases(p), _parity_phases(p).conj())
+        edges = noise._seed_edges(p)
+        value, _ = noise._panel_pass(p, folded, row, edges[:-1], edges[1:])
+        right, _ = noise._panel_pass(p, d, row, edges[:-1], edges[1:])
+        left, _ = noise._panel_pass(p, d, row, -edges[1:], -edges[:-1])  # the mirror image of each panel
+        both = right + left
+        assert np.max(np.abs(value - both)) <= 1e-13 * np.max(np.abs(both))
+
+    @pytest.mark.parametrize(
+        "diffusion",
+        [diffusion_matrix(0.5, 0.5), _dense_hermitian(), _off_diagonal()],
+        ids=["einstein", "dense-hermitian", "off-diagonal"],
+    )
+    @pytest.mark.parametrize("kernel", ["P", "Q"])
+    def test_complex_asymmetric_dephased_integral_matches_the_dense_composite_rule(self, diffusion, kernel):
+        # the dense rule runs noise._form over [-W, W] unfolded, so it checks the integral's own fold
+        p = SystemParams(alpha=6.0, omega_c=1.5j, omega_d=0.8 * np.exp(0.3j), gamma31=0.7, gamma21=0.02)
+        value = (langevin_photon_noise if kernel == "P" else eta1)(p, diffusion)
+        assert abs(value - dense_composite(p, diffusion, kernel)) <= 1e-9
+
+
 def test_reference_table():
     # perfbench's stored 2048 x 2048 midpoint integrals at D_21,12 = 1, scaled by the diffusion entry
     d = diffusion_matrix(0.5, 0.5)
@@ -316,21 +405,21 @@ def test_reference_table():
 #: P and Q at the 16 reference points with diffusion_matrix(0.5, 0.5), as float.hex: (alpha, rabi, P, Q).
 REFERENCE_BITS = (
     (1.346, 1.187, "0x1.0250ea7dbac44p-4", "0x1.0250ea7dbac44p-4"),
-    (3.392, 1.01, "0x1.dcf0e4425cfcbp-4", "0x1.dcf0e4425cfcep-4"),
-    (2.698, 0.753, "0x1.9f90a0c69c311p-4", "0x1.9f90a0c69c311p-4"),
-    (4.137, 1.786, "0x1.0b0259cb1f9a2p-3", "0x1.0b0259cb1f9a3p-3"),
-    (6.057, 1.138, "0x1.410941f24b815p-3", "0x1.410941f24b814p-3"),
-    (2.391, 1.101, "0x1.820ce94d3ef4ap-4", "0x1.820ce94d3ef4ap-4"),
-    (3.334, 0.561, "0x1.d4fc0680ab93bp-4", "0x1.d4fc0680ab93bp-4"),
+    (3.392, 1.01, "0x1.dcf0e4425cfcap-4", "0x1.dcf0e4425cfcbp-4"),
+    (2.698, 0.753, "0x1.9f90a0c69c310p-4", "0x1.9f90a0c69c310p-4"),
+    (4.137, 1.786, "0x1.0b0259cb1f9a0p-3", "0x1.0b0259cb1f9a1p-3"),
+    (6.057, 1.138, "0x1.410941f24b814p-3", "0x1.410941f24b814p-3"),
+    (2.391, 1.101, "0x1.820ce94d3ef49p-4", "0x1.820ce94d3ef49p-4"),
+    (3.334, 0.561, "0x1.d4fc0680ab93cp-4", "0x1.d4fc0680ab93bp-4"),
     (6.823, 1.679, "0x1.56c5b2f7fd09cp-3", "0x1.56c5b2f7fd09cp-3"),
     (4.579, 1.764, "0x1.19ea326c46ff4p-3", "0x1.19ea326c46ff3p-3"),
     (3.976, 0.724, "0x1.02cd1b8f9baa0p-3", "0x1.02cd1b8f9baa0p-3"),
     (7.75, 1.337, "0x1.670e62119cd42p-3", "0x1.670e62119cd42p-3"),
-    (5.979, 0.945, "0x1.3d00f8d316e31p-3", "0x1.3d00f8d316e33p-3"),
-    (2.046, 1.757, "0x1.5c45b56fe0be3p-4", "0x1.5c45b56fe0be1p-4"),
-    (3.083, 0.641, "0x1.c13c1778ce21fp-4", "0x1.c13c1778ce21fp-4"),
-    (5.278, 0.697, "0x1.28ec63f8ef1e0p-3", "0x1.28ec63f8ef1e0p-3"),
-    (4.923, 1.53, "0x1.2496fe2b97181p-3", "0x1.2496fe2b97181p-3"),
+    (5.979, 0.945, "0x1.3d00f8d316e30p-3", "0x1.3d00f8d316e30p-3"),
+    (2.046, 1.757, "0x1.5c45b56fe0be3p-4", "0x1.5c45b56fe0be2p-4"),
+    (3.083, 0.641, "0x1.c13c1778ce21cp-4", "0x1.c13c1778ce21ep-4"),
+    (5.278, 0.697, "0x1.28ec63f8ef1dfp-3", "0x1.28ec63f8ef1e0p-3"),
+    (4.923, 1.53, "0x1.2496fe2b97181p-3", "0x1.2496fe2b97180p-3"),
 )
 
 

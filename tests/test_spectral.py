@@ -283,8 +283,8 @@ class TestConditionScreen:
 
     def test_inverse_is_bit_for_bit_inv_on_a_noise_grid(self):
         p = SystemParams(alpha=6.0, omega_c=1.5, omega_d=0.8 * np.exp(0.3j), gamma21=0.02)
-        edges = noise._seed_edges(p)  # the noise integrals' seed pass: 14 panels x 21 Kronrod nodes, then the edges
+        edges = noise._seed_edges(p)  # the noise integrals' seed pass: 7 panels x 21 Kronrod nodes, then the edges
         omegas = np.concatenate([noise._kronrod_nodes(edges[:-1], edges[1:])[0].ravel(), edges])
-        assert omegas.shape == (309,)
+        assert omegas.shape == (155,)
         matrix = np.multiply.outer(1j * omegas, np.eye(3)) - build_first_order_system(p)
         assert np.array_equal(_bits(spectral._inverse_response(p, omegas)), _bits(np.linalg.inv(matrix)))
