@@ -170,8 +170,8 @@ class TestNoiseIntegrals:
         # the seed panels' Kronrod rule in omega, mirrored onto [-W, W], its z integral by 256-node
         # Gauss-Legendre over the kernel block
         p = SystemParams(alpha=6.0, omega_c=1.5, omega_d=0.8 * np.exp(0.3j), gamma21=0.02)
-        half = noise._seed_edges(p)
-        edges = np.concatenate([-half[:0:-1], half])
+        positive = noise._seed_edges(p)
+        edges = np.concatenate([-positive[:0:-1], positive])
         nodes, half = noise._kronrod_nodes(edges[:-1], edges[1:])
         omegas, omega_weights = nodes.ravel(), (half[:, None] * noise._KRONROD_WEIGHTS).ravel()
         x, w = np.polynomial.legendre.leggauss(256)
