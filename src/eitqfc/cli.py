@@ -17,8 +17,9 @@ Subcommands:
                fidelity and variance columns for a chosen input state;
                the transfer columns come from one sweep over the grid.
 
-Numbers are emitted with 15 significant digits so rows round-trip
-through the CSV; identical inputs produce byte-identical files.
+Numbers are emitted as "%.14e" writes them (15 significant digits), so
+rows round-trip through the CSV; identical inputs produce byte-identical
+files.  format_csv forms the digits of a whole table at once in numpy.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.  A
 numerical failure names the first grid value that failed, as a row by
 row evaluation would meet it, and nothing is written.
@@ -27,10 +28,10 @@ row evaluation would meet it, and nothing is written.
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import math
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +67,8 @@ MAX_SQUEEZE_DB = 300.0
 #: fock_fidelity reproduces bit for bit.
 MAX_FOCK_LEVEL = DEFAULT_DIM - 3
 #: Most grid points a sweep accepts: 25 times the default optical-depth grid.
-#: It bounds what one run holds at once, its table as Python floats and its
-#: CSV text (about 1.3 MB at the limit); a larger request exits 2 before
+#: It bounds what one run holds at once, its table, the formatter's words and
+#: the CSV text (about 1.3 MB at the limit); a larger request exits 2 before
 #: anything is computed.
 MAX_GRID_POINTS = 10_001
 
@@ -89,14 +90,65 @@ _CONFIG_SCHEMA: dict[str, type] = {
 }
 
 
-def format_csv(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
-    """The CSV text: the header line, then one line of len(header) numbers per row."""
-    values = tuple(itertools.chain.from_iterable(rows))
-    line = ",".join(["%.14e"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + line * (len(values) // len(header)) % values
+#: 4x the error of y = |x| 10**(14 - e) in long double (two roundings, y < 1e15): a y this near a
+#: half-integer takes its digits from "%.14e", as every y does where long double is plain double.
+_TIE_WINDOW = float(4 * np.finfo(np.longdouble).eps * 1e15)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+@functools.cache
+def _csv_tables() -> tuple[np.ndarray, ...]:
+    """10**k in long double for k in [-310, 340], correctly rounded and capped at its largest value;
+    NUL-padded uint32 words of "d.dd" and "ddd" for 0..999 and pairs of "e+05".."e-324" for e in [-324, 308]."""
+    pow10 = np.array([b"1e%d" % k for k in range(-310, 341)]).astype(np.longdouble)
+    digits = 48 + np.stack([np.arange(1000) // 100, np.arange(1000) // 10 % 10, np.arange(1000) % 10], axis=1)
+    return (
+        np.minimum(pow10, np.finfo(np.longdouble).max),
+        np.insert(digits, 1, ord("."), axis=1).astype(np.uint8).view(np.uint32)[:, 0],
+        np.pad(digits, ((0, 0), (0, 1))).astype(np.uint8).view(np.uint32)[:, 0],
+        np.array([b"e%+03d" % e for e in range(-324, 309)], "S8").view(np.uint32).reshape(-1, 2),
+    )
+
+
+def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> str:
+    """The CSV text: the header line, then one line of len(header) numbers per row.
+
+    ``rows`` is any (n, len(header)) float array-like; every number reads exactly as "%.14e" % x.
+    Finite nonzero x get the digits N = round(y) of y = |x| 10**(14 - e) in [1e14, 1e15), e =
+    floor(log10 |x|), or those of "%.14e" where y is within _TIE_WINDOW of a tie or rounds to 1e15.
+    Each number is nine uint32 words from _csv_tables (sign, "d.dd", four "ddd", exponent, comma
+    or newline), and the NULs are dropped from their bytes.
+    """
+    pow10, lead, group, exponent = _csv_tables()
+    x = np.asarray(rows, dtype=float).reshape(-1, len(header)).ravel()
+    special = np.flatnonzero(~(np.isfinite(x) & (x != 0)))  # zeros, nan and inf
+    a = np.abs(x)
+    a[special] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a.astype(np.longdouble) * pow10[324 - e]
+    moved = np.flatnonzero((y < 1e14) | (y >= 1e15))
+    e[moved] += np.where(y[moved] < 1e14, -1, 1)
+    y[moved] = a[moved] * pow10[324 - e[moved]]
+    n = y.astype(np.int64)
+    frac = (y - n).astype(float)
+    n += frac >= 0.5
+    for i in np.flatnonzero(~(np.abs(frac - 0.5) > _TIE_WINDOW) | (n == 10**15)):
+        text = "%.14e" % a[i]
+        n[i], e[i] = int(text[0] + text[2:16]), int(text[17:])
+    n[special] = e[special] = 0
+    groups = n[:, None] // 10 ** np.arange(12, -1, -3) % 1000
+    words = np.empty((x.size, 9), np.uint32)
+    words[:, 0] = np.where(np.signbit(x) & ~np.isnan(x), ord("-"), 0)
+    words[:, 1], words[:, 2:6] = lead[groups[:, 0]], group[groups[:, 1:]]
+    words[:, 6:8] = exponent.take(e + 324, axis=0)
+    words[:, 8] = ord(",")
+    words[len(header) - 1 :: len(header), 8] = ord("\n")
+    nonfinite = special[~np.isfinite(x[special])]
+    words[nonfinite, 1:8] = 0
+    words[nonfinite, 1] = np.where(np.isnan(x[nonfinite]), *np.array([b"nan", b"inf"], "S4").view(np.uint32))
+    return ",".join(header) + "\n" + words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def write_csv(path: str, header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> None:
     """Write the CSV text to path; a path that cannot be written is a ConfigError."""
     text = format_csv(header, rows)
     try:
@@ -163,7 +215,7 @@ def _check_oracle(rows: np.ndarray | Sequence[float]) -> None:
     )
 
 
-def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[str], list[list[float]]]:
+def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[str], np.ndarray]:
     """Transmittance and CE versus optical depth, quantum and semiclassical.
 
     The quantum columns come from one propagation_sweep and the
@@ -190,7 +242,7 @@ def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[st
     )
     _check_oracle(table)
     _raise_first(classical.failure, quantum.failure)
-    return header, table.tolist()
+    return header, table
 
 
 def run_fig3(ces: np.ndarray) -> tuple[list[str], list[list[float]]]:
@@ -210,7 +262,7 @@ def run_fig4(
     variant: str,
     convention_scale: float = 1.0,
     squeeze_r: float = DEFAULT_SQUEEZE_R,
-) -> tuple[list[str], list[list[float]]]:
+) -> tuple[list[str], np.ndarray]:
     """Output quadrature variances versus CE.
 
     Variant "a" uses a squeezed input (anti-squeezed quadrature on X),
@@ -230,7 +282,7 @@ def run_fig4(
             convention_scale * output_variance(vin.var_y, ces),
         ]
     )
-    return header, table.tolist()
+    return header, table
 
 
 def run_custom(
@@ -240,7 +292,7 @@ def run_custom(
     convention_scale: float = 1.0,
     squeeze_r: float = DEFAULT_SQUEEZE_R,
     overrides: dict | None = None,
-) -> tuple[list[str], list[list[float]]]:
+) -> tuple[list[str], np.ndarray]:
     """Combined optical-depth sweep for one input state.
 
     One propagation_sweep gives every row's probe transmittance |A_0|^2,
@@ -293,7 +345,7 @@ def run_custom(
     columns.append(convention_scale * output_variance(vin.var_y, ce_column))
     table = np.column_stack(columns)
     _raise_first(quantum.failure)
-    return header, table.tolist()
+    return header, table
 
 
 def parse_config(path: str) -> dict:
@@ -321,7 +373,9 @@ def parse_config(path: str) -> dict:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The eitqfc argument parser, built on first use; every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="eitqfc",
         description="Deterministic CSV sweeps of the FWM frequency-conversion model.",
@@ -402,8 +456,7 @@ def _ce_grid(settings: dict) -> np.ndarray:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         settings = _merge_settings(args)
         overrides = {k: settings[k] for k in _PHYSICAL_KEYS if k in settings}

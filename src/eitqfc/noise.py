@@ -118,16 +118,23 @@ class DiffusionMatrix:
     """Normally-ordered diffusion coefficients D_{jk,k'j'}.
 
     entries[a, b] couples noise slot DIFFUSION_ROWS[a] to the adjoint
-    slot DIFFUSION_COLS[b]: a finite (3, 3) array, stored as complex.
+    slot DIFFUSION_COLS[b]: a finite (3, 3) array, stored as a read-only complex copy.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = np.array(self.entries, dtype=complex)
         if entries.shape != (3, 3) or not np.isfinite(entries).all():
             raise ValueError(f"diffusion entries must be a finite 3x3 array, got shape {entries.shape}")
+        entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, DiffusionMatrix) and np.array_equal(self.entries, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.entries + 0.0).tobytes())  # + 0.0 turns -0.0, equal to 0.0, into 0.0
 
     @property
     def is_zero(self) -> bool:

@@ -1,14 +1,18 @@
 import hashlib
+import itertools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitqfc import cli
 from eitqfc.cli import (
@@ -151,7 +155,106 @@ def test_degenerate_alpha_grid_rejected(tmp_path):
     assert main(["fig2", "--alpha-max", "0", "--grid-points", "5", "--out", str(out)]) == 2
 
 
+def _percent_csv(header, rows):
+    """The CSV text by one "%.14e" per value: the format format_csv reproduces."""
+    values = tuple(itertools.chain.from_iterable(np.asarray(rows, dtype=float).reshape(-1, len(header)).tolist()))
+    line = ",".join(["%.14e"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + line * (len(values) // len(header)) % values
+
+
+def _assert_percent_format(header, rows):
+    """format_csv(header, rows) is the "%" text; a failure names the first line that differs."""
+    got, want = format_csv(header, rows).split("\n"), _percent_csv(header, rows).split("\n")
+    first = next((i for i, pair in enumerate(itertools.zip_longest(got, want)) if pair[0] != pair[1]), None)
+    assert first is None, f"line {first}: {got[first : first + 1]} != {want[first : first + 1]}"
+
+
+#: Values at the edges of "%.14e": signed zeros, the subnormal and normal extremes, carries into the
+#: next decade, exact ties, every power of ten a double holds, and the non-finite values.
+_EDGE_VALUES = np.concatenate(
+    [
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308],
+        [1e-310, 9.999999999999995e5, 999999999999999.5, 99999999999999.95, np.nextafter(10.0, 0.0), 0.5, 1.5],
+        np.arange(10**14, 10**15, 899_999_999_999) + 0.5,
+        -(np.arange(10**14 + 1, 10**15, 1_234_567_890_123) + 0.5),
+        [float(f"1e{k}") for k in range(-323, 309)],
+        [math.nan, -math.nan, math.inf, -math.inf],
+    ]
+)
+
+
 class TestCsvFormat:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
+    def test_edge_values_match_the_percent_format(self, width):
+        rows = _EDGE_VALUES[: _EDGE_VALUES.size // width * width].reshape(-1, width)
+        header = [f"c{i}" for i in range(width)]
+        _assert_percent_format(header, rows)
+        _assert_percent_format(header, rows.tolist())
+
+    def test_every_exact_tie_rounds_half_to_even(self):
+        ties = np.arange(10**14, 10**14 + 2000) + 0.5
+        _assert_percent_format(["t"], ties[:, None])
+        text = format_csv(["t"], ties[:, None])
+        # 100000000000000.5 and 100000000000001.5 both go to the even neighbour
+        assert text.splitlines()[1:3] == ["1.00000000000000e+14", "1.00000000000002e+14"]
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))], ids=["list", "array"])
+    def test_empty_table_is_the_header_line(self, rows):
+        assert format_csv(["a", "b", "c"], rows) == "a,b,c\n"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(width=st.integers(1, 6), values=st.lists(st.floats(), max_size=60))
+    def test_any_floats_match_the_percent_format(self, width, values):
+        rows = np.array(values[: len(values) // width * width], dtype=float).reshape(-1, width)
+        header = [f"c{i}" for i in range(width)]
+        _assert_percent_format(header, rows)
+
+    def test_near_tie_path_alone_gives_the_same_bytes(self, monkeypatch):
+        # a window of 1 sends every value through "%.14e", as a plain-double long double does
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64).view(float)
+        rows = np.concatenate([_EDGE_VALUES, bits])
+        rows = rows[: rows.size // 5 * 5].reshape(-1, 5)
+        header = list("abcde")
+        monkeypatch.setattr(cli, "_TIE_WINDOW", 1.0)
+        _assert_percent_format(header, rows)
+
+    def test_random_bit_patterns_match_the_percent_format(self):
+        rng = np.random.default_rng(21)
+        bits = rng.integers(0, 2**64, size=60_000, dtype=np.uint64).view(float)
+        subnormals = rng.random(6_000) * 2.2250738585072014e-308
+        rows = np.concatenate([bits, subnormals]).reshape(-1, 6)
+        _assert_percent_format(list("abcdef"), rows)
+
+    def test_powers_of_ten_table_is_correctly_rounded(self):
+        top = np.finfo(np.longdouble).max
+        for k, power in zip(range(-310, 341), cli._csv_tables()[0]):
+            exact = Fraction(10) ** k
+            if exact > Fraction(*top.as_integer_ratio()):
+                assert power == top, k  # capped where long double cannot hold 10**k
+                continue
+            error = abs(Fraction(*power.as_integer_ratio()) - exact)
+            assert error <= Fraction(*np.spacing(power).as_integer_ratio()) / 2, k
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [{}, {"omega_c": 1.5, "omega_d": 0.8}, {"omega_c": 1.2, "omega_d": 1.0, "gamma21": 0.01}],
+        ids=["symmetric", "asymmetric", "dephased"],
+    )
+    def test_sweep_tables_match_the_percent_format(self, cfg):
+        alphas = np.linspace(0.0, 400.0, 401)
+        for header, rows in (
+            run_fig2(alphas, cfg),
+            run_custom(alphas, "fock", 1.0, overrides=cfg),
+            run_custom(alphas, "coherent", 3.0, overrides=cfg),
+        ):
+            _assert_percent_format(header, rows)
+
+    def test_ce_tables_match_the_percent_format(self):
+        ces = np.linspace(0.0, 1.0, 101)
+        for header, rows in (run_fig3(ces), run_fig4(ces, "a"), run_fig4(ces, "b")):
+            _assert_percent_format(header, rows)
+
     def test_round_trip_precision(self):
         rows = [[math.pi, 1e-17, 0.9611687812379853]]
         text = format_csv(["a", "b", "c"], rows)
@@ -449,6 +552,24 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["fig4", "--convention-scale", "3"])
         assert exc.value.code == 2
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        # the shared parser keeps nothing from one call to the next
+        for argv, message in [
+            (["fig4", "--convention-scale", "3"], "argument --convention-scale: invalid choice: 3"),
+            (["fig5"], "argument command: invalid choice: 'fig5'"),
+            (["fig3", "--grid-points", "x"], "argument --grid-points: invalid int value: 'x'"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: eitqfc ") and f"eitqfc: error: {message}" in err
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--grid-points", "3", "--out", str(out)]) == 0
+        assert main(["fig3", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 102
 
     def test_parse_config_rejects_missing_file(self):
         with pytest.raises(ConfigError):

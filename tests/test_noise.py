@@ -116,6 +116,28 @@ class TestDiffusionMatrix:
             symmetric_params(4.0), diffusion_matrix(0.5, 0.5)
         )
 
+    def test_equal_matrices_are_equal_and_hash_alike(self):
+        a, b = diffusion_matrix(0.5, 0.5), DiffusionMatrix(entries=np.diag([0.5, 0.0, 0.0]))
+        assert a == b and hash(a) == hash(b)
+        assert {a: "einstein"}[b] == "einstein"
+        # -0.0 equals 0.0, so a matrix of negative zeros hashes as the zero matrix
+        negative_zeros = DiffusionMatrix(entries=-np.zeros((3, 3)))
+        assert negative_zeros == diffusion_matrix() and hash(negative_zeros) == hash(diffusion_matrix())
+
+    def test_different_matrices_are_unequal(self):
+        assert diffusion_matrix(0.5, 0.5) != diffusion_matrix(0.5, 0.0)
+        assert diffusion_matrix(0.5, 0.5) != _off_diagonal()
+        assert diffusion_matrix() != np.zeros((3, 3))
+        assert len({diffusion_matrix(0.5, 0.5), diffusion_matrix(0.5, 0.0), _off_diagonal()}) == 3
+
+    def test_entries_are_a_read_only_copy(self):
+        entries = np.diag([0.5, 0.0, 0.0]).astype(complex)
+        d = DiffusionMatrix(entries=entries)
+        with pytest.raises(ValueError, match="read-only"):
+            d.entries[0, 0] = 1.0
+        entries[0, 0] = 1.0  # the caller's array stays writable and does not reach the matrix
+        assert d == diffusion_matrix(0.5, 0.5)
+
     def test_population_bounds(self):
         with pytest.raises(ValueError):
             diffusion_matrix(-0.1, 0.0)
