@@ -13,7 +13,8 @@ forms at every point.
 
 import numpy as np
 
-from eitqfc import NOISE_INDICES, closed_form_coefficients, solve_susceptibility_stack, symmetric_params
+from eitqfc import NOISE_INDICES, solve_susceptibility_stack, symmetric_params
+from eitqfc.spectral import closed_form_coefficients
 
 p = symmetric_params(20.0)
 omegas = np.linspace(-4.0, 4.0, 17)

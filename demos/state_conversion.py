@@ -16,18 +16,18 @@ from eitqfc import (
     Coherent,
     Fock,
     apply_loss_channel,
-    beam_splitter_oracle,
     coherent_dm,
     coherent_fidelity,
     fidelity,
     fock_dm,
-    resolved_coefficients,
+    propagation_sweep,
     symmetric_params,
     trace_distance,
 )
+from eitqfc.states import beam_splitter_oracle
 
 p = symmetric_params(200.0)
-c0 = complex(resolved_coefficients(p)[2])  # the channel amplitude C_0
+c0 = complex(propagation_sweep(p, [p.alpha]).resolved[0, 1, 0])  # the channel amplitude C_0
 ce = abs(c0) ** 2
 print(f"optical depth 200: C_0 = {c0.real:.6f}, CE = {ce:.4f}\n")
 

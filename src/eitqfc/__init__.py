@@ -14,25 +14,15 @@ from .spectral import (
     NOISE_INDICES,
     SpectralStack,
     build_first_order_system,
-    closed_form_coefficients,
     eit_denominator,
-    solve_susceptibilities,
     solve_susceptibility_stack,
 )
 from .transfer import (
-    NoiseKernels,
     PropagationSweep,
     SemiclassicalSweep,
-    conversion_efficiency,
-    coupling_matrix,
-    expm2,
     noise_kernel_block,
-    noise_kernels,
     propagation_sweep,
-    resolved_coefficients,
-    semiclassical_solve,
     semiclassical_sweep,
-    transmittance,
 )
 from .noise import (
     DiffusionMatrix,
@@ -50,7 +40,6 @@ from .states import (
     QuadratureStats,
     Squeezed,
     apply_loss_channel,
-    beam_splitter_oracle,
     coherent_dm,
     coherent_fidelity,
     coherent_vector,
@@ -61,7 +50,6 @@ from .states import (
     input_variances,
     output_variance,
     output_variances,
-    projector_series_oracle,
     trace_distance,
     validate_density_matrix,
 )

@@ -34,14 +34,10 @@ class SingularG(QfcError):
 
 
 class IllPosedBoundary(QfcError):
-    """A resolved matrix that is not finite or has |1/D| (= |D'|) below BOUNDARY_TOL: a backward resonance."""
+    """A boundary solution that is not finite or has a pivot below BOUNDARY_TOL.
 
-
-class ShootingFailure(QfcError):
-    """The semiclassical boundary-value solve failed: a singular star product or a non-finite slab.
-
-    The name is kept from the linear shooting step that invariant
-    imbedding replaced.
+    The pivot is |1/D| (= |D'|) of a resolved matrix, small at a backward
+    resonance, or |1 - B1 C2| of a star product of the imbedding.
     """
 
 

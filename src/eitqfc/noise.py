@@ -52,7 +52,7 @@ import numpy as np
 from .errors import NonConvergedIntegral
 from .params import GAMMA, LENGTH, SystemParams, validate
 from .spectral import solve_susceptibility_stack
-from .transfer import noise_kernel_gram, resolved_coefficients
+from .transfer import noise_kernel_gram, propagation_sweep
 
 #: Row labels jk of the diffusion matrix and their adjoint pairs k'j'.
 DIFFUSION_ROWS = (21, 31, 41)
@@ -295,7 +295,10 @@ def eta2(params: SystemParams, diffusion: DiffusionMatrix | None = None) -> floa
     skipped; a user-supplied diffusion matrix is integrated honestly.
     """
     validate(params)
-    _, _, c0, d0 = resolved_coefficients(params, 0.0)
+    sweep = propagation_sweep(params, [params.alpha])
+    if sweep.failure is not None:
+        raise sweep.failure
+    c0, d0 = sweep.resolved[0, 1]
     if diffusion is None or diffusion.is_zero:
         eta1_value = 0.0
     else:

@@ -32,11 +32,9 @@ equations on a thin seed widened by star-squarings, and cumulative
 Redheffer star products along the grid.  It forms no e^{-ML}, no
 eigenvalue and no cosh or sinch, so it stays independent of the
 quantum route.  Both sweeps return the rows before the first optical
-depth that fails plus that row's error; ``resolved_coefficients`` and
-``semiclassical_solve`` are their one-row views, and ``transmittance``
-and ``conversion_efficiency`` read the former.  ``expm2``, e^{-M}
-itself in the core's form, is the reference route of the tests: the
-package never forms e^{-ML}.
+depth that fails plus that row's error; a single point is a one-row
+grid.  ``expm2``, e^{-M} itself in the core's form, is the reference
+route of the tests: the package never forms e^{-ML}.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IllPosedBoundary, NegativeOD, QfcError, ShootingFailure, SingularSystem
+from .errors import IllPosedBoundary, NegativeOD, QfcError, SingularSystem
 from .params import LENGTH, SystemParams, validate
 from .spectral import SpectralStack, solve_susceptibility_stack
 
@@ -439,30 +437,6 @@ def noise_kernels(stack: SpectralStack, raw: np.ndarray, z_grid: np.ndarray | No
     return NoiseKernels(np.asarray(z_grid, dtype=float), kernels[:, 0].T, kernels[:, 1].T, float(stack.omega[0]))
 
 
-def resolved_coefficients(params: SystemParams, omega: float = 0.0) -> tuple[complex, complex, complex, complex]:
-    """(A, B, C, D) of the backward-resolved transfer matrix at the optical depth of ``params``.
-
-    The one-row view of propagation_sweep; raises the row's error, e.g.
-    IllPosedBoundary at a backward resonance.  C at omega = 0 is the
-    channel amplitude C_0 that carries the input state to the signal.
-    """
-    sweep = propagation_sweep(params, [params.alpha], omega)
-    if sweep.failure is not None:
-        raise sweep.failure
-    (a, b), (c, d) = sweep.resolved[0]
-    return a, b, c, d
-
-
-def transmittance(params: SystemParams) -> float:
-    """Single-mode probe transmittance |A_0|^2 (equals (4/(4+alpha))^2 symmetric)."""
-    return float(abs(resolved_coefficients(params)[0]) ** 2)
-
-
-def conversion_efficiency(params: SystemParams) -> float:
-    """Single-mode conversion efficiency |C_0|^2 (equals (alpha/(4+alpha))^2 symmetric)."""
-    return float(abs(resolved_coefficients(params)[2]) ** 2)
-
-
 def _imbedding_rates(m: np.ndarray, slabs: np.ndarray) -> np.ndarray:
     """d/dt of stacked slabs (4, n) = (A, B, C, D) as a sheet of optical depth dt is added at the far face.
 
@@ -594,9 +568,10 @@ def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> Semiclassic
     Each row's (A, B, C, D) gives |probe(L)|^2 = |A|^2 and |signal(0)|^2
     = |C|^2.  No matrix exponential, eigenvalue or shooting step: every
     entry stays bounded for a passive medium.  A row fails with
-    ShootingFailure when a star product it needed has a pivot |1 - B1
-    C2| below BOUNDARY_TOL, or when its (A, B, C, D) is not finite.
-    ``params.alpha`` is only validated.
+    IllPosedBoundary, like a row of propagation_sweep, when a star
+    product it needed has a pivot |1 - B1 C2| below BOUNDARY_TOL, or
+    when its (A, B, C, D) is not finite.  ``params.alpha`` is only
+    validated.
     """
     alphas = _optical_depths(alphas)
     m = _unit_generator(params, alphas, 0.0) * LENGTH
@@ -611,8 +586,8 @@ def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> Semiclassic
     n, failure = _first_failure(
         alphas,
         [
-            (pivot < BOUNDARY_TOL, lambda k: ShootingFailure(f"imbedding singular: |1 - B C| = {pivot[k]:.3e}")),
-            (~finite, lambda k: ShootingFailure("the imbedding gave no finite scattering matrix")),
+            (pivot < BOUNDARY_TOL, lambda k: IllPosedBoundary(f"imbedding singular: |1 - B C| = {pivot[k]:.3e}")),
+            (~finite, lambda k: IllPosedBoundary("the imbedding gave no finite scattering matrix")),
         ],
     )
     return SemiclassicalSweep(
@@ -622,13 +597,3 @@ def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> Semiclassic
         failure=failure,
     )
 
-
-def semiclassical_solve(params: SystemParams) -> tuple[float, float]:
-    """(|probe(L)|^2, |signal(0)|^2) at the optical depth of ``params``.
-
-    The one-row view of semiclassical_sweep; raises the row's error.
-    """
-    sweep = semiclassical_sweep(params, [params.alpha])
-    if sweep.failure is not None:
-        raise sweep.failure
-    return float(sweep.transmittance[0]), float(sweep.conversion_efficiency[0])

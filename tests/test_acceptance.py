@@ -26,12 +26,7 @@ from eitqfc.states import (
     output_variances,
     projector_series_oracle,
 )
-from eitqfc.transfer import (
-    conversion_efficiency,
-    resolved_coefficients,
-    semiclassical_solve,
-    transmittance,
-)
+from eitqfc.transfer import propagation_sweep, semiclassical_sweep
 
 
 class _Criterion:
@@ -60,7 +55,7 @@ class _Criterion:
 def test_criterion_1_headline_numbers():
     with _Criterion(1, "OD 200 gives CE 0.9612 and Fock fidelity 0.9804", budget=0.1):
         params = symmetric_params(200.0)
-        ce = conversion_efficiency(params)
+        ce = abs(propagation_sweep(params, [params.alpha]).resolved[0, 1, 0]) ** 2
         assert abs(ce - 0.9612) <= 1e-4
         rho_out = apply_loss_channel(fock_dm(1, 6), math.sqrt(ce))
         assert abs(fidelity(Fock(1), rho_out) - 0.9804) <= 1e-4
@@ -72,11 +67,12 @@ def test_criterion_2_efficiency_sweep():
             params = symmetric_params(float(alpha))
             tp_closed = (4 / (4 + alpha)) ** 2
             ce_closed = (alpha / (4 + alpha)) ** 2
-            tp_q = transmittance(params)
-            ce_q = conversion_efficiency(params)
+            (a0, _), (c0, _) = propagation_sweep(params, [params.alpha]).resolved[0]
+            tp_q, ce_q = abs(a0) ** 2, abs(c0) ** 2
             assert abs(tp_q - tp_closed) <= 1e-12
             assert abs(ce_q - ce_closed) <= 1e-12
-            tp_s, ce_s = semiclassical_solve(params)
+            classical = semiclassical_sweep(params, [params.alpha])
+            tp_s, ce_s = classical.transmittance[0], classical.conversion_efficiency[0]
             assert abs(tp_s - tp_q) <= 1e-6
             assert abs(ce_s - ce_q) <= 1e-6
 
@@ -126,7 +122,7 @@ def test_criterion_5_noise_identities():
             params = symmetric_params(alpha)
             value = eta2(params)
             assert abs(value - 8 * alpha / (4 + alpha) ** 2) <= 1e-12
-            _, _, c0, d0 = resolved_coefficients(params, 0.0)
+            c0, d0 = propagation_sweep(params, [params.alpha], 0.0).resolved[0, 1]
             assert abs(abs(c0) ** 2 + abs(d0) ** 2 + value - 1.0) <= 1e-12
 
 

@@ -750,7 +750,8 @@ def test_sweeps_and_noise_integrals_run_without_scipy(tmp_path):
 def test_beam_splitter_oracle_runs_without_scipy():
     code = (
         "import sys\n"
-        "from eitqfc import beam_splitter_oracle, fock_dm\n"
+        "from eitqfc import fock_dm\n"
+        "from eitqfc.states import beam_splitter_oracle\n"
         "rho = beam_splitter_oracle(fock_dm(1, 4), 0.5, 4)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')), round(float(rho[1, 1].real), 12))"
     )

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitqfc import noise, transfer
-from eitqfc.errors import NonConvergedIntegral, SingularSystem
+from eitqfc.errors import IllPosedBoundary, NonConvergedIntegral, SingularSystem
 from eitqfc.noise import (
     DiffusionMatrix,
     default_window,
@@ -26,7 +26,7 @@ from eitqfc.transfer import (
     noise_kernel_block,
     noise_kernel_gram,
     noise_kernels,
-    resolved_coefficients,
+    propagation_sweep,
 )
 
 REFERENCE_TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "noise_reference.json"
@@ -473,9 +473,28 @@ class TestEta2:
     def test_commutator_consistency(self):
         for alpha in (0.0, 4.0, 40.0, 400.0):
             p = symmetric_params(alpha)
-            _, _, c0, d0 = resolved_coefficients(p, 0.0)
+            c0, d0 = propagation_sweep(p, [p.alpha], 0.0).resolved[0, 1]
             assert abs(abs(c0) ** 2 + abs(d0) ** 2 + eta2(p) - 1.0) < 1e-12
 
     def test_nonnegative_over_od_range(self):
         for alpha in np.linspace(0.0, 500.0, 26):
             assert eta2(symmetric_params(float(alpha))) >= 0.0
+
+    def test_singular_response_names_the_optical_depth(self):
+        # no drive at all makes the 3x3 response singular
+        with pytest.raises(SingularSystem, match=r"^at alpha=3\.0: "):
+            eta2(SystemParams(alpha=3.0, omega_c=0, omega_d=0))
+
+    def test_raises_the_failure_of_its_one_row_sweep(self, monkeypatch):
+        # a core that puts a backward resonance (|1/D| = 1e-13) on every row
+        core = transfer._scattering
+
+        def resonant_core(m):
+            resolved = core(m)
+            resolved[:, 1, 1] = 1e13
+            return resolved
+
+        monkeypatch.setattr(transfer, "_scattering", resonant_core)
+        with pytest.raises(IllPosedBoundary) as failure:
+            eta2(symmetric_params(4.0))
+        assert str(failure.value) == "at alpha=4.0: |1/D| = 1.000e-13 below 1e-12"

@@ -28,21 +28,21 @@ from eitqfc.states import (
     trace_distance,
     validate_density_matrix,
 )
-from eitqfc.transfer import propagation_sweep, resolved_coefficients
+from eitqfc.transfer import propagation_sweep
 
 CE_HEADLINE = (200 / 204) ** 2  # conversion efficiency at optical depth 200
 
 
 class TestChannelAmplitude:
     def test_headline_od(self):
-        c0 = resolved_coefficients(symmetric_params(200.0))[2]
+        c0 = propagation_sweep(symmetric_params(200.0), [200.0]).resolved[0, 1, 0]
         assert abs(c0 - 200 / 204) < 1e-13
 
     def test_empty_medium(self):
-        assert abs(resolved_coefficients(symmetric_params(0.0))[2]) < 1e-14
+        assert abs(propagation_sweep(symmetric_params(0.0), [0.0]).resolved[0, 1, 0]) < 1e-14
 
     def test_crossover(self):
-        assert abs(resolved_coefficients(symmetric_params(4.0))[2] - 0.5) < 1e-13
+        assert abs(propagation_sweep(symmetric_params(4.0), [4.0]).resolved[0, 1, 0] - 0.5) < 1e-13
 
 
 class TestApplyLossChannel:

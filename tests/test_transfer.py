@@ -6,21 +6,17 @@ import pytest
 import scipy.linalg
 
 from eitqfc import transfer
-from eitqfc.errors import IllPosedBoundary, NegativeOD, NonFiniteParameter, ShootingFailure, SingularSystem
+from eitqfc.errors import IllPosedBoundary, NegativeOD, NonFiniteParameter, SingularSystem
 from eitqfc.params import SystemParams, symmetric_params
 from eitqfc.spectral import solve_susceptibilities, solve_susceptibility_stack
 from eitqfc.transfer import (
-    conversion_efficiency,
     coupling_matrix,
     expm2,
     noise_kernel_block,
     noise_kernel_gram,
     noise_kernels,
     propagation_sweep,
-    resolved_coefficients,
-    semiclassical_solve,
     semiclassical_sweep,
-    transmittance,
 )
 
 
@@ -146,7 +142,7 @@ class TestStackedExpm2:
         with np.errstate(over="raise", invalid="raise"):
             raw = expm2(coupling_matrix(solve_susceptibilities(params, 0.0)))
         assert not np.isfinite(raw).all()
-        a, b, c, d = resolved_coefficients(params)
+        a, b, c, d = propagation_sweep(params, [params.alpha]).resolved[0].ravel()
         assert np.isfinite([a, b, c, d]).all()
         assert abs(a) ** 2 + abs(c) ** 2 <= 1.0 + 1e-12
         assert abs(b) ** 2 + abs(d) ** 2 <= 1.0 + 1e-12
@@ -464,32 +460,33 @@ class TestNoiseGram:
 
 class TestSingleModeCoefficients:
     def test_transmittance_examples(self):
-        assert transmittance(symmetric_params(0.0)) == pytest.approx(1.0, abs=1e-14)
-        assert transmittance(symmetric_params(4.0)) == pytest.approx(0.25, abs=1e-14)
-        assert transmittance(symmetric_params(200.0)) == pytest.approx((4 / 204) ** 2, rel=1e-13)
+        tp = [abs(propagation_sweep(symmetric_params(a), [a]).resolved[0, 0, 0]) ** 2 for a in (0.0, 4.0, 200.0)]
+        assert tp[0] == pytest.approx(1.0, abs=1e-14)
+        assert tp[1] == pytest.approx(0.25, abs=1e-14)
+        assert tp[2] == pytest.approx((4 / 204) ** 2, rel=1e-13)
 
     def test_conversion_efficiency_examples(self):
-        assert conversion_efficiency(symmetric_params(200.0)) == pytest.approx(
-            (200 / 204) ** 2, rel=1e-13
-        )
-        assert conversion_efficiency(symmetric_params(0.0)) == 0.0
-        assert conversion_efficiency(symmetric_params(12.0)) == pytest.approx(0.5625, abs=1e-13)
+        ce = [abs(propagation_sweep(symmetric_params(a), [a]).resolved[0, 1, 0]) ** 2 for a in (200.0, 0.0, 12.0)]
+        assert ce[0] == pytest.approx((200 / 204) ** 2, rel=1e-13)
+        assert ce[1] == 0.0
+        assert ce[2] == pytest.approx(0.5625, abs=1e-13)
 
     def test_closed_forms_across_od_grid(self):
         for alpha in np.linspace(0.0, 400.0, 81):
             p = symmetric_params(float(alpha))
-            assert abs(transmittance(p) - (4 / (4 + alpha)) ** 2) < 1e-12
-            assert abs(conversion_efficiency(p) - (alpha / (4 + alpha)) ** 2) < 1e-12
+            (a0, _), (c0, _) = propagation_sweep(p, [p.alpha]).resolved[0]
+            assert abs(abs(a0) ** 2 - (4 / (4 + alpha)) ** 2) < 1e-12
+            assert abs(abs(c0) ** 2 - (alpha / (4 + alpha)) ** 2) < 1e-12
 
     def test_reciprocity_at_line_center(self):
         for alpha in (0.5, 30.0, 250.0):
-            a0, b0, c0, d0 = resolved_coefficients(symmetric_params(alpha), 0.0)
+            a0, b0, c0, d0 = propagation_sweep(symmetric_params(alpha), [alpha], 0.0).resolved[0].ravel()
             assert abs(a0 - d0) < 1e-13
             assert abs(b0 - c0) < 1e-13
 
     def test_passivity(self):
         for alpha in np.linspace(0.0, 400.0, 41):
-            a0, b0, c0, d0 = resolved_coefficients(symmetric_params(float(alpha)), 0.0)
+            a0, b0, c0, d0 = propagation_sweep(symmetric_params(float(alpha)), [alpha], 0.0).resolved[0].ravel()
             target = (16 + alpha**2) / (4 + alpha) ** 2
             assert abs(abs(a0) ** 2 + abs(b0) ** 2 - target) < 1e-12
             assert abs(abs(c0) ** 2 + abs(d0) ** 2 - target) < 1e-12
@@ -499,10 +496,8 @@ class TestSingleModeCoefficients:
 
     def test_loss_deficit_monotone_beyond_crossover(self):
         alphas = np.linspace(4.0, 400.0, 100)
-        deficit = [
-            1.0 - transmittance(symmetric_params(a)) - conversion_efficiency(symmetric_params(a))
-            for a in alphas
-        ]
+        resolved = [propagation_sweep(symmetric_params(a), [a]).resolved[0] for a in alphas]
+        deficit = [1.0 - abs(r[0, 0]) ** 2 - abs(r[1, 0]) ** 2 for r in resolved]
         assert np.allclose(deficit, 8 * alphas / (4 + alphas) ** 2, atol=1e-12)
         assert np.all(np.diff(deficit) < 0)
 
@@ -514,40 +509,45 @@ _MIRROR = np.array([[0.0], [1.0], [1.0], [0.0]], dtype=complex)
 
 class TestSemiclassical:
     def test_matches_quantum_at_crossover(self):
-        tp, ce = semiclassical_solve(symmetric_params(4.0))
+        sweep = semiclassical_sweep(symmetric_params(4.0), [4.0])
+        tp, ce = sweep.transmittance[0], sweep.conversion_efficiency[0]
         assert tp == pytest.approx(0.25, abs=1e-9)
         assert ce == pytest.approx(0.25, abs=1e-9)
 
     def test_empty_medium(self):
-        tp, ce = semiclassical_solve(symmetric_params(0.0))
+        sweep = semiclassical_sweep(symmetric_params(0.0), [0.0])
+        tp, ce = sweep.transmittance[0], sweep.conversion_efficiency[0]
         assert tp == pytest.approx(1.0, abs=1e-12)
         assert ce == pytest.approx(0.0, abs=1e-12)
 
     def test_high_od(self):
-        tp, ce = semiclassical_solve(symmetric_params(200.0))
+        sweep = semiclassical_sweep(symmetric_params(200.0), [200.0])
+        tp, ce = sweep.transmittance[0], sweep.conversion_efficiency[0]
         assert tp == pytest.approx((4 / 204) ** 2, abs=1e-6)
         assert ce == pytest.approx((200 / 204) ** 2, abs=1e-6)
 
     def test_agrees_with_quantum_on_sample_grid(self):
         for alpha in (0.0, 1.0, 7.0, 63.0, 311.0):
             p = symmetric_params(alpha)
-            tp_s, ce_s = semiclassical_solve(p)
-            assert abs(tp_s - transmittance(p)) < 1e-6
-            assert abs(ce_s - conversion_efficiency(p)) < 1e-6
+            classical = semiclassical_sweep(p, [p.alpha])
+            (a0, _), (c0, _) = propagation_sweep(p, [p.alpha]).resolved[0]
+            assert abs(classical.transmittance[0] - abs(a0) ** 2) < 1e-6
+            assert abs(classical.conversion_efficiency[0] - abs(c0) ** 2) < 1e-6
 
     def test_shooting_failure_guard(self, monkeypatch):
         # a perfect mirror facing itself makes the first squaring singular; seeds are changes from the empty slab
         monkeypatch.setattr(transfer, "_seed_slabs", lambda m, widths: (_MIRROR - _EMPTY) * np.ones(widths.size))
-        with pytest.raises(ShootingFailure) as failure:
-            semiclassical_solve(symmetric_params(4.0))
-        assert str(failure.value) == "at alpha=4.0: imbedding singular: |1 - B C| = 0.000e+00"
+        failure = semiclassical_sweep(symmetric_params(4.0), [4.0]).failure
+        assert isinstance(failure, IllPosedBoundary)
+        assert str(failure) == "at alpha=4.0: imbedding singular: |1 - B C| = 0.000e+00"
 
     def test_asymmetric_parameters_still_consistent(self):
         # no closed form here; quantum matrix route and the BVP must agree
         p = SystemParams(alpha=30.0, omega_c=1.5, omega_d=0.9, gamma31=1.2, gamma41=0.8, gamma21=0.01)
-        tp_s, ce_s = semiclassical_solve(p)
-        assert abs(tp_s - transmittance(p)) < 1e-8
-        assert abs(ce_s - conversion_efficiency(p)) < 1e-8
+        classical = semiclassical_sweep(p, [p.alpha])
+        (a0, _), (c0, _) = propagation_sweep(p, [p.alpha]).resolved[0]
+        assert abs(classical.transmittance[0] - abs(a0) ** 2) < 1e-8
+        assert abs(classical.conversion_efficiency[0] - abs(c0) ** 2) < 1e-8
 
 
 def _re_solved(raw: np.ndarray, trace: complex) -> np.ndarray:
@@ -583,7 +583,7 @@ def _assert_rows_match_per_point_route(params: SystemParams, alphas: np.ndarray,
         point = replace(params, alpha=float(alpha))
         expected = _per_point_resolved(point, omega)
         assert np.max(np.abs(resolved - expected)) <= 1e-13 * np.max(np.abs(expected))
-        assert np.array_equal(resolved.ravel(), resolved_coefficients(point, omega))
+        assert np.array_equal(resolved, propagation_sweep(point, [point.alpha], omega).resolved[0])
 
 
 class TestPropagationSweep:
@@ -603,7 +603,6 @@ class TestPropagationSweep:
     def test_single_point_grid(self, alpha):
         params = symmetric_params(alpha)
         sweep = propagation_sweep(params, [alpha])
-        assert np.array_equal(sweep.resolved[0].ravel(), resolved_coefficients(params))
         expected = np.array([[4.0, alpha], [alpha, 4.0]]) / (4.0 + alpha)
         assert np.max(np.abs(sweep.resolved[0] - expected)) < 1e-15
 
@@ -735,9 +734,9 @@ class TestSemiclassicalSweep:
             sweep = semiclassical_sweep(params, alphas)
             assert sweep.failure is None
             for alpha, tp, ce in zip(alphas, sweep.transmittance, sweep.conversion_efficiency):
-                tp_1, ce_1 = semiclassical_solve(replace(params, alpha=float(alpha)))
-                assert abs(tp - tp_1) < 1e-10
-                assert abs(ce - ce_1) < 1e-10
+                one = semiclassical_sweep(replace(params, alpha=float(alpha)), [alpha])
+                assert abs(tp - one.transmittance[0]) < 1e-10
+                assert abs(ce - one.conversion_efficiency[0]) < 1e-10
 
     def test_grid_order_and_repeats_do_not_matter(self):
         params = symmetric_params(0.0, 1.3)
@@ -781,7 +780,7 @@ class TestSemiclassicalSweep:
 
         monkeypatch.setattr(transfer, "_slabs", slabs)
         sweep = semiclassical_sweep(symmetric_params(0.0), [0.0, 5.0, 15.0, 25.0, 30.0])
-        assert isinstance(sweep.failure, ShootingFailure)
+        assert isinstance(sweep.failure, IllPosedBoundary)
         assert str(sweep.failure) == "at alpha=25.0: imbedding singular: |1 - B C| = 0.000e+00"
         assert list(sweep.alphas) == [0.0, 5.0, 15.0]
         assert list(sweep.transmittance) == [1.0, 1.0, 0.0]
