@@ -9,7 +9,7 @@ Its one runtime dependency is numpy, the independent oracles included.
 """
 
 from . import errors
-from .params import GAMMA, LENGTH, SystemParams, is_symmetric, symmetric_params, validate
+from .params import GAMMA, LENGTH, SystemParams, is_symmetric, symmetric_params
 from .spectral import (
     NOISE_INDICES,
     SpectralStack,

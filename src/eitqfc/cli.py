@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NonPassiveAmplitude, QfcError
-from .params import SystemParams, validate
+from .params import SystemParams
 from .states import (
     DEFAULT_DIM,
     Coherent,
@@ -158,14 +158,14 @@ def write_csv(path: str, header: Sequence[str], rows: np.ndarray | Sequence[Sequ
 
 
 def _sweep_params(alphas: np.ndarray, overrides: dict) -> SystemParams:
-    """The validated physical parameters of an optical-depth sweep.
+    """The physical parameters of an optical-depth sweep, from the physical keys of ``overrides``.
 
     The grid's smallest value stands in for the optical depth, so a
     negative one is a configuration error like an invalid physical key.
     """
     kwargs = {k: overrides[k] for k in _PHYSICAL_KEYS if k in overrides}
     try:
-        return validate(SystemParams(alpha=float(np.min(alphas, initial=0.0)), **kwargs))
+        return SystemParams(alpha=float(np.min(alphas, initial=0.0)), **kwargs)
     except QfcError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -259,20 +259,21 @@ def run_fig3(ces: np.ndarray) -> tuple[list[str], list[list[float]]]:
 
 def run_fig4(
     ces: np.ndarray,
-    variant: str,
+    state_kind: str,
     convention_scale: float = 1.0,
     squeeze_r: float = DEFAULT_SQUEEZE_R,
 ) -> tuple[list[str], np.ndarray]:
     """Output quadrature variances versus CE.
 
-    Variant "a" uses a squeezed input (anti-squeezed quadrature on X),
-    variant "b" the one-photon Fock state; columns are multiplied by
-    ``convention_scale`` (2 reproduces the doubled-variance convention).
+    ``state_kind`` "squeezed" (variant a) uses a squeezed input
+    (anti-squeezed quadrature on X), "fock" (variant b) the one-photon
+    Fock state, and any other state is a ConfigError; columns are
+    multiplied by ``convention_scale`` (2 reproduces the doubled-variance
+    convention).
     """
-    if variant not in ("a", "b"):
-        raise ConfigError(f"fig4 variant must be 'a' or 'b', got {variant!r}")
-    state = Squeezed(squeeze_r) if variant == "a" else Fock(1)
-    vin = input_variances(state)
+    if state_kind not in ("squeezed", "fock"):
+        raise ConfigError("fig4 supports --state squeezed (variant a) or fock (variant b)")
+    vin = input_variances(Squeezed(squeeze_r) if state_kind == "squeezed" else Fock(1))
     header = ["ce", "var_x", "var_y"]
     ces = np.asarray(ces, dtype=float)
     table = np.column_stack(
@@ -412,10 +413,7 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     settings = dict(_DEFAULTS[args.command])
     if args.config is not None:
         settings.update(parse_config(args.config))
-    for key in ("alpha_max", "grid_points", "state", "nbar", "squeeze_db", "convention_scale", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
+    settings.update((k, v) for k, v in vars(args).items() if v is not None and k in _CONFIG_SCHEMA)
     if settings.get("convention_scale", 1) not in (1, 2):  # the flag's choices, for a config file's value
         raise ConfigError(f"convention_scale must be 1 or 2, got {settings['convention_scale']}")
     return settings
@@ -459,33 +457,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         settings = _merge_settings(args)
-        overrides = {k: settings[k] for k in _PHYSICAL_KEYS if k in settings}
         if args.command == "fig2":
-            header, rows = run_fig2(_alpha_grid(settings), overrides)
+            header, rows = run_fig2(_alpha_grid(settings), settings)
         elif args.command == "fig3":
             header, rows = run_fig3(_ce_grid(settings))
         elif args.command == "fig4":
-            state = settings.get("state", "squeezed")
-            if state == "squeezed":
-                variant = "a"
-            elif state == "fock":
-                variant = "b"
-            else:
-                raise ConfigError("fig4 supports --state squeezed (variant a) or fock (variant b)")
             header, rows = run_fig4(
-                _ce_grid(settings),
-                variant,
-                float(settings.get("convention_scale", 1)),
-                _squeeze_r(settings),
+                _ce_grid(settings), settings["state"], settings["convention_scale"], _squeeze_r(settings)
             )
         else:
             header, rows = run_custom(
                 _alpha_grid(settings),
-                settings.get("state", "fock"),
-                float(settings.get("nbar", 1.0)),
-                float(settings.get("convention_scale", 1)),
+                settings["state"],
+                settings["nbar"],
+                settings["convention_scale"],
                 _squeeze_r(settings),
-                overrides,
+                settings,
             )
         write_csv(settings["out"], header, rows)
     except ConfigError as exc:

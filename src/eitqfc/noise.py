@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonConvergedIntegral
-from .params import GAMMA, LENGTH, SystemParams, validate
+from .params import GAMMA, LENGTH, SystemParams
 from .spectral import solve_susceptibility_stack
 from .transfer import noise_kernel_gram, propagation_sweep
 
@@ -225,7 +225,6 @@ def _adaptive_noise_integral(
     """The P or Q integral by panel-refined Gauss-Kronrod on omega >= 0; INTEGRAL_TOL is read at call time."""
     if max_doublings < 0:
         raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
-    validate(params)
     d = (diffusion_matrix() if diffusion is None else diffusion).entries
     phi = np.concatenate([[1.0], -np.exp(-2j * np.angle([params.omega_c, params.omega_d]))])
     d = d + d.conj() * np.outer(phi, phi.conj())  # its form at omega is d's at omega plus at -omega
@@ -294,7 +293,6 @@ def eta2(params: SystemParams, diffusion: DiffusionMatrix | None = None) -> floa
     diffusion matrix eta1 vanishes identically, so the integral is
     skipped; a user-supplied diffusion matrix is integrated honestly.
     """
-    validate(params)
     sweep = propagation_sweep(params, [params.alpha])
     if sweep.failure is not None:
         raise sweep.failure

@@ -5,9 +5,11 @@ Every rate is expressed in units of the spontaneous decay rate Gamma
 so the optical depth ``alpha`` is the only strength knob left in the
 symmetric configuration.
 
-The model linearizes around an undepleted ground state (weak-probe
-perturbation); no quantitative probe-power threshold is enforced, so
-every validated parameter set is accepted under that assumption.
+A SystemParams checks its invariants when it is built, so no function
+that takes one checks it again.  The model linearizes around an
+undepleted ground state (weak-probe perturbation); no quantitative
+probe-power threshold is enforced, so every SystemParams that can be
+built is accepted under that assumption.
 """
 
 from __future__ import annotations
@@ -44,31 +46,24 @@ class SystemParams:
     gamma41: float = 1.0
     gamma21: float = 0.0
 
+    def __post_init__(self) -> None:
+        """Check the parameter invariants; dataclasses.replace runs them again.
 
-_FIELDS = ("alpha", "omega_c", "omega_d", "gamma31", "gamma41", "gamma21")
-
-
-def validate(params: SystemParams) -> SystemParams:
-    """Check the parameter invariants, returning the params unchanged.
-
-    Raises NonFiniteParameter if a field is NaN or infinite, NegativeOD
-    if alpha < 0 and NonPositiveDecay if gamma31 or gamma41 is not
-    strictly positive (gamma21 only has to be >= 0).  Idempotent by
-    construction.
-    """
-    for name in _FIELDS:
-        value = getattr(params, name)
-        if not cmath.isfinite(value):
-            raise NonFiniteParameter(f"{name} must be finite, got {value}")
-    if params.alpha < 0:
-        raise NegativeOD(f"optical depth must be >= 0, got {params.alpha}")
-    if params.gamma31 <= 0 or params.gamma41 <= 0:
-        raise NonPositiveDecay(
-            f"gamma31 and gamma41 must be > 0, got {params.gamma31}, {params.gamma41}"
-        )
-    if params.gamma21 < 0:
-        raise NonPositiveDecay(f"gamma21 must be >= 0, got {params.gamma21}")
-    return params
+        Raises NonFiniteParameter if a field is NaN or infinite, NegativeOD
+        if alpha < 0 and NonPositiveDecay if gamma31 or gamma41 is not
+        strictly positive (gamma21 only has to be >= 0).
+        """
+        for name, value in vars(self).items():
+            if not cmath.isfinite(value):
+                raise NonFiniteParameter(f"{name} must be finite, got {value}")
+        if self.alpha < 0:
+            raise NegativeOD(f"optical depth must be >= 0, got {self.alpha}")
+        if self.gamma31 <= 0 or self.gamma41 <= 0:
+            raise NonPositiveDecay(
+                f"gamma31 and gamma41 must be > 0, got {self.gamma31}, {self.gamma41}"
+            )
+        if self.gamma21 < 0:
+            raise NonPositiveDecay(f"gamma21 must be >= 0, got {self.gamma21}")
 
 
 def is_symmetric(params: SystemParams) -> bool:
@@ -88,4 +83,4 @@ def is_symmetric(params: SystemParams) -> bool:
 
 def symmetric_params(alpha: float, omega: complex = 1.0) -> SystemParams:
     """Convenience constructor for the symmetric configuration."""
-    return validate(SystemParams(alpha=alpha, omega_c=omega, omega_d=omega))
+    return SystemParams(alpha=alpha, omega_c=omega, omega_d=omega)

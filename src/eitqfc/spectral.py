@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSymmetricCase, SingularG, SingularSystem
-from .params import GAMMA, LENGTH, SystemParams, is_symmetric, validate
+from .params import GAMMA, LENGTH, SystemParams, is_symmetric
 
 #: Langevin noise slots: the atomic-coherence subscripts, in the column order of SpectralStack.zeta.
 NOISE_INDICES = (21, 31, 41)
@@ -70,7 +70,6 @@ def build_first_order_system(params: SystemParams) -> np.ndarray:
     one quantized field plus the conjugated Rabi coupling back to
     sigma_21.
     """
-    validate(params)
     oc, od = complex(params.omega_c), complex(params.omega_d)
     return np.array(
         [
@@ -140,7 +139,7 @@ def _couplings(alpha: float, ainv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def solve_susceptibility_stack(params: SystemParams, omegas: np.ndarray) -> SpectralStack:
     """Numeric elimination of the atomic coherences on a 1-D array of frequencies.
 
-    Works for arbitrary validated parameters (asymmetric Rabi
+    Works for arbitrary parameters (asymmetric Rabi
     frequencies, unequal decays, ground-state dephasing).  One stacked
     inverse serves all of them; the SVD condition test runs only where
     the inverse's Frobenius screen cannot clear a frequency
@@ -179,7 +178,6 @@ def closed_form_coefficients(params: SystemParams, omega: float) -> SpectralStac
     own transition, which reduces to the familiar |Omega|^2 / Omega*
     expressions when both fields share a phase.
     """
-    validate(params)
     if not is_symmetric(params):
         raise NotSymmetricCase(
             "closed forms require |omega_c| = |omega_d|, gamma31 = gamma41 = 1, gamma21 = 0"

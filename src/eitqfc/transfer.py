@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IllPosedBoundary, NegativeOD, QfcError, SingularSystem
-from .params import LENGTH, SystemParams, validate
+from .params import LENGTH, SystemParams
 from .spectral import SpectralStack, solve_susceptibility_stack
 
 #: |1/D| (= |D'| of e^{-ML}) below this is treated as a backward-geometry resonance.
@@ -174,12 +174,10 @@ def _unit_generator(params: SystemParams, alphas: np.ndarray, omega: float) -> n
     """M(1) (2, 2) at ``omega``, from one stack-of-one spectral solve at unit optical depth.
 
     M(alpha) = alpha M(1), so ``alphas[:, None, None] * M(1)`` is the
-    generator on the whole grid.  The caller's ``params`` is validated,
-    though its alpha is not read.  The 3x3 response is alpha-free, so a
-    SingularSystem fails the first row of the grid, and its message
-    names that row.
+    generator on the whole grid; the alpha of ``params`` is not read.
+    The 3x3 response is alpha-free, so a SingularSystem fails the first
+    row of the grid, and its message names that row.
     """
-    validate(params)
     try:
         return solve_susceptibility_stack(replace(params, alpha=1.0), [omega]).generator[0]
     except SingularSystem as exc:
@@ -238,7 +236,7 @@ def propagation_sweep(params: SystemParams, alphas: np.ndarray, omega: float = 0
 
     M(alpha) = alpha M(1), so one 3x3 solve (_unit_generator) and one
     pass of the scattering core serve the whole grid; ``params.alpha``
-    is only validated.  Each row is bit for bit what the one-row grid
+    is not read.  Each row is bit for bit what the one-row grid
     gives.  A row fails with IllPosedBoundary when its resolved matrix
     fails _solvable (a backward resonance).  A singular 3x3 response
     raises SingularSystem naming the first optical depth.
@@ -263,7 +261,7 @@ class NoiseKernels:
     omega: float
 
 
-def _kernel_rows(stack: SpectralStack, row: int | None = None) -> tuple:
+def _kernel_rows(stack: SpectralStack) -> tuple:
     """mu, w and the rows (pa, a, pb, b) of the noise kernels of a stack, after its boundary check.
 
     [P_jk; Q_jk](z) = [[1, -B], [0, -D]] e^{M (z - L)} [zeta_p; zeta_s],
@@ -275,9 +273,8 @@ def _kernel_rows(stack: SpectralStack, row: int | None = None) -> tuple:
     exponentials: P has a = zeta_p - B zeta_s, b = ((w - n) zeta_p - m12
     zeta_s)/tee, pa = 0, pb = -2w; Q has a = -zeta_s/tee, b = (m21 zeta_p
     - (w + n) zeta_s)/tee, pa = pb = mu - w.  No 1/w, no e^{+w}.  a and
-    b have a column per column of ``stack.zeta``; ``row`` = 0 or 1 builds
-    only P or only Q.  IllPosedBoundary names the first frequency whose
-    resolved matrix fails _solvable.
+    b have a column per column of ``stack.zeta``.  IllPosedBoundary names
+    the first frequency whose resolved matrix fails _solvable.
     """
     m = stack.generator * LENGTH
     mu, w, c, s, tee = _propagator(m)
@@ -287,30 +284,25 @@ def _kernel_rows(stack: SpectralStack, row: int | None = None) -> tuple:
         raise failure
     n, tee = (m[:, 0, 0] - m[:, 1, 1]) / 2, tee[:, None]
     zeta_p, zeta_s = stack.zeta[:, 0], stack.zeta[:, 1]
-    rows = (
-        lambda: (np.zeros_like(mu), zeta_p - resolved[:, 0, 1, None] * zeta_s,
-                 -2 * w, ((w - n)[:, None] * zeta_p - m[:, 0, 1, None] * zeta_s) / tee),
-        lambda: (mu - w, -zeta_s / tee,
-                 mu - w, (m[:, 1, 0, None] * zeta_p - (w + n)[:, None] * zeta_s) / tee),
-    )
-    return mu, w, tuple(build() for build in (rows if row is None else rows[row : row + 1]))
+    p_row = (np.zeros_like(mu), zeta_p - resolved[:, 0, 1, None] * zeta_s,
+             -2 * w, ((w - n)[:, None] * zeta_p - m[:, 0, 1, None] * zeta_s) / tee)
+    q_row = (mu - w, -zeta_s / tee, mu - w, (m[:, 1, 0, None] * zeta_p - (w + n)[:, None] * zeta_s) / tee)
+    return mu, w, (p_row, q_row)
 
 
-def noise_kernel_block(stack: SpectralStack, z_grid: np.ndarray, row: int | None = None) -> np.ndarray:
+def noise_kernel_block(stack: SpectralStack, z_grid: np.ndarray) -> np.ndarray:
     """Noise kernels [P_jk; Q_jk](z) of _kernel_rows on n frequencies and a z grid.
 
     Per (omega, z) pair one expm1 and the two exponentials.  Returns
     shape (n, nz, 2, k), rows (P, Q) and a column per column of
     ``stack.zeta`` (k = 3 for a solved stack, ordered like
-    NOISE_INDICES); ``row`` = 0 or 1 gives only P or only Q, shape (n,
-    nz, k).  A zeta with no columns gets the boundary check and then
-    empty kernels, with no work per (omega, z) pair.
+    NOISE_INDICES).  A zeta with no columns gets the boundary check and
+    then empty kernels, with no work per (omega, z) pair.
     """
     z_grid = np.asarray(z_grid, dtype=float)
-    mu, w, rows = _kernel_rows(stack, row)
+    mu, w, rows = _kernel_rows(stack)
     if stack.zeta.shape[-1] == 0:
-        empty = np.empty((len(stack.omega), z_grid.size, 2, 0), dtype=complex)
-        return empty if row is None else empty[:, :, row]
+        return np.empty((len(stack.omega), z_grid.size, 2, 0), dtype=complex)
     t = 1 - z_grid / LENGTH
     _, ts = _sinch(np.multiply.outer(w, t))
     ts *= t
@@ -319,7 +311,7 @@ def noise_kernel_block(stack: SpectralStack, z_grid: np.ndarray, row: int | None
         near = np.exp(pa[:, None] - np.multiply.outer(mu + w, t))
         far = np.exp(pb[:, None] - np.multiply.outer(mu - w, t)) * ts
         kernels.append(near[..., None] * a[:, None] + far[..., None] * b[:, None])
-    return np.stack(kernels, axis=2) if row is None else kernels[0]
+    return np.stack(kernels, axis=2)
 
 
 def _farthest_pair_orders(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -410,7 +402,8 @@ def noise_kernel_gram(stack: SpectralStack, row: int) -> np.ndarray:
     first frequency whose resolved matrix fails _solvable; a zeta with no
     columns gets that check and an empty Gram.
     """
-    mu, w, ((pa, a, pb, b),) = _kernel_rows(stack, row)
+    mu, w, rows = _kernel_rows(stack)
+    pa, a, pb, b = rows[row]
     if not a.shape[1]:
         return np.zeros((len(stack.omega), 0, 0), dtype=complex)
     uu, uv, vv = (v[:, None, None] for v in _pair_integrals(mu, w, pa, pb))
@@ -570,8 +563,7 @@ def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> Semiclassic
     entry stays bounded for a passive medium.  A row fails with
     IllPosedBoundary, like a row of propagation_sweep, when a star
     product it needed has a pivot |1 - B1 C2| below BOUNDARY_TOL, or
-    when its (A, B, C, D) is not finite.  ``params.alpha`` is only
-    validated.
+    when its (A, B, C, D) is not finite.  ``params.alpha`` is not read.
     """
     alphas = _optical_depths(alphas)
     m = _unit_generator(params, alphas, 0.0) * LENGTH

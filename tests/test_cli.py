@@ -114,23 +114,24 @@ class TestRunFig3:
 
 class TestRunFig4:
     def test_squeezed_endpoints_doubled_convention(self):
-        _, rows = run_fig4(np.array([0.0, 1.0]), "a", convention_scale=2.0)
+        _, rows = run_fig4(np.array([0.0, 1.0]), "squeezed", convention_scale=2.0)
         assert rows[0][1:] == pytest.approx([0.5, 0.5], abs=1e-14)
         assert rows[1][1:] == pytest.approx([2.0, 0.125], abs=1e-14)
 
     def test_squeezed_endpoints_internal_convention(self):
-        _, rows = run_fig4(np.array([0.0, 1.0]), "a", convention_scale=1.0)
+        _, rows = run_fig4(np.array([0.0, 1.0]), "squeezed", convention_scale=1.0)
         assert rows[0][1:] == pytest.approx([0.25, 0.25], abs=1e-14)
         assert rows[1][1:] == pytest.approx([1.0, 0.0625], abs=1e-14)
 
     def test_fock_variant_symmetric(self):
-        _, rows = run_fig4(np.linspace(0, 1, 11), "b", convention_scale=1.0)
+        _, rows = run_fig4(np.linspace(0, 1, 11), "fock", convention_scale=1.0)
         for row in rows:
             assert row[1] == row[2]
 
     def test_bad_variant(self):
-        with pytest.raises(ConfigError):
-            run_fig4(np.array([0.5]), "c")
+        message = r"^fig4 supports --state squeezed \(variant a\) or fock \(variant b\)$"
+        with pytest.raises(ConfigError, match=message):
+            run_fig4(np.array([0.5]), "coherent")
 
 
 class TestRunCustom:
@@ -202,7 +203,7 @@ class TestCsvFormat:
     def test_empty_table_is_the_header_line(self, rows):
         assert format_csv(["a", "b", "c"], rows) == "a,b,c\n"
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(width=st.integers(1, 6), values=st.lists(st.floats(), max_size=60))
     def test_any_floats_match_the_percent_format(self, width, values):
         rows = np.array(values[: len(values) // width * width], dtype=float).reshape(-1, width)
@@ -252,7 +253,7 @@ class TestCsvFormat:
 
     def test_ce_tables_match_the_percent_format(self):
         ces = np.linspace(0.0, 1.0, 101)
-        for header, rows in (run_fig3(ces), run_fig4(ces, "a"), run_fig4(ces, "b")):
+        for header, rows in (run_fig3(ces), run_fig4(ces, "squeezed"), run_fig4(ces, "fock")):
             _assert_percent_format(header, rows)
 
     def test_round_trip_precision(self):
@@ -275,6 +276,15 @@ class TestCsvFormat:
         for line, row in zip(lines, rows):
             for text_value, value in zip(line.split(","), row):
                 assert abs(float(text_value) - value) <= 1e-14 * max(abs(value), 1e-300)
+
+
+#: Text a config file may hold for a value: float reprs with nan and inf, integers, state words, complex numbers.
+_CONFIG_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers(-20_000, 20_000).map(str),
+    st.sampled_from(["fock", "coherent", "squeezed", "thermal"]),
+    st.complex_numbers().map(str),
+)
 
 
 class TestMain:
@@ -535,6 +545,18 @@ class TestMain:
             )
             assert not out.exists()
 
+    @pytest.mark.parametrize("setting", ["--state coherent", "state = thermal"], ids=["flag", "config"])
+    def test_fig4_rejects_a_state_without_a_variant(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "state.cfg"
+        cfg.write_text(setting + "\n")
+        out = tmp_path / "never.csv"
+        extra = setting.split() if setting.startswith("--") else ["--config", str(cfg)]
+        assert main(["fig4", *extra, "--grid-points", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "eitqfc: invalid configuration: fig4 supports --state squeezed (variant a) or fock (variant b)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("level, code", [("17", 0), ("18", 2), ("20", 2)])
     def test_fock_level_must_fit_the_basis(self, tmp_path, capsys, level, code):
         out = tmp_path / "fock.csv"
@@ -591,6 +613,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"eitqfc: invalid configuration: cannot write {out}: ")
         assert err.count("\n") == 1
+
+    @settings(max_examples=200)
+    @given(
+        command=st.sampled_from(["fig2", "fig3", "fig4", "custom"]),
+        config=st.dictionaries(
+            st.sampled_from([key for key in cli._CONFIG_SCHEMA if key != "out"]), _CONFIG_TEXT, max_size=5
+        ),
+    )
+    def test_any_config_exits_0_2_or_3(self, tmp_path_factory, command, config):
+        # every bad input is a configuration error or a numerical failure, never a traceback,
+        # and a run that fails writes nothing
+        directory = tmp_path_factory.mktemp("any_config")
+        cfg, out = directory / "any.cfg", directory / "out.csv"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in config.items()), encoding="utf-8")
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3)
+        assert out.exists() == (code == 0)
 
 
 #: sha256 of each subcommand's CSV at its default settings.

@@ -198,7 +198,7 @@ class TestNoiseIntegrals:
         omegas, omega_weights = nodes.ravel(), (half[:, None] * noise._KRONROD_WEIGHTS).ravel()
         x, w = np.polynomial.legendre.leggauss(256)
         z, z_weights = (x + 1) / 2, w / 2  # on [0, 1]
-        k = noise_kernel_block(solve_susceptibility_stack(p, omegas), z, 0 if kernel == "P" else 1)
+        k = noise_kernel_block(solve_susceptibility_stack(p, omegas), z)[:, :, 0 if kernel == "P" else 1]
         form = np.einsum("...a,ab,...b->...", k, diffusion.entries, k.conj()).real
         expected = omega_weights @ (form @ z_weights) / (2 * np.pi)
         got = omega_weights @ noise._form(p, diffusion.entries, 0 if kernel == "P" else 1, omegas) / (2 * np.pi)
@@ -359,7 +359,7 @@ _RABI = st.one_of(
 class TestFrequencyParity:
     """G_ab(-omega) = conj(G_ab(omega)) conj(phi_a) phi_b, and the folded rule it licenses."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(
         alpha=st.floats(0.01, 200.0),
         omega_c=_RABI,

@@ -1,45 +1,49 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from eitqfc.errors import NegativeOD, NonFiniteParameter, NonPositiveDecay
-from eitqfc.params import SystemParams, is_symmetric, symmetric_params, validate
+from eitqfc.params import SystemParams, is_symmetric, symmetric_params
 
 
 def test_validate_headline_configuration():
-    p = validate(SystemParams(alpha=200.0, omega_c=1.0, omega_d=1.0))
+    p = SystemParams(alpha=200.0, omega_c=1.0, omega_d=1.0)
     assert p.alpha == 200.0
     assert is_symmetric(p)
 
 
 def test_validate_empty_medium():
-    p = validate(SystemParams(alpha=0.0))
+    p = SystemParams(alpha=0.0)
     assert is_symmetric(p)
 
 
 def test_negative_decay_rejected():
     with pytest.raises(NonPositiveDecay):
-        validate(SystemParams(alpha=50.0, gamma31=-1.0))
+        SystemParams(alpha=50.0, gamma31=-1.0)
     with pytest.raises(NonPositiveDecay):
-        validate(SystemParams(alpha=50.0, gamma41=0.0))
+        SystemParams(alpha=50.0, gamma41=0.0)
     with pytest.raises(NonPositiveDecay):
-        validate(SystemParams(alpha=50.0, gamma21=-0.1))
+        SystemParams(alpha=50.0, gamma21=-0.1)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), complex(1.0, float("nan"))])
 @pytest.mark.parametrize("key", ["alpha", "omega_c", "omega_d", "gamma31", "gamma41", "gamma21"])
 def test_non_finite_parameter_rejected(key, value):
     with pytest.raises(NonFiniteParameter, match=f"^{key} must be finite"):
-        validate(SystemParams(**{"alpha": 1.0, key: value}))
+        SystemParams(**{"alpha": 1.0, key: value})
 
 
 def test_negative_od_rejected():
     with pytest.raises(NegativeOD):
-        validate(SystemParams(alpha=-1.0))
+        SystemParams(alpha=-1.0)
 
 
-def test_validate_idempotent():
+def test_replace_checks_again():
     p = SystemParams(alpha=12.0, omega_c=0.5 + 0.25j, omega_d=0.5 + 0.25j)
-    assert validate(validate(p)) == validate(p) == p
+    assert replace(p, alpha=1.0) == SystemParams(alpha=1.0, omega_c=0.5 + 0.25j, omega_d=0.5 + 0.25j)
+    with pytest.raises(NegativeOD, match=r"^optical depth must be >= 0, got -1\.0$"):
+        replace(p, alpha=-1.0)
 
 
 def test_symmetric_predicate_rejects_asymmetry():

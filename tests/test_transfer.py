@@ -302,9 +302,6 @@ class TestNoiseKernels:
         stack = solve_susceptibility_stack(params, omegas)
         block = noise_kernel_block(stack, z)
         assert block.shape == (5, 7, 2, 3)
-        for row in (0, 1):
-            one_row = noise_kernel_block(stack, z, row)
-            assert np.max(np.abs(one_row - block[:, :, row])) < 1e-15 * np.max(np.abs(block))
         for n, omega in enumerate(omegas):
             coeffs = solve_susceptibilities(params, omega)
             view = noise_kernels(coeffs, expm2(coupling_matrix(coeffs)), z)
@@ -317,7 +314,6 @@ class TestNoiseKernels:
         empty = replace(stack, zeta=stack.zeta[..., :0])
         z = np.linspace(0.0, 1.0, 5)
         assert noise_kernel_block(empty, z).shape == (2, 5, 2, 0)
-        assert noise_kernel_block(empty, z, 1).shape == (2, 5, 0)
         with pytest.MonkeyPatch.context() as patch:
             _inject_into_core(patch, (1, 1, 1), 1e13)
             with pytest.raises(IllPosedBoundary, match=r"omega=1\.0: \|1/D\| = 1\.000e-13"):
@@ -345,7 +341,7 @@ class TestNoiseKernels:
         z = np.array([0.0, 0.5, 1.0])
         stack = solve_susceptibility_stack(params, np.array([0.0, -0.59, 0.3]))
         for row in (0, 1):
-            kernels = noise_kernel_block(stack, z, row)
+            kernels = noise_kernel_block(stack, z)[:, :, row]
             for got, m, zeta in zip(kernels, stack.generator, stack.zeta):
                 expected = _mpmath_kernels(m, zeta, z)[:, row]
                 assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -376,7 +372,7 @@ def _z_quadrature_gram(stack, row: int, panels: int = 64, nodes: int = 32) -> np
     edges = np.linspace(0.0, 1.0, panels + 1)
     half = np.diff(edges)[:, None] / 2
     z = (edges[:-1, None] + half * (x + 1)).ravel()
-    k = noise_kernel_block(stack, z, row)
+    k = noise_kernel_block(stack, z)[:, :, row]
     return np.einsum("z,nza,nzb->nab", (half * weights).ravel(), k, k.conj())
 
 
