@@ -17,13 +17,7 @@ from .spectral import (
     eit_denominator,
     solve_susceptibility_stack,
 )
-from .transfer import (
-    PropagationSweep,
-    SemiclassicalSweep,
-    noise_kernel_block,
-    propagation_sweep,
-    semiclassical_sweep,
-)
+from .transfer import PropagationSweep, propagation_sweep, semiclassical_sweep
 from .noise import (
     DiffusionMatrix,
     default_window,

@@ -170,13 +170,6 @@ def _sweep_params(alphas: np.ndarray, overrides: dict) -> SystemParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _raise_first(*failures: QfcError | None) -> None:
-    """Raise the first failure that is not None."""
-    for failure in failures:
-        if failure is not None:
-            raise failure
-
-
 def _powers(amplitudes: np.ndarray) -> list[float]:
     """|z|^2 of each amplitude in a 1-D stack, as Python floats.
 
@@ -187,14 +180,13 @@ def _powers(amplitudes: np.ndarray) -> list[float]:
     return [abs(z) ** 2 for z in amplitudes.tolist()]
 
 
-def _check_oracle(rows: np.ndarray | Sequence[float]) -> None:
-    """QfcError unless every fig2 row is passive and its two routes agree.
+def _check_oracle(table: np.ndarray) -> None:
+    """QfcError unless every row of the (n, 5) fig2 table is passive and its two routes agree.
 
-    ``rows`` is one row or a (n, 5) table of them; the error names the
-    first row that fails.  The passing test is spelled out so that a NaN
-    column fails it.
+    The error names the first row that fails; within a row, broken
+    passivity comes before a gap.  The passing test is spelled out so
+    that a NaN column fails it.
     """
-    table = np.asarray(rows, dtype=float).reshape(-1, 5)
     _, tq, cq, ts, cs = table.T
     limit = 1 + PASSIVITY_TOL
     passing = (
@@ -236,12 +228,14 @@ def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[st
             classical.alphas,
             _powers(solved[:, 0, 0]),
             _powers(solved[:, 1, 0]),
-            classical.transmittance,
-            classical.conversion_efficiency,
+            np.abs(classical.resolved[:, 0, 0]) ** 2,
+            np.abs(classical.resolved[:, 1, 0]) ** 2,
         ]
     )
     _check_oracle(table)
-    _raise_first(classical.failure, quantum.failure)
+    for failure in (classical.failure, quantum.failure):
+        if failure is not None:
+            raise failure
     return header, table
 
 
@@ -345,7 +339,8 @@ def run_custom(
     columns.append(convention_scale * output_variance(vin.var_x, ce_column))
     columns.append(convention_scale * output_variance(vin.var_y, ce_column))
     table = np.column_stack(columns)
-    _raise_first(quantum.failure)
+    if quantum.failure is not None:
+        raise quantum.failure
     return header, table
 
 

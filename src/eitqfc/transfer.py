@@ -4,9 +4,9 @@ The coupled probe/signal equations integrate to a 2x2 transfer matrix
 e^{-ML} relating the fields at z = 0 and z = L.  In the backward
 geometry the inputs are the probe at z = 0 and the (vacuum) signal at
 z = L, so what is needed is the resolved (scattering) matrix [[A, B],
-[C, D]], the spatial noise kernels P_jk, Q_jk and the single-mode
-(omega = 0) transmittance and conversion efficiency; an independent
-semiclassical boundary-value solver cross-checks the latter.
+[C, D]] and the spatial noise kernels P_jk, Q_jk; an independent
+semiclassical boundary-value solver cross-checks the resolved matrix at
+omega = 0.
 
 e^{-ML} grows without bound with the optical depth, while the resolved
 entries of a passive medium stay bounded.  So one scaled propagator
@@ -31,10 +31,11 @@ of the sorted grid, a classical RK4 step of the imbedding (Riccati)
 equations on a thin seed widened by star-squarings, and cumulative
 Redheffer star products along the grid.  It forms no e^{-ML}, no
 eigenvalue and no cosh or sinch, so it stays independent of the
-quantum route.  Both sweeps return the rows before the first optical
-depth that fails plus that row's error; a single point is a one-row
-grid.  ``expm2``, e^{-M} itself in the core's form, is the reference
-route of the tests: the package never forms e^{-ML}.
+quantum route.  Both sweeps return a PropagationSweep: the resolved
+matrices of the rows before the first optical depth that fails, plus
+that row's error; a single point is a one-row grid.  ``expm2``, e^{-M}
+itself in the core's form, is the reference route of the tests: the
+package never forms e^{-ML}.
 """
 
 from __future__ import annotations
@@ -155,31 +156,27 @@ def _resolve(m: np.ndarray, mu, w, _, s, tee) -> np.ndarray:
     return resolved
 
 
-def _optical_depths(alphas) -> np.ndarray:
-    """A 1-D optical-depth grid as floats; NegativeOD for a negative entry."""
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1:
-        raise ValueError(f"optical depths must form a 1-D grid, got shape {alphas.shape}")
-    if (alphas < 0).any():
-        raise NegativeOD(f"optical depth must be >= 0, got {alphas[alphas < 0][0]}")
-    return alphas
-
-
 def _at(value: float, exc: QfcError, name: str = "alpha") -> QfcError:
     """The same kind of error, its message prefixed by the grid value (``name``) of the failing row."""
     return type(exc)(f"at {name}={float(value)!r}: {exc}")
 
 
-def _unit_generator(params: SystemParams, alphas: np.ndarray, omega: float) -> np.ndarray:
-    """M(1) (2, 2) at ``omega``, from one stack-of-one spectral solve at unit optical depth.
+def _grid_generator(params: SystemParams, alphas, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D optical-depth grid as floats, and m = M(1) L (2, 2) at ``omega`` from one spectral solve.
 
-    M(alpha) = alpha M(1), so ``alphas[:, None, None] * M(1)`` is the
-    generator on the whole grid; the alpha of ``params`` is not read.
-    The 3x3 response is alpha-free, so a SingularSystem fails the first
-    row of the grid, and its message names that row.
+    A grid that is not 1-D is a ValueError and a negative entry a
+    NegativeOD.  M(alpha) = alpha M(1), so ``alphas[:, None, None] * m``
+    is the generator ML on the whole grid; the alpha of ``params`` is
+    not read.  The 3x3 response is alpha-free, so a SingularSystem fails
+    the first row of the grid, and its message names that row.
     """
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1:
+        raise ValueError(f"optical depths must form a 1-D grid, got shape {alphas.shape}")
+    if (alphas < 0).any():
+        raise NegativeOD(f"optical depth must be >= 0, got {alphas[alphas < 0][0]}")
     try:
-        return solve_susceptibility_stack(replace(params, alpha=1.0), [omega]).generator[0]
+        return alphas, solve_susceptibility_stack(replace(params, alpha=1.0), [omega]).generator[0] * LENGTH
     except SingularSystem as exc:
         raise (_at(alphas[0], exc) if alphas.size else exc) from exc
 
@@ -218,7 +215,7 @@ def _solvable(resolved: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class PropagationSweep:
-    """The resolved [[A, B], [C, D]] on an optical-depth grid at one omega.
+    """The resolved [[A, B], [C, D]] on an optical-depth grid, from either sweep.
 
     The rows stop before the first optical depth that fails:
     ``resolved`` (n, 2, 2) belongs to ``alphas``, the first n values of
@@ -234,15 +231,15 @@ class PropagationSweep:
 def propagation_sweep(params: SystemParams, alphas: np.ndarray, omega: float = 0.0) -> PropagationSweep:
     """Spectral solve -> resolved (scattering) matrix on a 1-D grid of optical depths.
 
-    M(alpha) = alpha M(1), so one 3x3 solve (_unit_generator) and one
+    M(alpha) = alpha M(1), so one 3x3 solve (_grid_generator) and one
     pass of the scattering core serve the whole grid; ``params.alpha``
     is not read.  Each row is bit for bit what the one-row grid
     gives.  A row fails with IllPosedBoundary when its resolved matrix
     fails _solvable (a backward resonance).  A singular 3x3 response
     raises SingularSystem naming the first optical depth.
     """
-    alphas = _optical_depths(alphas)
-    resolved = _scattering(alphas[:, None, None] * _unit_generator(params, alphas, omega) * LENGTH)
+    alphas, m = _grid_generator(params, alphas, omega)
+    resolved = _scattering(alphas[:, None, None] * m)
     n, failure = _first_failure(alphas, _solvable(resolved))
     return PropagationSweep(alphas=alphas[:n], resolved=resolved[:n], failure=failure)
 
@@ -533,23 +530,7 @@ def _cumulative_star(slabs: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, 
     return slabs, pivot
 
 
-@dataclass(frozen=True)
-class SemiclassicalSweep:
-    """Classical (|probe(L)|^2, |signal(0)|^2) on an optical-depth grid at omega = 0.
-
-    The rows stop before the first optical depth that fails, like
-    PropagationSweep: ``transmittance`` and ``conversion_efficiency``
-    (n,) belong to ``alphas``, and ``failure`` is the error of the next
-    grid value, or None.
-    """
-
-    alphas: np.ndarray
-    transmittance: np.ndarray
-    conversion_efficiency: np.ndarray
-    failure: QfcError | None
-
-
-def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> SemiclassicalSweep:
+def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> PropagationSweep:
     """Classical two-point boundary-value solution at omega = 0 on a 1-D optical-depth grid.
 
     Drops all noise terms and solves the coupled field equations for
@@ -558,22 +539,21 @@ def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> Semiclassic
     follows from the imbedding equations (_imbedding_rates), and the
     grid is the star product of one slab per gap of the sorted distinct
     values (_slabs, built once per distinct gap, then _cumulative_star).
-    Each row's (A, B, C, D) gives |probe(L)|^2 = |A|^2 and |signal(0)|^2
-    = |C|^2.  No matrix exponential, eigenvalue or shooting step: every
-    entry stays bounded for a passive medium.  A row fails with
-    IllPosedBoundary, like a row of propagation_sweep, when a star
-    product it needed has a pivot |1 - B1 C2| below BOUNDARY_TOL, or
-    when its (A, B, C, D) is not finite.  ``params.alpha`` is not read.
+    Each row's slab (A, B, C, D) is its resolved [[A, B], [C, D]], so
+    |probe(L)|^2 = |A|^2 and |signal(0)|^2 = |C|^2.  No matrix
+    exponential, eigenvalue or shooting step: every entry stays bounded
+    for a passive medium.  A row fails with IllPosedBoundary, like a row
+    of propagation_sweep, when a star product it needed has a pivot
+    |1 - B1 C2| below BOUNDARY_TOL, or when its (A, B, C, D) is not
+    finite.  ``params.alpha`` is not read.
     """
-    alphas = _optical_depths(alphas)
-    m = _unit_generator(params, alphas, 0.0) * LENGTH
+    alphas, m = _grid_generator(params, alphas, 0.0)
     times, row_of = np.unique(alphas, return_inverse=True)
     gaps, gap_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         slabs, pivot = _slabs(m, gaps)
         slabs, pivot = _cumulative_star(slabs[:, gap_of], pivot[gap_of])
         slabs, pivot = slabs[:, row_of], pivot[row_of]
-        transmittance, conversion = np.abs(slabs[0]) ** 2, np.abs(slabs[2]) ** 2
     finite = np.isfinite(slabs).all(axis=0)
     n, failure = _first_failure(
         alphas,
@@ -582,10 +562,5 @@ def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> Semiclassic
             (~finite, lambda k: IllPosedBoundary("the imbedding gave no finite scattering matrix")),
         ],
     )
-    return SemiclassicalSweep(
-        alphas=alphas[:n],
-        transmittance=transmittance[:n],
-        conversion_efficiency=conversion[:n],
-        failure=failure,
-    )
+    return PropagationSweep(alphas[:n], slabs.T.reshape(-1, 2, 2)[:n], failure)
 

@@ -71,9 +71,9 @@ class TestRunFig2:
     )
     def test_oracle_gate(self, row, message):
         with pytest.raises(QfcError, match=r"^at alpha=90\.0: ") as exc:
-            cli._check_oracle(row)
+            cli._check_oracle(np.array([row]))
         assert message in str(exc.value)
-        cli._check_oracle([90.0, 0.1, 0.8, 0.1 + 9e-7, 0.8])
+        cli._check_oracle(np.array([[90.0, 0.1, 0.8, 0.1 + 9e-7, 0.8]]))
 
     def test_oracle_gate_names_the_first_failing_row_of_a_table(self):
         table = np.array(
@@ -329,6 +329,16 @@ class TestMain:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("grid_points = many\n")
         assert main(["fig3", "--config", str(cfg)]) == 2
+
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("alpha_max 5\n")
+        out = tmp_path / "never.csv"
+        assert main(["fig2", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"eitqfc: invalid configuration: {cfg}:1: expected key=value, got 'alpha_max 5'\n"
+        )
+        assert not out.exists()
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # vanishing Rabi fields make the line-center response singular

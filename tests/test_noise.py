@@ -480,6 +480,19 @@ class TestEta2:
         for alpha in np.linspace(0.0, 500.0, 26):
             assert eta2(symmetric_params(float(alpha))) >= 0.0
 
+    @pytest.mark.parametrize(
+        "p",
+        [symmetric_params(4.0), symmetric_params(200.0), SystemParams(20.0, omega_c=1.5, omega_d=0.8, gamma21=0.01)],
+        ids=["symmetric-4", "symmetric-200", "asymmetric-dephased"],
+    )
+    def test_user_diffusion_adds_eta1(self, p):
+        # pins today's definition, eta2 = 1 - |C0|^2 - |D0|^2 + eta1 with eta1 the omega-integral; the commutator
+        # closure at omega = 0 reads eta1(0), the Q form at line centre, instead, so the definition may change
+        d = diffusion_matrix(0.5, 0.5)
+        c0, d0 = propagation_sweep(p, [p.alpha]).resolved[0, 1]
+        assert eta2(p, d) == 1.0 - abs(c0) ** 2 - abs(d0) ** 2 + eta1(p, d)
+        assert eta2(p, diffusion_matrix()) == eta2(p)
+
     def test_singular_response_names_the_optical_depth(self):
         # no drive at all makes the 3x3 response singular
         with pytest.raises(SingularSystem, match=r"^at alpha=3\.0: "):

@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitqfc import transfer
-from eitqfc.errors import IllPosedBoundary, NegativeOD, NonFiniteParameter, SingularSystem
+from eitqfc.errors import IllPosedBoundary, NegativeOD, SingularSystem
 from eitqfc.params import SystemParams, symmetric_params
 from eitqfc.spectral import solve_susceptibilities, solve_susceptibility_stack
 from eitqfc.transfer import (
@@ -506,19 +508,19 @@ _MIRROR = np.array([[0.0], [1.0], [1.0], [0.0]], dtype=complex)
 class TestSemiclassical:
     def test_matches_quantum_at_crossover(self):
         sweep = semiclassical_sweep(symmetric_params(4.0), [4.0])
-        tp, ce = sweep.transmittance[0], sweep.conversion_efficiency[0]
+        tp, ce = np.abs(sweep.resolved[0, :, 0]) ** 2
         assert tp == pytest.approx(0.25, abs=1e-9)
         assert ce == pytest.approx(0.25, abs=1e-9)
 
     def test_empty_medium(self):
         sweep = semiclassical_sweep(symmetric_params(0.0), [0.0])
-        tp, ce = sweep.transmittance[0], sweep.conversion_efficiency[0]
+        tp, ce = np.abs(sweep.resolved[0, :, 0]) ** 2
         assert tp == pytest.approx(1.0, abs=1e-12)
         assert ce == pytest.approx(0.0, abs=1e-12)
 
     def test_high_od(self):
         sweep = semiclassical_sweep(symmetric_params(200.0), [200.0])
-        tp, ce = sweep.transmittance[0], sweep.conversion_efficiency[0]
+        tp, ce = np.abs(sweep.resolved[0, :, 0]) ** 2
         assert tp == pytest.approx((4 / 204) ** 2, abs=1e-6)
         assert ce == pytest.approx((200 / 204) ** 2, abs=1e-6)
 
@@ -527,8 +529,8 @@ class TestSemiclassical:
             p = symmetric_params(alpha)
             classical = semiclassical_sweep(p, [p.alpha])
             (a0, _), (c0, _) = propagation_sweep(p, [p.alpha]).resolved[0]
-            assert abs(classical.transmittance[0] - abs(a0) ** 2) < 1e-6
-            assert abs(classical.conversion_efficiency[0] - abs(c0) ** 2) < 1e-6
+            assert abs(np.abs(classical.resolved[0, 0, 0]) ** 2 - abs(a0) ** 2) < 1e-6
+            assert abs(np.abs(classical.resolved[0, 1, 0]) ** 2 - abs(c0) ** 2) < 1e-6
 
     def test_shooting_failure_guard(self, monkeypatch):
         # a perfect mirror facing itself makes the first squaring singular; seeds are changes from the empty slab
@@ -542,8 +544,8 @@ class TestSemiclassical:
         p = SystemParams(alpha=30.0, omega_c=1.5, omega_d=0.9, gamma31=1.2, gamma41=0.8, gamma21=0.01)
         classical = semiclassical_sweep(p, [p.alpha])
         (a0, _), (c0, _) = propagation_sweep(p, [p.alpha]).resolved[0]
-        assert abs(classical.transmittance[0] - abs(a0) ** 2) < 1e-8
-        assert abs(classical.conversion_efficiency[0] - abs(c0) ** 2) < 1e-8
+        assert abs(np.abs(classical.resolved[0, 0, 0]) ** 2 - abs(a0) ** 2) < 1e-8
+        assert abs(np.abs(classical.resolved[0, 1, 0]) ** 2 - abs(c0) ** 2) < 1e-8
 
 
 def _re_solved(raw: np.ndarray, trace: complex) -> np.ndarray:
@@ -630,13 +632,9 @@ class TestPropagationSweep:
             propagation_sweep(symmetric_params(1.0), [1.0, -2.0])
         with pytest.raises(NegativeOD):
             semiclassical_sweep(symmetric_params(1.0), [-2.0])
-
-    @pytest.mark.parametrize("sweep", [propagation_sweep, semiclassical_sweep])
-    @pytest.mark.parametrize("alpha, error", [(float("nan"), NonFiniteParameter), (-1.0, NegativeOD)])
-    def test_the_callers_params_are_validated(self, sweep, alpha, error):
-        # the sweeps read M(1) at unit optical depth, yet a bad params.alpha still fails
-        with pytest.raises(error, match=r"^optical depth must be >= 0|^alpha must be finite"):
-            sweep(SystemParams(alpha=alpha), [0.0, 4.0])
+        for sweep in (propagation_sweep, semiclassical_sweep):
+            with pytest.raises(ValueError, match=r"^optical depths must form a 1-D grid, got shape \(1, 2\)$"):
+                sweep(symmetric_params(1.0), [[0.0, 4.0]])
 
 
 _INVARIANT_CONFIGS = [
@@ -729,10 +727,11 @@ class TestSemiclassicalSweep:
             alphas = np.linspace(0.0, 400.0, 21)
             sweep = semiclassical_sweep(params, alphas)
             assert sweep.failure is None
-            for alpha, tp, ce in zip(alphas, sweep.transmittance, sweep.conversion_efficiency):
+            tps, ces = np.abs(sweep.resolved[:, 0, 0]) ** 2, np.abs(sweep.resolved[:, 1, 0]) ** 2
+            for alpha, tp, ce in zip(alphas, tps, ces):
                 one = semiclassical_sweep(replace(params, alpha=float(alpha)), [alpha])
-                assert abs(tp - one.transmittance[0]) < 1e-10
-                assert abs(ce - one.conversion_efficiency[0]) < 1e-10
+                assert abs(tp - np.abs(one.resolved[0, 0, 0]) ** 2) < 1e-10
+                assert abs(ce - np.abs(one.resolved[0, 1, 0]) ** 2) < 1e-10
 
     def test_grid_order_and_repeats_do_not_matter(self):
         params = symmetric_params(0.0, 1.3)
@@ -740,19 +739,19 @@ class TestSemiclassicalSweep:
         sweep = semiclassical_sweep(params, shuffled)
         ordered = semiclassical_sweep(params, np.sort(shuffled))
         order = np.argsort(shuffled, kind="stable")
-        assert np.array_equal(sweep.transmittance[order], ordered.transmittance)
-        assert np.array_equal(sweep.conversion_efficiency[order], ordered.conversion_efficiency)
+        assert np.array_equal(np.abs(sweep.resolved[order, 0, 0]) ** 2, np.abs(ordered.resolved[:, 0, 0]) ** 2)
+        assert np.array_equal(np.abs(sweep.resolved[order, 1, 0]) ** 2, np.abs(ordered.resolved[:, 1, 0]) ** 2)
 
     def test_zero_grid_needs_no_integration(self, monkeypatch):
         monkeypatch.setattr(transfer, "_seed_slabs", None)  # any call would fail
         sweep = semiclassical_sweep(symmetric_params(0.0), [0.0, 0.0])
-        assert list(sweep.transmittance) == [1.0, 1.0]
-        assert list(sweep.conversion_efficiency) == [0.0, 0.0]
+        assert list(np.abs(sweep.resolved[:, 0, 0]) ** 2) == [1.0, 1.0]
+        assert list(np.abs(sweep.resolved[:, 1, 0]) ** 2) == [0.0, 0.0]
 
     def test_single_point_crossover(self):
         sweep = semiclassical_sweep(symmetric_params(0.0), [4.0])
-        assert sweep.transmittance[0] == pytest.approx(0.25, abs=1e-12)
-        assert sweep.conversion_efficiency[0] == pytest.approx(0.25, abs=1e-12)
+        assert np.abs(sweep.resolved[0, 0, 0]) ** 2 == pytest.approx(0.25, abs=1e-12)
+        assert np.abs(sweep.resolved[0, 1, 0]) ** 2 == pytest.approx(0.25, abs=1e-12)
 
     def test_largest_optical_depth_stays_on_the_quantum_columns(self):
         alphas = np.linspace(0.0, 1e6, 401)
@@ -764,8 +763,8 @@ class TestSemiclassicalSweep:
             assert quantum.failure is None and classical.failure is None
             tp = np.abs(quantum.resolved[:, 0, 0]) ** 2
             ce = np.abs(quantum.resolved[:, 1, 0]) ** 2
-            assert np.max(np.abs(classical.transmittance - tp)) <= 1e-6
-            assert np.max(np.abs(classical.conversion_efficiency - ce)) <= 1e-6
+            assert np.max(np.abs(np.abs(classical.resolved[:, 0, 0]) ** 2 - tp)) <= 1e-6
+            assert np.max(np.abs(np.abs(classical.resolved[:, 1, 0]) ** 2 - ce)) <= 1e-6
             assert np.max(np.abs(ce - (alphas / (4 + alphas)) ** 2)) <= 1e-12
 
     def test_shooting_failure_names_the_first_singular_row(self, monkeypatch):
@@ -779,8 +778,8 @@ class TestSemiclassicalSweep:
         assert isinstance(sweep.failure, IllPosedBoundary)
         assert str(sweep.failure) == "at alpha=25.0: imbedding singular: |1 - B C| = 0.000e+00"
         assert list(sweep.alphas) == [0.0, 5.0, 15.0]
-        assert list(sweep.transmittance) == [1.0, 1.0, 0.0]
-        assert list(sweep.conversion_efficiency) == [0.0, 0.0, 1.0]
+        assert list(np.abs(sweep.resolved[:, 0, 0]) ** 2) == [1.0, 1.0, 0.0]
+        assert list(np.abs(sweep.resolved[:, 1, 0]) ** 2) == [0.0, 0.0, 1.0]
 
     def test_non_finite_slab_names_its_row(self, monkeypatch):
         def slabs(m, gaps):
@@ -804,6 +803,16 @@ class TestSemiclassicalSweep:
             assert square_pivot[0] == pytest.approx(pivot[0], rel=1e-15)
 
     @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
+    def test_complex_matrices_match_the_quantum_route(self, params):
+        # every entry of [[A, B], [C, D]] with its phase, not only |A|^2 and |C|^2
+        for alphas, tol in ((np.linspace(0.0, 400.0, 401), 1e-12), (_LARGE_OD_GRID, 1e-13 * (1 + _LARGE_OD_GRID))):
+            quantum = propagation_sweep(params, alphas)
+            classical = semiclassical_sweep(params, alphas)
+            assert quantum.failure is None and classical.failure is None
+            assert classical.resolved.shape == (alphas.size, 2, 2)
+            assert np.all(np.max(np.abs(classical.resolved - quantum.resolved), axis=(1, 2)) <= tol)
+
+    @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
     def test_gap_to_the_quantum_columns_on_the_default_grid(self, params):
         alphas = np.linspace(0.0, 400.0, 401)
         quantum = propagation_sweep(params, alphas).resolved
@@ -811,8 +820,8 @@ class TestSemiclassicalSweep:
             warnings.simplefilter("error")
             classical = semiclassical_sweep(params, alphas)
         assert classical.failure is None
-        assert np.max(np.abs(classical.transmittance - np.abs(quantum[:, 0, 0]) ** 2)) <= 1e-9
-        assert np.max(np.abs(classical.conversion_efficiency - np.abs(quantum[:, 1, 0]) ** 2)) <= 1e-9
+        assert np.max(np.abs(np.abs(classical.resolved[:, 0, 0]) ** 2 - np.abs(quantum[:, 0, 0]) ** 2)) <= 1e-9
+        assert np.max(np.abs(np.abs(classical.resolved[:, 1, 0]) ** 2 - np.abs(quantum[:, 1, 0]) ** 2)) <= 1e-9
 
     @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
     def test_gap_to_the_quantum_columns_up_to_the_largest_optical_depth(self, params):
@@ -822,7 +831,7 @@ class TestSemiclassicalSweep:
             warnings.simplefilter("error")
             classical = semiclassical_sweep(params, alphas)
         assert classical.failure is None
-        tp, ce = classical.transmittance, classical.conversion_efficiency
+        tp, ce = np.abs(classical.resolved[:, 0, 0]) ** 2, np.abs(classical.resolved[:, 1, 0]) ** 2
         assert np.isfinite(tp).all() and np.isfinite(ce).all()
         assert np.max(tp + ce) <= 1.0 + 1e-9
         tq = np.abs(quantum[:, 0, 0]) ** 2
@@ -831,3 +840,26 @@ class TestSemiclassicalSweep:
         # a wide slab is squared whole, so a vanishing transmittance keeps its digits too
         tiny = (tq > 1e-290) & (tq < 1e-30)
         assert np.all(np.abs(tp[tiny] - tq[tiny]) <= 1e-9 * tq[tiny])
+
+
+_RABI = st.builds(lambda r, t: r * np.exp(1j * t), st.floats(0.1, 5.0), st.floats(-np.pi, np.pi))
+
+
+@settings(max_examples=200)
+@given(
+    omega_c=_RABI,
+    omega_d=_RABI,
+    gamma31=st.floats(0.2, 2.0),
+    gamma41=st.floats(0.2, 2.0),
+    gamma21=st.one_of(st.just(0.0), st.floats(1e-4, 0.3)),
+    exponents=st.lists(st.floats(-2.0, 6.0), max_size=8),
+)
+def test_the_two_routes_agree_on_the_complex_matrix(omega_c, omega_d, gamma31, gamma41, gamma21, exponents):
+    # the imbedding oracle against the quantum core: 0 plus up to 8 depths log-uniform in [1e-2, 1e6]
+    params = SystemParams(0.0, omega_c, omega_d, gamma31, gamma41, gamma21)
+    alphas = np.concatenate([[0.0], 10.0 ** np.array(exponents)])
+    quantum = propagation_sweep(params, alphas)
+    classical = semiclassical_sweep(params, alphas)
+    assert quantum.failure is None and classical.failure is None
+    gap = np.max(np.abs(quantum.resolved - classical.resolved), axis=(1, 2))
+    assert np.all(gap <= 1e-13 * (1 + alphas)), np.max(gap / (1 + alphas))
