@@ -461,6 +461,41 @@ class TestMain:
         var_in = {"fock": 1.25, "coherent": 0.25, "squeezed": 1.0}[state]
         assert (row["var_x"], row["var_y"]) == (var_in, 0.0625 if state == "squeezed" else var_in)
 
+    @staticmethod
+    def _sweep_failing_at(monkeypatch, name, row, scaled_c_row=None):
+        """Make cli's sweep ``name`` stop before ``row`` with a failure naming it, and scale one row's C by 1 + 1e-4."""
+        real_sweep = getattr(cli, name)
+
+        def failing_sweep(params, alphas):
+            sweep = real_sweep(params, alphas)
+            resolved = sweep.resolved.copy()
+            if scaled_c_row is not None:
+                resolved[scaled_c_row, 1, 0] *= 1 + 1e-4
+            failure = IllPosedBoundary(f"at alpha={float(sweep.alphas[row])!r}: {name} fails")
+            return PropagationSweep(sweep.alphas[:row], resolved[:row], failure)
+
+        monkeypatch.setattr(cli, name, failing_sweep)
+
+    @pytest.mark.parametrize(
+        "classical_row, scaled_c_row, message",
+        [
+            (None, None, "at alpha=4.0: propagation_sweep fails"),
+            (2, None, "at alpha=2.0: semiclassical_sweep fails"),
+            (3, 1, "at alpha=1.0: semiclassical columns leave the quantum ones by 8.000e-06 (limit 1e-06)"),
+        ],
+    )
+    def test_fig2_failure_names_the_first_failing_row(
+        self, tmp_path, capsys, monkeypatch, classical_row, scaled_c_row, message
+    ):
+        # the quantum sweep fails at alpha = 4; a classical failure or an oracle gap on an earlier row comes first
+        self._sweep_failing_at(monkeypatch, "propagation_sweep", 4)
+        if classical_row is not None:
+            self._sweep_failing_at(monkeypatch, "semiclassical_sweep", classical_row, scaled_c_row)
+        out = tmp_path / "never.csv"
+        assert main(["fig2", "--alpha-max", "4", "--grid-points", "5", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"eitqfc: numerical failure: {message}\n"
+        assert not out.exists()
+
     def test_sweep_failing_at_first_alpha_gives_the_channel_no_rows(self, tmp_path, capsys, monkeypatch):
         real_sweep, real_fidelity = cli.propagation_sweep, cli.fock_fidelity
         stacks = []
