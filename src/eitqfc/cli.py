@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NonPassiveAmplitude, QfcError
+from .errors import ConfigError, NonPassiveAmplitude, QfcError, at, first_failure
 from .params import SystemParams
 from .states import (
     DEFAULT_DIM,
@@ -183,28 +183,22 @@ def _powers(amplitudes: np.ndarray) -> list[float]:
 def _check_oracle(table: np.ndarray) -> None:
     """QfcError unless every row of the (n, 5) fig2 table is passive and its two routes agree.
 
-    The error names the first row that fails; within a row, broken
-    passivity comes before a gap.  The passing test is spelled out so
-    that a NaN column fails it.
+    The error names the first row that fails (first_failure); within a
+    row, broken passivity comes before a gap.  The gap test is spelled
+    out so that a NaN column, whose gap is NaN, fails it.
     """
-    _, tq, cq, ts, cs = table.T
-    limit = 1 + PASSIVITY_TOL
-    passing = (
-        np.all(table[:, 1:] <= limit, axis=1)
-        & (abs(ts - tq) <= ORACLE_TOL)
-        & (abs(cs - cq) <= ORACLE_TOL)
-    )
-    failing = np.flatnonzero(~passing)
-    if not failing.size:
-        return
-    alpha, tq, cq, ts, cs = row = table[failing[0]].tolist()
-    excess = [v for v in row[1:] if v > limit]
-    if excess:
-        raise QfcError(f"at alpha={alpha!r}: passivity broken, largest power column {max(excess):.6g}")
-    gap = float(np.maximum(abs(ts - tq), abs(cs - cq)))  # a NaN gap stays NaN
-    raise QfcError(
-        f"at alpha={alpha!r}: semiclassical columns leave the quantum ones by {gap:.3e} (limit {ORACLE_TOL})"
-    )
+    above = table[:, 1:] > 1 + PASSIVITY_TOL
+    gap = abs(table[:, 3:] - table[:, 1:3]).max(axis=1)
+
+    def broken(k: int) -> QfcError:
+        return QfcError(f"passivity broken, largest power column {table[k, 1:][above[k]].max():.6g}")
+
+    def apart(k: int) -> QfcError:
+        return QfcError(f"semiclassical columns leave the quantum ones by {gap[k]:.3e} (limit {ORACLE_TOL})")
+
+    _, failure = first_failure(table[:, 0], [(above.any(axis=1), broken), (~(gap <= ORACLE_TOL), apart)])
+    if failure is not None:
+        raise failure
 
 
 def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[str], np.ndarray]:
@@ -324,8 +318,7 @@ def run_custom(
     try:
         amplitudes = passive_amplitudes(quantum.resolved[:, 1, 0])
     except NonPassiveAmplitude as exc:
-        alpha = float(quantum.alphas[exc.row])
-        raise NonPassiveAmplitude(f"at alpha={alpha!r}: {exc}", exc.row) from exc
+        raise at(quantum.alphas[exc.row], exc) from exc
     ces = _powers(amplitudes)
     columns = [quantum.alphas, _powers(quantum.resolved[:, 0, 0]), ces]
     # a passive amplitude's CE exceeds 1 at most by rounding

@@ -1,8 +1,12 @@
-"""Exception types raised by the simulation layers.
+"""Exception types raised by the simulation layers, and the one rule that names a failing grid row.
 
 All errors derive from :class:`QfcError` so callers can catch the whole
-family with one handler (the CLI maps them to exit code 3).
+family with one handler (the CLI maps them to exit code 3).  Every grid
+check, in the sweeps, the noise kernels and the CLI, reports through
+``first_failure``.
 """
+
+import numpy as np
 
 
 class QfcError(Exception):
@@ -67,3 +71,26 @@ class DimensionTooSmall(QfcError):
 
 class ConfigError(QfcError):
     """Invalid configuration file or CLI parameter combination."""
+
+
+def at(value: float, exc: QfcError, name: str = "alpha") -> QfcError:
+    """The same kind of error, its message prefixed by the grid value (``name``) of the failing row."""
+    return type(exc)(f"at {name}={float(value)!r}: {exc}")
+
+
+def first_failure(grid: np.ndarray, checks, name: str = "alpha") -> tuple[int, QfcError | None]:
+    """The number of rows before the first failing one, and that row's error.
+
+    ``checks`` pairs a boolean mask over the grid with a function of the
+    row index that builds the error, in the order the checks apply
+    within one row.  The error names the failing grid value as
+    ``name``=value, and is None when no row fails.
+    """
+    bad = np.zeros(grid.shape, dtype=bool)
+    for mask, _ in checks:
+        bad |= mask
+    if not bad.any():
+        return grid.size, None
+    k = int(np.flatnonzero(bad)[0])
+    error = next(make(k) for mask, make in checks if mask[k])
+    return k, at(grid[k], error, name)

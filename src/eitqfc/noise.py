@@ -54,10 +54,6 @@ from .params import GAMMA, LENGTH, SystemParams
 from .spectral import solve_susceptibility_stack
 from .transfer import noise_kernel_gram, propagation_sweep
 
-#: Row labels jk of the diffusion matrix and their adjoint pairs k'j'.
-DIFFUSION_ROWS = (21, 31, 41)
-DIFFUSION_COLS = (12, 13, 14)
-
 #: Convergence target for the summed panel error estimates of a noise integral.
 INTEGRAL_TOL = 1e-8
 
@@ -117,8 +113,8 @@ _GAUSS_WEIGHTS = _mirror(
 class DiffusionMatrix:
     """Normally-ordered diffusion coefficients D_{jk,k'j'}.
 
-    entries[a, b] couples noise slot DIFFUSION_ROWS[a] to the adjoint
-    slot DIFFUSION_COLS[b]: a finite (3, 3) array, stored as a read-only complex copy.
+    entries[a, b] couples noise slot NOISE_INDICES[a] to the adjoint of
+    slot NOISE_INDICES[b]: a finite (3, 3) array, stored as a read-only complex copy.
     """
 
     entries: np.ndarray

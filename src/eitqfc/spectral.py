@@ -105,21 +105,21 @@ def _inverse_response(params: SystemParams, omegas: np.ndarray) -> np.ndarray:
     2002, sec. 6.2), so a matrix with ||A||_F ||A^-1||_F <= COND_LIMIT/2
     passes the SVD test with a factor-2 margin.  Only the others (NaN
     and inf among them) take it, or the whole stack when np.linalg.inv
-    finds an exactly singular member.
+    finds an exactly singular member; a singular member that passes the
+    test raises inv's LinAlgError.
     """
     matrix = np.multiply.outer(1j * omegas, _EYE3) - build_first_order_system(params)
     try:
         inverse = np.linalg.inv(matrix)
     except np.linalg.LinAlgError:
-        flagged, inverse = np.arange(omegas.size), None
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the screen
-            product = np.square(np.abs(matrix)).sum(axis=(1, 2)) * np.square(np.abs(inverse)).sum(axis=(1, 2))
-        flagged = np.flatnonzero(~(product <= (COND_LIMIT / 2) ** 2))
+        _condition_test(omegas, matrix)
+        raise
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the screen
+        product = np.square(np.abs(matrix)).sum(axis=(1, 2)) * np.square(np.abs(inverse)).sum(axis=(1, 2))
+    flagged = np.flatnonzero(~(product <= (COND_LIMIT / 2) ** 2))
     if flagged.size:
         _condition_test(omegas[flagged], matrix[flagged])
-    # a singular member that passed the SVD test raises inv's LinAlgError again
-    return np.linalg.inv(matrix) if inverse is None else inverse
+    return inverse
 
 
 def _couplings(alpha: float, ainv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -374,7 +374,7 @@ def fidelity(state: InputState, rho_out: np.ndarray) -> float | np.ndarray:
 def coherent_fidelity(nbar: float, ce: float) -> float:
     """Closed-form conversion fidelity for a coherent input of mean photon
     number nbar at conversion efficiency ce: exp(-nbar (1 - sqrt(ce))^2 / 2)."""
-    if nbar < 0 or not 0.0 <= ce <= 1.0:
+    if not (0 <= nbar < math.inf and 0.0 <= ce <= 1.0):  # NaN fails both
         raise ValueError(f"need nbar >= 0 and ce in [0, 1], got {nbar}, {ce}")
     return math.exp(-nbar * (1.0 - math.sqrt(ce)) ** 2 / 2.0)
 
@@ -426,7 +426,7 @@ def output_variance(var_in: float, power_coeff: float | np.ndarray) -> float | n
     each element rounded as the one-coefficient call rounds it; the
     error names the first coefficient outside [0, 1].
     """
-    if var_in < 0:
+    if not 0 <= var_in < math.inf:  # also rejects NaN
         raise ValueError(f"variance must be >= 0, got {var_in}")
     coeffs = np.asarray(power_coeff)
     outside = np.flatnonzero(~((0.0 <= coeffs) & (coeffs <= 1.0)))  # NaN is outside too

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IllPosedBoundary, NegativeOD, QfcError, SingularSystem
+from .errors import IllPosedBoundary, NegativeOD, QfcError, SingularSystem, at, first_failure
 from .params import LENGTH, SystemParams
 from .spectral import SpectralStack, solve_susceptibility_stack
 
@@ -156,11 +156,6 @@ def _resolve(m: np.ndarray, mu, w, _, s, tee) -> np.ndarray:
     return resolved
 
 
-def _at(value: float, exc: QfcError, name: str = "alpha") -> QfcError:
-    """The same kind of error, its message prefixed by the grid value (``name``) of the failing row."""
-    return type(exc)(f"at {name}={float(value)!r}: {exc}")
-
-
 def _grid_generator(params: SystemParams, alphas, omega: float) -> tuple[np.ndarray, np.ndarray]:
     """The 1-D optical-depth grid as floats, and m = M(1) L (2, 2) at ``omega`` from one spectral solve.
 
@@ -178,29 +173,11 @@ def _grid_generator(params: SystemParams, alphas, omega: float) -> tuple[np.ndar
     try:
         return alphas, solve_susceptibility_stack(replace(params, alpha=1.0), [omega]).generator[0] * LENGTH
     except SingularSystem as exc:
-        raise (_at(alphas[0], exc) if alphas.size else exc) from exc
-
-
-def _first_failure(grid: np.ndarray, checks, name: str = "alpha") -> tuple[int, QfcError | None]:
-    """The number of rows before the first failing one, and that row's error.
-
-    ``checks`` pairs a boolean mask over the grid with a function of the
-    row index that builds the error, in the order the checks apply
-    within one row.  The error names the failing grid value as
-    ``name``=value, and is None when no row fails.
-    """
-    bad = np.zeros(grid.shape, dtype=bool)
-    for mask, _ in checks:
-        bad |= mask
-    if not bad.any():
-        return grid.size, None
-    k = int(np.flatnonzero(bad)[0])
-    error = next(make(k) for mask, make in checks if mask[k])
-    return k, _at(grid[k], error, name)
+        raise (at(alphas[0], exc) if alphas.size else exc) from exc
 
 
 def _solvable(resolved: np.ndarray) -> list:
-    """The checks, for _first_failure, that a resolved stack (n, 2, 2) is a usable boundary solution.
+    """The checks, for first_failure, that a resolved stack (n, 2, 2) is a usable boundary solution.
 
     Each matrix must be finite and its |1/D| (= |D'| of e^{-ML}) must
     reach BOUNDARY_TOL.
@@ -240,7 +217,7 @@ def propagation_sweep(params: SystemParams, alphas: np.ndarray, omega: float = 0
     """
     alphas, m = _grid_generator(params, alphas, omega)
     resolved = _scattering(alphas[:, None, None] * m)
-    n, failure = _first_failure(alphas, _solvable(resolved))
+    n, failure = first_failure(alphas, _solvable(resolved))
     return PropagationSweep(alphas=alphas[:n], resolved=resolved[:n], failure=failure)
 
 
@@ -276,7 +253,7 @@ def _kernel_rows(stack: SpectralStack) -> tuple:
     m = stack.generator * LENGTH
     mu, w, c, s, tee = _propagator(m)
     resolved = _resolve(m, mu, w, c, s, tee)
-    _, failure = _first_failure(stack.omega, _solvable(resolved), "omega")
+    _, failure = first_failure(stack.omega, _solvable(resolved), "omega")
     if failure is not None:
         raise failure
     n, tee = (m[:, 0, 0] - m[:, 1, 1]) / 2, tee[:, None]
@@ -293,13 +270,10 @@ def noise_kernel_block(stack: SpectralStack, z_grid: np.ndarray) -> np.ndarray:
     Per (omega, z) pair one expm1 and the two exponentials.  Returns
     shape (n, nz, 2, k), rows (P, Q) and a column per column of
     ``stack.zeta`` (k = 3 for a solved stack, ordered like
-    NOISE_INDICES).  A zeta with no columns gets the boundary check and
-    then empty kernels, with no work per (omega, z) pair.
+    NOISE_INDICES).
     """
     z_grid = np.asarray(z_grid, dtype=float)
     mu, w, rows = _kernel_rows(stack)
-    if stack.zeta.shape[-1] == 0:
-        return np.empty((len(stack.omega), z_grid.size, 2, 0), dtype=complex)
     t = 1 - z_grid / LENGTH
     _, ts = _sinch(np.multiply.outer(w, t))
     ts *= t
@@ -420,7 +394,7 @@ def noise_kernels(stack: SpectralStack, raw: np.ndarray, z_grid: np.ndarray | No
         z_grid = np.linspace(0.0, LENGTH, 257)
     with np.errstate(divide="ignore", invalid="ignore"):
         boundary = np.array([[[0.0, raw[0][1]], [0.0, 1.0]]]) / complex(raw[1][1])
-    _, failure = _first_failure(stack.omega, _solvable(boundary), "omega")
+    _, failure = first_failure(stack.omega, _solvable(boundary), "omega")
     if failure is not None:
         raise failure
     kernels = noise_kernel_block(stack, z_grid)[0]
@@ -555,7 +529,7 @@ def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> Propagation
         slabs, pivot = _cumulative_star(slabs[:, gap_of], pivot[gap_of])
         slabs, pivot = slabs[:, row_of], pivot[row_of]
     finite = np.isfinite(slabs).all(axis=0)
-    n, failure = _first_failure(
+    n, failure = first_failure(
         alphas,
         [
             (pivot < BOUNDARY_TOL, lambda k: IllPosedBoundary(f"imbedding singular: |1 - B C| = {pivot[k]:.3e}")),

@@ -123,7 +123,7 @@ def _sweep_amplitudes(config, grid_points):
 
 
 class TestStackedChannel:
-    """One call on a 1-D stack of amplitudes: the shape the CLI sweeps use."""
+    """One call on a 1-D stack of amplitudes: each member as its own one-amplitude call gives it."""
 
     @pytest.mark.parametrize("config", list(SWEEP_CONFIGS))
     def test_members_equal_single_amplitude_calls(self, config):
@@ -380,6 +380,12 @@ class TestFidelity:
         for ce in np.linspace(0.0, 0.99, 34):
             assert coherent_fidelity(10.0, ce) < coherent_fidelity(1.0, ce)
 
+    @pytest.mark.parametrize("nbar, ce", [(float("nan"), 0.5), (math.inf, 1.0), (-1.0, 0.5), (1.0, float("nan"))])
+    def test_coherent_fidelity_rejects_a_non_finite_or_negative_input(self, nbar, ce):
+        # nan and inf used to come back as a nan fidelity
+        with pytest.raises(ValueError, match=r"^need nbar >= 0 and ce in \[0, 1\], got "):
+            coherent_fidelity(nbar, ce)
+
     def test_squeezed_input_unsupported(self):
         with pytest.raises(TypeError):
             fidelity(Squeezed(0.5), fock_dm(0, 5))
@@ -431,6 +437,9 @@ class TestQuadratures:
     def test_output_variance_validation(self):
         with pytest.raises(ValueError):
             output_variance(-0.1, 0.5)
+        for var_in in (float("nan"), math.inf):
+            with pytest.raises(ValueError, match=f"^variance must be >= 0, got {var_in}$"):
+                output_variance(var_in, 0.5)
         with pytest.raises(ValueError):
             output_variance(0.25, 1.2)
 
@@ -463,6 +472,31 @@ class TestQuadratures:
         vpi = input_variances(Squeezed(0.5, theta=math.pi))
         assert v0.var_x == pytest.approx(vpi.var_y, rel=1e-12)
         assert v0.var_y == pytest.approx(vpi.var_x, rel=1e-12)
+
+
+class TestInputGuards:
+    def test_fock_level_must_fit_the_dimension(self):
+        assert fock_dm(19)[19, 19] == 1.0
+        with pytest.raises(DimensionTooSmall, match="^Fock level 20 does not fit in dimension 20$"):
+            fock_dm(20)
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.array([[0.5, 0.1], [0.0, 0.5]]), r"not Hermitian: max deviation 1\.000e-01"),
+            (np.diag([0.5, 0.4]), r"trace off by 1\.000e-01"),
+            (np.diag([1.5, -0.5]), r"has eigenvalue -5\.000e-01"),
+        ],
+        ids=["hermiticity", "trace", "eigenvalue"],
+    )
+    def test_density_matrix_checks(self, rho, message):
+        validate_density_matrix(np.diag([0.5, 0.5]))
+        with pytest.raises(ValueError, match=f"^density matrix {message}$"):
+            validate_density_matrix(rho)
+
+    def test_unknown_input_state(self):
+        with pytest.raises(TypeError, match="^unknown input state str$"):
+            input_variances("fock")
 
 
 def test_states_takes_the_channel_amplitude_as_a_number():

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitqfc import transfer
-from eitqfc.errors import IllPosedBoundary, NegativeOD, SingularSystem
-from eitqfc.params import SystemParams, symmetric_params
+from eitqfc.errors import IllPosedBoundary, NegativeOD, SingularSystem, first_failure
+from eitqfc.params import LENGTH, SystemParams, symmetric_params
 from eitqfc.spectral import solve_susceptibilities, solve_susceptibility_stack
 from eitqfc.transfer import (
     coupling_matrix,
@@ -153,7 +153,7 @@ class TestStackedExpm2:
 def checked_scattering(m: np.ndarray) -> np.ndarray:
     """The resolved form of one generator through the scattering core and the shared solvability check."""
     resolved = transfer._scattering(np.asarray(m, dtype=complex)[None])
-    _, failure = transfer._first_failure(np.zeros(1), transfer._solvable(resolved))
+    _, failure = first_failure(np.zeros(1), transfer._solvable(resolved))
     if failure is not None:
         raise failure
     return resolved[0]
@@ -194,12 +194,12 @@ class TestBoundaryResolve:
         non_finite, small_pivot = (list(mask) for mask, _ in checks)
         assert non_finite == [False, False, True, False]
         assert small_pivot == [False, True, False, False]
-        n, failure = transfer._first_failure(np.array([0.0, 0.5, 1.0, 2.0]), checks, "omega")
+        n, failure = first_failure(np.array([0.0, 0.5, 1.0, 2.0]), checks, "omega")
         assert n == 1
         assert str(failure) == "at omega=0.5: |1/D| = 1.000e-13 below 1e-12"
-        n, failure = transfer._first_failure(np.array([0.0, 0.5, 1.0, 2.0]), checks[:1])
+        n, failure = first_failure(np.array([0.0, 0.5, 1.0, 2.0]), checks[:1])
         assert (n, str(failure)) == (2, "at alpha=1.0: the resolved matrix is not finite")
-        assert transfer._first_failure(np.zeros(4), checks[:0]) == (4, None)
+        assert first_failure(np.zeros(4), checks[:0]) == (4, None)
 
     def test_reassembly_recovers_raw(self):
         rng = np.random.default_rng(9)
@@ -719,6 +719,28 @@ class TestScatteringInvariants:
             assert np.max(np.abs(resolved - expected)) <= tol * np.max(np.abs(expected)), alpha
             compared += 1
         assert compared >= 44  # the whole linear part and a few rows beyond
+
+    def test_commutator_closure_at_every_frequency(self):
+        # per frequency 1 - |A|^2 - |B|^2 = sum_a Gamma_a G^P_aa and 1 - |C|^2 - |D|^2 = sum_a Gamma_a G^Q_aa,
+        # Gamma = (gamma21, gamma31, gamma41) in NOISE_INDICES order: the output fields keep [a, a^H] = 1
+        rng = np.random.default_rng(2024)
+        rising = np.geomspace(1e-7, 30.0, 30)
+        omegas = np.concatenate([-rising[::-1], [0.0], rising])
+        alphas = np.concatenate([[0.0], 10.0 ** rng.uniform(-2.0, 6.0, 199)])
+        worst = 0.0
+        for alpha in alphas:
+            rabi_c, rabi_d = rng.uniform(0.1, 5.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            gamma31, gamma41 = rng.uniform(0.2, 2.0, 2)
+            gamma21 = 10.0 ** rng.uniform(-4.0, np.log10(0.3)) if rng.uniform() < 0.5 else 0.0
+            params = SystemParams(alpha, rabi_c, rabi_d, gamma31, gamma41, gamma21)
+            stack = solve_susceptibility_stack(params, omegas)
+            s = transfer._scattering(stack.generator * LENGTH)
+            decay = np.array([gamma21, gamma31, gamma41])
+            for row in (0, 1):
+                kept = 1 - np.abs(s[:, row, 0]) ** 2 - np.abs(s[:, row, 1]) ** 2
+                added = np.diagonal(noise_kernel_gram(stack, row), axis1=1, axis2=2).real @ decay
+                worst = max(worst, np.max(np.abs(kept - added)) / (1 + alpha))
+        assert worst <= 1e-14
 
 
 class TestSemiclassicalSweep:
