@@ -39,14 +39,13 @@ import numpy as np
 from .errors import ConfigError, NonPassiveAmplitude, QfcError, at, first_failure
 from .params import SystemParams
 from .states import (
-    DEFAULT_DIM,
+    MAX_FOCK_LEVEL,
     Coherent,
     Fock,
     Squeezed,
     coherent_fidelity,
     fock_fidelity,
-    input_variances,
-    output_variance,
+    output_variances,
     passive_amplitudes,
 )
 from .transfer import propagation_sweep, semiclassical_sweep
@@ -61,11 +60,6 @@ ORACLE_TOL = 1e-6
 #: Largest squeezing accepted, in dB either way: the quadrature variances
 #: then stay within a factor 1e30 of the vacuum's, far from float overflow.
 MAX_SQUEEZE_DB = 300.0
-#: Largest Fock input level: the highest |n><n| that the library's loss
-#: channel accepts on the DEFAULT_DIM basis (its guard wants the top two
-#: levels empty), so every Fock fidelity written is the channel's, which
-#: fock_fidelity reproduces bit for bit.
-MAX_FOCK_LEVEL = DEFAULT_DIM - 3
 #: Most grid points a sweep accepts: 25 times the default optical-depth grid.
 #: It bounds what one run holds at once, its table, the formatter's words and
 #: the CSV text (about 1.3 MB at the limit); a larger request exits 2 before
@@ -113,8 +107,9 @@ def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float
     """The CSV text: the header line, then one line of len(header) numbers per row.
 
     ``rows`` is any (n, len(header)) float array-like; every number reads exactly as "%.14e" % x.
-    Finite nonzero x get the digits N = round(y) of y = |x| 10**(14 - e) in [1e14, 1e15), e =
-    floor(log10 |x|), or those of "%.14e" where y is within _TIE_WINDOW of a tie or rounds to 1e15.
+    Finite nonzero x get the digits N = round(y) of y = |x| 10**(14 - e), e = floor(log10 |x|), or
+    those of "%.14e" where y is within _TIE_WINDOW of a tie, lies below 1e14 or rounds to 1e15 or more
+    (log10 may put e one off).
     Each number is nine uint32 words from _csv_tables (sign, "d.dd", four "ddd", exponent, comma
     or newline), and the NULs are dropped from their bytes.
     """
@@ -125,13 +120,10 @@ def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float
     a[special] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
     y = a.astype(np.longdouble) * pow10[324 - e]
-    moved = np.flatnonzero((y < 1e14) | (y >= 1e15))
-    e[moved] += np.where(y[moved] < 1e14, -1, 1)
-    y[moved] = a[moved] * pow10[324 - e[moved]]
     n = y.astype(np.int64)
     frac = (y - n).astype(float)
     n += frac >= 0.5
-    for i in np.flatnonzero(~(np.abs(frac - 0.5) > _TIE_WINDOW) | (n == 10**15)):
+    for i in np.flatnonzero(~(np.abs(frac - 0.5) > _TIE_WINDOW) | (y < 1e14) | (n >= 10**15)):
         text = "%.14e" % a[i]
         n[i], e[i] = int(text[0] + text[2:16]), int(text[17:])
     n[special] = e[special] = 0
@@ -233,16 +225,13 @@ def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[st
     return header, table
 
 
-def run_fig3(ces: np.ndarray) -> tuple[list[str], list[list[float]]]:
-    """Fidelity versus CE: coherent nbar = 1 and 10, one-photon Fock."""
+def run_fig3(ces: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Fidelity versus CE: coherent nbar = 1 and 10, one-photon Fock (amplitude sqrt(CE))."""
     header = ["ce", "fid_coherent_n1", "fid_coherent_n10", "fid_fock1"]
-    rows = []
-    for ce in ces:
-        ce = float(ce)
-        rows.append(
-            [ce, coherent_fidelity(1.0, ce), coherent_fidelity(10.0, ce), math.sqrt(ce)]
-        )
-    return header, rows
+    ces = np.asarray(ces, dtype=float)
+    # math.exp per value: no array exponential is known to round as it does
+    coherent = [[coherent_fidelity(nbar, ce) for ce in ces.tolist()] for nbar in (1.0, 10.0)]
+    return header, np.column_stack([ces, *coherent, fock_fidelity(1, np.sqrt(ces))])
 
 
 def run_fig4(
@@ -261,17 +250,10 @@ def run_fig4(
     """
     if state_kind not in ("squeezed", "fock"):
         raise ConfigError("fig4 supports --state squeezed (variant a) or fock (variant b)")
-    vin = input_variances(Squeezed(squeeze_r) if state_kind == "squeezed" else Fock(1))
-    header = ["ce", "var_x", "var_y"]
     ces = np.asarray(ces, dtype=float)
-    table = np.column_stack(
-        [
-            ces,
-            convention_scale * output_variance(vin.var_x, ces),
-            convention_scale * output_variance(vin.var_y, ces),
-        ]
-    )
-    return header, table
+    out = output_variances(Squeezed(squeeze_r) if state_kind == "squeezed" else Fock(1), ces)
+    table = np.column_stack([ces, convention_scale * out.var_x, convention_scale * out.var_y])
+    return ["ce", "var_x", "var_y"], table
 
 
 def run_custom(
@@ -311,9 +293,7 @@ def run_custom(
     else:
         raise ConfigError(f"unknown state {state_kind!r}")
 
-    with_fidelity = not isinstance(state, Squeezed)
-    header = ["alpha", "tp", "ce"] + (["fidelity"] if with_fidelity else []) + ["var_x", "var_y"]
-    vin = input_variances(state)
+    header = ["alpha", "tp", "ce"] + ([] if isinstance(state, Squeezed) else ["fidelity"]) + ["var_x", "var_y"]
     quantum = propagation_sweep(_sweep_params(alphas, overrides), alphas)
     try:
         amplitudes = passive_amplitudes(quantum.resolved[:, 1, 0])
@@ -329,9 +309,8 @@ def run_custom(
         # math.exp per row: no array exponential is known to round as it does
         nbar = abs(state.beta) ** 2
         columns.append([coherent_fidelity(nbar, ce) for ce in ce_column.tolist()])
-    columns.append(convention_scale * output_variance(vin.var_x, ce_column))
-    columns.append(convention_scale * output_variance(vin.var_y, ce_column))
-    table = np.column_stack(columns)
+    out = output_variances(state, ce_column)
+    table = np.column_stack(columns + [convention_scale * out.var_x, convention_scale * out.var_y])
     if quantum.failure is not None:
         raise quantum.failure
     return header, table

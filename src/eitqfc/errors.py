@@ -6,6 +6,8 @@ check, in the sweeps, the noise kernels and the CLI, reports through
 ``first_failure``.
 """
 
+import copy
+
 import numpy as np
 
 
@@ -74,8 +76,10 @@ class ConfigError(QfcError):
 
 
 def at(value: float, exc: QfcError, name: str = "alpha") -> QfcError:
-    """The same kind of error, its message prefixed by the grid value (``name``) of the failing row."""
-    return type(exc)(f"at {name}={float(value)!r}: {exc}")
+    """A copy of the error, every attribute kept, its message prefixed by the failing row's ``name``=value."""
+    located = copy.copy(exc)
+    located.args = (f"at {name}={float(value)!r}: {exc}",)
+    return located
 
 
 def first_failure(grid: np.ndarray, checks, name: str = "alpha") -> tuple[int, QfcError | None]:

@@ -13,10 +13,11 @@ test oracles (the normally-ordered projector series and a two-mode beam
 splitter, exponentiated one photon-number block at a time), and
 computes fidelities and quadrature variances; a Fock input's fidelity
 |C_0|^n comes straight from the amplitudes (fock_fidelity), with the
-channel's own arithmetic and no density matrix.  It takes the channel
-amplitude C_0 as a number, or a 1-D stack of them, checks that each is
-passive (passive_amplitudes), and does not depend on the propagation
-layers;
+channel's own arithmetic and no density matrix; MAX_FOCK_LEVEL is the
+highest level the channel takes on the default basis.  It takes the
+channel amplitude C_0 as a number, or a 1-D stack of them, checks that
+each is passive (passive_amplitudes), and does not depend on the
+propagation layers;
 ``transfer.propagation_sweep(params, alphas).resolved[:, 1, 0]`` gives
 C_0 on an optical-depth grid.
 
@@ -46,6 +47,9 @@ DEFAULT_DIM = 20
 #: through the loss channel.
 TRACE_LOSS_TOL = 1e-10
 TOP_LEVEL_TOL = 1e-8
+#: Largest Fock level |n><n| that the loss channel accepts on the
+#: DEFAULT_DIM basis, whose guard wants the top two levels empty.
+MAX_FOCK_LEVEL = DEFAULT_DIM - 3
 
 #: A Fock level counts as "occupied" for the beam-splitter dimension
 #: guard when it holds more than this fraction of the trace.
@@ -435,8 +439,8 @@ def output_variance(var_in: float, power_coeff: float | np.ndarray) -> float | n
     return power_coeff * var_in + (1.0 - power_coeff) / 4.0
 
 
-def output_variances(state: InputState, power_coeff: float) -> QuadratureStats:
-    """Both output quadrature variances for a given input state."""
+def output_variances(state: InputState, power_coeff: float | np.ndarray) -> QuadratureStats:
+    """Both output quadrature variances of an input state, at one power coefficient or an array of them."""
     vin = input_variances(state)
     return QuadratureStats(
         output_variance(vin.var_x, power_coeff),

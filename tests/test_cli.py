@@ -24,7 +24,7 @@ from eitqfc.cli import (
     run_fig4,
     run_custom,
 )
-from eitqfc.errors import ConfigError, IllPosedBoundary, QfcError
+from eitqfc.errors import ConfigError, IllPosedBoundary, NonPassiveAmplitude, QfcError
 from eitqfc.transfer import PropagationSweep
 
 
@@ -286,6 +286,25 @@ _CONFIG_TEXT = st.one_of(
     st.complex_numbers().map(str),
 )
 
+#: Values drawn for the CLI flags: numbers at and past the limits, complex and state words, junk.
+_ARGV_VALUE = st.sampled_from(
+    ["nan", "inf", "-1", "0", "1.5", "17", "18", "10002", "1e7", "1+2j", "0.5-3j", "fock", "coherent", "squeezed", "x"]
+)
+#: Config files for --config: empty, singular (exits 3), out of range, not key=value, and one that is missing.
+_ARGV_CONFIGS = {
+    "empty.cfg": "",
+    "singular.cfg": "omega_c = 0\nomega_d = 0\n",
+    "far.cfg": "alpha_max = 1e7\n",
+    "junk.cfg": "x\n",
+}
+#: One flag and its value; a grid of more than 50 points is never drawn, so every run stays small.
+_FLAG = st.one_of(
+    st.tuples(st.sampled_from(["--alpha-max", "--state", "--nbar", "--squeeze-db", "--convention-scale"]), _ARGV_VALUE),
+    st.tuples(st.just("--grid-points"), _ARGV_VALUE.filter(lambda v: not v.isdigit() or int(v) <= 50)),
+    st.tuples(st.just("--out"), st.sampled_from(["out.csv", ".", "missing/out.csv"])),
+    st.tuples(st.just("--config"), st.sampled_from([*_ARGV_CONFIGS, "missing.cfg"])),
+)
+
 
 class TestMain:
     def test_fig2_writes_file(self, tmp_path):
@@ -444,6 +463,14 @@ class TestMain:
         assert main(argv) == 3
         assert capsys.readouterr().err == "eitqfc: numerical failure: at alpha=2.0: |c0| = 1.000000 exceeds 1\n"
         assert not out.exists()
+
+    def test_non_passive_amplitude_keeps_its_row(self, monkeypatch):
+        # naming the alpha keeps the error's own attributes: row is still the failing position
+        self._sweep_with_amplitude(monkeypatch, 2, 1.0 + 1e-10)
+        with pytest.raises(NonPassiveAmplitude) as caught:
+            run_custom(np.linspace(0.0, 4.0, 5), "fock", 1.0)
+        assert caught.value.row == 2
+        assert str(caught.value) == "at alpha=2.0: |c0| = 1.000000 exceeds 1"
 
     @pytest.mark.parametrize("state", ["fock", "coherent", "squeezed"])
     def test_amplitude_above_1_by_rounding_reads_as_full_conversion(self, tmp_path, capsys, monkeypatch, state):
@@ -675,6 +702,30 @@ class TestMain:
         code = main([command, "--config", str(cfg), "--out", str(out)])
         assert code in (0, 2, 3)
         assert out.exists() == (code == 0)
+
+    @settings(max_examples=200)
+    @given(command=st.sampled_from(["fig2", "fig3", "fig4", "custom", "fig5"]), flags=st.lists(_FLAG, max_size=4))
+    def test_any_argv_exits_0_2_or_3(self, tmp_path_factory, command, flags):
+        # flags as well as configs: argparse refuses what it cannot read with SystemExit(2),
+        # every other run returns 0, 2 or 3, and only a run that returns 0 writes its file
+        directory = tmp_path_factory.mktemp("any_argv")
+        for name, text in _ARGV_CONFIGS.items():
+            (directory / name).write_text(text, encoding="utf-8")
+        out = directory / "out.csv"
+        argv = [command, "--out", str(out)]
+        for flag, value in flags:
+            if flag in ("--out", "--config"):
+                value = str(directory / value)
+            if flag == "--out":
+                out = Path(value)
+            argv += [flag, value]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            code = 2
+        assert code in (0, 2, 3)
+        assert out.is_file() == (code == 0)
 
 
 #: sha256 of each subcommand's CSV at its default settings.

@@ -742,6 +742,28 @@ class TestScatteringInvariants:
                 worst = max(worst, np.max(np.abs(kept - added)) / (1 + alpha))
         assert worst <= 1e-14
 
+    def test_a_common_rabi_phase_leaves_the_scattering_matrix_unchanged(self):
+        # one phase on both Rabi fields maps the drift to U drift U^H with U = diag(e^{i phi}, 1, 1),
+        # which leaves the [1:, 1:] block of its inverse, and so M, unchanged
+        rng = np.random.default_rng(2025)
+        worst = 0.0
+        for _ in range(200):
+            rabi_c, rabi_d = rng.uniform(0.1, 5.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            gamma31, gamma41 = rng.uniform(0.2, 2.0, 2)
+            gamma21 = rng.uniform(1e-4, 0.3) if rng.uniform() < 0.5 else 0.0
+            omega = rng.uniform(-30.0, 30.0) if rng.uniform() < 0.5 else 0.0
+            alphas = np.concatenate([[0.0], np.sort(10.0 ** rng.uniform(-2.0, 6.0, 8))])
+            turn = np.exp(2j * np.pi * rng.uniform())
+            sweeps = [
+                propagation_sweep(SystemParams(0.0, c, d, gamma31, gamma41, gamma21), alphas, omega)
+                for c, d in ((rabi_c, rabi_d), (turn * rabi_c, turn * rabi_d))
+            ]
+            assert (sweeps[0].failure is None) == (sweeps[1].failure is None)
+            assert sweeps[0].resolved.shape == sweeps[1].resolved.shape
+            change = np.abs(sweeps[1].resolved - sweeps[0].resolved).max(axis=(1, 2), initial=0.0)
+            worst = max(worst, np.max(change / (1 + sweeps[0].alphas), initial=0.0))
+        assert worst <= 1e-14
+
 
 class TestSemiclassicalSweep:
     def test_matches_one_point_view(self):
