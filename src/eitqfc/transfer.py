@@ -18,10 +18,11 @@ matrices, and the noise kernels, whose rows are two bounded exponentials
 each (``_kernel_rows``).  Those rows feed two routes.
 ``noise_kernel_gram``, which the noise integrals read, integrates their
 products over z in closed form: int_0^L K_a K_b* dz from three divided
-differences of exp per frequency (``_exp_divided_difference``, accurate
-through the degenerate w = 0).  ``noise_kernel_block`` evaluates them on
-a z grid: the tests' quadrature oracle for the Gram, and the engine of
-``noise_kernels``, its one-frequency view.
+differences of exp per frequency, in one pass per Gram
+(``_exp_divided_differences``, accurate through the degenerate w = 0).
+``noise_kernel_block`` evaluates them on a z grid: the tests' quadrature
+oracle for the Gram and the engine of ``noise_kernels``, its
+one-frequency view.
 M(alpha) = alpha M(1), so ``propagation_sweep`` needs one unit-depth
 spectral solve and one pass of the core for a whole optical-depth grid.
 ``semiclassical_sweep`` solves the same boundary-value problem by
@@ -40,8 +41,9 @@ package never forms e^{-ML}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from itertools import accumulate, combinations
+from operator import truediv
 
 import numpy as np
 
@@ -235,8 +237,8 @@ class NoiseKernels:
     omega: float
 
 
-def _kernel_rows(stack: SpectralStack) -> tuple:
-    """mu, w and the rows (pa, a, pb, b) of the noise kernels of a stack, after its boundary check.
+def _kernel_rows(stack: SpectralStack, rows: tuple = (0, 1)) -> tuple:
+    """mu, w and the noise kernel rows (pa, a, pb, b) ``rows`` (0: P, 1: Q) of a stack, after its boundary check.
 
     [P_jk; Q_jk](z) = [[1, -B], [0, -D]] e^{M (z - L)} [zeta_p; zeta_s],
     with B, D the core's.  With _propagator's mu, w, tee of ML, N = ML -
@@ -258,10 +260,10 @@ def _kernel_rows(stack: SpectralStack) -> tuple:
         raise failure
     n, tee = (m[:, 0, 0] - m[:, 1, 1]) / 2, tee[:, None]
     zeta_p, zeta_s = stack.zeta[:, 0], stack.zeta[:, 1]
-    p_row = (np.zeros_like(mu), zeta_p - resolved[:, 0, 1, None] * zeta_s,
-             -2 * w, ((w - n)[:, None] * zeta_p - m[:, 0, 1, None] * zeta_s) / tee)
-    q_row = (mu - w, -zeta_s / tee, mu - w, (m[:, 1, 0, None] * zeta_p - (w + n)[:, None] * zeta_s) / tee)
-    return mu, w, (p_row, q_row)
+    build = (lambda: (np.zeros_like(mu), zeta_p - resolved[:, 0, 1, None] * zeta_s,
+                      -2 * w, ((w - n)[:, None] * zeta_p - m[:, 0, 1, None] * zeta_s) / tee),
+             lambda: (mu - w, -zeta_s / tee, mu - w, (m[:, 1, 0, None] * zeta_p - (w + n)[:, None] * zeta_s) / tee))
+    return mu, w, [build[row]() for row in rows]
 
 
 def noise_kernel_block(stack: SpectralStack, z_grid: np.ndarray) -> np.ndarray:
@@ -285,55 +287,72 @@ def noise_kernel_block(stack: SpectralStack, z_grid: np.ndarray) -> np.ndarray:
     return np.stack(kernels, axis=2)
 
 
-def _farthest_pair_orders(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs (i < j) of k points, and per pair an order of the points that puts i first and j last."""
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    orders = [[i, *(m for m in range(k) if m not in (i, j)), j] for i, j in pairs]
-    return np.array(pairs), np.array(orders)
+#: Per k = 3, 4: the index pairs (i < j) of k points, and per pair an order of the points that puts i first and j last.
+_FARTHEST = {k: (np.array(pairs), np.array([[i, *(m for m in range(k) if m not in (i, j)), j] for i, j in pairs]))
+             for k in (3, 4) for pairs in [list(combinations(range(k), 2))]}
 
 
-_FARTHEST = {k: _farthest_pair_orders(k) for k in (3, 4)}
+def _exp_pair_difference(x: np.ndarray) -> np.ndarray:
+    """exp[x_0, x_1] = e^{x_b} (1 - e^{-d})/d, d = x_b - x_s, Re x_b >= Re x_s, of rows x (m, 2), in their dtype.
 
-
-def _exp_divided_difference(x: np.ndarray) -> np.ndarray:
-    """exp[x_0, ..., x_n], the divided difference of exp at the points x (m, n + 1), shape (m,).
-
-    It is the integral of e^{sum tau_j x_j} over the simplex of weights
-    tau (Hermite-Genocchi), so it is bounded by e^{max Re x}/n!.  Two
-    points give e^{x_b} (1 - e^{-d})/d, d = x_b - x_s with x_b the one of
-    larger real part, and expm1 carries d -> 0.  More points within
-    DD_CLUSTER of each other take DD_TERMS terms of the Taylor series
-    about their mean, e^{c} sum_k h_k(x - c)/(k + n)! with h_k the
-    complete symmetric polynomials; the others the recurrence
-    (exp[x_1..x_n] - exp[x_0..x_{n-1}])/(x_n - x_0) with x_0, x_n the
-    farthest pair (after McCurdy, Ng & Parlett, Math. Comp. 43, 501
-    (1984)).  So coincident points need no branch of their own.
+    Bounded by e^{Re x_b}, and expm1 carries d -> 0.
     """
-    k = x.shape[1]
-    if k == 2:
-        first = x[:, 0].real >= x[:, 1].real
-        big, small = np.where(first, x[:, 0], x[:, 1]), np.where(first, x[:, 1], x[:, 0])
-        d = big - small
-        return np.exp(big) * np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d != 0)
-    pairs, orders = _FARTHEST[k]
+    first = x[:, 0].real >= x[:, 1].real
+    big, small = np.where(first, x[:, 0], x[:, 1]), np.where(first, x[:, 1], x[:, 0])
+    d = big - small
+    return np.exp(big) * np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d != 0)
+
+
+def _farthest_first(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of x (m, k), k = 3 or 4, with their farthest pair first and last, and which are within DD_CLUSTER."""
+    pairs, orders = _FARTHEST[x.shape[1]]
     spread = np.abs(x[:, pairs[:, 1]] - x[:, pairs[:, 0]])
-    best = spread.argmax(axis=1)
-    x = x[np.arange(len(x))[:, None], orders[best]]  # the farthest pair first and last
-    near = spread.max(axis=1) < DD_CLUSTER
-    out = np.empty(len(x), dtype=complex)
-    far = x[~near]
-    last, first = _exp_divided_difference(np.concatenate([far[:, 1:], far[:, :-1]])).reshape(2, -1)
-    out[~near] = (last - first) / (far[:, -1] - far[:, 0])
-    centre = x[near].mean(axis=1)
-    y = (x[near] - centre[:, None]).T
-    h = np.ones_like(y)  # h[j] = h_order(y_0, ..., y_j)
-    total, coefficient = np.ones_like(centre), 1.0  # coefficient = (k - 1)!/(order + k - 1)!
-    for order in range(1, DD_TERMS):
-        h = np.cumsum(y * h, axis=0)  # h_order(y_0..y_j) = h_order(y_0..y_{j-1}) + y_j h_{order-1}(y_0..y_j)
-        coefficient /= order + k - 1
+    return x[np.arange(len(x))[:, None], orders[spread.argmax(axis=1)]], spread.max(axis=1) < DD_CLUSTER
+
+
+#: (k - 1)!/(order + k - 1)!, order = 1 .. DD_TERMS - 1, by sequential division: columns k = 3 and 4.
+_TAYLOR = np.array([list(accumulate(range(k, k + DD_TERMS - 1), truediv, initial=1.0))[1:] for k in (3, 4)]).T
+
+
+def _exp_divided_differences(x3: np.ndarray, x4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp[x_0, ..., x_{k-1}] of the rows of x3 (m3, 3) and x4 (m4, 4), shapes (m3,) and (m4,), in one pass.
+
+    The integral of e^{sum tau_j x_j} over the simplex of weights tau
+    (Hermite-Genocchi), bounded by e^{max Re x}/(k - 1)!.  Points within
+    DD_CLUSTER of each other take DD_TERMS terms of the Taylor series
+    about their mean c, e^c sum_n h_n(x - c)/(n + k - 1)! with h_n the
+    complete symmetric polynomials; the others (exp[x_1..x_{k-1}] -
+    exp[x_0..x_{k-2}])/(x_{k-1} - x_0) with x_0, x_{k-1} the farthest
+    pair (after McCurdy, Ng & Parlett, Math. Comp. 43, 501 (1984)).  So
+    the far 4-point rows join x3, the far 3-point rows go to
+    _exp_pair_difference, and all clusters share one Taylor loop, a
+    3-point one padded with a centred point of exactly 0.  With x3 and
+    x4 of one dtype each row gets the bits it would get alone.
+    """
+    rows3 = len(x3)
+    x4, near4 = _farthest_first(x4)
+    far4 = x4[~near4]
+    x3, near3 = _farthest_first(np.concatenate([x3, far4[:, 1:], far4[:, :-1]]))
+    far3 = x3[~near3]
+    last, first = _exp_pair_difference(np.concatenate([far3[:, 1:], far3[:, :-1]])).reshape(2, -1)
+    clusters = x3[near3], x4[near4]
+    centres = [cluster.mean(axis=1) for cluster in clusters]
+    m3 = len(centres[0])
+    y = np.zeros((4, m3 + len(centres[1])), dtype=np.result_type(x3, x4))
+    y[:3, :m3], y[:, m3:] = ((cluster - centre[:, None]).T for cluster, centre in zip(clusters, centres))
+    h, total = np.ones_like(y), np.ones(y.shape[1], dtype=y.dtype)  # h[j] = h_n(y_0, ..., y_j)
+    for coefficient in np.repeat(_TAYLOR.astype(y.dtype), [m3, y.shape[1] - m3], axis=1):
+        h = y * h
+        for j in range(1, 4):  # h_n(y_0..y_j) = h_n(y_0..y_{j-1}) + y_j h_{n-1}(y_0..y_j)
+            h[j] += h[j - 1]
         total += coefficient * h[-1]
-    out[near] = np.exp(centre) * total / math.factorial(k - 1)
-    return out
+    out3, out4 = np.empty(len(x3), dtype=complex), np.empty(len(x4), dtype=complex)
+    out3[~near3] = (last - first) / (far3[:, -1] - far3[:, 0])
+    out3[near3] = np.exp(centres[0]) * total[:m3] / 2  # / (k - 1)!
+    last, first = out3[rows3:].reshape(2, -1)
+    out4[~near4] = (last - first) / (far4[:, -1] - far4[:, 0])
+    out4[near4] = np.exp(centres[1]) * total[m3:] / 6
+    return out3[:rows3], out4
 
 
 def _pair_integrals(mu: np.ndarray, w: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> tuple:
@@ -347,17 +366,16 @@ def _pair_integrals(mu: np.ndarray, w: np.ndarray, pa: np.ndarray, pb: np.ndarra
     conj(pb).  |sinh(wt)/w|^2 = (sinh^2(at) + sin^2(bt))/|w|^2 for w = a
     + ib, so v v* gives 2 (a^2 E(a) + b^2 E(ib))/|w|^2 with E(h) =
     exp[c, y - 2h, y, y + 2h], c = 2 Re pb, y = c - 2 Re mu (weight 1 on
-    E(a) at w = 0, where E(a) = E(ib)).
+    E(a) at w = 0, where E(a) = E(ib)).  u u* takes the real two-point
+    form; u v*, E(a) and E(ib) share one _exp_divided_differences pass.
     """
-    lam = mu + w
-    e = 2 * pa.real
-    x = pa + np.conj(pb)
-    c = 2 * pb.real
+    lam, e, x, c = mu + w, 2 * pa.real, pa + np.conj(pb), 2 * pb.real
     y = c - 2 * mu.real
-    uu = _exp_divided_difference(np.stack([e, e - 2 * lam.real], axis=1)).real
-    uv = _exp_divided_difference(np.stack([x, x - lam - np.conj(mu - w), x - 2 * lam.real], axis=1))
+    uu = _exp_pair_difference(np.stack([e, e - 2 * lam.real], axis=1))
     points = np.array([[c, y - 2 * h, y, y + 2 * h] for h in (w.real, 1j * w.imag)])  # (2, 4, n)
-    ea, eb = _exp_divided_difference(points.transpose(0, 2, 1).reshape(-1, 4)).real.reshape(2, -1)
+    uv_points = np.stack([x, x - lam - np.conj(mu - w), x - 2 * lam.real], axis=1)
+    uv, vv = _exp_divided_differences(uv_points, points.transpose(0, 2, 1).reshape(-1, 4))
+    ea, eb = vv.real.reshape(2, -1)
     size = np.abs(w) ** 2
     weight = np.divide(w.real**2, size, out=np.ones_like(size), where=size != 0)
     return uu, uv, 2 * (weight * ea + (1 - weight) * eb)
@@ -369,14 +387,15 @@ def noise_kernel_gram(stack: SpectralStack, row: int) -> np.ndarray:
     With K_a = u a_a + v b_a (u, v of _pair_integrals, t = 1 - z/L),
     G_ab = L (a_a a_b* I_uu + a_a b_b* I_uv + b_a a_b* conj(I_uv) + b_a
     b_b* I_vv): three scalar integrals per frequency, for any number k of
-    columns of ``stack.zeta``, and no z grid.  IllPosedBoundary names the
-    first frequency whose resolved matrix fails _solvable; a zeta with no
-    columns gets that check and an empty Gram.
+    columns of ``stack.zeta``, one divided-difference pass and no z grid.
+    IllPosedBoundary names the first frequency whose resolved matrix
+    fails _solvable; a zeta with no columns gets that check, no kernel
+    row and an empty Gram.
     """
-    mu, w, rows = _kernel_rows(stack)
-    pa, a, pb, b = rows[row]
-    if not a.shape[1]:
+    mu, w, rows = _kernel_rows(stack, (row,) if stack.zeta.shape[-1] else ())
+    if not rows:
         return np.zeros((len(stack.omega), 0, 0), dtype=complex)
+    pa, a, pb, b = rows[0]
     uu, uv, vv = (v[:, None, None] for v in _pair_integrals(mu, w, pa, pb))
     a, b, ac, bc = a[:, :, None], b[:, :, None], a.conj()[:, None, :], b.conj()[:, None, :]
     return LENGTH * (uu * a * ac + uv * a * bc + uv.conj() * b * ac + vv * b * bc)

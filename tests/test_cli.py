@@ -25,7 +25,9 @@ from eitqfc.cli import (
     run_custom,
 )
 from eitqfc.errors import ConfigError, IllPosedBoundary, NonPassiveAmplitude, QfcError
-from eitqfc.transfer import PropagationSweep
+from eitqfc.params import SystemParams
+from eitqfc.states import Coherent, apply_loss_channel, coherent_dm, fidelity
+from eitqfc.transfer import PropagationSweep, propagation_sweep
 
 
 def _fig2_rows(path: Path) -> np.ndarray:
@@ -149,6 +151,21 @@ class TestRunCustom:
     def test_unknown_state(self):
         with pytest.raises(ConfigError):
             run_custom(np.array([1.0]), "thermal", nbar=1.0)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="coherent_fidelity sees |C0|^2 only, not the phase of C0"
+    )
+    def test_coherent_fidelity_follows_the_phase_of_c0(self, tmp_path):
+        # omega_d = -1 gives C0 = -0.9804 at alpha = 200; the loss channel keeps that sign, the CLI column drops it
+        cfg, out = tmp_path / "negative_drive.cfg", tmp_path / "custom.csv"
+        cfg.write_text("omega_d = -1\n")
+        argv = ["custom", "--state", "coherent", "--nbar", "1", "--config", str(cfg), "--alpha-max", "200"]
+        assert main([*argv, "--grid-points", "2", "--out", str(out)]) == 0
+        written = float(out.read_text().splitlines()[-1].split(",")[3])
+        c0 = propagation_sweep(SystemParams(alpha=200.0, omega_d=-1.0), [200.0]).resolved[0, 1, 0]
+        channel = fidelity(Coherent(1.0), apply_loss_channel(coherent_dm(1.0), c0))
+        assert channel == pytest.approx(0.14072, abs=1e-5)
+        assert written == pytest.approx(channel, abs=1e-9)
 
 
 def test_degenerate_alpha_grid_rejected(tmp_path):

@@ -209,19 +209,19 @@ class TestNoiseIntegrals:
         # the seed pass is one solve of 7 panels x 21 Kronrod nodes + 8 edges on [0, W]; each refinement round is
         # one more, and no pass solves a negative frequency: the integrand is folded onto omega >= 0
         sizes, divided_differences, lowest = [], [], []
-        solve, dd = noise.solve_susceptibility_stack, transfer._exp_divided_difference
+        solve, dd = noise.solve_susceptibility_stack, transfer._exp_divided_differences
 
         def counting_solve(params, omegas):
             sizes.append(len(omegas))
             lowest.append(min(omegas))
             return solve(params, omegas)
 
-        def counting_dd(x):
-            divided_differences.append(x.shape)
-            return dd(x)
+        def counting_dd(x3, x4):
+            divided_differences.append((x3.shape, x4.shape))
+            return dd(x3, x4)
 
         monkeypatch.setattr(noise, "solve_susceptibility_stack", counting_solve)
-        monkeypatch.setattr(transfer, "_exp_divided_difference", counting_dd)
+        monkeypatch.setattr(transfer, "_exp_divided_differences", counting_dd)
         p = symmetric_params(4.0)
         value = eta1(p, diffusion)  # both values converge in the seed pass
         assert sizes == [155]

@@ -1,5 +1,7 @@
+import math
 import warnings
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -438,6 +440,15 @@ class TestNoiseGram:
             with pytest.raises(IllPosedBoundary, match=r"omega=1\.0: \|1/D\| = 1\.000e-13"):
                 noise_kernel_gram(empty, 1)
 
+    def test_builds_only_the_rows_asked_for(self):
+        stack = solve_susceptibility_stack(SystemParams(alpha=7.0, omega_c=1.5, omega_d=0.8j), np.linspace(-3, 3, 9))
+        _, _, both = transfer._kernel_rows(stack)
+        for row in (0, 1):
+            _, _, rows = transfer._kernel_rows(stack, (row,))
+            assert len(rows) == 1
+            assert all(np.array_equal(got, want) for got, want in zip(rows[0], both[row]))
+        assert transfer._kernel_rows(stack, ())[2] == []
+
     @pytest.mark.parametrize("mu", [0.0, 0.3 - 1.2j, -1.5 + 0.2j])
     @pytest.mark.parametrize("row", [0, 1], ids=["P", "Q"])
     def test_pair_integrals_through_the_degenerate_point(self, mu, row):
@@ -454,6 +465,108 @@ class TestNoiseGram:
             expected = _mpmath_pair_integrals(mu[n], w[n], pa[n], pb[n])
             worst = max(worst, *(abs(g[n] - e) / abs(e) for g, e in zip(got, expected)))
         assert worst <= 1e-13
+
+
+def _recursive_exp_divided_difference(x: np.ndarray) -> np.ndarray:
+    """exp[x_0, ..., x_n] of the rows of x (m, n + 1), one call per level: the recursion the one pass replaced."""
+    k = x.shape[1]
+    if k == 2:
+        first = x[:, 0].real >= x[:, 1].real
+        big, small = np.where(first, x[:, 0], x[:, 1]), np.where(first, x[:, 1], x[:, 0])
+        d = big - small
+        return np.exp(big) * np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d != 0)
+    pairs, orders = transfer._FARTHEST[k]
+    spread = np.abs(x[:, pairs[:, 1]] - x[:, pairs[:, 0]])
+    x = x[np.arange(len(x))[:, None], orders[spread.argmax(axis=1)]]
+    near = spread.max(axis=1) < transfer.DD_CLUSTER
+    out = np.empty(len(x), dtype=complex)
+    far = x[~near]
+    last, first = _recursive_exp_divided_difference(np.concatenate([far[:, 1:], far[:, :-1]])).reshape(2, -1)
+    out[~near] = (last - first) / (far[:, -1] - far[:, 0])
+    centre = x[near].mean(axis=1)
+    y = (x[near] - centre[:, None]).T
+    h = np.ones_like(y)
+    total, coefficient = np.ones_like(centre), 1.0
+    for order in range(1, transfer.DD_TERMS):
+        h = np.cumsum(y * h, axis=0)
+        coefficient /= order + k - 1
+        total += coefficient * h[-1]
+    out[near] = np.exp(centre) * total / math.factorial(k - 1)
+    return out
+
+
+def _mpmath_exp_divided_difference(points) -> complex:
+    """exp[x_0, ..., x_n] from its Taylor series about the mean, summed to convergence at 80 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        x = [mpmath.mpc(complex(p)) for p in points]
+        centre = mpmath.fsum(x) / len(x)
+        y = [v - centre for v in x]
+        h, total, order = [mpmath.mpf(1)] * len(y), 1 / mpmath.factorial(len(y) - 1), 0
+        while True:
+            order += 1
+            h = list(accumulate(yj * hj for yj, hj in zip(y, h)))  # h_order(y_0..y_j)
+            term = h[-1] / mpmath.factorial(order + len(y) - 1)
+            total += term
+            if order > 40 and abs(term) < mpmath.mpf(10) ** -70 * abs(total):
+                return complex(mpmath.exp(centre) * total)
+
+
+def _divided_difference_rows(rng, rows: int, k: int, spreads, complex_rows: bool) -> np.ndarray:
+    """``rows`` sets of k points about random centres, each set's offsets scaled to a spread drawn from ``spreads``."""
+    offsets = rng.normal(size=(rows, k)) + (1j * rng.normal(size=(rows, k)) if complex_rows else 0)
+    offsets -= offsets[:, :1]
+    scale = np.abs(offsets[:, :, None] - offsets[:, None, :]).max(axis=(1, 2))
+    scale[scale == 0] = 1.0
+    centres = rng.normal(scale=3.0, size=(rows, 1)) + (1j * rng.normal(scale=3.0, size=(rows, 1)) if complex_rows else 0)
+    return centres + offsets * (rng.choice(spreads, size=rows) / scale)[:, None]
+
+
+_SPREADS = {
+    "mixed": [0.0, 1e-12, 1e-3, 0.2, 0.49, 0.5, 0.51, 0.7, 2.0, 9.0],
+    "all_near": [0.0, 1e-9, 0.1, 0.3, 0.45],
+    "all_far": [0.55, 1.0, 3.0, 12.0],
+}
+
+
+class TestDividedDifferencePass:
+    @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("spreads", list(_SPREADS), ids=list(_SPREADS))
+    @pytest.mark.parametrize("rows", [(0, 0), (0, 23), (31, 0), (57, 41)], ids=["empty", "4-only", "3-only", "both"])
+    def test_bit_for_bit_the_recursion(self, complex_rows, spreads, rows):
+        rng = np.random.default_rng([complex_rows, len(_SPREADS[spreads]), *rows])
+        x3 = _divided_difference_rows(rng, rows[0], 3, _SPREADS[spreads], complex_rows)
+        x4 = _divided_difference_rows(rng, rows[1], 4, _SPREADS[spreads], complex_rows)
+        for coincident in (x3[::5], x4[::5]):  # two equal points, and all points equal
+            coincident[: len(coincident) // 2, 1] = coincident[: len(coincident) // 2, 0]
+            coincident[len(coincident) // 2 :] = coincident[len(coincident) // 2 :, :1]
+        got = transfer._exp_divided_differences(x3, x4)
+        for value, x in zip(got, (x3, x4)):
+            expected = _recursive_exp_divided_difference(x)
+            assert value.shape == expected.shape == (len(x),) and value.dtype == expected.dtype
+            assert np.array_equal(value.view(np.int64), expected.view(np.int64))
+
+    def test_a_spread_of_exactly_dd_cluster_is_far(self):
+        x3 = np.array([[0.0, transfer.DD_CLUSTER, 0.2], [0.0, np.nextafter(transfer.DD_CLUSTER, 0), 0.2]])
+        x4 = np.array([[0.0, transfer.DD_CLUSTER, 0.0, 0.25]])
+        _, near3 = transfer._farthest_first(x3)
+        _, near4 = transfer._farthest_first(x4)
+        assert near3.tolist() == [False, True] and near4.tolist() == [False]
+        for value, x in zip(transfer._exp_divided_differences(x3, x4), (x3, x4)):
+            assert np.array_equal(value.view(np.int64), _recursive_exp_divided_difference(x).view(np.int64))
+
+    @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+    def test_against_mpmath(self, complex_rows):
+        rng = np.random.default_rng(26 + complex_rows)
+        spreads = _SPREADS["mixed"] + _SPREADS["all_near"]
+        x3, x4 = (_divided_difference_rows(rng, 60, k, spreads, complex_rows) for k in (3, 4))
+        x4[::7, 2] = x4[::7, 1]
+        worst = 0.0
+        for values, x in zip(transfer._exp_divided_differences(x3, x4), (x3, x4)):
+            for value, points in zip(values, x):
+                expected = _mpmath_exp_divided_difference(points)
+                worst = max(worst, abs(value - expected) / abs(expected))
+        assert worst <= 1e-14
 
 
 class TestSingleModeCoefficients:
