@@ -19,7 +19,7 @@ Subcommands:
 
 Numbers are emitted as "%.14e" writes them (15 significant digits), so
 rows round-trip through the CSV; identical inputs produce byte-identical
-files.  format_csv forms the digits of a whole table at once in numpy.
+files.  format_csv forms a whole table in numpy, one 28-byte record per number.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.  A
 numerical failure names the first grid value that failed, as a row by
 row evaluation would meet it, and nothing is written.
@@ -91,16 +91,15 @@ _TIE_WINDOW = float(4 * np.finfo(np.longdouble).eps * 1e15)
 
 @functools.cache
 def _csv_tables() -> tuple[np.ndarray, ...]:
-    """10**k in long double for k in [-310, 340], correctly rounded and capped at its largest value;
-    NUL-padded uint32 words of "d.dd" and "ddd" for 0..999 and pairs of "e+05".."e-324" for e in [-324, 308]."""
-    pow10 = np.array([b"1e%d" % k for k in range(-310, 341)]).astype(np.longdouble)
-    digits = 48 + np.stack([np.arange(1000) // 100, np.arange(1000) // 10 % 10, np.arange(1000) % 10], axis=1)
-    return (
-        np.minimum(pow10, np.finfo(np.longdouble).max),
-        np.insert(digits, 1, ord("."), axis=1).astype(np.uint8).view(np.uint32)[:, 0],
-        np.pad(digits, ((0, 0), (0, 1))).astype(np.uint8).view(np.uint32)[:, 0],
-        np.array([b"e%+03d" % e for e in range(-324, 309)], "S8").view(np.uint32).reshape(-1, 2),
-    )
+    """10**k in long double, k in [-310, 340], correctly rounded and capped at its largest value; NUL-padded
+    words "d.dd" then "-d.dd" (0..999), "dddd" (0..9999), "e+05" with "," then "\\n" last (e in [-324, 308])."""
+    pow10 = np.minimum(np.array([b"1e%d" % k for k in range(-310, 341)], np.longdouble), np.finfo(np.longdouble).max)
+    end = np.array([b"e%+03d" % e for e in range(-324, 309)] * 2, "S8").view(np.uint8).reshape(2, -1, 8)
+    end[:, :, 7] = [[ord(",")], [ord("\n")]]
+    quad = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    lead = np.zeros((2, 1000, 8), np.uint8)
+    lead[1, :, 0], lead[:, :, 2], lead[:, :, [1, 3, 4]] = ord("-"), ord("."), quad[:1000, 1:]
+    return pow10, lead.view(np.uint64).ravel(), quad.view(np.uint32).ravel(), end.view(np.uint64).ravel()
 
 
 def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> str:
@@ -110,10 +109,10 @@ def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float
     Finite nonzero x get the digits N = round(y) of y = |x| 10**(14 - e), e = floor(log10 |x|), or
     those of "%.14e" where y is within _TIE_WINDOW of a tie, lies below 1e14 or rounds to 1e15 or more
     (log10 may put e one off).
-    Each number is nine uint32 words from _csv_tables (sign, "d.dd", four "ddd", exponent, comma
-    or newline), and the NULs are dropped from their bytes.
+    Each number is one 28-byte record of _csv_tables words, NULs dropped: lead "d.dd" or "-d.dd" (the sign and
+    N // 10**12), three "dddd" (N % 10**12) and end "e+05," or "e+05\\n"; nan, inf: word, no digits, separator.
     """
-    pow10, lead, group, exponent = _csv_tables()
+    pow10, lead, quad, end = _csv_tables()
     x = np.asarray(rows, dtype=float).reshape(-1, len(header)).ravel()
     special = np.flatnonzero(~(np.isfinite(x) & (x != 0)))  # zeros, nan and inf
     a = np.abs(x)
@@ -127,17 +126,18 @@ def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float
         text = "%.14e" % a[i]
         n[i], e[i] = int(text[0] + text[2:16]), int(text[17:])
     n[special] = e[special] = 0
-    groups = n[:, None] // 10 ** np.arange(12, -1, -3) % 1000
-    words = np.empty((x.size, 9), np.uint32)
-    words[:, 0] = np.where(np.signbit(x) & ~np.isnan(x), ord("-"), 0)
-    words[:, 1], words[:, 2:6] = lead[groups[:, 0]], group[groups[:, 1:]]
-    words[:, 6:8] = exponent.take(e + 324, axis=0)
-    words[:, 8] = ord(",")
-    words[len(header) - 1 :: len(header), 8] = ord("\n")
+    records = np.empty(x.size, [("lead", np.uint64), ("digits", np.uint32, 3), ("end", np.uint64)])
+    top, rest = np.divmod(n, 10**12)
+    records["lead"] = lead[top + 1000 * np.signbit(x)]
+    for j, group in enumerate([rest // 10**8, rest // 10**4 % 10**4, rest % 10**4]):
+        records["digits"][:, j] = quad[group]
+    e[len(header) - 1 :: len(header)] += 633  # the newline half of the end table
+    records["end"] = end[e + 324]
     nonfinite = special[~np.isfinite(x[special])]
-    words[nonfinite, 1:8] = 0
-    words[nonfinite, 1] = np.where(np.isnan(x[nonfinite]), *np.array([b"nan", b"inf"], "S4").view(np.uint32))
-    return ",".join(header) + "\n" + words.tobytes().translate(None, b"\0").decode("ascii")
+    records["lead"][nonfinite] = np.array(["%.14e" % v for v in x[nonfinite].tolist()], "S8").view(np.uint64)
+    records["digits"][nonfinite] = 0
+    records["end"][nonfinite] = np.where(e[nonfinite], ord("\n"), ord(","))
+    return ",".join(header) + "\n" + records.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_csv(path: str, header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> None:
@@ -165,11 +165,11 @@ def _sweep_params(alphas: np.ndarray, overrides: dict) -> SystemParams:
 def _powers(amplitudes: np.ndarray) -> list[float]:
     """|z|^2 of each amplitude in a 1-D stack, as Python floats.
 
-    Each value is libm pow of libm hypot, as abs(z) ** 2 of one amplitude
-    gives it: np.abs and ** 2 on the array round some values differently
-    in the last bit.
+    Each value is libm pow of libm hypot, as abs(z) ** 2 gives it: np.hypot is
+    the libm hypot of abs(complex), but np.abs, np.square and np.power round
+    some values differently in the last bit, so the square stays per value.
     """
-    return [abs(z) ** 2 for z in amplitudes.tolist()]
+    return [h**2 for h in np.hypot(amplitudes.real, amplitudes.imag).tolist()]
 
 
 def _check_oracle(table: np.ndarray) -> None:

@@ -54,7 +54,7 @@ from .spectral import SpectralStack, solve_susceptibility_stack
 #: |1/D| (= |D'| of e^{-ML}) below this is treated as a backward-geometry resonance.
 BOUNDARY_TOL = 1e-12
 
-#: Points closer than this take the Taylor series of _exp_divided_difference, with DD_TERMS terms.
+#: Points closer than this take the Taylor series of _exp_divided_differences, with DD_TERMS terms.
 DD_CLUSTER = 0.5
 DD_TERMS = 18
 

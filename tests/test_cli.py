@@ -188,7 +188,8 @@ def _assert_percent_format(header, rows):
 
 
 #: Values at the edges of "%.14e": signed zeros, the subnormal and normal extremes, carries into the
-#: next decade, exact ties, every power of ten a double holds, and the non-finite values.
+#: next decade, exact ties, every power of ten a double holds, the non-finite values, and last, mantissas
+#: with 4-digit groups of 0000 and 9999 at two- and three-digit exponents and subnormal ones.
 _EDGE_VALUES = np.concatenate(
     [
         [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308],
@@ -197,6 +198,12 @@ _EDGE_VALUES = np.concatenate(
         -(np.arange(10**14 + 1, 10**15, 1_234_567_890_123) + 0.5),
         [float(f"1e{k}") for k in range(-323, 309)],
         [math.nan, -math.nan, math.inf, -math.inf],
+        [
+            float(f"{sign}{mantissa}e{k}")
+            for mantissa in ("1.00000000000001", "1.00000001", "0.999999999999999")
+            for k in (99, -99, 100, -100, -307, -308, -310, -316, -322)
+            for sign in "+-"
+        ],
     ]
 )
 
@@ -243,6 +250,17 @@ class TestCsvFormat:
         subnormals = rng.random(6_000) * 2.2250738585072014e-308
         rows = np.concatenate([bits, subnormals]).reshape(-1, 6)
         _assert_percent_format(list("abcdef"), rows)
+
+    def test_tables_stay_small(self):
+        # a wider digit group (6 digits: an 8 MB table) or an int64 build fails here
+        assert sum(table.nbytes for table in cli._csv_tables()) < 128 * 1024
+        tracemalloc.start()
+        try:
+            cli._csv_tables.__wrapped__()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 128 * 1024
 
     def test_powers_of_ten_table_is_correctly_rounded(self):
         top = np.finfo(np.longdouble).max
@@ -816,6 +834,42 @@ def test_fig2_sweep_bytes_are_pinned(tmp_path, name):
     out = tmp_path / "fig2.csv"
     assert main(["fig2", "--config", str(cfg), "--alpha-max", alpha_max, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _assert_powers_per_value(amplitudes):
+    """cli._powers(amplitudes) is abs(z) ** 2 of each amplitude in every bit."""
+    want = np.array([abs(z) ** 2 for z in amplitudes.tolist()])
+    assert np.array_equal(np.array(cli._powers(amplitudes)).view(np.int64), want.view(np.int64))
+
+
+class TestPowers:
+    def test_random_amplitudes(self):
+        # |z| from 1e-160 to 1e150: |z|^2 stays below overflow, where abs(z) ** 2 raises
+        rng = np.random.default_rng(27)
+        size = 100_000
+        parts = np.empty(size, complex)
+        parts.real, parts.imag = rng.choice([-1.0, 1.0], (2, size)) * 10.0 ** rng.uniform(-160, 150, (2, size))
+        polar = 10.0 ** rng.uniform(-160, 150, size) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size))
+        _assert_powers_per_value(parts)
+        _assert_powers_per_value(polar)
+
+    def test_signed_zeros_and_subnormal_parts(self):
+        parts = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.225073858507201e-308, 2.2250738585072014e-308, 1.0, -3.0]
+        _assert_powers_per_value(np.array([complex(re, im) for re, im in itertools.product(parts, repeat=2)]))
+
+    @pytest.mark.parametrize(
+        "config, alpha_max",
+        [("", "400"), *(run[:2] for run in FIG2_SWEEP_RUNS.values())],
+        ids=["default", *FIG2_SWEEP_RUNS],
+    )
+    def test_sweep_columns(self, tmp_path, config, alpha_max):
+        # the default fig2 and custom sweeps solve the same grid
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(config)
+        alphas = np.linspace(0.0, float(alpha_max), 401)
+        resolved = propagation_sweep(cli._sweep_params(alphas, parse_config(str(cfg))), alphas).resolved
+        _assert_powers_per_value(resolved[:, 0, 0])
+        _assert_powers_per_value(resolved[:, 1, 0])
 
 
 def test_import_leaves_the_ode_solver_unloaded():
