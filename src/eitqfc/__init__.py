@@ -41,8 +41,6 @@ from .states import (
     fidelity,
     fock_dm,
     fock_fidelity,
-    input_variances,
-    output_variance,
     output_variances,
     trace_distance,
     validate_density_matrix,

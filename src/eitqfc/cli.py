@@ -230,7 +230,7 @@ def run_fig3(ces: np.ndarray) -> tuple[list[str], np.ndarray]:
     header = ["ce", "fid_coherent_n1", "fid_coherent_n10", "fid_fock1"]
     ces = np.asarray(ces, dtype=float)
     # math.exp per value: no array exponential is known to round as it does
-    coherent = [[coherent_fidelity(nbar, ce) for ce in ces.tolist()] for nbar in (1.0, 10.0)]
+    coherent = [[coherent_fidelity(nbar, ce, 0.0) for ce in ces.tolist()] for nbar in (1.0, 10.0)]
     return header, np.column_stack([ces, *coherent, fock_fidelity(1, np.sqrt(ces))])
 
 
@@ -240,7 +240,7 @@ def run_fig4(
     convention_scale: float = 1.0,
     squeeze_r: float = DEFAULT_SQUEEZE_R,
 ) -> tuple[list[str], np.ndarray]:
-    """Output quadrature variances versus CE.
+    """Output quadrature variances versus CE, at arg C_0 = 0.
 
     ``state_kind`` "squeezed" (variant a) uses a squeezed input
     (anti-squeezed quadrature on X), "fock" (variant b) the one-photon
@@ -251,7 +251,7 @@ def run_fig4(
     if state_kind not in ("squeezed", "fock"):
         raise ConfigError("fig4 supports --state squeezed (variant a) or fock (variant b)")
     ces = np.asarray(ces, dtype=float)
-    out = output_variances(Squeezed(squeeze_r) if state_kind == "squeezed" else Fock(1), ces)
+    out = output_variances(Squeezed(squeeze_r) if state_kind == "squeezed" else Fock(1), ces, 0.0)
     table = np.column_stack([ces, convention_scale * out.var_x, convention_scale * out.var_y])
     return ["ce", "var_x", "var_y"], table
 
@@ -274,7 +274,8 @@ def run_custom(
     fidelity (Fock input: fock_fidelity over the sweep's whole stack of
     amplitudes, the loss channel's value without its density matrices;
     coherent input: closed-form overlap) and the converted-signal
-    quadrature variances.  Squeezed inputs carry no fidelity column.
+    quadrature variances, both closed forms in the row's CE and arg C_0.
+    Squeezed inputs carry no fidelity column.
     ``nbar`` is the Fock level, a whole number in [0, MAX_FOCK_LEVEL],
     or the coherent mean photon number, finite and >= 0; anything else
     is a ConfigError.
@@ -302,14 +303,14 @@ def run_custom(
     ces = _powers(amplitudes)
     columns = [quantum.alphas, _powers(quantum.resolved[:, 0, 0]), ces]
     # a passive amplitude's CE exceeds 1 at most by rounding
-    ce_column = np.minimum(ces, 1.0)
+    ce_column, phases = np.minimum(ces, 1.0), np.angle(amplitudes)
     if isinstance(state, Fock):
         columns.append(fock_fidelity(state.n, amplitudes))
     elif isinstance(state, Coherent):
         # math.exp per row: no array exponential is known to round as it does
         nbar = abs(state.beta) ** 2
-        columns.append([coherent_fidelity(nbar, ce) for ce in ce_column.tolist()])
-    out = output_variances(state, ce_column)
+        columns.append([coherent_fidelity(nbar, ce, phase) for ce, phase in zip(ce_column.tolist(), phases.tolist())])
+    out = output_variances(state, ce_column, phases)
     table = np.column_stack(columns + [convention_scale * out.var_x, convention_scale * out.var_y])
     if quantum.failure is not None:
         raise quantum.failure

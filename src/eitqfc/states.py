@@ -10,14 +10,14 @@ diagonals of the input, weighted by powers of the loss 1 - |C_0|^2
 (see apply_loss_channel); one call takes a whole stack of amplitudes.
 The module keeps two independent constructions of the same channel as
 test oracles (the normally-ordered projector series and a two-mode beam
-splitter, exponentiated one photon-number block at a time), and
-computes fidelities and quadrature variances; a Fock input's fidelity
-|C_0|^n comes straight from the amplitudes (fock_fidelity), with the
-channel's own arithmetic and no density matrix; MAX_FOCK_LEVEL is the
-highest level the channel takes on the default basis.  It takes the
-channel amplitude C_0 as a number, or a 1-D stack of them, checks that
-each is passive (passive_amplitudes), and does not depend on the
-propagation layers;
+splitter, exponentiated one photon-number block at a time).  A Fock
+input's fidelity |C_0|^n comes from the amplitudes alone (fock_fidelity),
+with the channel's own arithmetic; MAX_FOCK_LEVEL is the highest level
+the channel takes on the default basis.  The coherent fidelity and the
+quadrature variances have closed forms in |C_0|^2 and arg C_0, since the
+converted mode conj(C_0) a + vacuum turns the quadratures by arg conj(C_0).
+C_0 comes in as a number or a 1-D stack, checked to be passive
+(passive_amplitudes); the module does not import the propagation layers:
 ``transfer.propagation_sweep(params, alphas).resolved[:, 1, 0]`` gives
 C_0 on an optical-depth grid.
 
@@ -75,7 +75,8 @@ class Squeezed:
     """Squeezed vacuum with magnitude r and squeezing angle theta.
 
     theta = 0 puts the anti-squeezed quadrature on X:
-    var_x = e^{2r}/4, var_y = e^{-2r}/4.
+    var_x = e^{2r}/4, var_y = e^{-2r}/4.  In general <a^2> = e^{i theta}
+    sinh(2r)/2, so cov_xy = sinh(2r) sin(theta)/4.
     """
 
     r: float
@@ -375,12 +376,18 @@ def fidelity(state: InputState, rho_out: np.ndarray) -> float | np.ndarray:
     return float(fidelities[0]) if rho_out.ndim == 2 else fidelities
 
 
-def coherent_fidelity(nbar: float, ce: float) -> float:
-    """Closed-form conversion fidelity for a coherent input of mean photon
-    number nbar at conversion efficiency ce: exp(-nbar (1 - sqrt(ce))^2 / 2)."""
+def coherent_fidelity(nbar: float, ce: float, phase: float) -> float:
+    """Conversion fidelity exp(-nbar |1 - C_0|^2 / 2) of a coherent input of mean photon number nbar.
+
+    ce = |C_0|^2 and phase = arg C_0 give |1 - C_0|^2 as
+    (1 - sqrt(ce))^2 + 4 sqrt(ce) sin^2(phase/2), whose second term is 0 at phase 0.
+    """
     if not (0 <= nbar < math.inf and 0.0 <= ce <= 1.0):  # NaN fails both
         raise ValueError(f"need nbar >= 0 and ce in [0, 1], got {nbar}, {ce}")
-    return math.exp(-nbar * (1.0 - math.sqrt(ce)) ** 2 / 2.0)
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
+    root = math.sqrt(ce)
+    return math.exp(-nbar * ((1.0 - root) ** 2 + 4.0 * root * math.sin(phase / 2.0) ** 2) / 2.0)
 
 
 def fock_fidelity(n: int, c0: complex | np.ndarray) -> float | np.ndarray:
@@ -405,44 +412,34 @@ def fock_fidelity(n: int, c0: complex | np.ndarray) -> float | np.ndarray:
     return float(fidelities[0]) if np.ndim(c0) == 0 else fidelities
 
 
-def input_variances(state: InputState) -> QuadratureStats:
-    """Squared quadrature variances of the input state (vacuum = 1/4)."""
-    if isinstance(state, Coherent):
-        return QuadratureStats(0.25, 0.25)
-    if isinstance(state, Fock):
-        v = (2 * state.n + 1) / 4.0
-        return QuadratureStats(v, v)
+def output_variances(state: InputState, ce: float | np.ndarray, phase: float | np.ndarray) -> QuadratureStats:
+    """Both quadrature variances of the converted mode conj(C_0) a + vacuum, ce = |C_0|^2 and phase = arg C_0.
+
+    ce and phase are numbers or arrays.  The input covariance is rotated by
+    arg conj(C_0), scaled by ce and topped up with the vacuum's (1 - ce)/4:
+    var_x' = var_x + sin^2(phase) (var_y - var_x) + sin(2 phase) cov_xy, and
+    var_y' with both signs flipped.  The rotation adds exactly 0 at phase 0
+    and to Fock and coherent inputs.  Errors name the first bad ce or phase.
+    """
+    cov_xy = 0.0
     if isinstance(state, Squeezed):
         ch, sh = math.cosh(2 * state.r), math.sinh(2 * state.r)
-        return QuadratureStats(
-            (ch + sh * math.cos(state.theta)) / 4.0,
-            (ch - sh * math.cos(state.theta)) / 4.0,
-        )
-    raise TypeError(f"unknown input state {type(state).__name__}")
-
-
-def output_variance(var_in: float, power_coeff: float | np.ndarray) -> float | np.ndarray:
-    """Output quadrature variance: power_coeff * var_in + (1 - power_coeff)/4.
-
-    power_coeff is |C_0|^2 for the converted signal and |A_0|^2 for the
-    transmitted probe; the second term is the vacuum-reservoir share.
-    One coefficient gives one variance and an array of them an array,
-    each element rounded as the one-coefficient call rounds it; the
-    error names the first coefficient outside [0, 1].
-    """
-    if not 0 <= var_in < math.inf:  # also rejects NaN
-        raise ValueError(f"variance must be >= 0, got {var_in}")
-    coeffs = np.asarray(power_coeff)
+        var_x, var_y = (ch + sh * math.cos(state.theta)) / 4.0, (ch - sh * math.cos(state.theta)) / 4.0
+        cov_xy = sh * math.sin(state.theta) / 4.0
+    elif isinstance(state, (Fock, Coherent)):
+        var_x = var_y = 0.25 if isinstance(state, Coherent) else (2 * state.n + 1) / 4.0
+    else:
+        raise TypeError(f"unknown input state {type(state).__name__}")
+    for var in (var_x, var_y):
+        if not 0 <= var < math.inf:  # also rejects NaN
+            raise ValueError(f"variance must be >= 0, got {var}")
+    coeffs, phases = np.asarray(ce), np.asarray(phase)
     outside = np.flatnonzero(~((0.0 <= coeffs) & (coeffs <= 1.0)))  # NaN is outside too
     if outside.size:
         raise ValueError(f"power coefficient must lie in [0, 1], got {coeffs.flat[outside[0]].item()}")
-    return power_coeff * var_in + (1.0 - power_coeff) / 4.0
-
-
-def output_variances(state: InputState, power_coeff: float | np.ndarray) -> QuadratureStats:
-    """Both output quadrature variances of an input state, at one power coefficient or an array of them."""
-    vin = input_variances(state)
-    return QuadratureStats(
-        output_variance(vin.var_x, power_coeff),
-        output_variance(vin.var_y, power_coeff),
-    )
+    not_finite = np.flatnonzero(~np.isfinite(phases))
+    if not_finite.size:
+        raise ValueError(f"phase must be finite, got {phases.flat[not_finite[0]].item()}")
+    turn, shear = np.sin(phases) ** 2, np.sin(2 * phases) * cov_xy
+    rotated = (var_x + turn * (var_y - var_x) + shear, var_y + turn * (var_x - var_y) - shear)
+    return QuadratureStats(*(ce * var + (1.0 - ce) / 4.0 for var in rotated))

@@ -21,8 +21,6 @@ from eitqfc.states import (
     coherent_fidelity,
     fidelity,
     fock_dm,
-    input_variances,
-    output_variance,
     output_variances,
     projector_series_oracle,
 )
@@ -131,16 +129,14 @@ def test_criterion_6_quadrature_laws(tmp_path):
         ces = np.linspace(0.0, 1.0, 101)
         for ce in ces:
             ce = float(ce)
-            assert output_variance(0.25, ce) == 0.25
-            fock = output_variances(Fock(1), ce)
+            assert output_variances(Coherent(1.0), ce, 0.0).var_x == 0.25
+            fock = output_variances(Fock(1), ce, 0.0)
             assert fock.var_x == fock.var_y
             for state in (Coherent(1.0), Squeezed(math.log(2.0)), Fock(1)):
-                v = output_variances(state, ce)
+                v = output_variances(state, ce, 0.0)
                 assert v.var_x * v.var_y >= 1 / 16 - 1e-12
-        squeezed = input_variances(Squeezed(math.log(2.0)))
-        top = output_variances(Squeezed(math.log(2.0)), 1.0)
-        bottom = output_variances(Squeezed(math.log(2.0)), 0.0)
-        assert (squeezed.var_x, squeezed.var_y) == (1.0, 0.0625)
+        top = output_variances(Squeezed(math.log(2.0)), 1.0, 0.0)  # the input's own variances
+        bottom = output_variances(Squeezed(math.log(2.0)), 0.0, 0.0)
         assert (top.var_x, top.var_y) == (1.0, 0.0625)
         assert (bottom.var_x, bottom.var_y) == (0.25, 0.25)
         # doubled-convention reproduction through the CLI
@@ -167,7 +163,7 @@ def test_criterion_7_fidelity_curves():
             rho_out = apply_loss_channel(fock_dm(1, 4), math.sqrt(ce))
             assert abs(fidelity(Fock(1), rho_out) - math.sqrt(ce)) <= 1e-10
         for ce in np.linspace(0.0, 0.99, 12):
-            assert coherent_fidelity(10.0, float(ce)) < coherent_fidelity(1.0, float(ce))
+            assert coherent_fidelity(10.0, float(ce), 0.0) < coherent_fidelity(1.0, float(ce), 0.0)
 
 
 def test_criterion_8_csv_determinism(tmp_path):

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import itertools
 import math
@@ -28,6 +29,7 @@ from eitqfc.errors import ConfigError, IllPosedBoundary, NonPassiveAmplitude, Qf
 from eitqfc.params import SystemParams
 from eitqfc.states import Coherent, apply_loss_channel, coherent_dm, fidelity
 from eitqfc.transfer import PropagationSweep, propagation_sweep
+from test_states import quadrature_moments, squeezed_dm
 
 
 def _fig2_rows(path: Path) -> np.ndarray:
@@ -152,11 +154,8 @@ class TestRunCustom:
         with pytest.raises(ConfigError):
             run_custom(np.array([1.0]), "thermal", nbar=1.0)
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="coherent_fidelity sees |C0|^2 only, not the phase of C0"
-    )
     def test_coherent_fidelity_follows_the_phase_of_c0(self, tmp_path):
-        # omega_d = -1 gives C0 = -0.9804 at alpha = 200; the loss channel keeps that sign, the CLI column drops it
+        # omega_d = -1 gives C0 = -0.9804 at alpha = 200; the loss channel keeps that sign, and so does the column
         cfg, out = tmp_path / "negative_drive.cfg", tmp_path / "custom.csv"
         cfg.write_text("omega_d = -1\n")
         argv = ["custom", "--state", "coherent", "--nbar", "1", "--config", str(cfg), "--alpha-max", "200"]
@@ -166,6 +165,18 @@ class TestRunCustom:
         channel = fidelity(Coherent(1.0), apply_loss_channel(coherent_dm(1.0), c0))
         assert channel == pytest.approx(0.14072, abs=1e-5)
         assert written == pytest.approx(channel, abs=1e-9)
+
+    def test_squeezed_variances_follow_the_phase_of_c0(self, tmp_path):
+        # arg omega_d = pi/4 turns C0 by -pi/4: the squeezed ellipse lies diagonal, so both quadratures read alike
+        cfg, out = tmp_path / "turned_drive.cfg", tmp_path / "custom.csv"
+        cfg.write_text(PHASED_SWEEP_RUNS["quarter-turn drive"][0])
+        argv = ["custom", "--state", "squeezed", "--config", str(cfg), "--alpha-max", "200"]
+        assert main([*argv, "--grid-points", "2", "--out", str(out)]) == 0
+        written = [float(v) for v in out.read_text().splitlines()[-1].split(",")[3:]]
+        c0 = propagation_sweep(SystemParams(alpha=200.0, omega_d=QUARTER_TURN), [200.0]).resolved[0, 1, 0]
+        var_x, var_y, _ = quadrature_moments(apply_loss_channel(squeezed_dm(math.log(2.0), 0.0, 50), c0))
+        assert (var_x, var_y) == pytest.approx((0.520329, 0.520329), abs=1e-6)
+        assert written == pytest.approx([var_x, var_y], abs=1e-9)
 
 
 def test_degenerate_alpha_grid_rejected(tmp_path):
@@ -804,6 +815,51 @@ def test_fock_sweep_bytes_are_pinned(tmp_path, config, nbar):
     out = tmp_path / "fock.csv"
     assert main(["custom", "--state", "fock", "--nbar", nbar, "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FOCK_SWEEP_DIGESTS[config, nbar]
+
+
+#: Drive Rabi frequency of unit size at arg omega_d = pi/4.
+QUARTER_TURN = cmath.exp(1j * math.pi / 4)
+#: sha256 of `custom` CSVs whose C0 carries a phase: (config, state flags, digest).
+PHASED_SWEEP_RUNS = {
+    "negative drive": (
+        "omega_d = -1\n",
+        "--state coherent --nbar 1",
+        "e306a07d63e258e04b0c95e3245dc498b9dda66eb1d9ea8aa311b538c032e1e7",
+    ),
+    "quarter-turn drive": (
+        f"omega_d = {QUARTER_TURN!r}\n",
+        "--state squeezed",
+        "0ef3bb2852db16d737015d72de5484bff887136c621a99f30d77a2711be90a55",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PHASED_SWEEP_RUNS))
+def test_phased_sweep_bytes_are_pinned(tmp_path, name):
+    config, flags, digest = PHASED_SWEEP_RUNS[name]
+    cfg = tmp_path / "phased.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "custom.csv"
+    assert main(["custom", *flags.split(), "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", list(PHASED_SWEEP_RUNS))
+def test_coherent_and_squeezed_columns_equal_the_channel(tmp_path, name):
+    cfg = tmp_path / "phased.cfg"
+    cfg.write_text(PHASED_SWEEP_RUNS[name][0])
+    overrides = parse_config(str(cfg))
+    alphas = np.linspace(0.0, 400.0, 9)
+    amplitudes = propagation_sweep(cli._sweep_params(alphas, overrides), alphas).resolved[:, 1, 0]
+    assert np.all(np.abs(np.angle(amplitudes[1:])) > 0.7)  # C0 = 0 at alpha = 0, turned by pi/4 or pi after
+    _, coherent = run_custom(alphas, "coherent", nbar=2.0, overrides=overrides)
+    _, squeezed = run_custom(alphas, "squeezed", nbar=0.0, overrides=overrides)
+    beta = math.sqrt(2.0)
+    coherent_out = apply_loss_channel(coherent_dm(beta, 40), amplitudes)
+    squeezed_out = apply_loss_channel(squeezed_dm(math.log(2.0), 0.0, 50), amplitudes)
+    assert coherent[:, 3] == pytest.approx(fidelity(Coherent(beta), coherent_out), abs=1e-9)
+    assert np.all(coherent[:, 4:] == 0.25)
+    assert squeezed[:, 3:] == pytest.approx(np.array([quadrature_moments(rho)[:2] for rho in squeezed_out]), abs=1e-9)
 
 
 #: sha256 of `fig2` CSVs at non-default physical settings: (config, --alpha-max, digest).

@@ -1,10 +1,13 @@
 import ast
+import cmath
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitqfc import states
 from eitqfc.cli import MAX_FOCK_LEVEL
@@ -21,8 +24,6 @@ from eitqfc.states import (
     fidelity,
     fock_dm,
     fock_fidelity,
-    input_variances,
-    output_variance,
     output_variances,
     projector_series_oracle,
     trace_distance,
@@ -348,14 +349,14 @@ class TestFidelity:
 
     def test_coherent_closed_form_example(self):
         expected = math.exp(-((1 - math.sqrt(0.96)) ** 2) / 2)
-        assert coherent_fidelity(1.0, 0.96) == pytest.approx(expected, rel=1e-12)
+        assert coherent_fidelity(1.0, 0.96, 0.0) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.99980, abs=1e-5)
 
     def test_matrix_route_matches_closed_form(self):
         for ce in (0.25, 0.5, 0.9612):
             out = apply_loss_channel(coherent_dm(1.0, 20), math.sqrt(ce))
             matrix_f = fidelity(Coherent(1.0), out)
-            assert matrix_f == pytest.approx(coherent_fidelity(1.0, ce), abs=1e-9)
+            assert matrix_f == pytest.approx(coherent_fidelity(1.0, ce, 0.0), abs=1e-9)
 
     def test_fock_square_root_law(self):
         for ce in np.linspace(0.0, 1.0, 50):
@@ -372,19 +373,19 @@ class TestFidelity:
     def test_monotone_in_ce(self):
         ces = np.linspace(0.0, 1.0, 40)
         fock = [fidelity(Fock(1), apply_loss_channel(fock_dm(1, 4), math.sqrt(c))) for c in ces]
-        coh = [coherent_fidelity(1.0, c) for c in ces]
+        coh = [coherent_fidelity(1.0, c, 0.0) for c in ces]
         assert np.all(np.diff(fock) >= 0)
         assert np.all(np.diff(coh) >= 0)
 
     def test_bright_coherent_converts_worse(self):
         for ce in np.linspace(0.0, 0.99, 34):
-            assert coherent_fidelity(10.0, ce) < coherent_fidelity(1.0, ce)
+            assert coherent_fidelity(10.0, ce, 0.0) < coherent_fidelity(1.0, ce, 0.0)
 
     @pytest.mark.parametrize("nbar, ce", [(float("nan"), 0.5), (math.inf, 1.0), (-1.0, 0.5), (1.0, float("nan"))])
     def test_coherent_fidelity_rejects_a_non_finite_or_negative_input(self, nbar, ce):
         # nan and inf used to come back as a nan fidelity
         with pytest.raises(ValueError, match=r"^need nbar >= 0 and ce in \[0, 1\], got "):
-            coherent_fidelity(nbar, ce)
+            coherent_fidelity(nbar, ce, 0.0)
 
     def test_squeezed_input_unsupported(self):
         with pytest.raises(TypeError):
@@ -416,62 +417,170 @@ class TestFidelity:
 
 class TestQuadratures:
     def test_coherent_input(self):
-        assert input_variances(Coherent(0.7 + 2.0j)) == (0.25, 0.25)
+        assert output_variances(Coherent(0.7 + 2.0j), 1.0, 0.0) == (0.25, 0.25)
 
     def test_fock_input(self):
-        assert input_variances(Fock(1)) == (0.75, 0.75)
-        assert input_variances(Fock(3)) == (1.75, 1.75)
+        assert output_variances(Fock(1), 1.0, 0.0) == (0.75, 0.75)
+        assert output_variances(Fock(3), 1.0, 0.0) == (1.75, 1.75)
 
     def test_squeezed_factor_four(self):
-        v = input_variances(Squeezed(math.log(2.0)))
+        v = output_variances(Squeezed(math.log(2.0)), 1.0, 0.0)
         assert v.var_x == pytest.approx(1.0, rel=1e-12)
         assert v.var_y == pytest.approx(0.0625, rel=1e-12)
         # a variance ratio of 4 relative to vacuum is 6.02 dB
         assert 10 * math.log10(v.var_x / 0.25) == pytest.approx(6.0206, abs=1e-3)
 
     def test_output_variance_examples(self):
-        assert output_variance(0.25, 0.37) == pytest.approx(0.25, abs=1e-15)
-        assert output_variance(1.0, 1.0) == 1.0
-        assert output_variance(0.87, 0.0) == 0.25
+        assert output_variances(Coherent(0.0), 0.37, 0.0).var_x == pytest.approx(0.25, abs=1e-15)
+        assert output_variances(Squeezed(math.log(2.0)), 1.0, 0.0).var_x == 1.0
+        assert output_variances(Fock(3), 0.0, 0.0).var_x == 0.25
 
     def test_output_variance_validation(self):
         with pytest.raises(ValueError):
-            output_variance(-0.1, 0.5)
+            output_variances(Fock(-1), 0.5, 0.0)
         for var_in in (float("nan"), math.inf):
             with pytest.raises(ValueError, match=f"^variance must be >= 0, got {var_in}$"):
-                output_variance(var_in, 0.5)
+                output_variances(Squeezed(var_in), 0.5, 0.0)
         with pytest.raises(ValueError):
-            output_variance(0.25, 1.2)
+            output_variances(Coherent(0.0), 1.2, 0.0)
 
     def test_output_variance_of_an_array_matches_each_coefficient(self):
         coeffs = np.random.default_rng(7).uniform(0.0, 1.0, 1000)
-        variances = output_variance(1.3, coeffs)
-        assert variances.tolist() == [output_variance(1.3, float(c)) for c in coeffs]
-        assert isinstance(output_variance(1.3, 0.5), float)
+        variances = output_variances(Fock(2), coeffs, 0.0).var_x
+        assert variances.tolist() == [output_variances(Fock(2), float(c), 0.0).var_x for c in coeffs]
+        assert isinstance(output_variances(Fock(2), 0.5, 0.0).var_x, float)
 
     @pytest.mark.parametrize("bad", [1.0 + 4e-16, -1e-300, float("nan")])
     def test_output_variance_names_the_first_coefficient_outside(self, bad):
         coeffs = np.array([0.5, bad, 2.0])
         with pytest.raises(ValueError, match=rf"^power coefficient must lie in \[0, 1\], got {bad!r}$"):
-            output_variance(0.25, coeffs)
+            output_variances(Coherent(0.0), coeffs, 0.0)
 
     def test_fock_outputs_stay_symmetric(self):
         for ce in np.linspace(0.0, 1.0, 21):
-            v = output_variances(Fock(1), float(ce))
+            v = output_variances(Fock(1), float(ce), 0.0)
             assert v.var_x == v.var_y
 
     def test_heisenberg_bound_preserved(self):
         states = [Coherent(1.0), Squeezed(0.3), Squeezed(math.log(2.0)), Squeezed(-1.1)]
         for state in states:
             for coeff in np.linspace(0.0, 1.0, 21):
-                v = output_variances(state, float(coeff))
+                v = output_variances(state, float(coeff), 0.0)
                 assert v.var_x * v.var_y >= 1 / 16 - 1e-12
 
     def test_squeezed_angle_rotates_quadratures(self):
-        v0 = input_variances(Squeezed(0.5, theta=0.0))
-        vpi = input_variances(Squeezed(0.5, theta=math.pi))
+        v0 = output_variances(Squeezed(0.5, theta=0.0), 1.0, 0.0)
+        vpi = output_variances(Squeezed(0.5, theta=math.pi), 1.0, 0.0)
         assert v0.var_x == pytest.approx(vpi.var_y, rel=1e-12)
         assert v0.var_y == pytest.approx(vpi.var_x, rel=1e-12)
+
+
+def squeezed_dm(r, theta, dim):
+    """Squeezed vacuum with <a^2> = e^{i theta} sinh(2r)/2 (the Squeezed convention) on dim levels."""
+    pairs = np.arange((dim + 1) // 2)
+    log_weights = np.array([0.5 * math.lgamma(2 * m + 1) - math.lgamma(m + 1) - m * math.log(2.0) for m in pairs])
+    vector = np.zeros(dim, dtype=complex)
+    vector[::2] = np.exp(log_weights) * (cmath.exp(1j * theta) * math.tanh(r)) ** pairs / math.sqrt(math.cosh(r))
+    return np.outer(vector, vector.conj())
+
+
+def quadrature_moments(rho):
+    """(var_x, var_y, cov_xy) of a density matrix, X = (a + a^+)/2 and Y = (a - a^+)/2i."""
+    a = states.destroy(rho.shape[0])
+    x, y = (a + a.T) / 2, (a - a.T) / 2j
+    mean_x, mean_y = np.trace(rho @ x).real, np.trace(rho @ y).real
+    return (
+        np.trace(rho @ x @ x).real - mean_x**2,
+        np.trace(rho @ y @ y).real - mean_y**2,
+        np.trace(rho @ (x @ y + y @ x)).real / 2 - mean_x * mean_y,
+    )
+
+
+def _old_variance_law(state, ce):
+    """ce * var + (1 - ce)/4 with the input variances as they were computed before the phase was taken."""
+    if isinstance(state, Squeezed):
+        ch, sh = math.cosh(2 * state.r), math.sinh(2 * state.r)
+        var_x, var_y = (ch + sh * math.cos(state.theta)) / 4.0, (ch - sh * math.cos(state.theta)) / 4.0
+    else:
+        var_x = var_y = 0.25 if isinstance(state, Coherent) else (2 * state.n + 1) / 4.0
+    return ce * var_x + (1.0 - ce) / 4.0, ce * var_y + (1.0 - ce) / 4.0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+#: Inputs of the closed-form laws: phase-free ones, and squeezed ones at and off the X axis.
+LAW_STATES = [
+    Coherent(0.0), Coherent(1.3 - 0.4j), Fock(0), Fock(1), Fock(17), Squeezed(math.log(2.0)), Squeezed(0.3, 1.1)
+]
+
+
+class TestPhaseAwareLaws:
+    """The closed-form laws take |C0|^2 and arg C0, and agree with the loss channel at any phase."""
+
+    @settings(max_examples=40)
+    @given(
+        phase=st.floats(-2 * math.pi, 2 * math.pi),
+        magnitude=st.floats(0.0, 1.0),
+        theta=st.floats(-math.pi, math.pi),
+        r=st.floats(-math.log(2.0), math.log(2.0)),
+        beta=st.complex_numbers(max_magnitude=2.0),
+        n=st.integers(0, 5),
+    )
+    def test_laws_match_the_channel(self, phase, magnitude, theta, r, beta, n):
+        c0 = magnitude * cmath.exp(1j * phase)
+        ce = magnitude**2
+        for state, rho_in in (
+            (Squeezed(r, theta), squeezed_dm(r, theta, 60)),
+            (Coherent(beta), coherent_dm(beta, 40)),
+            (Fock(n), fock_dm(n, 20)),
+        ):
+            var_x, var_y, _ = quadrature_moments(apply_loss_channel(rho_in, c0))
+            law = output_variances(state, ce, phase)
+            assert abs(law.var_x - var_x) <= 1e-9 and abs(law.var_y - var_y) <= 1e-9
+        channel = fidelity(Coherent(beta), apply_loss_channel(coherent_dm(beta, 40), c0))
+        assert abs(coherent_fidelity(abs(beta) ** 2, ce, phase) - channel) <= 1e-9
+
+    def test_squeezed_helper_has_the_squeezed_moments(self):
+        for r, theta in ((math.log(2.0), 0.0), (0.3, 1.1), (-0.5, -2.0)):
+            var_x, var_y = _old_variance_law(Squeezed(r, theta), 1.0)
+            moments = quadrature_moments(squeezed_dm(r, theta, 60))
+            assert moments == pytest.approx((var_x, var_y, math.sinh(2 * r) * math.sin(theta) / 4), abs=1e-12)
+
+    @pytest.mark.parametrize("state", LAW_STATES, ids=repr)
+    def test_phase_0_keeps_the_old_law_on_the_ce_grids(self, state):
+        ces = np.concatenate(
+            [np.linspace(0.0, 1.0, 101)]
+            + [np.minimum(np.abs(_sweep_amplitudes(config, 401)) ** 2, 1.0) for config in [{}, *SWEEP_CONFIGS.values()]]
+        )
+        old = np.array([_old_variance_law(state, ce) for ce in ces.tolist()])
+        stacked = output_variances(state, ces, np.zeros_like(ces))
+        assert np.array_equal(_bits(np.column_stack(stacked)), _bits(old))
+        singles = [output_variances(state, ce, 0.0) for ce in ces.tolist()]
+        assert np.array_equal(_bits(singles), _bits(old))
+        if isinstance(state, Coherent):
+            fidelities = [coherent_fidelity(abs(state.beta) ** 2, ce, 0.0) for ce in ces.tolist()]
+            old = [math.exp(-abs(state.beta) ** 2 * (1.0 - math.sqrt(ce)) ** 2 / 2.0) for ce in ces.tolist()]
+            assert np.array_equal(_bits(fidelities), _bits(old))
+
+    @pytest.mark.parametrize("state", [s for s in LAW_STATES if not isinstance(s, Squeezed)], ids=repr)
+    def test_isotropic_inputs_keep_their_bits_at_any_phase(self, state):
+        rng = np.random.default_rng(28)
+        ces, phases = rng.uniform(0.0, 1.0, 500), rng.uniform(-10.0, 10.0, 500)
+        turned = output_variances(state, ces, phases)
+        assert np.array_equal(_bits(np.column_stack(turned)), _bits(output_variances(state, ces, 0.0)).T)
+
+    @pytest.mark.parametrize("phase", [float("nan"), math.inf, -math.inf])
+    def test_a_non_finite_phase_is_rejected(self, phase):
+        message = rf"^phase must be finite, got {phase}$"
+        with pytest.raises(ValueError, match=message):
+            coherent_fidelity(1.0, 0.5, phase)
+        for state in (Fock(1), Squeezed(0.3)):
+            with pytest.raises(ValueError, match=message):
+                output_variances(state, 0.5, phase)
+            with pytest.raises(ValueError, match=message):
+                output_variances(state, np.full(3, 0.5), np.array([0.0, phase, math.nan]))
 
 
 class TestInputGuards:
@@ -496,7 +605,7 @@ class TestInputGuards:
 
     def test_unknown_input_state(self):
         with pytest.raises(TypeError, match="^unknown input state str$"):
-            input_variances("fock")
+            output_variances("fock", 1.0, 0.0)
 
 
 def test_states_takes_the_channel_amplitude_as_a_number():
