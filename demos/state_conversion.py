@@ -42,7 +42,7 @@ print(f"fidelity = {fidelity(Fock(1), rho_out):.4f} (= sqrt(CE))\n")
 # coherent state in: coherent state out, amplitude conj(C_0) * beta
 beta = 1.0
 rho_coh = apply_loss_channel(coherent_dm(beta, 20), c0)
-oracle = beam_splitter_oracle(coherent_dm(beta, 20), ce, 20)
+oracle = beam_splitter_oracle(coherent_dm(beta, 20), ce)
 print(f"coherent beta = {beta}: trace distance to beam-splitter oracle "
       f"= {trace_distance(rho_coh, oracle):.2e}")
 print(f"fidelity (matrix route)  = {fidelity(Coherent(beta), rho_coh):.6f}")

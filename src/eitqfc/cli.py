@@ -308,7 +308,6 @@ def run_custom(
         columns.append(fock_fidelity(state.n, amplitudes))
     elif isinstance(state, Coherent):
         # math.exp per row: no array exponential is known to round as it does
-        nbar = abs(state.beta) ** 2
         columns.append([coherent_fidelity(nbar, ce, phase) for ce, phase in zip(ce_column.tolist(), phases.tolist())])
     out = output_variances(state, ce_column, phases)
     table = np.column_stack(columns + [convention_scale * out.var_x, convention_scale * out.var_y])

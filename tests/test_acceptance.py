@@ -107,7 +107,7 @@ def test_criterion_4_channel_oracle():
             for t in transmissivities:
                 kraus = apply_loss_channel(rho, math.sqrt(t))
                 series = projector_series_oracle(rho, math.sqrt(t))
-                oracle = beam_splitter_oracle(rho, t, dim)
+                oracle = beam_splitter_oracle(rho, t)
                 assert np.linalg.norm(kraus - oracle) < 1e-9
                 assert np.linalg.norm(kraus - series) < 1e-9
                 assert np.linalg.norm(series - oracle) < 1e-9

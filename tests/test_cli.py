@@ -27,7 +27,7 @@ from eitqfc.cli import (
 )
 from eitqfc.errors import ConfigError, IllPosedBoundary, NonPassiveAmplitude, QfcError
 from eitqfc.params import SystemParams
-from eitqfc.states import Coherent, apply_loss_channel, coherent_dm, fidelity
+from eitqfc.states import Coherent, apply_loss_channel, coherent_dm, coherent_fidelity, fidelity
 from eitqfc.transfer import PropagationSweep, propagation_sweep
 from test_states import quadrature_moments, squeezed_dm
 
@@ -165,6 +165,16 @@ class TestRunCustom:
         channel = fidelity(Coherent(1.0), apply_loss_channel(coherent_dm(1.0), c0))
         assert channel == pytest.approx(0.14072, abs=1e-5)
         assert written == pytest.approx(channel, abs=1e-9)
+
+    @pytest.mark.parametrize("nbar", [2.0, 3.0, 10.0])
+    def test_coherent_column_is_the_law_at_the_setting_nbar(self, nbar):
+        # sqrt(nbar) ** 2 is not nbar for these: the column takes the setting itself
+        alphas = np.linspace(0.0, 400.0, 401)
+        _, rows = run_custom(alphas, "coherent", nbar=nbar)
+        phases = np.angle(propagation_sweep(cli._sweep_params(alphas, {}), alphas).resolved[:, 1, 0])
+        ces = np.minimum(rows[:, 2], 1.0)  # the row's own CE, as the column reads it
+        law = np.array([coherent_fidelity(nbar, ce, phase) for ce, phase in zip(ces.tolist(), phases.tolist())])
+        assert np.array_equal(rows[:, 3].view(np.int64), law.view(np.int64))
 
     def test_squeezed_variances_follow_the_phase_of_c0(self, tmp_path):
         # arg omega_d = pi/4 turns C0 by -pi/4: the squeezed ellipse lies diagonal, so both quadratures read alike
@@ -1014,7 +1024,7 @@ def test_beam_splitter_oracle_runs_without_scipy():
         "import sys\n"
         "from eitqfc import fock_dm\n"
         "from eitqfc.states import beam_splitter_oracle\n"
-        "rho = beam_splitter_oracle(fock_dm(1, 4), 0.5, 4)\n"
+        "rho = beam_splitter_oracle(fock_dm(1, 4), 0.5)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')), round(float(rho[1, 1].real), 12))"
     )
     assert _fresh_python(code) == "[] 0.5"

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +147,7 @@ class TestStackedChannel:
                 series = projector_series_oracle(rho, c0)
                 # the beam splitter is real; conj(c0)'s phase rotates its output
                 phase = np.exp(-1j * np.angle(c0) * np.arange(dim))
-                oracle = beam_splitter_oracle(rho, abs(c0) ** 2, dim)
+                oracle = beam_splitter_oracle(rho, abs(c0) ** 2)
                 _assert_routes_agree(member, series, phase[:, None] * oracle * np.conj(phase)[None, :])
 
     @pytest.mark.parametrize("config", list(SWEEP_CONFIGS))
@@ -235,27 +236,33 @@ class TestFockFidelity:
 class TestBeamSplitterOracle:
     def test_identity_channel(self):
         rho = coherent_dm(0.8, 16)
-        out = beam_splitter_oracle(rho, 1.0, 16)
+        out = beam_splitter_oracle(rho, 1.0)
         assert np.max(np.abs(out - rho)) < 1e-12
 
     def test_full_loss(self):
-        out = beam_splitter_oracle(fock_dm(3, 10), 0.0, 10)
+        out = beam_splitter_oracle(fock_dm(3, 10), 0.0)
         assert out[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
     def test_coherent_transmission(self):
-        out = beam_splitter_oracle(coherent_dm(1.0, 20), 0.9612, 20)
+        out = beam_splitter_oracle(coherent_dm(1.0, 20), 0.9612)
         target = coherent_dm(math.sqrt(0.9612), 20)
         assert trace_distance(out, target) < 1e-8
 
-    def test_dimension_guard(self):
-        with pytest.raises(DimensionTooSmall):
-            beam_splitter_oracle(fock_dm(10, 12), 0.5, 12)
-        with pytest.raises(DimensionTooSmall):
-            beam_splitter_oracle(fock_dm(3, 24), 0.5, 4)
+    @pytest.mark.parametrize("n, dim", [(10, 12), (11, 12), (19, 20)])
+    def test_fock_input_at_the_top_of_its_basis_loses_photons_binomially(self, n, dim):
+        for t in (0.3, 0.9612):
+            binomial = [math.comb(n, k) * t**k * (1 - t) ** (n - k) for k in range(n + 1)] + [0.0] * (dim - n - 1)
+            out = beam_splitter_oracle(fock_dm(n, dim), t)
+            assert np.max(np.abs(out - np.diag(binomial))) < 1e-12
+
+    def test_matches_the_channel_up_to_the_channel_guard(self):
+        rho = fock_dm(9, 12)  # levels 10 and 11 empty, as the Kraus channel wants
+        for t in (0.0, 0.3, 0.9612, 1.0):
+            assert np.max(np.abs(beam_splitter_oracle(rho, t) - apply_loss_channel(rho, math.sqrt(t)))) < 1e-12
 
     def test_transmissivity_bounds(self):
         with pytest.raises(ValueError):
-            beam_splitter_oracle(fock_dm(1, 8), 1.5, 8)
+            beam_splitter_oracle(fock_dm(1, 8), 1.5)
 
     @pytest.mark.parametrize("dim", [4, 8, 16])
     @pytest.mark.parametrize("t", [0.0, 0.3, 0.9612, 1.0])
@@ -283,7 +290,7 @@ class TestChannelEquivalence:
             for t in (0.0, 0.25, 0.5, 0.9612, 1.0):
                 kraus = apply_loss_channel(rho, math.sqrt(t))
                 series = projector_series_oracle(rho, math.sqrt(t))
-                oracle = beam_splitter_oracle(rho, t, dim)
+                oracle = beam_splitter_oracle(rho, t)
                 _assert_routes_agree(kraus, series, oracle)
 
     def test_coherent_inputs(self):
@@ -293,7 +300,7 @@ class TestChannelEquivalence:
             for t in (0.25, 0.9612):
                 kraus = apply_loss_channel(rho, math.sqrt(t))
                 series = projector_series_oracle(rho, math.sqrt(t))
-                oracle = beam_splitter_oracle(rho, t, dim)
+                oracle = beam_splitter_oracle(rho, t)
                 _assert_routes_agree(kraus, series, oracle)
 
     def test_complex_amplitude_phase_adjustment(self):
@@ -304,7 +311,7 @@ class TestChannelEquivalence:
         rho = coherent_dm(1.0, dim)
         kraus = apply_loss_channel(rho, c0)
         series = projector_series_oracle(rho, c0)
-        oracle = beam_splitter_oracle(rho, abs(c0) ** 2, dim)
+        oracle = beam_splitter_oracle(rho, abs(c0) ** 2)
         phase = np.exp(-1j * np.angle(c0) * np.arange(dim))
         rotated = phase[:, None] * oracle * np.conj(phase)[None, :]
         _assert_routes_agree(kraus, series, rotated)
@@ -334,6 +341,24 @@ class TestCoherentOutput:
     def test_truncation_guard(self):
         with pytest.raises(TruncationOverflow):
             coherent_dm(np.conj(1.0) * 3.0, 10)
+        with pytest.raises(TruncationOverflow):  # a NaN trace loss fails too
+            coherent_dm(complex("nan"), 10)
+
+    def test_amplitudes_follow_the_closed_form(self):
+        beta = 1.3 - 0.4j
+        closed = [cmath.exp(-abs(beta) ** 2 / 2) * beta**n / math.sqrt(math.factorial(n)) for n in range(30)]
+        assert np.max(np.abs(states.coherent_vector(beta, 30) - closed)) < 1e-15
+
+    @pytest.mark.parametrize("beta, dim", [(12.0, 250), (20.0, 600)])
+    def test_bright_state_on_a_large_basis(self, beta, dim):
+        # past n = 170 a power of beta over sqrt(n!) overflows; the amplitudes stay finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = coherent_dm(beta, dim)
+        populations = np.real(np.diag(rho))
+        assert np.all(np.isfinite(rho))
+        assert np.sum(populations) == pytest.approx(1.0, abs=1e-12)
+        assert np.arange(dim) @ populations == pytest.approx(beta**2, rel=1e-12)
 
 
 class TestFidelity:
@@ -441,6 +466,15 @@ class TestQuadratures:
         for var_in in (float("nan"), math.inf):
             with pytest.raises(ValueError, match=f"^variance must be >= 0, got {var_in}$"):
                 output_variances(Squeezed(var_in), 0.5, 0.0)
+        with pytest.raises(ValueError, match="^variance must be >= 0, got inf$"):
+            output_variances(Squeezed(355.0), 0.5, 0.0)
+
+    @pytest.mark.parametrize("r", [355.5, -355.5, 400.0, -400.0, 1e300, -1e300])
+    @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi / 2, math.pi])
+    def test_overflowing_squeezing_has_an_infinite_variance(self, r, theta):
+        # cosh(2r) overflows past |r| = 355
+        with pytest.raises(ValueError, match="^variance must be >= 0, got inf$"):
+            output_variances(Squeezed(r, theta), 0.5, 0.0)
         with pytest.raises(ValueError):
             output_variances(Coherent(0.0), 1.2, 0.0)
 
@@ -588,6 +622,14 @@ class TestInputGuards:
         assert fock_dm(19)[19, 19] == 1.0
         with pytest.raises(DimensionTooSmall, match="^Fock level 20 does not fit in dimension 20$"):
             fock_dm(20)
+
+    @pytest.mark.parametrize("n", [-1, -6])
+    def test_fock_level_must_not_be_negative(self, n):
+        # a negative level would index the basis from its end
+        with pytest.raises(ValueError, match=f"^a Fock level must be >= 0, got {n}$"):
+            fock_dm(n, 5)
+        with pytest.raises(ValueError, match=f"^a Fock level must be >= 0, got {n}$"):
+            fidelity(Fock(n), fock_dm(4, 5))
 
     @pytest.mark.parametrize(
         "rho, message",
