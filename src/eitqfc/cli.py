@@ -162,14 +162,13 @@ def _sweep_params(alphas: np.ndarray, overrides: dict) -> SystemParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _powers(amplitudes: np.ndarray) -> list[float]:
-    """|z|^2 of each amplitude in a 1-D stack, as Python floats.
+def _powers(amplitudes: np.ndarray) -> np.ndarray:
+    """|z|^2 of each amplitude in a stack: the correctly rounded square of libm hypot, abs(z) * abs(z).
 
-    Each value is libm pow of libm hypot, as abs(z) ** 2 gives it: np.hypot is
-    the libm hypot of abs(complex), but np.abs, np.square and np.power round
-    some values differently in the last bit, so the square stays per value.
+    np.hypot is libm hypot, bit for bit abs(complex); np.abs may round it
+    differently, and libm pow(h, 2) is not always correctly rounded.
     """
-    return [h**2 for h in np.hypot(amplitudes.real, amplitudes.imag).tolist()]
+    return np.square(np.hypot(amplitudes.real, amplitudes.imag))
 
 
 def _check_oracle(table: np.ndarray) -> None:
@@ -214,8 +213,8 @@ def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[st
             classical.alphas,
             _powers(solved[:, 0, 0]),
             _powers(solved[:, 1, 0]),
-            np.abs(classical.resolved[:, 0, 0]) ** 2,
-            np.abs(classical.resolved[:, 1, 0]) ** 2,
+            _powers(classical.resolved[:, 0, 0]),
+            _powers(classical.resolved[:, 1, 0]),
         ]
     )
     _check_oracle(table)

@@ -183,7 +183,8 @@ def _seed_edges(params: SystemParams) -> np.ndarray:
     cusp = CUSP_WIDTH * (rabi / max(params.alpha, 1.0)) ** 2
     decades = 0.3 * rabi * 0.1 ** np.arange(1, 21)  # 20 decades reach the cusp up to alpha ~ 1e10 |Omega|^(1/2)
     positive = np.concatenate([decades[decades >= cusp / 10], rabi * np.array(RABI_EDGES), [window / 2, window]])
-    return np.unique(np.concatenate([[0.0], positive]))
+    edges = np.sort(np.concatenate([[0.0], positive]))
+    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]  # np.unique, without its numpy.ma import
 
 
 def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -39,8 +39,9 @@ import numpy as np
 
 from .errors import DimensionTooSmall, NonPassiveAmplitude, TruncationOverflow
 
-#: Default Fock-space truncation; supports |beta| <= 2 and n <= 5 inputs
-#: with wide margin.
+#: Default Fock-space truncation.  Its trace-loss guard takes coherent
+#: states up to |beta| = 1.74 (|beta| = 2 loses 1.02e-8), and the loss
+#: channel Fock levels up to MAX_FOCK_LEVEL = 17.
 DEFAULT_DIM = 20
 
 #: Maximum truncated-away probability mass allowed when constructing a
@@ -48,6 +49,9 @@ DEFAULT_DIM = 20
 #: through the loss channel.
 TRACE_LOSS_TOL = 1e-10
 TOP_LEVEL_TOL = 1e-8
+#: Levels more than COHERENT_SPAN (|beta| + 3) from a coherent state's
+#: Poisson peak hold less than e^-80 of it (12.6 standard deviations).
+COHERENT_SPAN = 13.0
 #: Most negative eigenvalue validate_density_matrix accepts.
 EIGENVALUE_TOL = 1e-10
 #: Largest Fock level |n><n| that the loss channel accepts on the
@@ -118,21 +122,39 @@ def fock_dm(n: int, dim: int = DEFAULT_DIM) -> np.ndarray:
 
 
 def coherent_vector(beta: complex, dim: int) -> np.ndarray:
-    """Truncated coherent-state amplitudes e^{-|b|^2/2} b^n / sqrt(n!), each the last one times b / sqrt(n)."""
-    steps = complex(beta) / np.sqrt(np.arange(1.0, dim))
-    return np.cumprod(np.concatenate(([math.exp(-abs(beta) ** 2 / 2) + 0j], steps)))[:dim]
+    """Truncated coherent-state amplitudes e^{-|b|^2/2} b^n / sqrt(n!), with trace-loss guard.
 
-
-def coherent_dm(beta: complex, dim: int = DEFAULT_DIM) -> np.ndarray:
-    """Truncated coherent-state density matrix, with trace-loss guard."""
-    vec = coherent_vector(beta, dim)
-    rho = np.outer(vec, np.conj(vec))
-    loss = 1.0 - float(np.trace(rho).real)
+    The magnitudes are built outward from the Poisson peak k = floor(|b|^2),
+    where none underflows: |b|^{n-k} sqrt(k!/n!), each from the last by
+    |b| / sqrt(n) upward and sqrt(n) / |b| downward.  The phases (b/|b|)^n
+    are running products, so a real b keeps real amplitudes.  The vector is
+    divided by the state's norm over the basis and the levels up to
+    COHERENT_SPAN past k; the levels beyond hold less than e^-80 of it.
+    """
+    beta = complex(beta)
+    size = abs(beta)
+    span = COHERENT_SPAN * (size + 3.0)
+    vec = np.zeros(dim, dtype=complex)
+    if size * size - span < dim:  # else (or if beta is not finite) the vector stays 0 and fails the guard
+        peak = math.floor(size * size)
+        up = size / np.sqrt(np.arange(peak + 1.0, max(dim, peak + math.ceil(span))))
+        down = np.sqrt(np.arange(peak, 0.0, -1.0)) / size
+        magnitudes = np.concatenate((np.cumprod(down)[::-1], [1.0], np.cumprod(up)))
+        phases = np.cumprod(np.concatenate(([1.0 + 0j], np.full(dim - 1, beta / size if size else 1.0))))
+        vec = magnitudes[:dim] * phases
+        vec /= math.sqrt(float(np.vdot(vec, vec).real + magnitudes[dim:] @ magnitudes[dim:]))
+    loss = 1.0 - float(np.vdot(vec, vec).real)
     if not loss <= TRACE_LOSS_TOL:  # NaN fails too
         raise TruncationOverflow(
             f"coherent state |beta|={abs(beta):.3g} loses {loss:.3e} of its trace at dim={dim}"
         )
-    return rho
+    return vec
+
+
+def coherent_dm(beta: complex, dim: int = DEFAULT_DIM) -> np.ndarray:
+    """Truncated coherent-state density matrix |beta><beta|, with coherent_vector's trace-loss guard."""
+    vec = coherent_vector(beta, dim)
+    return np.outer(vec, np.conj(vec))
 
 
 def validate_density_matrix(
@@ -344,7 +366,8 @@ def fidelity(state: InputState, rho_out: np.ndarray) -> float | np.ndarray:
     stack (k, dim, dim), giving k fidelities: one matrix is a stack of
     one.  A negative overlap (rounding) is clamped at 0.  Defined for
     Fock and Coherent inputs; for a coherent input this reproduces the
-    overlap |<beta|conj(C_0) beta>| of the ideal converted state.
+    overlap |<beta|conj(C_0) beta>| of the ideal converted state, and
+    |beta> must fit the basis (coherent_vector's trace-loss guard).
     """
     rho_out = np.asarray(rho_out, dtype=complex)
     stack = rho_out.reshape((-1,) + rho_out.shape[-2:])

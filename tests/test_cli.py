@@ -28,7 +28,7 @@ from eitqfc.cli import (
 from eitqfc.errors import ConfigError, IllPosedBoundary, NonPassiveAmplitude, QfcError
 from eitqfc.params import SystemParams
 from eitqfc.states import Coherent, apply_loss_channel, coherent_dm, coherent_fidelity, fidelity
-from eitqfc.transfer import PropagationSweep, propagation_sweep
+from eitqfc.transfer import PropagationSweep, propagation_sweep, semiclassical_sweep
 from test_states import quadrature_moments, squeezed_dm
 
 
@@ -903,14 +903,14 @@ def test_fig2_sweep_bytes_are_pinned(tmp_path, name):
 
 
 def _assert_powers_per_value(amplitudes):
-    """cli._powers(amplitudes) is abs(z) ** 2 of each amplitude in every bit."""
-    want = np.array([abs(z) ** 2 for z in amplitudes.tolist()])
-    assert np.array_equal(np.array(cli._powers(amplitudes)).view(np.int64), want.view(np.int64))
+    """cli._powers(amplitudes) is abs(z) * abs(z), a correctly rounded product, of each amplitude in every bit."""
+    want = np.array([abs(z) * abs(z) for z in amplitudes.tolist()])
+    assert np.array_equal(np.asarray(cli._powers(amplitudes)).view(np.int64), want.view(np.int64))
 
 
 class TestPowers:
     def test_random_amplitudes(self):
-        # |z| from 1e-160 to 1e150: |z|^2 stays below overflow, where abs(z) ** 2 raises
+        # |z| from 1e-160 to 1e150: |z|^2 stays below overflow
         rng = np.random.default_rng(27)
         size = 100_000
         parts = np.empty(size, complex)
@@ -929,23 +929,33 @@ class TestPowers:
         ids=["default", *FIG2_SWEEP_RUNS],
     )
     def test_sweep_columns(self, tmp_path, config, alpha_max):
-        # the default fig2 and custom sweeps solve the same grid
+        # the default fig2 and custom sweeps solve the same grid; fig2 adds its semiclassical columns
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(config)
         alphas = np.linspace(0.0, float(alpha_max), 401)
-        resolved = propagation_sweep(cli._sweep_params(alphas, parse_config(str(cfg))), alphas).resolved
-        _assert_powers_per_value(resolved[:, 0, 0])
-        _assert_powers_per_value(resolved[:, 1, 0])
+        params = cli._sweep_params(alphas, parse_config(str(cfg)))
+        for sweep in (propagation_sweep(params, alphas), semiclassical_sweep(params, alphas)):
+            _assert_powers_per_value(sweep.resolved[:, 0, 0])
+            _assert_powers_per_value(sweep.resolved[:, 1, 0])
 
 
-def test_import_leaves_the_ode_solver_unloaded():
-    # scipy.integrate is about a third of a scipy start-up; nothing in the package imports it
+def test_import_leaves_the_ode_solver_unloaded(tmp_path):
+    # scipy.integrate is about a third of a scipy start-up; nothing in the package imports it.  numpy.ma
+    # (about 14 ms on first import) loads only if np.unique is called without return options.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, eitqfc, eitqfc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    code = (
+        "import sys, eitqfc, eitqfc.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n"
+        "eitqfc.langevin_photon_noise(eitqfc.symmetric_params(4.0))\n"
+        "assert eitqfc.cli.main(['fig2', '--out', sys.argv[1]]) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "fig2.csv")], env=env, capture_output=True, text=True, timeout=120
+    )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split() == ["[]", "False"]
 
 
 @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4", "custom"])

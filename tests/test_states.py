@@ -344,10 +344,26 @@ class TestCoherentOutput:
         with pytest.raises(TruncationOverflow):  # a NaN trace loss fails too
             coherent_dm(complex("nan"), 10)
 
-    def test_amplitudes_follow_the_closed_form(self):
-        beta = 1.3 - 0.4j
-        closed = [cmath.exp(-abs(beta) ** 2 / 2) * beta**n / math.sqrt(math.factorial(n)) for n in range(30)]
-        assert np.max(np.abs(states.coherent_vector(beta, 30) - closed)) < 1e-15
+    @pytest.mark.parametrize("beta", [0.0, 0.3 - 0.2j, 1.0, -1.0, 1.3 - 0.4j, 1.7j, -2.0, 1.2 + 1.6j])
+    @pytest.mark.parametrize("dim", [30, 40])
+    def test_amplitudes_follow_the_closed_form(self, beta, dim):
+        closed = np.array([cmath.exp(-abs(beta) ** 2 / 2) * beta**n / math.sqrt(math.factorial(n)) for n in range(dim)])
+        vec = states.coherent_vector(beta, dim)
+        assert np.max(np.abs(vec - closed)) <= 1e-15 * np.max(np.abs(closed))
+        if complex(beta).imag == 0:
+            assert np.all(vec.imag == 0)
+
+    @pytest.mark.parametrize("beta", [38.0, 38.6, 39.0, 30.0 + 25.0j])
+    def test_unit_norm_where_the_vacuum_amplitude_underflows(self, beta):
+        # e^{-|beta|^2/2} is subnormal past |beta| = 37.6: the norm was 1 + 9.1e-11, 3.00 and 0.0 at 38, 38.6, 39
+        vec = states.coherent_vector(beta, 4000)
+        populations = np.abs(vec) ** 2
+        mean = abs(beta) ** 2
+        assert np.sum(populations) == pytest.approx(1.0, abs=1e-12)
+        assert np.arange(4000) @ populations == pytest.approx(mean, rel=1e-12)
+        near = np.arange(math.floor(mean) - 100, math.floor(mean) + 100)
+        poisson = [math.exp(n * math.log(mean) - mean - math.lgamma(n + 1)) for n in near]
+        assert populations[near] == pytest.approx(poisson, rel=1e-9)  # lgamma(n + 1) ~ 1e4 carries 1e-12 itself
 
     @pytest.mark.parametrize("beta, dim", [(12.0, 250), (20.0, 600)])
     def test_bright_state_on_a_large_basis(self, beta, dim):
@@ -415,6 +431,13 @@ class TestFidelity:
     def test_squeezed_input_unsupported(self):
         with pytest.raises(TypeError):
             fidelity(Squeezed(0.5), fock_dm(0, 5))
+
+    def test_coherent_input_has_the_trace_loss_guard(self):
+        # |5> holds only 13% of its trace on 20 levels; the overlap with |19> read 0.204
+        with pytest.raises(TruncationOverflow, match=r"\|beta\|=5 loses 8\.664e-01 of its trace at dim=20"):
+            fidelity(Coherent(5.0), fock_dm(19))
+        with pytest.raises(TruncationOverflow, match="loses 8.664e-01"):
+            coherent_dm(5.0)
 
     @pytest.mark.parametrize("state", [Fock(3), Coherent(1.0 + 0.5j)], ids=["fock", "coherent"])
     def test_stack_members_equal_one_matrix_calls_bit_for_bit(self, state):
