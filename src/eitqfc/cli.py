@@ -227,9 +227,7 @@ def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[st
 def run_fig3(ces: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Fidelity versus CE: coherent nbar = 1 and 10, one-photon Fock (amplitude sqrt(CE))."""
     header = ["ce", "fid_coherent_n1", "fid_coherent_n10", "fid_fock1"]
-    ces = np.asarray(ces, dtype=float)
-    # math.exp per value: no array exponential is known to round as it does
-    coherent = [[coherent_fidelity(nbar, ce, 0.0) for ce in ces.tolist()] for nbar in (1.0, 10.0)]
+    coherent = [coherent_fidelity(nbar, ces, 0.0) for nbar in (1.0, 10.0)]
     return header, np.column_stack([ces, *coherent, fock_fidelity(1, np.sqrt(ces))])
 
 
@@ -268,13 +266,11 @@ def run_custom(
     One propagation_sweep gives every row's probe transmittance |A_0|^2,
     CE |C_0|^2 and channel amplitude C_0.  An amplitude with |C_0| > 1
     beyond rounding is a NonPassiveAmplitude naming its alpha, whatever
-    the state; within rounding the fidelity and variance formulas take
-    the CE as 1.  Each row emits the transfer columns plus the conversion
-    fidelity (Fock input: fock_fidelity over the sweep's whole stack of
-    amplitudes, the loss channel's value without its density matrices;
-    coherent input: closed-form overlap) and the converted-signal
-    quadrature variances, both closed forms in the row's CE and arg C_0.
-    Squeezed inputs carry no fidelity column.
+    the state; within rounding the fidelity and variance laws take the CE
+    as 1.  Next to the transfer columns come the conversion fidelity
+    (fock_fidelity or coherent_fidelity; squeezed inputs carry none) and
+    the converted-signal quadrature variances (output_variances), closed
+    forms in each row's CE and arg C_0, each one call on the whole stack.
     ``nbar`` is the Fock level, a whole number in [0, MAX_FOCK_LEVEL],
     or the coherent mean photon number, finite and >= 0; anything else
     is a ConfigError.
@@ -306,8 +302,7 @@ def run_custom(
     if isinstance(state, Fock):
         columns.append(fock_fidelity(state.n, amplitudes))
     elif isinstance(state, Coherent):
-        # math.exp per row: no array exponential is known to round as it does
-        columns.append([coherent_fidelity(nbar, ce, phase) for ce, phase in zip(ce_column.tolist(), phases.tolist())])
+        columns.append(coherent_fidelity(nbar, ce_column, phases))
     out = output_variances(state, ce_column, phases)
     table = np.column_stack(columns + [convention_scale * out.var_x, convention_scale * out.var_y])
     if quantum.failure is not None:

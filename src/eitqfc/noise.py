@@ -217,15 +217,14 @@ def _panel_pass(
 
 
 def _adaptive_noise_integral(
-    params: SystemParams, diffusion: DiffusionMatrix | None, kernel: str, max_doublings: int
+    params: SystemParams, diffusion: DiffusionMatrix | None, row: int, max_doublings: int
 ) -> float:
-    """The P or Q integral by panel-refined Gauss-Kronrod on omega >= 0; INTEGRAL_TOL is read at call time."""
+    """The P (row 0) or Q (row 1) integral, panel-refined Gauss-Kronrod on omega >= 0; INTEGRAL_TOL is read per call."""
     if max_doublings < 0:
         raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     d = (diffusion_matrix() if diffusion is None else diffusion).entries
     phi = np.concatenate([[1.0], -np.exp(-2j * np.angle([params.omega_c, params.omega_d]))])
     d = d + d.conj() * np.outer(phi, phi.conj())  # its form at omega is d's at omega plus at -omega
-    row = 0 if kernel == "P" else 1
 
     edges = _seed_edges(params)
     lo, hi = edges[:-1], edges[1:]
@@ -266,7 +265,7 @@ def langevin_photon_noise(
     matrix gives exactly 0.0 at the cost of the spectral solve and
     boundary check of the seed pass.
     """
-    return _adaptive_noise_integral(params, diffusion, "P", max_doublings)
+    return _adaptive_noise_integral(params, diffusion, 0, max_doublings)
 
 
 def eta1(
@@ -278,7 +277,7 @@ def eta1(
     and the live slots are those of langevin_photon_noise, so the default
     (zero) diffusion matrix gives exactly 0.0.
     """
-    return _adaptive_noise_integral(params, diffusion, "Q", max_doublings)
+    return _adaptive_noise_integral(params, diffusion, 1, max_doublings)
 
 
 def eta2(params: SystemParams, diffusion: DiffusionMatrix | None = None) -> float:

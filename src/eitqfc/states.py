@@ -385,18 +385,25 @@ def fidelity(state: InputState, rho_out: np.ndarray) -> float | np.ndarray:
     return float(fidelities[0]) if rho_out.ndim == 2 else fidelities
 
 
-def coherent_fidelity(nbar: float, ce: float, phase: float) -> float:
+def coherent_fidelity(nbar: float, ce: float | np.ndarray, phase: float | np.ndarray) -> float | np.ndarray:
     """Conversion fidelity exp(-nbar |1 - C_0|^2 / 2) of a coherent input of mean photon number nbar.
 
     ce = |C_0|^2 and phase = arg C_0 give |1 - C_0|^2 as
     (1 - sqrt(ce))^2 + 4 sqrt(ce) sin^2(phase/2), whose second term is 0 at phase 0.
+    Numbers or arrays that broadcast; numbers give a float, and errors name the first bad entry.  Each
+    square is one rounded product, and the exp is math.exp per value: np.exp rounds 1 in 20 otherwise.
     """
-    if not (0 <= nbar < math.inf and 0.0 <= ce <= 1.0):  # NaN fails both
-        raise ValueError(f"need nbar >= 0 and ce in [0, 1], got {nbar}, {ce}")
-    if not math.isfinite(phase):
-        raise ValueError(f"phase must be finite, got {phase}")
-    root = math.sqrt(ce)
-    return math.exp(-nbar * ((1.0 - root) ** 2 + 4.0 * root * math.sin(phase / 2.0) ** 2) / 2.0)
+    nbars, coeffs, phases = np.broadcast_arrays(nbar, ce, phase)
+    bad = np.flatnonzero(~((0 <= nbars) & (nbars < math.inf) & (0.0 <= coeffs) & (coeffs <= 1.0)))[:1]  # NaN too
+    if bad.size:
+        raise ValueError(f"need nbar >= 0 and ce in [0, 1], got {nbars.flat[bad].item()}, {coeffs.flat[bad].item()}")
+    not_finite = np.flatnonzero(~np.isfinite(phases))
+    if not_finite.size:
+        raise ValueError(f"phase must be finite, got {phases.flat[not_finite[0]].item()}")
+    root = np.sqrt(coeffs)
+    distance = np.square(1.0 - root) + 4.0 * root * np.square(np.sin(phases / 2.0))
+    fidelities = np.frompyfunc(math.exp, 1, 1)(-nbars * distance / 2.0)  # a float, or an object array
+    return fidelities if isinstance(fidelities, float) else fidelities.astype(float)
 
 
 def fock_fidelity(n: int, c0: complex | np.ndarray) -> float | np.ndarray:

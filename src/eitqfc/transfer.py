@@ -89,21 +89,19 @@ def _mu_q(m: np.ndarray) -> tuple:
     return (tr_re + 1j * tr_im) / 2, q_re + 1j * q_im
 
 
-def _sinch(w: np.ndarray) -> tuple:
-    """expm1(-2w) and the scaled sinch e^{-w} sinh(w)/w = -expm1(-2w)/(2w) of roots w with Re w >= 0.
+def _sinch(w: np.ndarray) -> np.ndarray:
+    """The scaled sinch e^{-w} sinh(w)/w = -expm1(-2w)/(2w) of roots w with Re w >= 0.
 
     For a principal root (np.sqrt(q), or that times a real t >= 0)
     e^{-2w} is bounded however large w grows; expm1 keeps the sinch
-    accurate as w -> 0, and w = 0 gives exactly 0 and 1.
+    accurate as w -> 0, and w = 0 gives exactly 1.
     """
-    em1 = np.expm1(-2 * w)
-    return em1, np.divide(-em1, 2 * w, out=np.ones_like(w), where=w != 0)
+    return np.divide(-np.expm1(-2 * w), 2 * w, out=np.ones_like(w), where=w != 0)
 
 
 def _cosh_sinch(w: np.ndarray) -> tuple:
     """e^{-w} cosh(w) = (1 + e^{-2w})/2 and the scaled sinch of _sinch; w = 0 gives exactly 1 and 1."""
-    _, s = _sinch(w)
-    return (1 + np.exp(-2 * w)) / 2, s
+    return (1 + np.exp(-2 * w)) / 2, _sinch(w)
 
 
 def _propagator(m: np.ndarray) -> tuple:
@@ -144,11 +142,12 @@ def _scattering(m: np.ndarray) -> np.ndarray:
     m21/tee and D = e^{mu-w}/tee: ratios of bounded terms.  Unchecked:
     _solvable holds the conditions under which the result is usable.
     """
-    return _resolve(m, *_propagator(m))
+    mu, w, _, s, tee = _propagator(m)
+    return _resolve(m, mu, w, s, tee)
 
 
-def _resolve(m: np.ndarray, mu, w, _, s, tee) -> np.ndarray:
-    """The resolved stack of _scattering from the _propagator values (mu, w, c, s, tee) of ``m``."""
+def _resolve(m: np.ndarray, mu, w, s, tee) -> np.ndarray:
+    """The resolved stack of _scattering from the _propagator values mu, w, s and tee of ``m``."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         resolved = np.empty_like(m)
         resolved[..., 0, 0] = np.exp(-mu - w) / tee
@@ -253,8 +252,8 @@ def _kernel_rows(stack: SpectralStack, rows: tuple = (0, 1)) -> tuple:
     the first frequency whose resolved matrix fails _solvable.
     """
     m = stack.generator * LENGTH
-    mu, w, c, s, tee = _propagator(m)
-    resolved = _resolve(m, mu, w, c, s, tee)
+    mu, w, _, s, tee = _propagator(m)
+    resolved = _resolve(m, mu, w, s, tee)
     _, failure = first_failure(stack.omega, _solvable(resolved), "omega")
     if failure is not None:
         raise failure
@@ -277,7 +276,7 @@ def noise_kernel_block(stack: SpectralStack, z_grid: np.ndarray) -> np.ndarray:
     z_grid = np.asarray(z_grid, dtype=float)
     mu, w, rows = _kernel_rows(stack)
     t = 1 - z_grid / LENGTH
-    _, ts = _sinch(np.multiply.outer(w, t))
+    ts = _sinch(np.multiply.outer(w, t))
     ts *= t
     kernels = []
     for pa, a, pb, b in rows:

@@ -580,25 +580,33 @@ class TestMain:
         assert not out.exists()
 
     def test_sweep_failing_at_first_alpha_gives_the_channel_no_rows(self, tmp_path, capsys, monkeypatch):
-        real_sweep, real_fidelity = cli.propagation_sweep, cli.fock_fidelity
-        stacks = []
+        real_sweep = cli.propagation_sweep
+        stacks = {}
 
         def sweep_failing_at_first_alpha(params, alphas):
             sweep = real_sweep(params, alphas)
             failure = IllPosedBoundary(f"at alpha={float(alphas[0])!r}: backward resonance")
             return PropagationSweep(sweep.alphas[:0], sweep.resolved[:0], failure)
 
-        def recording_fidelity(n, c0):
-            stacks.append(np.shape(c0))
-            return real_fidelity(n, c0)
+        def recording(name):
+            real = getattr(cli, name)
+
+            def law(first, stack, *rest):  # the stack is c0 for fock_fidelity and ce for coherent_fidelity
+                stacks.setdefault(name, []).append(np.shape(stack))
+                return real(first, stack, *rest)
+
+            return law
 
         monkeypatch.setattr(cli, "propagation_sweep", sweep_failing_at_first_alpha)
-        monkeypatch.setattr(cli, "fock_fidelity", recording_fidelity)
+        for name in ("fock_fidelity", "coherent_fidelity"):
+            monkeypatch.setattr(cli, name, recording(name))
         out = tmp_path / "never.csv"
-        assert main(["custom", "--state", "fock", "--grid-points", "5", "--out", str(out)]) == 3
-        assert stacks == [(0,)]
-        assert capsys.readouterr().err == "eitqfc: numerical failure: at alpha=0.0: backward resonance\n"
-        assert not out.exists()
+        for state in ("fock", "coherent"):
+            assert main(["custom", "--state", state, "--grid-points", "5", "--out", str(out)]) == 3
+            assert capsys.readouterr().err == "eitqfc: numerical failure: at alpha=0.0: backward resonance\n"
+            assert not out.exists()
+        # each law is called once, with the whole (empty) stack
+        assert stacks == {"fock_fidelity": [(0,)], "coherent_fidelity": [(0,)]}
 
     def test_invalid_physical_params_exit_2(self, tmp_path):
         cfg = tmp_path / "bad_phys.cfg"
@@ -784,7 +792,8 @@ class TestMain:
         assert out.is_file() == (code == 0)
 
 
-#: sha256 of each subcommand's CSV at its default settings.
+#: sha256 of each subcommand's CSV at its default settings, and of coherent runs on the default grid at
+#: nbar = 2 and 10, whose fidelities reach arguments that nbar = 1 does not.
 GOLDEN_DIGESTS = {
     "fig2": "c80f9f8eca5d4a086d1d2c977fed280c285d571a1b8c0438cbdce6797192d524",
     "fig3": "13e3b979aa1d6147a98713e56412703d76e8776c8d0b215d3b1ea0f98b854968",
@@ -792,6 +801,8 @@ GOLDEN_DIGESTS = {
     "fig4 --state fock": "f512a2febb3cbf0eb48ee95de2530e685983391cb541f143cc84a3b5474040fd",
     "custom --state fock": "24948a7af6d1fd4572ec488a36668374327cb52c7ef1310862773b14bf7da398",
     "custom --state coherent": "a8799759cb01248995dfb65d187041ee9c7b64f9359b3f931a15c0b2586c82a6",
+    "custom --state coherent --nbar 2": "d5a2e2f6cf24650a1b08c01cd7f5ff26f295200d7d066d2c4a58a92f5899bfd1",
+    "custom --state coherent --nbar 10": "606382f4dcc35438af323172c48ecfcc83e5250ead27f8f225fbb850072f846d",
     "custom --state squeezed": "3036de99270f7b2a2322c1d4a38c2492a37088cbcf7679c7559a3584899442fc",
 }
 

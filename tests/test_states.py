@@ -425,8 +425,12 @@ class TestFidelity:
     @pytest.mark.parametrize("nbar, ce", [(float("nan"), 0.5), (math.inf, 1.0), (-1.0, 0.5), (1.0, float("nan"))])
     def test_coherent_fidelity_rejects_a_non_finite_or_negative_input(self, nbar, ce):
         # nan and inf used to come back as a nan fidelity
-        with pytest.raises(ValueError, match=r"^need nbar >= 0 and ce in \[0, 1\], got "):
+        with pytest.raises(ValueError, match=r"^need nbar >= 0 and ce in \[0, 1\], got ") as single:
             coherent_fidelity(nbar, ce, 0.0)
+        # in a stack, the first bad entry is named, as the number alone would be
+        with pytest.raises(ValueError, match=r"^need nbar >= 0 and ce in \[0, 1\], got ") as stacked:
+            coherent_fidelity(np.array([1.0, nbar, -2.0]), np.array([0.5, ce, 0.5]), np.zeros(3))
+        assert str(stacked.value) == str(single.value) == f"need nbar >= 0 and ce in [0, 1], got {nbar}, {ce}"
 
     def test_squeezed_input_unsupported(self):
         with pytest.raises(TypeError):
@@ -620,6 +624,22 @@ class TestPhaseAwareLaws:
             fidelities = [coherent_fidelity(abs(state.beta) ** 2, ce, 0.0) for ce in ces.tolist()]
             old = [math.exp(-abs(state.beta) ** 2 * (1.0 - math.sqrt(ce)) ** 2 / 2.0) for ce in ces.tolist()]
             assert np.array_equal(_bits(fidelities), _bits(old))
+            stacked = coherent_fidelity(abs(state.beta) ** 2, ces, np.zeros_like(ces))
+            assert np.array_equal(_bits(stacked), _bits(old))
+
+    def test_coherent_fidelity_squares_by_products_and_takes_math_exp(self):
+        rng = np.random.default_rng(31)
+        nbars, ces, phases = (rng.uniform(low, high, 100_000) for low, high in ((0.0, 20.0), (0.0, 1.0), (-7.0, 7.0)))
+        want = []
+        for nbar, ce, phase in zip(nbars.tolist(), ces.tolist(), phases.tolist()):
+            r, s = math.sqrt(ce), math.sin(phase / 2)
+            want.append(math.exp(-nbar * ((1 - r) * (1 - r) + 4 * r * (s * s)) / 2))
+        assert np.array_equal(_bits(coherent_fidelity(nbars, ces, phases)), _bits(want))
+        # a stack of one is the number's law, and a number (or a 0-d array) gives a float
+        single = coherent_fidelity(nbars[0], ces[0], phases[0])
+        assert type(single) is float and type(coherent_fidelity(np.float64(1.0), np.array(0.5), 0)) is float
+        assert np.array_equal(_bits(coherent_fidelity(nbars[:1], ces[:1], phases[:1])), _bits([single]))
+        assert _bits(single) == _bits(want[0])
 
     @pytest.mark.parametrize("state", [s for s in LAW_STATES if not isinstance(s, Squeezed)], ids=repr)
     def test_isotropic_inputs_keep_their_bits_at_any_phase(self, state):
@@ -633,6 +653,8 @@ class TestPhaseAwareLaws:
         message = rf"^phase must be finite, got {phase}$"
         with pytest.raises(ValueError, match=message):
             coherent_fidelity(1.0, 0.5, phase)
+        with pytest.raises(ValueError, match=message):
+            coherent_fidelity(1.0, np.full(3, 0.5), np.array([0.0, phase, math.nan]))
         for state in (Fock(1), Squeezed(0.3)):
             with pytest.raises(ValueError, match=message):
                 output_variances(state, 0.5, phase)
