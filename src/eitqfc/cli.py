@@ -4,8 +4,9 @@ Subcommands:
 
 * ``fig2``   -- probe transmittance and conversion efficiency versus
                optical depth, quantum closed-channel columns next to the
-               independent semiclassical boundary-value solution, each
-               from one sweep over the whole grid; a row that breaks
+               independent semiclassical boundary-value solution, both
+               from one unit-depth spectral solve and each one pass over
+               the whole grid; a row that breaks
                passivity or where the two routes disagree is a
                numerical failure;
 * ``fig3``   -- conversion fidelity versus CE for coherent inputs with
@@ -48,7 +49,7 @@ from .states import (
     output_variances,
     passive_amplitudes,
 )
-from .transfer import propagation_sweep, semiclassical_sweep
+from .transfer import optical_depth_routes, propagation_sweep
 
 #: Default squeezing magnitude: variance ratio of exactly 4 (6.02 dB).
 DEFAULT_SQUEEZE_R = math.log(2.0)
@@ -195,9 +196,10 @@ def _check_oracle(table: np.ndarray) -> None:
 def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[str], np.ndarray]:
     """Transmittance and CE versus optical depth, quantum and semiclassical.
 
-    The quantum columns come from one propagation_sweep and the
-    semiclassical ones from one semiclassical_sweep over the rows the
-    quantum sweep solved.  A row whose power columns exceed
+    One unit-depth spectral solve serves both routes
+    (optical_depth_routes): the quantum columns come from the scattering
+    core and the semiclassical ones from the invariant imbedding over the
+    rows the quantum route solved.  A row whose power columns exceed
     1 + PASSIVITY_TOL, or whose semiclassical columns leave the quantum
     ones by more than ORACLE_TOL, is a numerical failure: it is never
     written.
@@ -205,18 +207,10 @@ def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[st
     overrides = overrides or {}
     header = ["alpha", "tp_quantum", "ce_quantum", "tp_semiclassical", "ce_semiclassical"]
     params = _sweep_params(alphas, overrides)
-    quantum = propagation_sweep(params, alphas)
-    classical = semiclassical_sweep(params, quantum.alphas)
+    quantum, classical = optical_depth_routes(params, alphas)
     solved = quantum.resolved[: classical.alphas.size]
-    table = np.column_stack(
-        [
-            classical.alphas,
-            _powers(solved[:, 0, 0]),
-            _powers(solved[:, 1, 0]),
-            _powers(classical.resolved[:, 0, 0]),
-            _powers(classical.resolved[:, 1, 0]),
-        ]
-    )
+    # column 0 of each resolved matrix holds (A, C): the transmittance and the CE of one route
+    table = np.column_stack([classical.alphas, _powers(solved[:, :, 0]), _powers(classical.resolved[:, :, 0])])
     _check_oracle(table)
     for failure in (classical.failure, quantum.failure):
         if failure is not None:

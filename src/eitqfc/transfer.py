@@ -31,11 +31,12 @@ Introduction to Invariant Imbedding*, 1975): one slab per distinct gap
 of the sorted grid, a classical RK4 step of the imbedding (Riccati)
 equations on a thin seed widened by star-squarings, and cumulative
 Redheffer star products along the grid.  It forms no e^{-ML}, no
-eigenvalue and no cosh or sinch, so it stays independent of the
-quantum route.  Both sweeps return a PropagationSweep: the resolved
-matrices of the rows before the first optical depth that fails, plus
-that row's error; a single point is a one-row grid.  ``expm2``, e^{-M}
-itself in the core's form, is the reference route of the tests: the
+eigenvalue, cosh or sinch, so it stays independent of the quantum
+route, yet scales the same M(1): ``optical_depth_routes`` gives both
+sweeps from one unit-depth solve.  Each returns a PropagationSweep: the
+resolved matrices of the rows before the first optical depth that
+fails, plus that row's error; a single point is a one-row grid.  The
+tests check the core against ``expm2``, e^{-M} in the core's form; the
 package never forms e^{-ML}.
 """
 
@@ -47,7 +48,7 @@ from operator import truediv
 
 import numpy as np
 
-from .errors import IllPosedBoundary, NegativeOD, QfcError, SingularSystem, at, first_failure
+from .errors import IllPosedBoundary, NegativeOD, NonFiniteParameter, QfcError, SingularSystem, at, first_failure
 from .params import LENGTH, SystemParams
 from .spectral import SpectralStack, solve_susceptibility_stack
 
@@ -160,15 +161,17 @@ def _resolve(m: np.ndarray, mu, w, s, tee) -> np.ndarray:
 def _grid_generator(params: SystemParams, alphas, omega: float) -> tuple[np.ndarray, np.ndarray]:
     """The 1-D optical-depth grid as floats, and m = M(1) L (2, 2) at ``omega`` from one spectral solve.
 
-    A grid that is not 1-D is a ValueError and a negative entry a
-    NegativeOD.  M(alpha) = alpha M(1), so ``alphas[:, None, None] * m``
-    is the generator ML on the whole grid; the alpha of ``params`` is
-    not read.  The 3x3 response is alpha-free, so a SingularSystem fails
-    the first row of the grid, and its message names that row.
+    A grid that is not 1-D is a ValueError, a NaN or infinite entry a
+    NonFiniteParameter and a negative one a NegativeOD.  M(alpha) = alpha
+    M(1), so ``alphas[:, None, None] * m`` is the generator ML on the
+    whole grid; ``params.alpha`` is not read.  The 3x3 response is
+    alpha-free, so a SingularSystem fails, and names, the grid's first row.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1:
         raise ValueError(f"optical depths must form a 1-D grid, got shape {alphas.shape}")
+    if not np.isfinite(alphas).all():
+        raise NonFiniteParameter(f"optical depth must be finite, got {alphas[~np.isfinite(alphas)][0]}")
     if (alphas < 0).any():
         raise NegativeOD(f"optical depth must be >= 0, got {alphas[alphas < 0][0]}")
     try:
@@ -216,7 +219,11 @@ def propagation_sweep(params: SystemParams, alphas: np.ndarray, omega: float = 0
     fails _solvable (a backward resonance).  A singular 3x3 response
     raises SingularSystem naming the first optical depth.
     """
-    alphas, m = _grid_generator(params, alphas, omega)
+    return _scattering_route(*_grid_generator(params, alphas, omega))
+
+
+def _scattering_route(alphas: np.ndarray, m: np.ndarray) -> PropagationSweep:
+    """propagation_sweep on a checked grid ``alphas`` with m = M(1) L."""
     resolved = _scattering(alphas[:, None, None] * m)
     n, failure = first_failure(alphas, _solvable(resolved))
     return PropagationSweep(alphas=alphas[:n], resolved=resolved[:n], failure=failure)
@@ -428,7 +435,9 @@ def _imbedding_rates(m: np.ndarray, slabs: np.ndarray) -> np.ndarray:
     """
     (m11, m12), (m21, m22) = m
     a, b, _, d = slabs
-    return np.array([a * (m21 * b - m11), (m21 * b + m22 - m11) * b - m12, m21 * a * d, d * (m21 * b + m22)])
+    mb = m21 * b
+    near = mb + m22
+    return np.array([a * (mb - m11), (near - m11) * b - m12, m21 * a * d, d * near])
 
 
 def _seed_slabs(m: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -443,7 +452,7 @@ def _seed_slabs(m: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return widths / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _star(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _star(first: np.ndarray, second: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The Redheffer star product of stacked slabs (4, n), ``first`` nearer z = 0, and its pivot |1 - B1 C2|.
 
     A slab (A, B, C, D) maps (probe in at its near face, signal in at its
@@ -451,16 +460,22 @@ def _star(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray
     face), like a resolved matrix.  With den = 1 - B1 C2 the pair gives
     A = A2 A1/den, B = B2 + A2 B1 D2/den, C = C1 + D1 C2 A1/den and D =
     D1 D2/den.  On whole slabs, so a small A or C keeps its relative
-    precision.
+    precision.  The rows are written into ``out`` (new if None), which
+    must not overlap either factor.
     """
     a1, b1, c1, d1 = first
     a2, b2, c2, d2 = second
     den = 1 - b1 * c2
-    return np.array([a2 * a1 / den, b2 + a2 * b1 * d2 / den, c1 + d1 * c2 * a1 / den, d1 * d2 / den]), np.abs(den)
+    out = np.empty_like(first) if out is None else out
+    for row, top in enumerate((a2 * a1, a2 * b1 * d2, d1 * c2 * a1, d1 * d2)):
+        np.divide(top, den, out=out[row])
+    out[1] += b2
+    out[2] += c1
+    return out, np.abs(den)
 
 
 def _square(change: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_star of each slab with itself, on and to (A - 1, B, C, D - 1), shape (4, n); and its pivot |1 - B C|.
+    """_star of each slab with itself, in place on (A - 1, B, C, D - 1), shape (4, n); and its pivot |1 - B C|.
 
     A^2/den - 1 = ((A - 1)(A + 1) + B C)/den, B (den + A D)/den, C (den +
     A D)/den and D^2/den - 1 likewise, with den = 1 - B C.  A thin slab
@@ -468,40 +483,44 @@ def _square(change: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whole, its A and D would round to within eps of 1, an error that k
     squarings scale by 2^k.
     """
-    a, b, c, d = change
-    bc = b * c
+    ends, sides = change[::3], change[1:3]  # (A - 1, D - 1) and (B, C)
+    bc = sides[0] * sides[1]
     den = 1 - bc
-    both = (den + (1 + a) * (1 + d)) / den
-    return np.array([(a * (2 + a) + bc) / den, b * both, c * both, (d * (2 + d) + bc) / den]), np.abs(den)
+    grown = 1 + ends
+    both = (den + grown[0] * grown[1]) / den
+    np.multiply(sides, both, out=sides)
+    np.divide(ends * (2 + ends) + bc, den, out=ends)
+    return change, np.abs(den)
 
 
 def _slabs(m: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The slabs (4, n) of the optical-depth widths ``gaps`` (n,), and the smallest pivot met in each.
+    """The slabs (4, n) of the ascending optical-depth widths ``gaps`` (n,), and the smallest pivot met in each.
 
     A width g is a seed (_seed_slabs) of width g/2^k, k the least with
     |m| g/2^k <= 2^-THIN_DOUBLINGS (|m| the largest entry of m), widened
     by k squarings: the first THIN_DOUBLINGS on the change from the
     empty slab (_square), the rest, from |m| width <= 1 on, on whole
-    slabs (_star), so a small A or C keeps its relative precision.  A
-    width of 0 is exactly the empty slab (1, 0, 0, 1).  If every width
-    is 0 no seed is built.
+    slabs (_star), so a small A or C keeps its relative precision.  k
+    ascends with g, so each squaring works in place on one run of columns
+    that stops before any width whose |m| g overflows (k = 0: a seed).  A
+    width of 0 is exactly the empty slab (1, 0, 0, 1); if every width is
+    0 no seed is built.
     """
     change, pivot = np.zeros((4, gaps.size), dtype=complex), np.ones(gaps.size)
-    k = np.zeros(gaps.size, dtype=int)
+    k, stop = np.zeros(gaps.size, dtype=int), 0
     if gaps.any():
-        depth = np.fmax(np.ldexp(np.abs(m).max() * gaps, THIN_DOUBLINGS), 1.0)  # a NaN width gives 1
-        k = np.where(np.isfinite(depth), np.ceil(np.log2(depth)), 0).astype(int)
+        depth = np.fmax(np.ldexp(np.abs(m).max() * gaps, THIN_DOUBLINGS), 1.0)  # a NaN |m| gives 1
+        finite = np.isfinite(depth)
+        k, stop = np.where(finite, np.ceil(np.log2(depth)), 0).astype(int), np.count_nonzero(finite)
         change = _seed_slabs(m, np.ldexp(gaps, -k))
-    thin = min(k.max(initial=0), THIN_DOUBLINGS)
-    for doubling in range(thin):
-        wider = k > doubling
-        change[:, wider], den = _square(change[:, wider])
-        pivot[wider] = np.fmin(pivot[wider], den)
+    starts = np.searchsorted(k[:stop], np.arange(k.max(initial=0)), side="right").tolist()
+    for start in starts[:THIN_DOUBLINGS]:
+        _, den = _square(change[:, start:stop])
+        np.fmin(pivot[start:stop], den, out=pivot[start:stop])
     slabs = change + _EMPTY_SLAB
-    for doubling in range(thin, k.max(initial=0)):
-        wider = k > doubling
-        slabs[:, wider], den = _star(slabs[:, wider], slabs[:, wider])
-        pivot[wider] = np.fmin(pivot[wider], den)
+    for start in starts[THIN_DOUBLINGS:]:
+        slabs[:, start:stop], den = _star(slabs[:, start:stop], slabs[:, start:stop])
+        np.fmin(pivot[start:stop], den, out=pivot[start:stop])
     return slabs, pivot
 
 
@@ -510,16 +529,37 @@ def _cumulative_star(slabs: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, 
 
     ``pivot`` holds the one each slab was built with.  An inclusive scan
     in ceil(log2 n) vectorised rounds (Hillis & Steele, CACM 29, 1170
-    (1986)): the star product is associative.
+    (1986)): the star product is associative.  Each round writes into the
+    other of two buffers; both arguments are overwritten.
     """
-    slabs, pivot = slabs.copy(), pivot.copy()
+    spare = np.empty_like(slabs)
     offset = 1
     while offset < slabs.shape[1]:
-        joined, den = _star(slabs[:, :-offset], slabs[:, offset:])
+        spare[:, :offset] = slabs[:, :offset]
+        _, den = _star(slabs[:, :-offset], slabs[:, offset:], spare[:, offset:])
         pivot[offset:] = np.fmin(np.fmin(pivot[:-offset], pivot[offset:]), den)
-        slabs[:, offset:] = joined
+        slabs, spare = spare, slabs
         offset *= 2
     return slabs, pivot
+
+
+def _imbedding_route(alphas: np.ndarray, m: np.ndarray) -> PropagationSweep:
+    """semiclassical_sweep on a checked grid ``alphas`` with m = M(1) L at omega = 0."""
+    times, row_of = np.unique(alphas, return_inverse=True)
+    gaps, gap_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slabs, pivot = _slabs(m, gaps)
+        slabs, pivot = _cumulative_star(slabs[:, gap_of], pivot[gap_of])
+        rows, pivot = slabs.T[row_of], pivot[row_of]
+    finite = np.isfinite(rows).all(axis=1)
+    n, failure = first_failure(
+        alphas,
+        [
+            (pivot < BOUNDARY_TOL, lambda k: IllPosedBoundary(f"imbedding singular: |1 - B C| = {pivot[k]:.3e}")),
+            (~finite, lambda k: IllPosedBoundary("the imbedding gave no finite scattering matrix")),
+        ],
+    )
+    return PropagationSweep(alphas[:n], rows.reshape(-1, 2, 2)[:n], failure)
 
 
 def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> PropagationSweep:
@@ -539,20 +579,15 @@ def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> Propagation
     |1 - B1 C2| below BOUNDARY_TOL, or when its (A, B, C, D) is not
     finite.  ``params.alpha`` is not read.
     """
-    alphas, m = _grid_generator(params, alphas, 0.0)
-    times, row_of = np.unique(alphas, return_inverse=True)
-    gaps, gap_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slabs, pivot = _slabs(m, gaps)
-        slabs, pivot = _cumulative_star(slabs[:, gap_of], pivot[gap_of])
-        slabs, pivot = slabs[:, row_of], pivot[row_of]
-    finite = np.isfinite(slabs).all(axis=0)
-    n, failure = first_failure(
-        alphas,
-        [
-            (pivot < BOUNDARY_TOL, lambda k: IllPosedBoundary(f"imbedding singular: |1 - B C| = {pivot[k]:.3e}")),
-            (~finite, lambda k: IllPosedBoundary("the imbedding gave no finite scattering matrix")),
-        ],
-    )
-    return PropagationSweep(alphas[:n], slabs.T.reshape(-1, 2, 2)[:n], failure)
+    return _imbedding_route(*_grid_generator(params, alphas, 0.0))
 
+
+def optical_depth_routes(params: SystemParams, alphas: np.ndarray) -> tuple[PropagationSweep, PropagationSweep]:
+    """propagation_sweep and semiclassical_sweep at omega = 0 from one unit-depth spectral solve.
+
+    The semiclassical sweep runs on the rows the quantum one solved; every
+    row of each is bit for bit what its own sweep gives on that grid.
+    """
+    alphas, m = _grid_generator(params, alphas, 0.0)
+    quantum = _scattering_route(alphas, m)
+    return quantum, _imbedding_route(quantum.alphas, m)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitqfc import cli
+from eitqfc import cli, transfer
 from eitqfc.cli import (
     format_csv,
     main,
@@ -56,6 +56,19 @@ class TestRunFig2:
         assert rows[0][2] == pytest.approx(ce, rel=1e-12)
         assert rows[0][3] == pytest.approx(tp, abs=1e-6)
         assert rows[0][4] == pytest.approx(ce, abs=1e-6)
+
+    def test_both_routes_share_one_unit_depth_solve(self, monkeypatch):
+        # M(alpha) = alpha M(1): the quantum and the semiclassical columns scale the same generator
+        real_solve, solves = transfer.solve_susceptibility_stack, []
+
+        def counting_solve(params, omegas):
+            solves.append((params.alpha, list(omegas)))
+            return real_solve(params, omegas)
+
+        monkeypatch.setattr(transfer, "solve_susceptibility_stack", counting_solve)
+        _, rows = run_fig2(np.linspace(0.0, 400.0, 401))
+        assert len(rows) == 401
+        assert solves == [(1.0, [0.0])]
 
     def test_largest_optical_depth_passes_the_oracle_gate(self):
         alphas = np.linspace(0.0, 1e6, 401)
@@ -545,19 +558,30 @@ class TestMain:
         assert (row["var_x"], row["var_y"]) == (var_in, 0.0625 if state == "squeezed" else var_in)
 
     @staticmethod
-    def _sweep_failing_at(monkeypatch, name, row, scaled_c_row=None):
-        """Make cli's sweep ``name`` stop before ``row`` with a failure naming it, and scale one row's C by 1 + 1e-4."""
-        real_sweep = getattr(cli, name)
+    def _routes_failing_at(monkeypatch, quantum_row, classical_row=None, scaled_c_row=None):
+        """Make cli's two routes stop before their rows with failures naming them; scale one classical C by 1 + 1e-4.
 
-        def failing_sweep(params, alphas):
-            sweep = real_sweep(params, alphas)
+        The quantum sweep stops before ``quantum_row``; the semiclassical one keeps the rows the
+        quantum one solved and, if ``classical_row`` is given, stops before it.
+        """
+        real_routes = cli.optical_depth_routes
+
+        def failing(sweep, name, row, scaled_c_row=None):
             resolved = sweep.resolved.copy()
             if scaled_c_row is not None:
                 resolved[scaled_c_row, 1, 0] *= 1 + 1e-4
             failure = IllPosedBoundary(f"at alpha={float(sweep.alphas[row])!r}: {name} fails")
             return PropagationSweep(sweep.alphas[:row], resolved[:row], failure)
 
-        monkeypatch.setattr(cli, name, failing_sweep)
+        def failing_routes(params, alphas):
+            quantum, classical = real_routes(params, alphas)
+            quantum = failing(quantum, "propagation_sweep", quantum_row)
+            classical = PropagationSweep(classical.alphas[:quantum_row], classical.resolved[:quantum_row], None)
+            if classical_row is not None:
+                classical = failing(classical, "semiclassical_sweep", classical_row, scaled_c_row)
+            return quantum, classical
+
+        monkeypatch.setattr(cli, "optical_depth_routes", failing_routes)
 
     @pytest.mark.parametrize(
         "classical_row, scaled_c_row, message",
@@ -571,9 +595,7 @@ class TestMain:
         self, tmp_path, capsys, monkeypatch, classical_row, scaled_c_row, message
     ):
         # the quantum sweep fails at alpha = 4; a classical failure or an oracle gap on an earlier row comes first
-        self._sweep_failing_at(monkeypatch, "propagation_sweep", 4)
-        if classical_row is not None:
-            self._sweep_failing_at(monkeypatch, "semiclassical_sweep", classical_row, scaled_c_row)
+        self._routes_failing_at(monkeypatch, 4, classical_row, scaled_c_row)
         out = tmp_path / "never.csv"
         assert main(["fig2", "--alpha-max", "4", "--grid-points", "5", "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"eitqfc: numerical failure: {message}\n"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitqfc import transfer
-from eitqfc.errors import IllPosedBoundary, NegativeOD, SingularSystem, first_failure
+from eitqfc.errors import IllPosedBoundary, NegativeOD, NonFiniteParameter, SingularSystem, first_failure
 from eitqfc.params import LENGTH, SystemParams, symmetric_params
 from eitqfc.spectral import solve_susceptibilities, solve_susceptibility_stack
 from eitqfc.transfer import (
@@ -19,6 +19,7 @@ from eitqfc.transfer import (
     noise_kernel_block,
     noise_kernel_gram,
     noise_kernels,
+    optical_depth_routes,
     propagation_sweep,
     semiclassical_sweep,
 )
@@ -740,6 +741,15 @@ class TestPropagationSweep:
         with pytest.raises(SingularSystem, match=r"^at alpha=3\.0: .*omega=0\.0"):
             propagation_sweep(SystemParams(alpha=0.0, omega_c=0.0, omega_d=0.0), [3.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("sweep", [propagation_sweep, semiclassical_sweep, optical_depth_routes])
+    def test_non_finite_optical_depth_is_rejected(self, sweep, bad):
+        # named like a non-finite SystemParams field, before any arithmetic can warn or fail a row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteParameter, match=rf"^optical depth must be finite, got {bad}$"):
+                sweep(symmetric_params(1.0), [0.0, 5.0, bad, 7.0, np.nan, -2.0])
+
     def test_negative_optical_depth_is_rejected(self):
         with pytest.raises(NegativeOD):
             propagation_sweep(symmetric_params(1.0), [1.0, -2.0])
@@ -997,6 +1007,164 @@ class TestSemiclassicalSweep:
         # a wide slab is squared whole, so a vanishing transmittance keeps its digits too
         tiny = (tq > 1e-290) & (tq < 1e-30)
         assert np.all(np.abs(tp[tiny] - tq[tiny]) <= 1e-9 * tq[tiny])
+
+
+#: Float (4, 1) column of the empty slab, as the reference imbedding below adds it.
+_EMPTY_COLUMN = np.array([[1.0], [0.0], [0.0], [1.0]])
+
+
+def _reference_rates(m, slabs):
+    (m11, m12), (m21, m22) = m
+    a, b, _, d = slabs
+    return np.array([a * (m21 * b - m11), (m21 * b + m22 - m11) * b - m12, m21 * a * d, d * (m21 * b + m22)])
+
+
+def _reference_seed_slabs(m, widths):
+    k1 = _reference_rates(m, _EMPTY_COLUMN)
+    k2 = _reference_rates(m, _EMPTY_COLUMN + widths / 2 * k1)
+    k3 = _reference_rates(m, _EMPTY_COLUMN + widths / 2 * k2)
+    k4 = _reference_rates(m, _EMPTY_COLUMN + widths * k3)
+    return widths / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _reference_star(first, second):
+    a1, b1, c1, d1 = first
+    a2, b2, c2, d2 = second
+    den = 1 - b1 * c2
+    return np.array([a2 * a1 / den, b2 + a2 * b1 * d2 / den, c1 + d1 * c2 * a1 / den, d1 * d2 / den]), np.abs(den)
+
+
+def _reference_square(change):
+    a, b, c, d = change
+    bc = b * c
+    den = 1 - bc
+    both = (den + (1 + a) * (1 + d)) / den
+    return np.array([(a * (2 + a) + bc) / den, b * both, c * both, (d * (2 + d) + bc) / den]), np.abs(den)
+
+
+def _reference_slabs(m, gaps):
+    change, pivot = np.zeros((4, gaps.size), dtype=complex), np.ones(gaps.size)
+    k = np.zeros(gaps.size, dtype=int)
+    if gaps.any():
+        depth = np.fmax(np.ldexp(np.abs(m).max() * gaps, transfer.THIN_DOUBLINGS), 1.0)
+        k = np.where(np.isfinite(depth), np.ceil(np.log2(depth)), 0).astype(int)
+        change = _reference_seed_slabs(m, np.ldexp(gaps, -k))
+    thin = min(k.max(initial=0), transfer.THIN_DOUBLINGS)
+    for doubling in range(thin):
+        wider = k > doubling
+        change[:, wider], den = _reference_square(change[:, wider])
+        pivot[wider] = np.fmin(pivot[wider], den)
+    slabs = change + _EMPTY_COLUMN
+    for doubling in range(thin, k.max(initial=0)):
+        wider = k > doubling
+        slabs[:, wider], den = _reference_star(slabs[:, wider], slabs[:, wider])
+        pivot[wider] = np.fmin(pivot[wider], den)
+    return slabs, pivot
+
+
+def _reference_cumulative_star(slabs, pivot):
+    slabs, pivot = slabs.copy(), pivot.copy()
+    offset = 1
+    while offset < slabs.shape[1]:
+        joined, den = _reference_star(slabs[:, :-offset], slabs[:, offset:])
+        pivot[offset:] = np.fmin(np.fmin(pivot[:-offset], pivot[offset:]), den)
+        slabs[:, offset:] = joined
+        offset *= 2
+    return slabs, pivot
+
+
+def _reference_imbedding(params: SystemParams, alphas: np.ndarray) -> tuple[np.ndarray, int]:
+    """Every row (n, 2, 2) of the reference imbedding on a finite grid, and how many precede the first that fails.
+
+    The imbedding as it was written before its kernels took preallocated output stacks: each
+    product a fresh np.array of four rows, each squaring on a masked copy of its columns, each
+    scan round copied back.  semiclassical_sweep must give the same bits.
+    """
+    m = solve_susceptibility_stack(replace(params, alpha=1.0), [0.0]).generator[0] * LENGTH
+    times, row_of = np.unique(alphas, return_inverse=True)
+    gaps, gap_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slabs, pivot = _reference_slabs(m, gaps)
+        slabs, pivot = _reference_cumulative_star(slabs[:, gap_of], pivot[gap_of])
+    rows, pivot = slabs[:, row_of].T.reshape(-1, 2, 2), pivot[row_of]
+    bad = (pivot < transfer.BOUNDARY_TOL) | ~np.isfinite(rows).all(axis=(1, 2))
+    return rows, int(np.argmax(bad)) if bad.any() else alphas.size
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+_BIT_RNG = np.random.default_rng(3217)
+_BIT_GRIDS = {
+    "default": np.linspace(0.0, 400.0, 401),
+    "fine": np.linspace(0.0, 7.3, 97),
+    "largest": np.linspace(0.0, 1e6, 401),
+    "log-uniform": np.concatenate([[0.0], 10.0 ** _BIT_RNG.uniform(-2.0, 6.0, 60)]),
+    "unsorted-repeats": np.array([300.0, 4.0, 0.0, 300.0, 17.5, 4.0, 1e5, 0.0, 2.5, 17.5]),
+    "all-zero": np.zeros(4),
+    "single": np.array([42.0]),
+    "single-zero": np.array([0.0]),
+    "overflowing-gap": np.array([0.0, 5.0, 1e306, 2.5]),
+}
+_BIT_CONFIGS = [*_INVARIANT_CONFIGS] + [
+    SystemParams(0.0, *(_BIT_RNG.uniform(0.1, 5.0, 2) * np.exp(2j * np.pi * _BIT_RNG.uniform(size=2))),
+                 *_BIT_RNG.uniform(0.2, 2.0, 2), _BIT_RNG.uniform(1e-4, 0.3))
+    for _ in range(6)
+]
+_BIT_IDS = _INVARIANT_IDS + [f"random-dephased-{k}" for k in range(6)]
+
+
+class TestImbeddingBits:
+    """Both sweeps, alone and through optical_depth_routes, keep every bit of the reference routes (int64 views)."""
+
+    @pytest.mark.parametrize("params", _BIT_CONFIGS, ids=_BIT_IDS)
+    def test_sweeps_keep_the_reference_bits(self, params):
+        # a single-column grid catches in-place multiplies: numpy runs a one-element a *= b
+        # through its reduction loop, which rounds a complex product differently
+        m = solve_susceptibility_stack(replace(params, alpha=1.0), [0.0]).generator[0] * LENGTH
+        for name, alphas in _BIT_GRIDS.items():
+            rows, solved = _reference_imbedding(params, alphas)
+            classical = semiclassical_sweep(params, alphas)
+            assert classical.alphas.size == solved, name
+            assert np.array_equal(_bits(classical.resolved), _bits(rows[:solved])), name
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                scattered = transfer._scattering(alphas[:, None, None] * m)
+            quantum = propagation_sweep(params, alphas)
+            assert np.array_equal(_bits(quantum.resolved), _bits(scattered[: quantum.alphas.size])), name
+            shared_quantum, shared_classical = optical_depth_routes(params, alphas)
+            assert np.array_equal(_bits(shared_quantum.resolved), _bits(quantum.resolved)), name
+            assert str(shared_quantum.failure) == str(quantum.failure), name
+            # the semiclassical route covers the rows the quantum one solved
+            rows, solved = _reference_imbedding(params, quantum.alphas)
+            assert shared_classical.alphas.size == solved, name
+            assert np.array_equal(_bits(shared_classical.resolved), _bits(rows[:solved])), name
+
+    def test_semiclassical_route_stops_with_the_quantum_one(self, monkeypatch):
+        # a core that puts a backward resonance on the fourth row: the imbedding runs on the three before it
+        params, alphas, core = _BIT_CONFIGS[-1], np.array([0.0, 300.0, 4.0, 50.0, 17.5, 300.0]), transfer._scattering
+
+        def resonant_core(m):
+            resolved = core(m)
+            resolved[3, 1, 1] = 1e13
+            return resolved
+
+        monkeypatch.setattr(transfer, "_scattering", resonant_core)
+        quantum, classical = optical_depth_routes(params, alphas)
+        assert str(quantum.failure) == "at alpha=50.0: |1/D| = 1.000e-13 below 1e-12"
+        assert classical.failure is None and list(classical.alphas) == [0.0, 300.0, 4.0]
+        rows, solved = _reference_imbedding(params, alphas[:3])
+        assert solved == 3 and np.array_equal(_bits(classical.resolved), _bits(rows))
+
+    def test_overflowing_widths_are_left_as_seeds(self):
+        # |m| g overflows for the two widest gaps (k = 0): the squarings stop before them
+        m = np.array([[1e3 + 2j, -3.0], [0.5j, -1e3]])
+        gaps = np.array([0.0, 0.5, 3.0, 2e305, 1e307])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            slabs, pivot = transfer._slabs(m, gaps)
+            reference, reference_pivot = _reference_slabs(m, gaps)
+        assert np.array_equal(_bits(slabs), _bits(reference))
+        assert np.array_equal(_bits(pivot), _bits(reference_pivot))
 
 
 _RABI = st.builds(lambda r, t: r * np.exp(1j * t), st.floats(0.1, 5.0), st.floats(-np.pi, np.pi))
