@@ -7,24 +7,25 @@ scattering-matrix route against the independent semiclassical
 boundary-value solver.  In the symmetric configuration both must land
 on the closed forms (4/(4+a))^2 and (a/(4+a))^2: the medium converts
 the probe into the backward signal with efficiency approaching 1 while
-the transmitted probe dies off.  One call gives both routes from one
-unit-depth 3x3 solve, since M(alpha) = alpha M(1): one pass of the
-scattering core for the quantum route and one invariant-imbedding pass
-(a slab per distinct gap, star products along the grid) for the
-semiclassical one.  Each returns the complex resolved matrix
-[[A, B], [C, D]] of every row, and the two are compared entry by
-entry, phases included.
+the transmitted probe dies off.  Both routes scale one unit-depth 3x3
+solve, since M(alpha) = alpha M(1): the quantum sweep makes it and
+runs one pass of the scattering core, and the semiclassical sweep takes
+that sweep's generator into one invariant-imbedding pass (a slab per
+distinct gap, star products along the grid).  Each returns the complex
+resolved matrix [[A, B], [C, D]] of every row, and the two are compared
+entry by entry, phases included.
 """
 
 import numpy as np
 
-from eitqfc import optical_depth_routes, propagation_sweep, symmetric_params
+from eitqfc import propagation_sweep, semiclassical_sweep, symmetric_params
 
 alphas = np.linspace(0.0, 400.0, 81)
 params = symmetric_params(0.0)  # the sweep supplies the optical depths
 
-# the semiclassical route runs on the rows the quantum one solved
-quantum, classical = optical_depth_routes(params, alphas)
+# the semiclassical route runs on the rows the quantum one solved, with its generator
+quantum = propagation_sweep(params, alphas)
+classical = semiclassical_sweep(quantum)
 for sweep in (quantum, classical):
     if sweep.failure is not None:
         raise sweep.failure

@@ -17,7 +17,7 @@ from .spectral import (
     eit_denominator,
     solve_susceptibility_stack,
 )
-from .transfer import PropagationSweep, optical_depth_routes, propagation_sweep, semiclassical_sweep
+from .transfer import PropagationSweep, propagation_sweep, semiclassical_sweep
 from .noise import (
     DiffusionMatrix,
     default_window,

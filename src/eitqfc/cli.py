@@ -49,7 +49,7 @@ from .states import (
     output_variances,
     passive_amplitudes,
 )
-from .transfer import optical_depth_routes, propagation_sweep
+from .transfer import propagation_sweep, semiclassical_sweep
 
 #: Default squeezing magnitude: variance ratio of exactly 4 (6.02 dB).
 DEFAULT_SQUEEZE_R = math.log(2.0)
@@ -153,8 +153,9 @@ def write_csv(path: str, header: Sequence[str], rows: np.ndarray | Sequence[Sequ
 def _sweep_params(alphas: np.ndarray, overrides: dict) -> SystemParams:
     """The physical parameters of an optical-depth sweep, from the physical keys of ``overrides``.
 
-    The grid's smallest value stands in for the optical depth, so a
-    negative one is a configuration error like an invalid physical key.
+    np.min(alphas, initial=0.0) stands in for the optical depth: the
+    grid's smallest value, or 0 for an empty grid.  So a negative value
+    is a configuration error like an invalid physical key.
     """
     kwargs = {k: overrides[k] for k in _PHYSICAL_KEYS if k in overrides}
     try:
@@ -196,18 +197,19 @@ def _check_oracle(table: np.ndarray) -> None:
 def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[str], np.ndarray]:
     """Transmittance and CE versus optical depth, quantum and semiclassical.
 
-    One unit-depth spectral solve serves both routes
-    (optical_depth_routes): the quantum columns come from the scattering
-    core and the semiclassical ones from the invariant imbedding over the
-    rows the quantum route solved.  A row whose power columns exceed
-    1 + PASSIVITY_TOL, or whose semiclassical columns leave the quantum
-    ones by more than ORACLE_TOL, is a numerical failure: it is never
-    written.
+    One unit-depth spectral solve serves both routes: the quantum
+    columns come from propagation_sweep and the semiclassical ones from
+    semiclassical_sweep, the invariant imbedding over the rows the
+    quantum route solved, with its generator.  A row whose power
+    columns exceed 1 + PASSIVITY_TOL, or whose semiclassical columns
+    leave the quantum ones by more than ORACLE_TOL, is a numerical
+    failure: it is never written.
     """
     overrides = overrides or {}
     header = ["alpha", "tp_quantum", "ce_quantum", "tp_semiclassical", "ce_semiclassical"]
     params = _sweep_params(alphas, overrides)
-    quantum, classical = optical_depth_routes(params, alphas)
+    quantum = propagation_sweep(params, alphas)
+    classical = semiclassical_sweep(quantum)
     solved = quantum.resolved[: classical.alphas.size]
     # column 0 of each resolved matrix holds (A, C): the transmittance and the CE of one route
     table = np.column_stack([classical.alphas, _powers(solved[:, :, 0]), _powers(classical.resolved[:, :, 0])])

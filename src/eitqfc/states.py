@@ -459,4 +459,4 @@ def output_variances(state: InputState, ce: float | np.ndarray, phase: float | n
         raise ValueError(f"phase must be finite, got {phases.flat[not_finite[0]].item()}")
     turn, shear = np.sin(phases) ** 2, np.sin(2 * phases) * cov_xy
     rotated = (var_x + turn * (var_y - var_x) + shear, var_y + turn * (var_x - var_y) - shear)
-    return QuadratureStats(*(ce * var + (1.0 - ce) / 4.0 for var in rotated))
+    return QuadratureStats(*(coeffs * var + (1.0 - coeffs) / 4.0 for var in rotated))

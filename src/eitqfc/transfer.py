@@ -5,8 +5,7 @@ e^{-ML} relating the fields at z = 0 and z = L.  In the backward
 geometry the inputs are the probe at z = 0 and the (vacuum) signal at
 z = L, so what is needed is the resolved (scattering) matrix [[A, B],
 [C, D]] and the spatial noise kernels P_jk, Q_jk; an independent
-semiclassical boundary-value solver cross-checks the resolved matrix at
-omega = 0.
+semiclassical boundary-value solver cross-checks the resolved matrix.
 
 e^{-ML} grows without bound with the optical depth, while the resolved
 entries of a passive medium stay bounded.  So one scaled propagator
@@ -24,20 +23,21 @@ differences of exp per frequency, in one pass per Gram
 oracle for the Gram and the engine of ``noise_kernels``, its
 one-frequency view.
 M(alpha) = alpha M(1), so ``propagation_sweep`` needs one unit-depth
-spectral solve and one pass of the core for a whole optical-depth grid.
-``semiclassical_sweep`` solves the same boundary-value problem by
-invariant imbedding in the optical depth (Bellman & Wing, *An
-Introduction to Invariant Imbedding*, 1975): one slab per distinct gap
-of the sorted grid, a classical RK4 step of the imbedding (Riccati)
-equations on a thin seed widened by star-squarings, and cumulative
-Redheffer star products along the grid.  It forms no e^{-ML}, no
-eigenvalue, cosh or sinch, so it stays independent of the quantum
-route, yet scales the same M(1): ``optical_depth_routes`` gives both
-sweeps from one unit-depth solve.  Each returns a PropagationSweep: the
-resolved matrices of the rows before the first optical depth that
-fails, plus that row's error; a single point is a one-row grid.  The
-tests check the core against ``expm2``, e^{-M} in the core's form; the
-package never forms e^{-ML}.
+spectral solve and one pass of the core for a whole optical-depth grid
+at one omega, and keeps that generator m = M(1) L with its rows.
+``semiclassical_sweep`` takes such a sweep and solves the same
+boundary-value problem on its rows by invariant imbedding in the
+optical depth (Bellman & Wing, *An Introduction to Invariant
+Imbedding*, 1975): one slab per distinct gap of the sorted grid, a
+classical RK4 step of the imbedding (Riccati) equations on a thin seed
+widened by star-squarings, and cumulative Redheffer star products along
+the grid.  It scales the sweep's own m, at the sweep's omega, and reads
+none of its resolved matrices; it forms no e^{-ML}, no eigenvalue, cosh
+or sinch, so it stays independent of the quantum route.  Each returns a
+PropagationSweep: the resolved matrices of the rows before the first
+optical depth that fails, plus that row's error; a single point is a
+one-row grid.  The tests check the core against ``expm2``, e^{-M} in
+the core's form; the package never forms e^{-ML}.
 """
 
 from __future__ import annotations
@@ -158,28 +158,6 @@ def _resolve(m: np.ndarray, mu, w, s, tee) -> np.ndarray:
     return resolved
 
 
-def _grid_generator(params: SystemParams, alphas, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 1-D optical-depth grid as floats, and m = M(1) L (2, 2) at ``omega`` from one spectral solve.
-
-    A grid that is not 1-D is a ValueError, a NaN or infinite entry a
-    NonFiniteParameter and a negative one a NegativeOD.  M(alpha) = alpha
-    M(1), so ``alphas[:, None, None] * m`` is the generator ML on the
-    whole grid; ``params.alpha`` is not read.  The 3x3 response is
-    alpha-free, so a SingularSystem fails, and names, the grid's first row.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1:
-        raise ValueError(f"optical depths must form a 1-D grid, got shape {alphas.shape}")
-    if not np.isfinite(alphas).all():
-        raise NonFiniteParameter(f"optical depth must be finite, got {alphas[~np.isfinite(alphas)][0]}")
-    if (alphas < 0).any():
-        raise NegativeOD(f"optical depth must be >= 0, got {alphas[alphas < 0][0]}")
-    try:
-        return alphas, solve_susceptibility_stack(replace(params, alpha=1.0), [omega]).generator[0] * LENGTH
-    except SingularSystem as exc:
-        raise (at(alphas[0], exc) if alphas.size else exc) from exc
-
-
 def _solvable(resolved: np.ndarray) -> list:
     """The checks, for first_failure, that a resolved stack (n, 2, 2) is a usable boundary solution.
 
@@ -202,31 +180,43 @@ class PropagationSweep:
     ``resolved`` (n, 2, 2) belongs to ``alphas``, the first n values of
     the requested grid, and ``failure`` is the error of the next value
     (its message names that alpha), or None when every row solved.
+    ``generator`` is m = M(1) L (2, 2), the unit-depth generator that
+    the sweep scaled.
     """
 
     alphas: np.ndarray
     resolved: np.ndarray
     failure: QfcError | None
+    generator: np.ndarray
 
 
 def propagation_sweep(params: SystemParams, alphas: np.ndarray, omega: float = 0.0) -> PropagationSweep:
-    """Spectral solve -> resolved (scattering) matrix on a 1-D grid of optical depths.
+    """Spectral solve -> resolved (scattering) matrix on a 1-D grid of optical depths at ``omega``.
 
-    M(alpha) = alpha M(1), so one 3x3 solve (_grid_generator) and one
-    pass of the scattering core serve the whole grid; ``params.alpha``
-    is not read.  Each row is bit for bit what the one-row grid
-    gives.  A row fails with IllPosedBoundary when its resolved matrix
-    fails _solvable (a backward resonance).  A singular 3x3 response
-    raises SingularSystem naming the first optical depth.
+    M(alpha) = alpha M(1), so one 3x3 solve of m = M(1) L and one pass
+    of the scattering core on ``alphas[:, None, None] * m`` serve the
+    whole grid; ``params.alpha`` is not read.  Each row is bit for bit
+    what the one-row grid gives.  A grid that is not 1-D is a
+    ValueError, a NaN or infinite entry a NonFiniteParameter and a
+    negative one a NegativeOD, before any arithmetic.  The 3x3 response
+    is alpha-free, so a SingularSystem fails, and names, the grid's
+    first row.  A row fails with IllPosedBoundary when its resolved
+    matrix fails _solvable (a backward resonance).
     """
-    return _scattering_route(*_grid_generator(params, alphas, omega))
-
-
-def _scattering_route(alphas: np.ndarray, m: np.ndarray) -> PropagationSweep:
-    """propagation_sweep on a checked grid ``alphas`` with m = M(1) L."""
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1:
+        raise ValueError(f"optical depths must form a 1-D grid, got shape {alphas.shape}")
+    if not np.isfinite(alphas).all():
+        raise NonFiniteParameter(f"optical depth must be finite, got {alphas[~np.isfinite(alphas)][0]}")
+    if (alphas < 0).any():
+        raise NegativeOD(f"optical depth must be >= 0, got {alphas[alphas < 0][0]}")
+    try:
+        m = solve_susceptibility_stack(replace(params, alpha=1.0), [omega]).generator[0] * LENGTH
+    except SingularSystem as exc:
+        raise (at(alphas[0], exc) if alphas.size else exc) from exc
     resolved = _scattering(alphas[:, None, None] * m)
     n, failure = first_failure(alphas, _solvable(resolved))
-    return PropagationSweep(alphas=alphas[:n], resolved=resolved[:n], failure=failure)
+    return PropagationSweep(alphas[:n], resolved[:n], failure, m)
 
 
 @dataclass(frozen=True)
@@ -543,8 +533,25 @@ def _cumulative_star(slabs: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, 
     return slabs, pivot
 
 
-def _imbedding_route(alphas: np.ndarray, m: np.ndarray) -> PropagationSweep:
-    """semiclassical_sweep on a checked grid ``alphas`` with m = M(1) L at omega = 0."""
+def semiclassical_sweep(quantum: PropagationSweep) -> PropagationSweep:
+    """Classical two-point boundary-value solution on the rows of a quantum sweep, with its generator.
+
+    Drops all noise terms and solves the coupled field equations for
+    probe(0) = 1, signal(L) = 0 by invariant imbedding in the optical
+    depth: M(alpha) = alpha M(1), so with m = ``quantum.generator`` a
+    slab of depth g follows from the imbedding equations
+    (_imbedding_rates), and each row of ``quantum.alphas`` is the star
+    product of one slab per gap of the sorted distinct values up to it
+    (_slabs, built once per distinct gap, then _cumulative_star).
+    ``quantum.resolved`` is not read.  Each row's slab (A, B, C, D) is
+    its resolved [[A, B], [C, D]], so |probe(L)|^2 = |A|^2 and
+    |signal(0)|^2 = |C|^2.  No matrix exponential, eigenvalue or
+    shooting step: every entry stays bounded for a passive medium.  A
+    row fails with IllPosedBoundary, like a row of propagation_sweep,
+    when a star product it needed has a pivot |1 - B1 C2| below
+    BOUNDARY_TOL, or when its (A, B, C, D) is not finite.
+    """
+    alphas, m = quantum.alphas, quantum.generator
     times, row_of = np.unique(alphas, return_inverse=True)
     gaps, gap_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -559,35 +566,4 @@ def _imbedding_route(alphas: np.ndarray, m: np.ndarray) -> PropagationSweep:
             (~finite, lambda k: IllPosedBoundary("the imbedding gave no finite scattering matrix")),
         ],
     )
-    return PropagationSweep(alphas[:n], rows.reshape(-1, 2, 2)[:n], failure)
-
-
-def semiclassical_sweep(params: SystemParams, alphas: np.ndarray) -> PropagationSweep:
-    """Classical two-point boundary-value solution at omega = 0 on a 1-D optical-depth grid.
-
-    Drops all noise terms and solves the coupled field equations for
-    probe(0) = 1, signal(L) = 0 by invariant imbedding in the optical
-    depth: M(alpha) = alpha M(1), so with m = M(1) L a slab of depth g
-    follows from the imbedding equations (_imbedding_rates), and the
-    grid is the star product of one slab per gap of the sorted distinct
-    values (_slabs, built once per distinct gap, then _cumulative_star).
-    Each row's slab (A, B, C, D) is its resolved [[A, B], [C, D]], so
-    |probe(L)|^2 = |A|^2 and |signal(0)|^2 = |C|^2.  No matrix
-    exponential, eigenvalue or shooting step: every entry stays bounded
-    for a passive medium.  A row fails with IllPosedBoundary, like a row
-    of propagation_sweep, when a star product it needed has a pivot
-    |1 - B1 C2| below BOUNDARY_TOL, or when its (A, B, C, D) is not
-    finite.  ``params.alpha`` is not read.
-    """
-    return _imbedding_route(*_grid_generator(params, alphas, 0.0))
-
-
-def optical_depth_routes(params: SystemParams, alphas: np.ndarray) -> tuple[PropagationSweep, PropagationSweep]:
-    """propagation_sweep and semiclassical_sweep at omega = 0 from one unit-depth spectral solve.
-
-    The semiclassical sweep runs on the rows the quantum one solved; every
-    row of each is bit for bit what its own sweep gives on that grid.
-    """
-    alphas, m = _grid_generator(params, alphas, 0.0)
-    quantum = _scattering_route(alphas, m)
-    return quantum, _imbedding_route(quantum.alphas, m)
+    return PropagationSweep(alphas[:n], rows.reshape(-1, 2, 2)[:n], failure, m)

@@ -69,7 +69,7 @@ def test_criterion_2_efficiency_sweep():
             tp_q, ce_q = abs(a0) ** 2, abs(c0) ** 2
             assert abs(tp_q - tp_closed) <= 1e-12
             assert abs(ce_q - ce_closed) <= 1e-12
-            classical = semiclassical_sweep(params, [params.alpha])
+            classical = semiclassical_sweep(propagation_sweep(params, [params.alpha]))
             tp_s, ce_s = np.abs(classical.resolved[0, :, 0]) ** 2
             assert abs(tp_s - tp_q) <= 1e-6
             assert abs(ce_s - ce_q) <= 1e-6

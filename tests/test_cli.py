@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from eitqfc.cli import (
 from eitqfc.errors import ConfigError, IllPosedBoundary, NonPassiveAmplitude, QfcError
 from eitqfc.params import SystemParams
 from eitqfc.states import Coherent, apply_loss_channel, coherent_dm, coherent_fidelity, fidelity
-from eitqfc.transfer import PropagationSweep, propagation_sweep, semiclassical_sweep
+from eitqfc.transfer import propagation_sweep, semiclassical_sweep
 from test_states import quadrature_moments, squeezed_dm
 
 
@@ -519,7 +520,7 @@ class TestMain:
             sweep = real_sweep(params, alphas)
             resolved = sweep.resolved.copy()
             resolved[row, 1, 0] = c0
-            return PropagationSweep(sweep.alphas, resolved, sweep.failure)
+            return replace(sweep, resolved=resolved)
 
         monkeypatch.setattr(cli, "propagation_sweep", sweep_with_amplitude)
 
@@ -559,29 +560,31 @@ class TestMain:
 
     @staticmethod
     def _routes_failing_at(monkeypatch, quantum_row, classical_row=None, scaled_c_row=None):
-        """Make cli's two routes stop before their rows with failures naming them; scale one classical C by 1 + 1e-4.
+        """Make cli's two sweeps stop before their rows with failures naming them; scale one classical C by 1 + 1e-4.
 
-        The quantum sweep stops before ``quantum_row``; the semiclassical one keeps the rows the
-        quantum one solved and, if ``classical_row`` is given, stops before it.
+        The quantum sweep stops before ``quantum_row``, so the semiclassical one covers the rows
+        before it; if ``classical_row`` is given, the semiclassical one stops before that row.
         """
-        real_routes = cli.optical_depth_routes
+        real_quantum, real_classical = cli.propagation_sweep, cli.semiclassical_sweep
 
         def failing(sweep, name, row, scaled_c_row=None):
             resolved = sweep.resolved.copy()
             if scaled_c_row is not None:
                 resolved[scaled_c_row, 1, 0] *= 1 + 1e-4
             failure = IllPosedBoundary(f"at alpha={float(sweep.alphas[row])!r}: {name} fails")
-            return PropagationSweep(sweep.alphas[:row], resolved[:row], failure)
+            return replace(sweep, alphas=sweep.alphas[:row], resolved=resolved[:row], failure=failure)
 
-        def failing_routes(params, alphas):
-            quantum, classical = real_routes(params, alphas)
-            quantum = failing(quantum, "propagation_sweep", quantum_row)
-            classical = PropagationSweep(classical.alphas[:quantum_row], classical.resolved[:quantum_row], None)
-            if classical_row is not None:
-                classical = failing(classical, "semiclassical_sweep", classical_row, scaled_c_row)
-            return quantum, classical
+        def failing_quantum(params, alphas):
+            return failing(real_quantum(params, alphas), "propagation_sweep", quantum_row)
 
-        monkeypatch.setattr(cli, "optical_depth_routes", failing_routes)
+        def failing_classical(quantum):
+            classical = real_classical(quantum)
+            if classical_row is None:
+                return classical
+            return failing(classical, "semiclassical_sweep", classical_row, scaled_c_row)
+
+        monkeypatch.setattr(cli, "propagation_sweep", failing_quantum)
+        monkeypatch.setattr(cli, "semiclassical_sweep", failing_classical)
 
     @pytest.mark.parametrize(
         "classical_row, scaled_c_row, message",
@@ -608,7 +611,7 @@ class TestMain:
         def sweep_failing_at_first_alpha(params, alphas):
             sweep = real_sweep(params, alphas)
             failure = IllPosedBoundary(f"at alpha={float(alphas[0])!r}: backward resonance")
-            return PropagationSweep(sweep.alphas[:0], sweep.resolved[:0], failure)
+            return replace(sweep, alphas=sweep.alphas[:0], resolved=sweep.resolved[:0], failure=failure)
 
         def recording(name):
             real = getattr(cli, name)
@@ -967,7 +970,8 @@ class TestPowers:
         cfg.write_text(config)
         alphas = np.linspace(0.0, float(alpha_max), 401)
         params = cli._sweep_params(alphas, parse_config(str(cfg)))
-        for sweep in (propagation_sweep(params, alphas), semiclassical_sweep(params, alphas)):
+        quantum = propagation_sweep(params, alphas)
+        for sweep in (quantum, semiclassical_sweep(quantum)):
             _assert_powers_per_value(sweep.resolved[:, 0, 0])
             _assert_powers_per_value(sweep.resolved[:, 1, 0])
 

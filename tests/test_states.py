@@ -648,6 +648,15 @@ class TestPhaseAwareLaws:
         turned = output_variances(state, ces, phases)
         assert np.array_equal(_bits(np.column_stack(turned)), _bits(output_variances(state, ces, 0.0)).T)
 
+    @pytest.mark.parametrize("state", LAW_STATES, ids=repr)
+    def test_variance_law_reads_lists_as_the_equal_arrays(self, state):
+        # "numbers or arrays": a list of ce or of phases gives the bits of the equal ndarray
+        rng = np.random.default_rng(33)
+        ces, phases = rng.uniform(0.0, 1.0, 50), rng.uniform(-7.0, 7.0, 50)
+        want = _bits(np.column_stack(output_variances(state, ces, phases)))
+        for ce, phase in ((ces.tolist(), phases), (ces, phases.tolist()), (ces.tolist(), phases.tolist())):
+            assert np.array_equal(_bits(np.column_stack(output_variances(state, ce, phase))), want)
+
     @pytest.mark.parametrize("phase", [float("nan"), math.inf, -math.inf])
     def test_a_non_finite_phase_is_rejected(self, phase):
         message = rf"^phase must be finite, got {phase}$"

@@ -14,12 +14,12 @@ from eitqfc.errors import IllPosedBoundary, NegativeOD, NonFiniteParameter, Sing
 from eitqfc.params import LENGTH, SystemParams, symmetric_params
 from eitqfc.spectral import solve_susceptibilities, solve_susceptibility_stack
 from eitqfc.transfer import (
+    PropagationSweep,
     coupling_matrix,
     expm2,
     noise_kernel_block,
     noise_kernel_gram,
     noise_kernels,
-    optical_depth_routes,
     propagation_sweep,
     semiclassical_sweep,
 )
@@ -621,19 +621,19 @@ _MIRROR = np.array([[0.0], [1.0], [1.0], [0.0]], dtype=complex)
 
 class TestSemiclassical:
     def test_matches_quantum_at_crossover(self):
-        sweep = semiclassical_sweep(symmetric_params(4.0), [4.0])
+        sweep = semiclassical_sweep(propagation_sweep(symmetric_params(4.0), [4.0]))
         tp, ce = np.abs(sweep.resolved[0, :, 0]) ** 2
         assert tp == pytest.approx(0.25, abs=1e-9)
         assert ce == pytest.approx(0.25, abs=1e-9)
 
     def test_empty_medium(self):
-        sweep = semiclassical_sweep(symmetric_params(0.0), [0.0])
+        sweep = semiclassical_sweep(propagation_sweep(symmetric_params(0.0), [0.0]))
         tp, ce = np.abs(sweep.resolved[0, :, 0]) ** 2
         assert tp == pytest.approx(1.0, abs=1e-12)
         assert ce == pytest.approx(0.0, abs=1e-12)
 
     def test_high_od(self):
-        sweep = semiclassical_sweep(symmetric_params(200.0), [200.0])
+        sweep = semiclassical_sweep(propagation_sweep(symmetric_params(200.0), [200.0]))
         tp, ce = np.abs(sweep.resolved[0, :, 0]) ** 2
         assert tp == pytest.approx((4 / 204) ** 2, abs=1e-6)
         assert ce == pytest.approx((200 / 204) ** 2, abs=1e-6)
@@ -641,7 +641,7 @@ class TestSemiclassical:
     def test_agrees_with_quantum_on_sample_grid(self):
         for alpha in (0.0, 1.0, 7.0, 63.0, 311.0):
             p = symmetric_params(alpha)
-            classical = semiclassical_sweep(p, [p.alpha])
+            classical = semiclassical_sweep(propagation_sweep(p, [p.alpha]))
             (a0, _), (c0, _) = propagation_sweep(p, [p.alpha]).resolved[0]
             assert abs(np.abs(classical.resolved[0, 0, 0]) ** 2 - abs(a0) ** 2) < 1e-6
             assert abs(np.abs(classical.resolved[0, 1, 0]) ** 2 - abs(c0) ** 2) < 1e-6
@@ -649,14 +649,14 @@ class TestSemiclassical:
     def test_shooting_failure_guard(self, monkeypatch):
         # a perfect mirror facing itself makes the first squaring singular; seeds are changes from the empty slab
         monkeypatch.setattr(transfer, "_seed_slabs", lambda m, widths: (_MIRROR - _EMPTY) * np.ones(widths.size))
-        failure = semiclassical_sweep(symmetric_params(4.0), [4.0]).failure
+        failure = semiclassical_sweep(propagation_sweep(symmetric_params(4.0), [4.0])).failure
         assert isinstance(failure, IllPosedBoundary)
         assert str(failure) == "at alpha=4.0: imbedding singular: |1 - B C| = 0.000e+00"
 
     def test_asymmetric_parameters_still_consistent(self):
         # no closed form here; quantum matrix route and the BVP must agree
         p = SystemParams(alpha=30.0, omega_c=1.5, omega_d=0.9, gamma31=1.2, gamma41=0.8, gamma21=0.01)
-        classical = semiclassical_sweep(p, [p.alpha])
+        classical = semiclassical_sweep(propagation_sweep(p, [p.alpha]))
         (a0, _), (c0, _) = propagation_sweep(p, [p.alpha]).resolved[0]
         assert abs(np.abs(classical.resolved[0, 0, 0]) ** 2 - abs(a0) ** 2) < 1e-8
         assert abs(np.abs(classical.resolved[0, 1, 0]) ** 2 - abs(c0) ** 2) < 1e-8
@@ -742,22 +742,18 @@ class TestPropagationSweep:
             propagation_sweep(SystemParams(alpha=0.0, omega_c=0.0, omega_d=0.0), [3.0, 0.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("sweep", [propagation_sweep, semiclassical_sweep, optical_depth_routes])
-    def test_non_finite_optical_depth_is_rejected(self, sweep, bad):
+    def test_non_finite_optical_depth_is_rejected(self, bad):
         # named like a non-finite SystemParams field, before any arithmetic can warn or fail a row
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteParameter, match=rf"^optical depth must be finite, got {bad}$"):
-                sweep(symmetric_params(1.0), [0.0, 5.0, bad, 7.0, np.nan, -2.0])
+                propagation_sweep(symmetric_params(1.0), [0.0, 5.0, bad, 7.0, np.nan, -2.0])
 
     def test_negative_optical_depth_is_rejected(self):
         with pytest.raises(NegativeOD):
             propagation_sweep(symmetric_params(1.0), [1.0, -2.0])
-        with pytest.raises(NegativeOD):
-            semiclassical_sweep(symmetric_params(1.0), [-2.0])
-        for sweep in (propagation_sweep, semiclassical_sweep):
-            with pytest.raises(ValueError, match=r"^optical depths must form a 1-D grid, got shape \(1, 2\)$"):
-                sweep(symmetric_params(1.0), [[0.0, 4.0]])
+        with pytest.raises(ValueError, match=r"^optical depths must form a 1-D grid, got shape \(1, 2\)$"):
+            propagation_sweep(symmetric_params(1.0), [[0.0, 4.0]])
 
 
 _INVARIANT_CONFIGS = [
@@ -892,31 +888,31 @@ class TestSemiclassicalSweep:
     def test_matches_one_point_view(self):
         for params in [symmetric_params(0.0, 1.7 * np.exp(2.1j)), *_ASYMMETRIC]:
             alphas = np.linspace(0.0, 400.0, 21)
-            sweep = semiclassical_sweep(params, alphas)
+            sweep = semiclassical_sweep(propagation_sweep(params, alphas))
             assert sweep.failure is None
             tps, ces = np.abs(sweep.resolved[:, 0, 0]) ** 2, np.abs(sweep.resolved[:, 1, 0]) ** 2
             for alpha, tp, ce in zip(alphas, tps, ces):
-                one = semiclassical_sweep(replace(params, alpha=float(alpha)), [alpha])
+                one = semiclassical_sweep(propagation_sweep(replace(params, alpha=float(alpha)), [alpha]))
                 assert abs(tp - np.abs(one.resolved[0, 0, 0]) ** 2) < 1e-10
                 assert abs(ce - np.abs(one.resolved[0, 1, 0]) ** 2) < 1e-10
 
     def test_grid_order_and_repeats_do_not_matter(self):
         params = symmetric_params(0.0, 1.3)
         shuffled = np.array([300.0, 4.0, 0.0, 300.0, 17.5])
-        sweep = semiclassical_sweep(params, shuffled)
-        ordered = semiclassical_sweep(params, np.sort(shuffled))
+        sweep = semiclassical_sweep(propagation_sweep(params, shuffled))
+        ordered = semiclassical_sweep(propagation_sweep(params, np.sort(shuffled)))
         order = np.argsort(shuffled, kind="stable")
         assert np.array_equal(np.abs(sweep.resolved[order, 0, 0]) ** 2, np.abs(ordered.resolved[:, 0, 0]) ** 2)
         assert np.array_equal(np.abs(sweep.resolved[order, 1, 0]) ** 2, np.abs(ordered.resolved[:, 1, 0]) ** 2)
 
     def test_zero_grid_needs_no_integration(self, monkeypatch):
         monkeypatch.setattr(transfer, "_seed_slabs", None)  # any call would fail
-        sweep = semiclassical_sweep(symmetric_params(0.0), [0.0, 0.0])
+        sweep = semiclassical_sweep(propagation_sweep(symmetric_params(0.0), [0.0, 0.0]))
         assert list(np.abs(sweep.resolved[:, 0, 0]) ** 2) == [1.0, 1.0]
         assert list(np.abs(sweep.resolved[:, 1, 0]) ** 2) == [0.0, 0.0]
 
     def test_single_point_crossover(self):
-        sweep = semiclassical_sweep(symmetric_params(0.0), [4.0])
+        sweep = semiclassical_sweep(propagation_sweep(symmetric_params(0.0), [4.0]))
         assert np.abs(sweep.resolved[0, 0, 0]) ** 2 == pytest.approx(0.25, abs=1e-12)
         assert np.abs(sweep.resolved[0, 1, 0]) ** 2 == pytest.approx(0.25, abs=1e-12)
 
@@ -926,7 +922,7 @@ class TestSemiclassicalSweep:
         for _ in range(3):
             params = _random_symmetric(rng)
             quantum = propagation_sweep(params, alphas)
-            classical = semiclassical_sweep(params, alphas)
+            classical = semiclassical_sweep(propagation_sweep(params, alphas))
             assert quantum.failure is None and classical.failure is None
             tp = np.abs(quantum.resolved[:, 0, 0]) ** 2
             ce = np.abs(quantum.resolved[:, 1, 0]) ** 2
@@ -941,7 +937,7 @@ class TestSemiclassicalSweep:
             return _EMPTY + mirror, np.ones(gaps.size)
 
         monkeypatch.setattr(transfer, "_slabs", slabs)
-        sweep = semiclassical_sweep(symmetric_params(0.0), [0.0, 5.0, 15.0, 25.0, 30.0])
+        sweep = semiclassical_sweep(propagation_sweep(symmetric_params(0.0), [0.0, 5.0, 15.0, 25.0, 30.0]))
         assert isinstance(sweep.failure, IllPosedBoundary)
         assert str(sweep.failure) == "at alpha=25.0: imbedding singular: |1 - B C| = 0.000e+00"
         assert list(sweep.alphas) == [0.0, 5.0, 15.0]
@@ -953,7 +949,7 @@ class TestSemiclassicalSweep:
             return np.where(gaps[None, :] >= 10.0, np.nan, _EMPTY), np.ones(gaps.size)
 
         monkeypatch.setattr(transfer, "_slabs", slabs)
-        sweep = semiclassical_sweep(symmetric_params(0.0), [0.0, 5.0, 15.0])
+        sweep = semiclassical_sweep(propagation_sweep(symmetric_params(0.0), [0.0, 5.0, 15.0]))
         assert str(sweep.failure) == "at alpha=15.0: the imbedding gave no finite scattering matrix"
         assert list(sweep.alphas) == [0.0, 5.0]
 
@@ -974,10 +970,21 @@ class TestSemiclassicalSweep:
         # every entry of [[A, B], [C, D]] with its phase, not only |A|^2 and |C|^2
         for alphas, tol in ((np.linspace(0.0, 400.0, 401), 1e-12), (_LARGE_OD_GRID, 1e-13 * (1 + _LARGE_OD_GRID))):
             quantum = propagation_sweep(params, alphas)
-            classical = semiclassical_sweep(params, alphas)
+            classical = semiclassical_sweep(propagation_sweep(params, alphas))
             assert quantum.failure is None and classical.failure is None
             assert classical.resolved.shape == (alphas.size, 2, 2)
             assert np.all(np.max(np.abs(classical.resolved - quantum.resolved), axis=(1, 2)) <= tol)
+
+    @pytest.mark.parametrize("omega", [0.01, 0.3, -0.7])
+    @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
+    def test_complex_matrices_match_the_quantum_route_off_line_centre(self, params, omega):
+        # the oracle scales the sweep's own generator, so it follows the sweep's omega
+        for alphas in (np.linspace(0.0, 400.0, 401), _LARGE_OD_GRID):
+            quantum = propagation_sweep(params, alphas, omega)
+            classical = semiclassical_sweep(quantum)
+            assert quantum.failure is None and classical.failure is None
+            gap = np.max(np.abs(classical.resolved - quantum.resolved), axis=(1, 2))
+            assert np.all(gap <= 1e-13 * (1 + alphas)), np.max(gap / (1 + alphas))
 
     @pytest.mark.parametrize("params", _INVARIANT_CONFIGS, ids=_INVARIANT_IDS)
     def test_gap_to_the_quantum_columns_on_the_default_grid(self, params):
@@ -985,7 +992,7 @@ class TestSemiclassicalSweep:
         quantum = propagation_sweep(params, alphas).resolved
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            classical = semiclassical_sweep(params, alphas)
+            classical = semiclassical_sweep(propagation_sweep(params, alphas))
         assert classical.failure is None
         assert np.max(np.abs(np.abs(classical.resolved[:, 0, 0]) ** 2 - np.abs(quantum[:, 0, 0]) ** 2)) <= 1e-9
         assert np.max(np.abs(np.abs(classical.resolved[:, 1, 0]) ** 2 - np.abs(quantum[:, 1, 0]) ** 2)) <= 1e-9
@@ -996,7 +1003,7 @@ class TestSemiclassicalSweep:
         quantum = propagation_sweep(params, alphas).resolved
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            classical = semiclassical_sweep(params, alphas)
+            classical = semiclassical_sweep(propagation_sweep(params, alphas))
         assert classical.failure is None
         tp, ce = np.abs(classical.resolved[:, 0, 0]) ** 2, np.abs(classical.resolved[:, 1, 0]) ** 2
         assert np.isfinite(tp).all() and np.isfinite(ce).all()
@@ -1116,7 +1123,7 @@ _BIT_IDS = _INVARIANT_IDS + [f"random-dephased-{k}" for k in range(6)]
 
 
 class TestImbeddingBits:
-    """Both sweeps, alone and through optical_depth_routes, keep every bit of the reference routes (int64 views)."""
+    """Both sweeps keep every bit of the reference routes (int64 views)."""
 
     @pytest.mark.parametrize("params", _BIT_CONFIGS, ids=_BIT_IDS)
     def test_sweeps_keep_the_reference_bits(self, params):
@@ -1124,21 +1131,21 @@ class TestImbeddingBits:
         # through its reduction loop, which rounds a complex product differently
         m = solve_susceptibility_stack(replace(params, alpha=1.0), [0.0]).generator[0] * LENGTH
         for name, alphas in _BIT_GRIDS.items():
-            rows, solved = _reference_imbedding(params, alphas)
-            classical = semiclassical_sweep(params, alphas)
-            assert classical.alphas.size == solved, name
-            assert np.array_equal(_bits(classical.resolved), _bits(rows[:solved])), name
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 scattered = transfer._scattering(alphas[:, None, None] * m)
             quantum = propagation_sweep(params, alphas)
+            assert np.array_equal(_bits(quantum.generator), _bits(m)), name
             assert np.array_equal(_bits(quantum.resolved), _bits(scattered[: quantum.alphas.size])), name
-            shared_quantum, shared_classical = optical_depth_routes(params, alphas)
-            assert np.array_equal(_bits(shared_quantum.resolved), _bits(quantum.resolved)), name
-            assert str(shared_quantum.failure) == str(quantum.failure), name
-            # the semiclassical route covers the rows the quantum one solved
+            # the imbedding on every row of the grid, past any row the quantum route fails
+            rows, solved = _reference_imbedding(params, alphas)
+            classical = semiclassical_sweep(PropagationSweep(alphas, scattered, None, m))
+            assert classical.alphas.size == solved, name
+            assert np.array_equal(_bits(classical.resolved), _bits(rows[:solved])), name
+            # on the quantum sweep itself it covers the rows that sweep solved
             rows, solved = _reference_imbedding(params, quantum.alphas)
-            assert shared_classical.alphas.size == solved, name
-            assert np.array_equal(_bits(shared_classical.resolved), _bits(rows[:solved])), name
+            classical = semiclassical_sweep(quantum)
+            assert classical.alphas.size == solved, name
+            assert np.array_equal(_bits(classical.resolved), _bits(rows[:solved])), name
 
     def test_semiclassical_route_stops_with_the_quantum_one(self, monkeypatch):
         # a core that puts a backward resonance on the fourth row: the imbedding runs on the three before it
@@ -1150,7 +1157,8 @@ class TestImbeddingBits:
             return resolved
 
         monkeypatch.setattr(transfer, "_scattering", resonant_core)
-        quantum, classical = optical_depth_routes(params, alphas)
+        quantum = propagation_sweep(params, alphas)
+        classical = semiclassical_sweep(quantum)
         assert str(quantum.failure) == "at alpha=50.0: |1/D| = 1.000e-13 below 1e-12"
         assert classical.failure is None and list(classical.alphas) == [0.0, 300.0, 4.0]
         rows, solved = _reference_imbedding(params, alphas[:3])
@@ -1184,7 +1192,7 @@ def test_the_two_routes_agree_on_the_complex_matrix(omega_c, omega_d, gamma31, g
     params = SystemParams(0.0, omega_c, omega_d, gamma31, gamma41, gamma21)
     alphas = np.concatenate([[0.0], 10.0 ** np.array(exponents)])
     quantum = propagation_sweep(params, alphas)
-    classical = semiclassical_sweep(params, alphas)
+    classical = semiclassical_sweep(propagation_sweep(params, alphas))
     assert quantum.failure is None and classical.failure is None
     gap = np.max(np.abs(quantum.resolved - classical.resolved), axis=(1, 2))
     assert np.all(gap <= 1e-13 * (1 + alphas)), np.max(gap / (1 + alphas))
