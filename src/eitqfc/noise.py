@@ -45,13 +45,14 @@ explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergedIntegral
 from .params import GAMMA, LENGTH, SystemParams
-from .spectral import solve_susceptibility_stack
+from .spectral import SpectralStack, solve_susceptibility_stack
 from .transfer import noise_kernel_gram, propagation_sweep
 
 #: Convergence target for the summed panel error estimates of a noise integral.
@@ -63,6 +64,9 @@ CUSP_WIDTH = 100.0
 
 #: Seed edges at these multiples of the Rabi scale max(|omega_c|, |omega_d|).
 RABI_EDGES = (0.3, 0.6, 1.0, 2.0, 4.0)
+_RABI_EDGES = np.array(RABI_EDGES)
+#: The decade ladder 0.1^k, k = 1 .. 20, of _seed_edges: 20 decades reach the cusp up to alpha ~ 1e10 |Omega|^(1/2).
+_DECADES = 0.1 ** np.arange(1, 21)
 
 
 def _mirror(half: list[float], sign: float) -> np.ndarray:
@@ -166,8 +170,8 @@ def _form(params: SystemParams, d: np.ndarray, row: int, omegas: np.ndarray) -> 
     nonzero = d != 0
     live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     stack = solve_susceptibility_stack(params, omegas)
-    gram = noise_kernel_gram(replace(stack, zeta=stack.zeta[..., live]), row)  # (omega, live, live)
-    return np.einsum("nab,ab->n", gram, d[np.ix_(live, live)]).real
+    gram = noise_kernel_gram(SpectralStack(stack.generator, stack.zeta[..., live], stack.omega), row)
+    return np.einsum("nab,ab->n", gram, d[live][:, live]).real  # gram: (omega, live, live)
 
 
 def _seed_edges(params: SystemParams) -> np.ndarray:
@@ -181,8 +185,8 @@ def _seed_edges(params: SystemParams) -> np.ndarray:
     window = default_window(params)
     rabi = max(abs(params.omega_c), abs(params.omega_d))
     cusp = CUSP_WIDTH * (rabi / max(params.alpha, 1.0)) ** 2
-    decades = 0.3 * rabi * 0.1 ** np.arange(1, 21)  # 20 decades reach the cusp up to alpha ~ 1e10 |Omega|^(1/2)
-    positive = np.concatenate([decades[decades >= cusp / 10], rabi * np.array(RABI_EDGES), [window / 2, window]])
+    decades = 0.3 * rabi * _DECADES
+    positive = np.concatenate([decades[decades >= cusp / 10], rabi * _RABI_EDGES, [window / 2, window]])
     edges = np.sort(np.concatenate([[0.0], positive]))
     return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]  # np.unique, without its numpy.ma import
 
@@ -220,6 +224,7 @@ def _adaptive_noise_integral(
     params: SystemParams, diffusion: DiffusionMatrix | None, row: int, max_doublings: int
 ) -> float:
     """The P (row 0) or Q (row 1) integral, panel-refined Gauss-Kronrod on omega >= 0; INTEGRAL_TOL is read per call."""
+    max_doublings = operator.index(max_doublings)
     if max_doublings < 0:
         raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     d = (diffusion_matrix() if diffusion is None else diffusion).entries
@@ -260,7 +265,8 @@ def langevin_photon_noise(
     where their error estimate is large, until the summed estimate is
     below INTEGRAL_TOL.  ``max_doublings`` bounds the refinement rounds
     after the seed pass: NonConvergedIntegral when they do not reach the
-    tolerance, ValueError when it is negative.  The Gram is built only for
+    tolerance; before any solve, TypeError when it is not an integer and
+    ValueError when it is negative.  The Gram is built only for
     the live slots of ``diffusion``, so the default weak-probe (zero)
     matrix gives exactly 0.0 at the cost of the spectral solve and
     boundary check of the seed pass.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetricCase, SingularG, SingularSystem
+from .errors import NonFiniteParameter, NotSymmetricCase, SingularG, SingularSystem
 from .params import GAMMA, LENGTH, SystemParams, is_symmetric
 
 #: Langevin noise slots: the atomic-coherence subscripts, in the column order of SpectralStack.zeta.
@@ -103,10 +103,10 @@ def _inverse_response(params: SystemParams, omegas: np.ndarray) -> np.ndarray:
     screens the test: for a 3x3 matrix cond_2 <= ||A||_F ||A^-1||_F <= 3
     cond_2 (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, sec. 6.2), so a matrix with ||A||_F ||A^-1||_F <= COND_LIMIT/2
-    passes the SVD test with a factor-2 margin.  Only the others (NaN
-    and inf among them) take it, or the whole stack when np.linalg.inv
-    finds an exactly singular member; a singular member that passes the
-    test raises inv's LinAlgError.
+    passes the SVD test with a factor-2 margin.  Only the others take
+    it, or the whole stack when np.linalg.inv finds an exactly singular
+    member; a singular member that passes the test raises inv's
+    LinAlgError.  The frequencies must be finite.
     """
     matrix = np.multiply.outer(1j * omegas, _EYE3) - build_first_order_system(params)
     try:
@@ -148,11 +148,15 @@ def solve_susceptibility_stack(params: SystemParams, omegas: np.ndarray) -> Spec
     COND_LIMIT by the SVD test, which signals a
     physically degenerate configuration (e.g. both Rabi frequencies and
     the dephasing vanish at omega = 0).  ValueError for ``omegas`` that
-    is not 1-D: one frequency is the grid [omega].
+    is not 1-D: one frequency is the grid [omega].  A NaN or infinite
+    frequency is a NonFiniteParameter that names the first one, before
+    any arithmetic.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1:
         raise ValueError(f"frequencies must form a 1-D grid, got shape {omegas.shape}")
+    if not np.isfinite(omegas).all():
+        raise NonFiniteParameter(f"frequency must be finite, got {omegas[~np.isfinite(omegas)][0]}")
     generator, zeta = _couplings(params.alpha, _inverse_response(params, omegas))
     return SpectralStack(generator=generator, zeta=zeta, omega=omegas)
 

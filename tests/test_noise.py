@@ -243,6 +243,19 @@ class TestNoiseIntegrals:
         with pytest.raises(ValueError, match="max_doublings must be >= 0, got -1"):
             integral(symmetric_params(4.0), diffusion_matrix(0.5, 0.5), max_doublings=-1)
 
+    @pytest.mark.parametrize("bad", [1.5, "2"], ids=["float", "str"])
+    def test_max_doublings_that_is_not_an_integer_is_rejected_before_any_solve(self, monkeypatch, bad):
+        solves = []
+        monkeypatch.setattr(noise, "solve_susceptibility_stack", lambda *args: solves.append(args))
+        for integral in (eta1, langevin_photon_noise):
+            with pytest.raises(TypeError):
+                integral(symmetric_params(4.0), diffusion_matrix(0.5, 0.5), max_doublings=bad)
+        assert solves == []
+
+    def test_max_doublings_may_be_a_numpy_integer(self):
+        p, d = symmetric_params(4.0), diffusion_matrix(0.5, 0.5)
+        assert eta1(p, d, max_doublings=np.int64(2)) == eta1(p, d, max_doublings=2)
+
     @pytest.mark.parametrize("diffusion", [None, diffusion_matrix(0.5, 0.5)])
     def test_singular_system_names_the_frequency(self, diffusion):
         # no Rabi fields and no dephasing: the response is singular at the omega = 0 node

@@ -1,10 +1,11 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from eitqfc import noise, spectral
-from eitqfc.errors import NotSymmetricCase, SingularG, SingularSystem
+from eitqfc.errors import NonFiniteParameter, NotSymmetricCase, SingularG, SingularSystem
 from eitqfc.params import SystemParams, symmetric_params
 from eitqfc.spectral import (
     COND_LIMIT,
@@ -15,6 +16,7 @@ from eitqfc.spectral import (
     solve_susceptibilities,
     solve_susceptibility_stack,
 )
+from eitqfc.transfer import propagation_sweep
 
 
 def _all_coefficients(stack):
@@ -198,6 +200,18 @@ def test_stack_names_first_singular_frequency():
 def test_stack_rejects_a_grid_that_is_not_1d(omegas):
     with pytest.raises(ValueError, match=r"frequencies must form a 1-D grid, got shape \("):
         solve_susceptibility_stack(symmetric_params(2.0), omegas)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_frequency_is_rejected(bad):
+    # named before any arithmetic: no RuntimeWarning from the matrix, no LinAlgError from the SVD test
+    p = symmetric_params(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteParameter, match=rf"^frequency must be finite, got {bad}$"):
+            solve_susceptibility_stack(p, [0.0, 1.5, bad, np.nan, 2.0])
+        with pytest.raises(NonFiniteParameter, match=rf"^frequency must be finite, got {bad}$"):
+            propagation_sweep(p, [0.0, 4.0], omega=bad)
 
 
 def test_one_frequency_is_a_stack_of_one_bit_for_bit():

@@ -1,4 +1,5 @@
 import math
+import operator
 import warnings
 from dataclasses import replace
 from itertools import accumulate
@@ -441,6 +442,12 @@ class TestNoiseGram:
             with pytest.raises(IllPosedBoundary, match=r"omega=1\.0: \|1/D\| = 1\.000e-13"):
                 noise_kernel_gram(empty, 1)
 
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_rejects_a_row_other_than_p_or_q(self, row):
+        stack = solve_susceptibility_stack(symmetric_params(8.0), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match=rf"^kernel row must be 0 \(P\) or 1 \(Q\), got {row}$"):
+            noise_kernel_gram(stack, row)
+
     def test_builds_only_the_rows_asked_for(self):
         stack = solve_susceptibility_stack(SystemParams(alpha=7.0, omega_c=1.5, omega_d=0.8j), np.linspace(-3, 3, 9))
         _, _, both = transfer._kernel_rows(stack)
@@ -568,6 +575,32 @@ class TestDividedDifferencePass:
                 expected = _mpmath_exp_divided_difference(points)
                 worst = max(worst, abs(value - expected) / abs(expected))
         assert worst <= 1e-14
+
+
+class TestTaylorTruncation:
+    def test_dd_terms_is_the_least_order_the_bound_allows(self):
+        # cluster points lie within rho = 3/4 DD_CLUSTER of their centroid, so the sum's real part is at
+        # least e^{-rho} cos rho and its order-n term at most rho^n/n!: below half an ulp from DD_TERMS on
+        rho = 0.75 * transfer.DD_CLUSTER
+        assert math.exp(-rho) * math.cos(rho) >= 0.5
+        term = [rho**n / math.factorial(n) for n in (transfer.DD_TERMS - 1, transfer.DD_TERMS)]
+        assert term[1] < 2.0**-54 <= term[0]
+        x4 = _divided_difference_rows(np.random.default_rng(34), 500, 4, _SPREADS["all_near"], True)
+        assert np.abs(x4 - x4.mean(axis=1, keepdims=True)).max() <= rho
+
+    @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("spreads", list(_SPREADS), ids=list(_SPREADS))
+    def test_more_orders_move_no_real_row(self, monkeypatch, complex_rows, spreads):
+        rng = np.random.default_rng([34, complex_rows, len(_SPREADS[spreads])])
+        x3, x4 = (_divided_difference_rows(rng, 200, k, _SPREADS[spreads], complex_rows) for k in (3, 4))
+        got = transfer._exp_divided_differences(x3, x4)
+        seventeen = [list(accumulate(range(k, k + 17), operator.truediv, initial=1.0))[1:] for k in (3, 4)]
+        monkeypatch.setattr(transfer, "_TAYLOR", np.array(seventeen).T)
+        longer = transfer._exp_divided_differences(x3, x4)
+        for value, expected in zip(got, longer):
+            if not complex_rows:
+                assert np.array_equal(value.view(np.int64), expected.view(np.int64))
+            assert np.all(np.abs(value - expected) <= 4e-16 * np.abs(expected))
 
 
 class TestSingleModeCoefficients:
