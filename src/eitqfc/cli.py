@@ -310,7 +310,7 @@ def parse_config(path: str) -> dict:
     """Read a plain-text key=value configuration file."""
     values: dict = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw_line in enumerate(text.splitlines(), start=1):

@@ -145,10 +145,13 @@ def diffusion_matrix(pop33: float = 0.0, pop44: float = 0.0) -> DiffusionMatrix:
     """Einstein-relation diffusion matrix for given excited populations.
 
     The only nonzero entry is D_{21,12} = (GAMMA/2)(pop44 + pop33); with
-    the weak-probe zero populations the whole matrix vanishes.
+    the weak-probe zero populations the whole matrix vanishes.  Each
+    population lies in [0, 1], and being one atom's, their sum too.
     """
     if not (0.0 <= pop33 <= 1.0 and 0.0 <= pop44 <= 1.0):
         raise ValueError(f"populations must lie in [0, 1], got {pop33}, {pop44}")
+    if pop33 + pop44 > 1.0:
+        raise ValueError(f"populations must add up to at most 1, got {pop33} + {pop44}")
     entries = np.zeros((3, 3), dtype=complex)
     entries[0, 0] = GAMMA / 2 * (pop44 + pop33)
     return DiffusionMatrix(entries=entries)
@@ -303,4 +306,4 @@ def eta2(params: SystemParams, diffusion: DiffusionMatrix | None = None) -> floa
         eta1_value = 0.0
     else:
         eta1_value = eta1(params, diffusion)
-    return 1.0 - abs(c0) ** 2 - abs(d0) ** 2 + eta1_value
+    return float(1.0 - abs(c0) ** 2 - abs(d0) ** 2 + eta1_value)

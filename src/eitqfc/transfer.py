@@ -19,9 +19,8 @@ each (``_kernel_rows``).  Those rows feed two routes.
 products over z in closed form: int_0^L K_a K_b* dz from three divided
 differences of exp per frequency, in one pass per Gram
 (``_exp_divided_differences``, accurate through the degenerate w = 0).
-``noise_kernel_block`` evaluates them on a z grid: the tests' quadrature
-oracle for the Gram and the engine of ``noise_kernels``, its
-one-frequency view.
+``noise_kernel_block`` evaluates them on a z grid, the tests' quadrature
+oracle for the Gram; ``noise_kernels`` is its first frequency.
 M(alpha) = alpha M(1), so ``propagation_sweep`` needs one unit-depth
 spectral solve and one pass of the core for a whole optical-depth grid
 at one omega, and keeps that generator m = M(1) L with its rows.
@@ -36,15 +35,15 @@ none of its resolved matrices; it forms no e^{-ML}, no eigenvalue, cosh
 or sinch, so it stays independent of the quantum route.  Each returns a
 PropagationSweep: the resolved matrices of the rows before the first
 optical depth that fails, plus that row's error; a single point is a
-one-row grid.  The tests check the core against ``expm2``, e^{-M} in
-the core's form; the package never forms e^{-ML}.
+one-row grid.  The package never forms e^{-ML}; ``expm2``, e^{-M} in
+the core's form, is only the tests' reference for the core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate, combinations
-from operator import truediv
+from operator import index, truediv
 
 import numpy as np
 
@@ -127,7 +126,8 @@ def expm2(m: np.ndarray) -> np.ndarray:
 
     Even in w, so the nilpotent / repeated-eigenvalue limit is smooth and
     exact without any branch switch.  One matrix is a stack of one.  An
-    overflowing e^{-M} comes back non-finite.
+    overflowing e^{-M} (off line centre, from alpha near 2,500) comes
+    back non-finite.  Nothing in the package reads it.
     """
     m = np.asarray(m, dtype=complex)
     stack = m.reshape(-1, 2, 2)
@@ -226,14 +226,12 @@ def propagation_sweep(params: SystemParams, alphas: np.ndarray, omega: float = 0
 class NoiseKernels:
     """Spatial noise kernels P_jk(z), Q_jk(z) at one frequency.
 
-    ``p`` and ``q`` have shape (3, len(z_grid)) with rows ordered like
-    NOISE_INDICES = (21, 31, 41).
+    ``p`` and ``q`` have shape (3, nz), a column per z node and rows
+    ordered like NOISE_INDICES = (21, 31, 41).
     """
 
-    z_grid: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    omega: float
 
 
 def _kernel_rows(stack: SpectralStack, rows: tuple = (0, 1)) -> tuple:
@@ -397,8 +395,10 @@ def noise_kernel_gram(stack: SpectralStack, row: int) -> np.ndarray:
     columns of ``stack.zeta``, one divided-difference pass and no z grid.
     IllPosedBoundary names the first frequency whose resolved matrix
     fails _solvable; a zeta with no columns gets that check, no kernel
-    row and an empty Gram.  Any other row is a ValueError.
+    row and an empty Gram.  A non-integer row is a TypeError and any
+    other row a ValueError, before any arithmetic.
     """
+    row = index(row)
     if row not in (0, 1):
         raise ValueError(f"kernel row must be 0 (P) or 1 (Q), got {row!r}")
     mu, w, rows = _kernel_rows(stack, (row,) if stack.zeta.shape[-1] else ())
@@ -411,22 +411,16 @@ def noise_kernel_gram(stack: SpectralStack, row: int) -> np.ndarray:
 
 
 def noise_kernels(stack: SpectralStack, raw: np.ndarray, z_grid: np.ndarray | None = None) -> NoiseKernels:
-    """The noise kernels of a stack of one on ``z_grid`` (by default 257 uniform nodes on [0, L]).
+    """The rows (P, Q) of noise_kernel_block(stack, z_grid)[0], by default on 257 uniform nodes on [0, L].
 
-    ``raw`` = (A', B'; C', D') must be e^{-ML}, the exponential of the
-    stack's generator: it is only checked, and IllPosedBoundary names the
-    frequency when B'/D' or 1/D' is not finite or |D'| < BOUNDARY_TOL.
-    The kernels are noise_kernel_block's, which never form e^{-ML}.
+    ``raw`` is not read: callers pass e^{-ML} there positionally, and the
+    z grid stays the third argument.  The block's boundary check is the
+    only one: IllPosedBoundary names the frequency.
     """
     if z_grid is None:
         z_grid = np.linspace(0.0, LENGTH, 257)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        boundary = np.array([[[0.0, raw[0][1]], [0.0, 1.0]]]) / complex(raw[1][1])
-    _, failure = first_failure(stack.omega, _solvable(boundary), "omega")
-    if failure is not None:
-        raise failure
     kernels = noise_kernel_block(stack, z_grid)[0]
-    return NoiseKernels(np.asarray(z_grid, dtype=float), kernels[:, 0].T, kernels[:, 1].T, float(stack.omega[0]))
+    return NoiseKernels(kernels[:, 0].T, kernels[:, 1].T)
 
 
 def _imbedding_rates(m: np.ndarray, slabs: np.ndarray) -> np.ndarray:

@@ -767,6 +767,15 @@ class TestMain:
         assert err.count("\n") == 1
         assert not (tmp_path / "never.csv").exists()
 
+    def test_config_with_a_utf8_bom_reads_like_one_without(self, tmp_path):
+        text = "omega_c = 1.5\nomega_d = 0.8\nalpha_max = 50\n"
+        (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        (tmp_path / "plain.cfg").write_bytes(text.encode())
+        for name in ("bom", "plain"):
+            argv = ["custom", "--grid-points", "5", "--config", str(tmp_path / f"{name}.cfg")]
+            assert main([*argv, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
     @pytest.mark.parametrize("target", ["missing-directory", "directory"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
         out = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path

@@ -18,7 +18,7 @@ from eitqfc.noise import (
     eta2,
     langevin_photon_noise,
 )
-from eitqfc.params import SystemParams, symmetric_params
+from eitqfc.params import GAMMA, SystemParams, symmetric_params
 from eitqfc.spectral import solve_susceptibilities, solve_susceptibility_stack
 from eitqfc.transfer import (
     coupling_matrix,
@@ -143,6 +143,13 @@ class TestDiffusionMatrix:
             diffusion_matrix(-0.1, 0.0)
         with pytest.raises(ValueError):
             diffusion_matrix(0.0, 1.5)
+        # a value out of range on its own keeps the range message, even when the sum is also too large
+        with pytest.raises(ValueError, match=r"^populations must lie in \[0, 1\], got 1\.5, 0\.0$"):
+            diffusion_matrix(1.5, 0.0)
+        # one atom's two excited populations cannot add up to more than 1
+        with pytest.raises(ValueError, match=r"^populations must add up to at most 1, got 0\.8 \+ 0\.8$"):
+            diffusion_matrix(0.8, 0.8)
+        assert diffusion_matrix(0.5, 0.5).entries[0, 0] == GAMMA / 2  # a sum of exactly 1 is allowed
 
 
 class TestNoiseIntegrals:
@@ -505,6 +512,10 @@ class TestEta2:
         c0, d0 = propagation_sweep(p, [p.alpha]).resolved[0, 1]
         assert eta2(p, d) == 1.0 - abs(c0) ** 2 - abs(d0) ** 2 + eta1(p, d)
         assert eta2(p, diffusion_matrix()) == eta2(p)
+
+    @pytest.mark.parametrize("diffusion", [None, diffusion_matrix(), diffusion_matrix(0.01, 0.01)])
+    def test_returns_a_python_float(self, diffusion):
+        assert type(eta2(symmetric_params(4.0), diffusion)) is float
 
     def test_singular_response_names_the_optical_depth(self):
         # no drive at all makes the 3x3 response singular

@@ -338,8 +338,28 @@ class TestNoiseKernels:
         singular_raw = expm2(stack.generator[1])
         singular_raw[1, 1] = 0.0
         coeffs = solve_susceptibilities(symmetric_params(8.0), 1.0)
-        with pytest.raises(IllPosedBoundary, match="omega=1.0"):
-            noise_kernels(coeffs, singular_raw, np.array([0.5]))
+        view = noise_kernels(coeffs, singular_raw, np.array([0.5]))
+        block = noise_kernel_block(coeffs, np.array([0.5]))[0]
+        assert np.array_equal(_bits(view.p), _bits(block[:, 0].T))
+        assert np.array_equal(_bits(view.q), _bits(block[:, 1].T))
+
+    @pytest.mark.parametrize(
+        "params",
+        [symmetric_params(1e4), SystemParams(alpha=1e4, omega_c=1.5, omega_d=0.8, gamma21=0.02)],
+        ids=["symmetric", "asymmetric-dephased"],
+    )
+    def test_view_is_the_block_where_e_minus_ml_overflows(self, params):
+        # off line centre e^{-ML} overflows from alpha near 2,500; the view never reads it
+        coeffs = solve_susceptibilities(params, 0.3)
+        z = np.linspace(0.0, 1.0, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw = expm2(coupling_matrix(coeffs))
+            view = noise_kernels(coeffs, raw, z)
+            block = noise_kernel_block(coeffs, z)[0]
+        assert not np.isfinite(raw).all()
+        assert np.array_equal(_bits(view.p), _bits(block[:, 0].T))
+        assert np.array_equal(_bits(view.q), _bits(block[:, 1].T))
 
     @pytest.mark.parametrize("params", _KERNEL_CASES, ids=_KERNEL_IDS)
     def test_both_rows_match_80_digit_mpmath(self, params):
@@ -447,6 +467,19 @@ class TestNoiseGram:
         stack = solve_susceptibility_stack(symmetric_params(8.0), np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match=rf"^kernel row must be 0 \(P\) or 1 \(Q\), got {row}$"):
             noise_kernel_gram(stack, row)
+
+    def test_rejects_a_non_integer_row_before_any_arithmetic(self, monkeypatch):
+        stack = solve_susceptibility_stack(symmetric_params(8.0), np.array([0.0, 1.0]))
+        calls = []
+        propagator = transfer._propagator
+        monkeypatch.setattr(transfer, "_propagator", lambda m: calls.append(m) or propagator(m))
+        with pytest.raises(TypeError):
+            noise_kernel_gram(stack, 1.0)
+        assert calls == []
+
+    def test_numpy_integer_row_keeps_the_bits(self):
+        stack = solve_susceptibility_stack(SystemParams(alpha=7.0, omega_c=1.5, omega_d=0.8j), np.linspace(-3, 3, 9))
+        assert np.array_equal(_bits(noise_kernel_gram(stack, np.int64(1))), _bits(noise_kernel_gram(stack, 1)))
 
     def test_builds_only_the_rows_asked_for(self):
         stack = solve_susceptibility_stack(SystemParams(alpha=7.0, omega_c=1.5, omega_d=0.8j), np.linspace(-3, 3, 9))
