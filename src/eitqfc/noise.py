@@ -32,9 +32,12 @@ per panel; while their sum is above INTEGRAL_TOL, the next pass bisects
 each panel whose estimate exceeds its share of the tolerance by width.
 The Gram is built only for the live noise slots, those whose row or
 column of the diffusion matrix holds a non-zero entry: one of three for
-the Einstein matrix.  Zero diffusion has none: every node is still
-solved and boundary-checked, so a singular or ill-posed frequency raises
-as otherwise, and the integral is exactly 0.0 after the seed pass.
+the Einstein matrix.  Zero diffusion (None, or a matrix whose folded
+form is zero) has none, and costs the seed pass's spectral solve and
+boundary check and nothing more: the same Kronrod nodes and panel edges
+an injected call solves first, so a singular or ill-posed frequency
+raises as otherwise, and then the integral is exactly 0.0, with no
+Gram, contraction, error estimate or refinement.
 
 Ground-state dephasing (gamma21 > 0) enters the deterministic
 propagation coefficients but not the diffusion matrix here: its
@@ -162,6 +165,24 @@ def default_window(params: SystemParams) -> float:
     return 10.0 * max(GAMMA, abs(params.omega_c), abs(params.omega_d))
 
 
+def _checked_diffusion(diffusion: DiffusionMatrix | None) -> None:
+    """TypeError, naming the type, for a ``diffusion`` that is neither None nor a DiffusionMatrix."""
+    if diffusion is not None and not isinstance(diffusion, DiffusionMatrix):
+        raise TypeError(f"diffusion must be a DiffusionMatrix or None, got {type(diffusion).__name__}")
+
+
+def _folded(params: SystemParams, d: np.ndarray) -> np.ndarray:
+    """d + conj(d) o (phi phi^H): the form of d at omega plus its form at -omega (the module docstring's phi)."""
+    phi = np.concatenate([[1.0], -np.exp(-2j * np.angle([params.omega_c, params.omega_d]))])
+    return d + d.conj() * np.outer(phi, phi.conj())
+
+
+def _live_gram(params: SystemParams, live, row: int, omegas: np.ndarray) -> np.ndarray:
+    """The spectral solve and boundary check of the omega nodes, then the Gram (omega, live, live) of slots ``live``."""
+    stack = solve_susceptibility_stack(params, omegas)
+    return noise_kernel_gram(SpectralStack(stack.generator, stack.zeta[..., live], stack.omega), row)
+
+
 def _form(params: SystemParams, d: np.ndarray, row: int, omegas: np.ndarray) -> np.ndarray:
     """Re sum_ab d_ab int_0^L K_a K*_b dz at each omega node, shape (omega,).
 
@@ -172,9 +193,7 @@ def _form(params: SystemParams, d: np.ndarray, row: int, omegas: np.ndarray) -> 
     """
     nonzero = d != 0
     live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    stack = solve_susceptibility_stack(params, omegas)
-    gram = noise_kernel_gram(SpectralStack(stack.generator, stack.zeta[..., live], stack.omega), row)
-    return np.einsum("nab,ab->n", gram, d[live][:, live]).real  # gram: (omega, live, live)
+    return np.einsum("nab,ab->n", _live_gram(params, live, row, omegas), d[live][:, live]).real
 
 
 def _seed_edges(params: SystemParams) -> np.ndarray:
@@ -230,12 +249,14 @@ def _adaptive_noise_integral(
     max_doublings = operator.index(max_doublings)
     if max_doublings < 0:
         raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
-    d = (diffusion_matrix() if diffusion is None else diffusion).entries
-    phi = np.concatenate([[1.0], -np.exp(-2j * np.angle([params.omega_c, params.omega_d]))])
-    d = d + d.conj() * np.outer(phi, phi.conj())  # its form at omega is d's at omega plus at -omega
+    _checked_diffusion(diffusion)
+    d = None if diffusion is None else _folded(params, diffusion.entries)
 
     edges = _seed_edges(params)
     lo, hi = edges[:-1], edges[1:]
+    if d is None or not d.any():  # no live slot: the seed pass's solve and boundary check, and nothing more
+        _live_gram(params, slice(0), row, np.concatenate([_kronrod_nodes(lo, hi)[0].ravel(), edges]))
+        return 0.0
     value, error = _panel_pass(params, d, row, lo, hi, edges)
     solved, width = lo.size * _KRONROD_NODES.size + edges.size, edges[-1]
     for _ in range(max_doublings):
@@ -269,10 +290,11 @@ def langevin_photon_noise(
     below INTEGRAL_TOL.  ``max_doublings`` bounds the refinement rounds
     after the seed pass: NonConvergedIntegral when they do not reach the
     tolerance; before any solve, TypeError when it is not an integer and
-    ValueError when it is negative.  The Gram is built only for
-    the live slots of ``diffusion``, so the default weak-probe (zero)
-    matrix gives exactly 0.0 at the cost of the spectral solve and
-    boundary check of the seed pass.
+    ValueError when it is negative, and TypeError when ``diffusion`` is
+    neither None nor a DiffusionMatrix.  The Gram is built only for the
+    live slots of ``diffusion``, so the default weak-probe (zero) matrix
+    gives exactly 0.0 at the cost of the seed pass's spectral solve and
+    boundary check and nothing more.
     """
     return _adaptive_noise_integral(params, diffusion, 0, max_doublings)
 
@@ -294,10 +316,18 @@ def eta2(params: SystemParams, diffusion: DiffusionMatrix | None = None) -> floa
 
     Obtained from [a_s(0,t), a_s^+(0,t)] = 1 as
     eta2 = 1 - |C_0|^2 - |D_0|^2 + eta1, never by direct
-    anti-normally-ordered integration.  With the default (zero)
+    anti-normally-ordered integration.  What it adds is eta1, the
+    omega-integral of the Q form with the prefactor L/(2 pi), not the Q
+    form at omega = 0 that the single-frequency closure gives; the two
+    differ (0.00542 against 0.660 at alpha = 200 for
+    diffusion_matrix(0.01, 0.01), symmetric |Omega| = 1), and which one
+    the definition should hold is still open.  With the default (zero)
     diffusion matrix eta1 vanishes identically, so the integral is
     skipped; a user-supplied diffusion matrix is integrated honestly.
+    TypeError, before any solve, when ``diffusion`` is neither None nor
+    a DiffusionMatrix.
     """
+    _checked_diffusion(diffusion)
     sweep = propagation_sweep(params, [params.alpha])
     if sweep.failure is not None:
         raise sweep.failure

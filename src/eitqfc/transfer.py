@@ -269,9 +269,14 @@ def noise_kernel_block(stack: SpectralStack, z_grid: np.ndarray) -> np.ndarray:
     Per (omega, z) pair one expm1 and the two exponentials.  Returns
     shape (n, nz, 2, k), rows (P, Q) and a column per column of
     ``stack.zeta`` (k = 3 for a solved stack, ordered like
-    NOISE_INDICES).
+    NOISE_INDICES).  A z node that is not finite or lies outside [0,
+    LENGTH] is a ValueError naming the first one, before the boundary
+    check.
     """
     z_grid = np.asarray(z_grid, dtype=float)
+    outside = ~((z_grid >= 0) & (z_grid <= LENGTH))  # NaN fails both comparisons
+    if outside.any():
+        raise ValueError(f"z nodes must be finite and lie in [0, {LENGTH}], got {z_grid[outside][0]}")
     mu, w, rows = _kernel_rows(stack)
     t = 1 - z_grid / LENGTH
     ts = _sinch(np.multiply.outer(w, t))
@@ -343,11 +348,12 @@ def _exp_divided_differences(x3: np.ndarray, x4: np.ndarray) -> tuple[np.ndarray
     y = np.zeros((4, m3 + len(centres[1])), dtype=np.result_type(x3, x4))
     y[:3, :m3], y[:, m3:] = ((cluster - centre[:, None]).T for cluster, centre in zip(clusters, centres))
     h, total = np.ones_like(y), np.ones(y.shape[1], dtype=y.dtype)  # h[j] = h_n(y_0, ..., y_j)
+    term = np.empty_like(total)
     for coefficient in np.repeat(_TAYLOR.astype(y.dtype), [m3, y.shape[1] - m3], axis=1):
-        h = y * h
+        np.multiply(y, h, out=h)
         for j in range(1, 4):  # h_n(y_0..y_j) = h_n(y_0..y_{j-1}) + y_j h_{n-1}(y_0..y_j)
             h[j] += h[j - 1]
-        total += coefficient * h[-1]
+        total += np.multiply(coefficient, h[-1], out=term)
     out3, out4 = np.empty(len(x3), dtype=complex), np.empty(len(x4), dtype=complex)
     out3[~near3] = (last - first) / (far3[:, -1] - far3[:, 0])
     out3[near3] = np.exp(centres[0]) * total[:m3] / 2  # / (k - 1)!
@@ -414,8 +420,8 @@ def noise_kernels(stack: SpectralStack, raw: np.ndarray, z_grid: np.ndarray | No
     """The rows (P, Q) of noise_kernel_block(stack, z_grid)[0], by default on 257 uniform nodes on [0, L].
 
     ``raw`` is not read: callers pass e^{-ML} there positionally, and the
-    z grid stays the third argument.  The block's boundary check is the
-    only one: IllPosedBoundary names the frequency.
+    z grid stays the third argument.  The block's z-node and boundary
+    checks are the only ones: IllPosedBoundary names the frequency.
     """
     if z_grid is None:
         z_grid = np.linspace(0.0, LENGTH, 257)

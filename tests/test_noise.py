@@ -535,3 +535,75 @@ class TestEta2:
         with pytest.raises(IllPosedBoundary) as failure:
             eta2(symmetric_params(4.0))
         assert str(failure.value) == "at alpha=4.0: |1/D| = 1.000e-13 below 1e-12"
+
+
+class TestZeroDiffusionPath:
+    """A zero-diffusion call solves and checks the frequencies of an injected call's seed pass, and nothing more."""
+
+    @staticmethod
+    def _raised(call):
+        try:
+            call()
+        except (SingularSystem, IllPosedBoundary) as exc:
+            return type(exc), str(exc)
+        raise AssertionError("no error raised")
+
+    @pytest.mark.parametrize("case", ["singular", "ill-posed"])
+    def test_raises_what_an_injected_call_raises(self, monkeypatch, case):
+        if case == "singular":  # no Rabi fields and no dephasing: singular at the omega = 0 edge
+            p = SystemParams(alpha=2.0, omega_c=0.0, omega_d=0.0)
+        else:  # every |1/D| of the seed pass lies in [1.005, 4.05]
+            p = symmetric_params(4.0)
+            monkeypatch.setattr(transfer, "BOUNDARY_TOL", 1.5)
+        zero = self._raised(lambda: langevin_photon_noise(p))
+        injected = self._raised(lambda: langevin_photon_noise(p, diffusion_matrix(0.5, 0.5)))
+        assert zero == injected
+        assert zero[0] is (SingularSystem if case == "singular" else IllPosedBoundary)
+        assert "omega=" in zero[1]
+
+    @pytest.mark.parametrize("alpha", [4.0, 200.0, 1e4])
+    def test_one_solve_on_the_seed_frequencies_of_an_injected_call(self, monkeypatch, alpha):
+        calls = []
+        solve = noise.solve_susceptibility_stack
+
+        def recording(params, omegas):
+            calls.append(np.array(omegas))
+            return solve(params, omegas)
+
+        monkeypatch.setattr(noise, "solve_susceptibility_stack", recording)
+        p = symmetric_params(alpha)
+        assert eta1(p) == 0.0
+        assert len(calls) == 1
+        zero = calls.pop()
+        assert langevin_photon_noise(p, diffusion_matrix(0.5, 0.5)) > 0.0
+        assert np.array_equal(zero, calls[0])
+
+    def test_runs_no_panel_rule(self, monkeypatch):
+        grams, passes = [], []
+        gram, panel_pass = noise.noise_kernel_gram, noise._panel_pass
+
+        def recording_gram(stack, row):
+            grams.append(stack.zeta.shape)
+            return gram(stack, row)
+
+        monkeypatch.setattr(noise, "noise_kernel_gram", recording_gram)
+        monkeypatch.setattr(noise, "_panel_pass", lambda *args: passes.append(args) or panel_pass(*args))
+        monkeypatch.setattr(noise, "INTEGRAL_TOL", 1e-30)
+        assert langevin_photon_noise(symmetric_params(4.0), max_doublings=3) == 0.0
+        assert grams == [(155, 2, 0)]  # the boundary check of the seed pass, with no noise slot
+        assert passes == []
+
+
+class TestDiffusionType:
+    @pytest.mark.parametrize(
+        "bad", [np.zeros((3, 3)), np.eye(3), [[0.0] * 3] * 3, 0.0], ids=["zeros", "eye", "list", "float"]
+    )
+    def test_anything_but_a_diffusion_matrix_or_none_is_rejected_before_any_solve(self, monkeypatch, bad):
+        solves = []
+        monkeypatch.setattr(noise, "solve_susceptibility_stack", lambda *args: solves.append(args))
+        monkeypatch.setattr(noise, "propagation_sweep", lambda *args: solves.append(args))  # eta2's one-row sweep
+        message = rf"^diffusion must be a DiffusionMatrix or None, got {type(bad).__name__}$"
+        for call in (langevin_photon_noise, eta1, eta2):
+            with pytest.raises(TypeError, match=message):
+                call(symmetric_params(4.0), bad)
+        assert solves == []

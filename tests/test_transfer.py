@@ -1,3 +1,4 @@
+import hashlib
 import math
 import operator
 import warnings
@@ -1262,3 +1263,34 @@ def test_the_two_routes_agree_on_the_complex_matrix(omega_c, omega_d, gamma31, g
     assert quantum.failure is None and classical.failure is None
     gap = np.max(np.abs(quantum.resolved - classical.resolved), axis=(1, 2))
     assert np.all(gap <= 1e-13 * (1 + alphas)), np.max(gap / (1 + alphas))
+
+
+class TestKernelBlockNodes:
+    @pytest.mark.parametrize(
+        "z_grid, named",
+        [([0.0, 1.0, 2.0, 50.0], "2.0"), ([0.5, np.nan, 0.2], "nan"), ([-1e-300, 0.5], "-1e-300"), ([np.inf], "inf")],
+        ids=["beyond-L", "nan", "below-0", "inf"],
+    )
+    def test_a_node_outside_the_medium_is_rejected_before_the_boundary_check(self, monkeypatch, z_grid, named):
+        checks = []
+        monkeypatch.setattr(transfer, "_propagator", lambda m: checks.append(m))
+        stack = solve_susceptibility_stack(symmetric_params(8.0), np.array([0.0, 0.3]))
+        message = rf"^z nodes must be finite and lie in \[0, {LENGTH}\], got {named}$"
+        with pytest.raises(ValueError, match=message):
+            noise_kernel_block(stack, z_grid)
+        with pytest.raises(ValueError, match=message):
+            noise_kernels(stack, None, z_grid)
+        assert checks == []
+
+    @pytest.mark.parametrize(
+        "z_grid, digest",
+        [
+            (np.linspace(0.0, LENGTH, 257), "2751a8ccc2d3c409c0ce89cdfe00e29d696c8c80f88d40e724d70897655a9d02"),
+            (np.array([LENGTH, 0.0, 0.25]), "479cadabb500011b50e29f747d8d532f0636daac52f9ab9c2b58dab652e04b8a"),
+        ],
+        ids=["uniform-257", "ends-and-inside"],
+    )
+    def test_nodes_on_the_medium_keep_their_bits(self, z_grid, digest):
+        # the sha256 of the block's bytes before its nodes were checked: the check moves no bit
+        stack = solve_susceptibility_stack(SystemParams(6.0, omega_c=1.5, omega_d=0.8j, gamma21=0.02), [0.0, -0.4, 3.0])
+        assert hashlib.sha256(noise_kernel_block(stack, z_grid).tobytes()).hexdigest() == digest
