@@ -18,12 +18,12 @@ Subcommands:
                fidelity and variance columns for a chosen input state;
                the transfer columns come from one sweep over the grid.
 
-Numbers are emitted as "%.14e" writes them (15 significant digits), so
-rows round-trip through the CSV; identical inputs produce byte-identical
-files.  format_csv forms a whole table in numpy, one 28-byte record per number.
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.  A
-numerical failure names the first grid value that failed, as a row by
-row evaluation would meet it, and nothing is written.
+Numbers are emitted as "%.14e" writes them (15 significant digits), so rows round-trip
+through the CSV; identical inputs produce byte-identical files.  format_csv forms a whole
+table in numpy, one 28-byte record per number.  write_csv writes --out over in place and
+cuts a regular file to length; a pipe or a device is written but not cut.  Exit codes:
+0 success, 2 invalid configuration, 3 numerical failure.  A numerical failure names the
+first grid value that failed, as a row by row evaluation would meet it, and nothing is written.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -142,12 +144,22 @@ def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float
 
 
 def write_csv(path: str, header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> None:
-    """Write the CSV text to path; a path that cannot be written is a ConfigError."""
-    text = format_csv(header, rows)
+    """Write the CSV bytes over path in place; a path that cannot be written is a ConfigError.  A regular
+    file is then cut to the bytes written, after a failed write too; a pipe or a device is written but not cut."""
+    data, written = format_csv(header, rows).encode("ascii"), 0
     try:
-        Path(path).write_text(text, encoding="ascii", newline="\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            try:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, written)
+            finally:
+                os.close(fd)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _sweep_params(alphas: np.ndarray, overrides: dict) -> SystemParams:

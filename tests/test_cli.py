@@ -1,4 +1,5 @@
 import cmath
+import errno
 import hashlib
 import itertools
 import math
@@ -776,13 +777,44 @@ class TestMain:
             assert main([*argv, "--out", str(tmp_path / f"{name}.csv")]) == 0
         assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
-    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory", "empty"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
-        out = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
-        assert main(["fig3", "--grid-points", "3", "--out", str(out)]) == 2
+        out = {"missing-directory": f"{tmp_path}/missing/x.csv", "directory": str(tmp_path), "empty": ""}[target]
+        assert main(["fig3", "--grid-points", "3", "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"eitqfc: invalid configuration: cannot write {out}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_out_with_a_nul_byte_exits_2(self, tmp_path, capsys, monkeypatch, route):
+        # the OS takes no path with a NUL byte in it; os.open refuses it with a ValueError
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "nul.cfg"
+        cfg.write_bytes(b"out = a\x00b.csv\n" if route == "config" else b"")
+        extra = [] if route == "config" else ["--out", "a\x00b.csv"]
+        assert main(["fig3", "--config", str(cfg), *extra]) == 2
+        assert capsys.readouterr().err == "eitqfc: invalid configuration: cannot write a\x00b.csv: embedded null byte\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["nul.cfg"]
+
+    def test_bad_configuration_leaves_an_existing_output_as_it_was(self, tmp_path, capsys):
+        out = tmp_path / "old.csv"
+        assert main(["fig3", "--grid-points", "7", "--out", str(out)]) == 0
+        before = out.read_bytes()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("gamma31 = -1\n")
+        assert main(["fig2", "--config", str(cfg), "--grid-points", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("eitqfc: invalid configuration: ")
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["fig2", "custom"])
+    def test_numerical_failure_leaves_an_existing_output_as_it_was(self, tmp_path, capsys, monkeypatch, command):
+        out = tmp_path / "old.csv"
+        assert main(["fig3", "--grid-points", "3", "--out", str(out)]) == 0
+        before = out.read_bytes()
+        self._routes_failing_at(monkeypatch, 4)
+        assert main([command, "--alpha-max", "4", "--grid-points", "5", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "eitqfc: numerical failure: at alpha=4.0: propagation_sweep fails\n"
+        assert out.read_bytes() == before
 
     @settings(max_examples=200)
     @given(
@@ -800,6 +832,24 @@ class TestMain:
         code = main([command, "--config", str(cfg), "--out", str(out)])
         assert code in (0, 2, 3)
         assert out.exists() == (code == 0)
+
+    @settings(max_examples=100)
+    @given(
+        command=st.sampled_from(["fig2", "fig3", "fig4", "custom"]),
+        name=st.text(st.characters(blacklist_characters="/"), max_size=12) | st.sampled_from(["", ".", "..", "a\0b"]),
+        via_config=st.booleans(),
+    )
+    def test_any_out_name_exits_0_2_or_3(self, tmp_path_factory, command, name, via_config):
+        # any file name inside a directory, NUL bytes and names a config line cannot hold included: a run
+        # returns 0, 2 or 3, and a run that fails creates nothing there
+        directory, cfg = tmp_path_factory.mktemp("any_out"), tmp_path_factory.mktemp("any_out_cfg") / "any.cfg"
+        out = f"{directory}/{name}"
+        cfg.write_text(f"grid_points = 3\nout = {out}\n" if via_config else "grid_points = 3\n", encoding="utf-8")
+        code = main([command, "--config", str(cfg)] + ([] if via_config else ["--out", out]))
+        assert code in (0, 2, 3)
+        written = list(directory.iterdir())
+        assert len(written) == (code == 0)
+        assert all(path.is_file() for path in written)
 
     @settings(max_examples=200)
     @given(command=st.sampled_from(["fig2", "fig3", "fig4", "custom", "fig5"]), flags=st.lists(_FLAG, max_size=4))
@@ -846,6 +896,95 @@ def test_default_csv_bytes_are_pinned(tmp_path, argv):
     out = tmp_path / "default.csv"
     assert main([*argv.split(), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
+#: Sizes of the file a run overwrites, relative to the new CSV's length.
+_OLD_FILE_SIZES = {"longer": 1000, "shorter": -100, "same": 0}
+
+
+@pytest.mark.parametrize("size", list(_OLD_FILE_SIZES))
+@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS))
+def test_overwritten_csv_keeps_its_pinned_bytes(tmp_path, argv, size):
+    # the CSV is written over the old file in place; whatever the old length, no byte of it survives
+    fresh, out = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    assert main([*argv.split(), "--out", str(fresh)]) == 0
+    out.write_bytes(b"9" * (fresh.stat().st_size + _OLD_FILE_SIZES[size]))
+    assert main([*argv.split(), "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
+class TestInPlaceWrite:
+    @staticmethod
+    def _fig3_csv() -> bytes:
+        return format_csv(*run_fig3(np.linspace(0.0, 1.0, 11))).encode("ascii")
+
+    @pytest.mark.parametrize("size", list(_OLD_FILE_SIZES))
+    def test_old_file_holds_exactly_the_new_bytes(self, tmp_path, size):
+        out, new = tmp_path / "fig3.csv", self._fig3_csv()
+        out.write_bytes(b"\n" * (len(new) + _OLD_FILE_SIZES[size]))
+        assert main(["fig3", "--grid-points", "11", "--out", str(out)]) == 0
+        assert out.read_bytes() == new
+
+    def test_symlink_writes_through_to_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"x" * 10_000)
+        link.symlink_to(target)
+        assert main(["fig3", "--grid-points", "11", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == self._fig3_csv()
+
+    def test_dev_null_is_written_and_not_cut(self):
+        assert main(["fig3", "--grid-points", "11", "--out", os.devnull]) == 0
+
+    def test_dev_stdout_carries_the_csv(self, capfd):
+        capfd.readouterr()
+        assert main(["fig3", "--grid-points", "11", "--out", "/dev/stdout"]) == 0
+        assert capfd.readouterr() == (self._fig3_csv().decode("ascii"), "")
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        out = tmp_path / "new.csv"
+        old_umask = os.umask(0o027)
+        try:
+            assert main(["fig3", "--grid-points", "3", "--out", str(out)]) == 0
+        finally:
+            os.umask(old_umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        # write(2) may take fewer bytes than it was given; the rest follows in further calls
+        real_write, calls = os.write, []
+
+        def short_write(fd, data):
+            calls.append(len(data))
+            return real_write(fd, bytes(data[:100]))
+
+        out, new = tmp_path / "fig3.csv", self._fig3_csv()
+        out.write_bytes(b"x" * 2 * len(new))
+        monkeypatch.setattr(os, "write", short_write)
+        assert main(["fig3", "--grid-points", "11", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert len(calls) == -(-len(new) // 100) > 1
+        assert out.read_bytes() == new
+
+    def test_failed_write_cuts_the_old_tail(self, tmp_path, capsys, monkeypatch):
+        # the first write takes 100 bytes, the second fails: the file holds those 100 bytes and nothing of the old one
+        real_write = os.write
+
+        def failing_write(fd, data):
+            if len(data) < len(new):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, bytes(data[:100]))
+
+        out, new = tmp_path / "old.csv", self._fig3_csv()
+        assert main(["fig2", "--out", str(out)]) == 0
+        assert out.stat().st_size > len(new)
+        monkeypatch.setattr(os, "write", failing_write)
+        assert main(["fig3", "--grid-points", "11", "--out", str(out)]) == 2
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert err == f"eitqfc: invalid configuration: cannot write {out}: No space left on device\n"
+        assert out.read_bytes() == new[:100]
 
 
 #: sha256 of `custom --state fock` CSVs at non-default physical settings.
