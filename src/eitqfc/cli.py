@@ -19,9 +19,10 @@ Subcommands:
                the transfer columns come from one sweep over the grid.
 
 Numbers are emitted as "%.14e" writes them (15 significant digits), so rows round-trip
-through the CSV; identical inputs produce byte-identical files.  format_csv forms a whole
-table in numpy, one 28-byte record per number.  write_csv writes --out over in place and
-cuts a regular file to length; a pipe or a device is written but not cut.  Exit codes:
+through the CSV; identical inputs produce byte-identical files.  _csv_bytes forms a whole
+table in numpy as ASCII bytes, one 28-byte record per number, and format_csv is its text.
+write_csv writes those bytes over --out in place and cuts a regular file to length; a pipe
+or a device is written but not cut.  parse_config reads its file with os.read.  Exit codes:
 0 success, 2 invalid configuration, 3 numerical failure.  A numerical failure names the
 first grid value that failed, as a row by row evaluation would meet it, and nothing is written.
 """
@@ -35,7 +36,6 @@ import os
 import stat
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -105,15 +105,15 @@ def _csv_tables() -> tuple[np.ndarray, ...]:
     return pow10, lead.view(np.uint64).ravel(), quad.view(np.uint32).ravel(), end.view(np.uint64).ravel()
 
 
-def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> str:
-    """The CSV text: the header line, then one line of len(header) numbers per row.
+def _csv_bytes(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> bytes:
+    """The CSV as ASCII bytes: the header line, then one line of len(header) numbers per row.
 
     ``rows`` is any (n, len(header)) float array-like; every number reads exactly as "%.14e" % x.
     Finite nonzero x get the digits N = round(y) of y = |x| 10**(14 - e), e = floor(log10 |x|), or
     those of "%.14e" where y is within _TIE_WINDOW of a tie, lies below 1e14 or rounds to 1e15 or more
     (log10 may put e one off).
     Each number is one 28-byte record of _csv_tables words, NULs dropped: lead "d.dd" or "-d.dd" (the sign and
-    N // 10**12), three "dddd" (N % 10**12) and end "e+05," or "e+05\\n"; nan, inf: word, no digits, separator.
+    N // 10**12), three "dddd" (the rest of N) and end "e+05," or "e+05\\n"; nan, inf: word, no digits, separator.
     """
     pow10, lead, quad, end = _csv_tables()
     x = np.asarray(rows, dtype=float).reshape(-1, len(header)).ravel()
@@ -130,9 +130,12 @@ def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float
         n[i], e[i] = int(text[0] + text[2:16]), int(text[17:])
     n[special] = e[special] = 0
     records = np.empty(x.size, [("lead", np.uint64), ("digits", np.uint32, 3), ("end", np.uint64)])
-    top, rest = np.divmod(n, 10**12)
+    top = n // 10**12
+    rest = n - top * 10**12
+    q4 = rest // 10**4
+    q8 = q4 // 10**4
     records["lead"] = lead[top + 1000 * np.signbit(x)]
-    for j, group in enumerate([rest // 10**8, rest // 10**4 % 10**4, rest % 10**4]):
+    for j, group in enumerate([q8, q4 - q8 * 10**4, rest - q4 * 10**4]):
         records["digits"][:, j] = quad[group]
     e[len(header) - 1 :: len(header)] += 633  # the newline half of the end table
     records["end"] = end[e + 324]
@@ -140,13 +143,18 @@ def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float
     records["lead"][nonfinite] = np.array(["%.14e" % v for v in x[nonfinite].tolist()], "S8").view(np.uint64)
     records["digits"][nonfinite] = 0
     records["end"][nonfinite] = np.where(e[nonfinite], ord("\n"), ord(","))
-    return ",".join(header) + "\n" + records.tobytes().translate(None, b"\0").decode("ascii")
+    return (",".join(header) + "\n").encode("ascii") + records.tobytes().translate(None, b"\0")
+
+
+def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> str:
+    """The CSV text, the bytes write_csv writes (_csv_bytes) decoded as ASCII."""
+    return _csv_bytes(header, rows).decode("ascii")
 
 
 def write_csv(path: str, header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> None:
-    """Write the CSV bytes over path in place; a path that cannot be written is a ConfigError.  A regular
-    file is then cut to the bytes written, after a failed write too; a pipe or a device is written but not cut."""
-    data, written = format_csv(header, rows).encode("ascii"), 0
+    """Write the CSV bytes (_csv_bytes) over path in place; a path that cannot be written is a ConfigError.
+    A regular file is then cut to the bytes written, after a failed write too; a pipe or a device is not cut."""
+    data, written = _csv_bytes(header, rows), 0
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
@@ -319,11 +327,16 @@ def run_custom(
 
 
 def parse_config(path: str) -> dict:
-    """Read a plain-text key=value configuration file."""
+    """Read a plain-text key=value configuration file: os.read to end of file, decoded as UTF-8 less a
+    leading BOM; splitlines ends a line at LF, CRLF or a lone CR.  An unreadable path is a ConfigError."""
     values: dict = {}
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            text = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b"")).decode("utf-8-sig")
+        finally:
+            os.close(fd)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path, or a UnicodeDecodeError
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()

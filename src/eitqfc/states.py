@@ -433,7 +433,8 @@ def output_variances(state: InputState, ce: float | np.ndarray, phase: float | n
     arg conj(C_0), scaled by ce and topped up with the vacuum's (1 - ce)/4:
     var_x' = var_x + sin^2(phase) (var_y - var_x) + sin(2 phase) cov_xy, and
     var_y' with both signs flipped.  The rotation adds exactly 0 at phase 0
-    and to Fock and coherent inputs.  Errors name the first bad ce or phase.
+    and to inputs with cov_xy = 0 and var_x = var_y (Fock, coherent, squeezed
+    with r = 0): it is skipped for them.  Errors name the first bad ce or phase.
     """
     cov_xy = 0.0
     if isinstance(state, Squeezed):
@@ -457,6 +458,9 @@ def output_variances(state: InputState, ce: float | np.ndarray, phase: float | n
     not_finite = np.flatnonzero(~np.isfinite(phases))
     if not_finite.size:
         raise ValueError(f"phase must be finite, got {phases.flat[not_finite[0]].item()}")
-    turn, shear = np.sin(phases) ** 2, np.sin(2 * phases) * cov_xy
-    rotated = (var_x + turn * (var_y - var_x) + shear, var_y + turn * (var_x - var_y) - shear)
+    if cov_xy == 0 and var_x == var_y and phases.shape in ((), coeffs.shape):  # the result keeps ce's shape
+        rotated = (var_x, var_y)  # the rotation adds sin^2 * 0 and sin * 0: the pair bit for bit
+    else:
+        turn, shear = np.sin(phases) ** 2, np.sin(2 * phases) * cov_xy
+        rotated = (var_x + turn * (var_y - var_x) + shear, var_y + turn * (var_x - var_y) - shear)
     return QuadratureStats(*(coeffs * var + (1.0 - coeffs) / 4.0 for var in rotated))

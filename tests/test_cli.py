@@ -777,6 +777,48 @@ class TestMain:
             assert main([*argv, "--out", str(tmp_path / f"{name}.csv")]) == 0
         assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "prefix, newline", [(b"", b"\r\n"), (b"", b"\r"), (b"\xef\xbb\xbf", b"\r\n")], ids=["crlf", "cr", "bom-crlf"]
+    )
+    def test_config_line_endings_read_like_lf(self, tmp_path, prefix, newline):
+        # the file's bytes are not translated on the way in: str.splitlines alone ends the lines
+        lines = [b"# asymmetric sweep", b"omega_c = 1.5", b"omega_d = 0.8  # probe side", b"", b"alpha_max = 50"]
+        (tmp_path / "lf.cfg").write_bytes(b"\n".join(lines) + b"\n")
+        (tmp_path / "other.cfg").write_bytes(prefix + newline.join(lines) + newline)
+        assert parse_config(str(tmp_path / "other.cfg")) == parse_config(str(tmp_path / "lf.cfg"))
+        for name in ("lf", "other"):
+            argv = ["custom", "--grid-points", "5", "--config", str(tmp_path / f"{name}.cfg")]
+            assert main([*argv, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "other.csv").read_bytes() == (tmp_path / "lf.csv").read_bytes()
+
+    def test_config_over_64_kib_is_read_whole(self, tmp_path):
+        # more than one read's worth of comment lines, then the one key
+        cfg = tmp_path / "long.cfg"
+        cfg.write_bytes(b"".join(b"# comment line %05d\n" % k for k in range(8000)) + b"grid_points = 3\n")
+        assert cfg.stat().st_size > 2 * 65536
+        assert parse_config(str(cfg)) == {"grid_points": 3}
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, target):
+        cfg = str(tmp_path / "missing.cfg") if target == "missing" else str(tmp_path)
+        out = tmp_path / "never.csv"
+        assert main(["fig3", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"eitqfc: invalid configuration: cannot read config file {cfg}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_path_with_a_nul_byte_exits_2(self, tmp_path, capsys, monkeypatch):
+        # os.open refuses a path with a NUL byte in it with a ValueError, which is a bad configuration
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig3", "--config", "a\x00b"]) == 2
+        err = capsys.readouterr().err
+        assert err == "eitqfc: invalid configuration: cannot read config file a\x00b: embedded null byte\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("target", ["missing-directory", "directory", "empty"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
         out = {"missing-directory": f"{tmp_path}/missing/x.csv", "directory": str(tmp_path), "empty": ""}[target]

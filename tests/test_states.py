@@ -648,6 +648,32 @@ class TestPhaseAwareLaws:
         turned = output_variances(state, ces, phases)
         assert np.array_equal(_bits(np.column_stack(turned)), _bits(output_variances(state, ces, 0.0)).T)
 
+    @pytest.mark.parametrize(
+        "state", [Fock(n) for n in range(MAX_FOCK_LEVEL + 1)] + [Coherent(1.3 - 0.4j), Squeezed(0.0)], ids=repr
+    )
+    def test_skipped_rotation_equals_the_rotation_formula(self, state):
+        # cov_xy = 0 and var_x = var_y: the law skips sin^2(phase) (var_y - var_x) + sin(2 phase) cov_xy, which adds 0
+        rng = np.random.default_rng(38)
+        ces, phases = rng.uniform(0.0, 1.0, 1000), rng.uniform(-10.0, 10.0, 1000)
+        phases[:6] = [0.0, -0.0, math.pi, -1e300, 1e300, 5e-324]
+        var = 0.25 if not isinstance(state, Fock) else (2 * state.n + 1) / 4.0
+        turn, shear = np.sin(phases) ** 2, np.sin(2 * phases) * 0.0
+        rotated = var + turn * (var - var) + shear, var + turn * (var - var) - shear
+        want = _bits(np.column_stack([ces * v + (1.0 - ces) / 4.0 for v in rotated]))
+        assert np.array_equal(_bits(np.column_stack(output_variances(state, ces, phases))), want)
+        assert np.array_equal(_bits([output_variances(state, ces[k], phases[k]) for k in range(20)]), want[:20])
+        # a number and a stack still broadcast to the stack, either way round
+        one_ce = output_variances(state, ces[:1], phases)
+        assert np.array_equal(_bits(np.column_stack(one_ce)), _bits([output_variances(state, ces[0], 0.0)] * 1000))
+        assert output_variances(state, 0.5, phases).var_x.shape == output_variances(state, ces, 0.0).var_y.shape
+
+    def test_squeezed_input_still_turns_with_the_phase(self):
+        rng = np.random.default_rng(39)
+        ces, phases = rng.uniform(0.01, 1.0, 1000), rng.uniform(0.1, 1.4, 1000)
+        for state in (Squeezed(0.3), Squeezed(-0.3), Squeezed(0.3, -1.1)):
+            turned, still = output_variances(state, ces, phases), output_variances(state, ces, 0.0)
+            assert np.all(turned.var_x != still.var_x) and np.all(turned.var_y != still.var_y)
+
     @pytest.mark.parametrize("state", LAW_STATES, ids=repr)
     def test_variance_law_reads_lists_as_the_equal_arrays(self, state):
         # "numbers or arrays": a list of ce or of phases gives the bits of the equal ndarray
