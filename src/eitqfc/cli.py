@@ -25,6 +25,7 @@ write_csv writes those bytes over --out in place and cuts a regular file to leng
 or a device is written but not cut.  parse_config reads its file with os.read.  Exit codes:
 0 success, 2 invalid configuration, 3 numerical failure.  A numerical failure names the
 first grid value that failed, as a row by row evaluation would meet it, and nothing is written.
+A command and exact ``--flag value`` pairs are read with the parser's actions (_parse_argv); argparse reads the rest.
 """
 
 from __future__ import annotations
@@ -358,7 +359,7 @@ def parse_config(path: str) -> dict:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The eitqfc argument parser, built on first use; every main call shares it."""
+    """The eitqfc argument parser, built on first use and shared; _parse_argv reads plain argvs, argparse the rest."""
     parser = argparse.ArgumentParser(
         prog="eitqfc",
         description="Deterministic CSV sweeps of the FWM frequency-conversion model.",
@@ -373,6 +374,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=str, default=None, help="output CSV path")
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
     return parser
+
+
+def _parse_argv(argv: Sequence[str] | None) -> argparse.Namespace:
+    """build_parser().parse_args(argv), read with the parser's own actions when argv is a command and exact
+    ``--flag value`` pairs of str values that do not start with "-" and pass their action's type and choices.
+    Any other argv, or a value that fails, goes to argparse, which writes every usage, error and help text."""
+    parser = build_parser()
+    if isinstance(argv, (list, tuple)) and len(argv) % 2 and all(type(item) is str for item in argv):
+        args, flags = argparse.Namespace(), parser._option_string_actions
+        vars(args).update((a.dest, a.default) for a in parser._actions if a.default is not argparse.SUPPRESS)
+        command = parser._get_positional_actions()[0]
+        for action, text in [(command, argv[0]), *((flags.get(f), v) for f, v in zip(argv[1::2], argv[2::2]))]:
+            if action is None or action.nargs is not None or text.startswith("-"):  # -h and --help: nargs 0
+                break
+            try:
+                value = text if action.type is None else action.type(text)
+            except (TypeError, ValueError):
+                break
+            if action.choices is not None and value not in action.choices:
+                break
+            setattr(args, action.dest, value)
+        else:
+            return args
+    return parser.parse_args(argv)
 
 
 _DEFAULTS = {
@@ -436,7 +461,8 @@ def _ce_grid(settings: dict) -> np.ndarray:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command (module docstring); _parse_argv reads a command and exact --flag value pairs, argparse others."""
+    args = _parse_argv(argv)
     try:
         settings = _merge_settings(args)
         if args.command == "fig2":

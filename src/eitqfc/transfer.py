@@ -113,12 +113,12 @@ def _propagator(m: np.ndarray) -> tuple:
     mu = tr(M)/2, w = sqrt(q) of _mu_q and c, s = _cosh_sinch(w), so
     e^{-M} = e^{w - mu} [c I - s (M - mu I)], exact through degenerate
     eigenvalues (q -> 0), and its D' = e^{w - mu} tee, tee = c - s (m22 - mu).
+    Its callers hold one np.errstate for it and _resolve: a non-finite entry is _solvable's to find.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu, q = _mu_q(m)
-        w = np.sqrt(q)
-        c, s = _cosh_sinch(w)
-        return mu, w, c, s, c - s * (m[..., 1, 1] - mu)
+    mu, q = _mu_q(m)
+    w = np.sqrt(q)
+    c, s = _cosh_sinch(w)
+    return mu, w, c, s, c - s * (m[..., 1, 1] - mu)
 
 
 def expm2(m: np.ndarray) -> np.ndarray:
@@ -131,8 +131,8 @@ def expm2(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=complex)
     stack = m.reshape(-1, 2, 2)
-    mu, w, c, s, _ = (x[:, None, None] for x in _propagator(stack))
     with np.errstate(over="ignore", invalid="ignore"):
+        mu, w, c, s, _ = (x[:, None, None] for x in _propagator(stack))
         return (np.exp(w - mu) * (c * _EYE - s * (stack - mu * _EYE))).reshape(m.shape)
 
 
@@ -146,18 +146,18 @@ def _scattering(m: np.ndarray) -> np.ndarray:
     m21/tee and D = e^{mu-w}/tee: ratios of bounded terms.  Unchecked:
     _solvable holds the conditions under which the result is usable.
     """
-    mu, w, _, s, tee = _propagator(m)
-    return _resolve(m, mu, w, s, tee)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu, w, _, s, tee = _propagator(m)
+        return _resolve(m, mu, w, s, tee)
 
 
 def _resolve(m: np.ndarray, mu, w, s, tee) -> np.ndarray:
-    """The resolved stack of _scattering from the _propagator values mu, w, s and tee of ``m``."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        resolved = np.empty_like(m)
-        resolved[..., 0, 0] = np.exp(-mu - w) / tee
-        resolved[..., 0, 1] = -s * m[..., 0, 1] / tee
-        resolved[..., 1, 0] = s * m[..., 1, 0] / tee
-        resolved[..., 1, 1] = np.exp(mu - w) / tee
+    """The resolved stack of _scattering from _propagator's mu, w, s and tee of ``m``, in the caller's errstate."""
+    resolved = np.empty_like(m)
+    resolved[..., 0, 0] = np.exp(-mu - w) / tee
+    resolved[..., 0, 1] = -s * m[..., 0, 1] / tee
+    resolved[..., 1, 0] = s * m[..., 1, 0] / tee
+    resolved[..., 1, 1] = np.exp(mu - w) / tee
     return resolved
 
 
@@ -250,11 +250,14 @@ def _kernel_rows(stack: SpectralStack, rows: tuple = (0, 1)) -> tuple:
     the first frequency whose resolved matrix fails _solvable.
     """
     m = stack.generator * LENGTH
-    mu, w, _, s, tee = _propagator(m)
-    resolved = _resolve(m, mu, w, s, tee)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu, w, _, s, tee = _propagator(m)
+        resolved = _resolve(m, mu, w, s, tee)
     _, failure = first_failure(stack.omega, _solvable(resolved), "omega")
     if failure is not None:
         raise failure
+    if not rows:
+        return mu, w, []
     n, tee = (m[:, 0, 0] - m[:, 1, 1]) / 2, tee[:, None]
     zeta_p, zeta_s = stack.zeta[:, 0], stack.zeta[:, 1]
     build = (lambda: (np.zeros_like(mu), zeta_p - resolved[:, 0, 1, None] * zeta_s,

@@ -1,6 +1,9 @@
+import argparse
 import cmath
+import contextlib
 import errno
 import hashlib
+import io
 import itertools
 import math
 import os
@@ -916,6 +919,120 @@ class TestMain:
             code = 2
         assert code in (0, 2, 3)
         assert out.is_file() == (code == 0)
+
+
+#: Every option string of the parser, abbreviations (one ambiguous: --c), a flag it does not know, "--" and help.
+_PARSER_FLAGS = sorted({option for action in cli.build_parser()._actions for option in action.option_strings})
+_ARGV_FLAGS = [*_PARSER_FLAGS, "--grid", "--sta", "--alpha", "--conv", "--o", "--c", "--bogus", "--", "-h", "--help"]
+#: Each choice, numbers with and without a sign, nan, an empty value, spaces, an underscore, full-width digits,
+#: a flag as a value, junk.
+_ARGV_TEXT = st.sampled_from(
+    ["fig2", "fig3", "fig4", "custom", "fock", "coherent", "squeezed", "1", "2", "3", "0", "2.5", "1e3", "-1",
+     "-2.5", "-inf", "nan", "NaN", "", " 2 ", "1_0", "\uff11\uff10", "x", "--out", "-h", "out.csv"]
+)
+_ARGV_PAIR = st.tuples(st.sampled_from(_ARGV_FLAGS), _ARGV_TEXT).map(list)
+#: Tokens before or after the command: --flag value pairs (most often), --flag=value, a lone flag or value.
+_ARGV_TOKENS = st.one_of(
+    _ARGV_PAIR,
+    _ARGV_PAIR,
+    _ARGV_PAIR.map(lambda pair: ["=".join(pair)]),
+    st.sampled_from(_ARGV_FLAGS).map(lambda flag: [flag]),
+    _ARGV_TEXT.map(lambda text: [text]),
+)
+_MIXED_ARGV = st.tuples(
+    st.lists(_ARGV_TOKENS, max_size=1),
+    st.sampled_from(["fig2", "fig3", "fig4", "custom", "fig5", "", "-h"]),
+    st.lists(_ARGV_TOKENS, max_size=5),
+).map(lambda parts: [*itertools.chain(*parts[0]), parts[1], *itertools.chain(*parts[2])])
+#: Text each flag reads, so that most plain argvs convert: its choices, or numbers, or file names.
+_FLAG_TEXT = {
+    "--state": ["fock", "coherent", "squeezed"],
+    "--convention-scale": ["1", "2", " 2 "],
+    "--grid-points": ["5", "0", " 2 ", "1_0", "\uff11\uff10"],
+    "--out": ["out.csv", "a b.csv", "x=y"],
+    "--config": ["case.cfg", " "],
+    "--sta": ["fock", "squeezed"],
+    "--grid": ["5", " 2 "],
+    "--c": ["1", "case.cfg"],
+}
+_NUMBER_TEXT = ["0", "2.5", "1e3", "nan", "inf", " 2 ", "1_0"]
+#: A flag that takes a value, or one time in nine an abbreviation, and mostly (three draws in four) text it reads.
+_PLAIN_FLAGS = [flag for flag in _PARSER_FLAGS if flag not in ("-h", "--help")] * 3 + ["--sta", "--grid", "--c"]
+_PLAIN_PAIR = st.sampled_from(_PLAIN_FLAGS).flatmap(
+    lambda flag: st.tuples(
+        st.just(flag),
+        st.integers(0, 3).flatmap(lambda k: st.sampled_from(_FLAG_TEXT.get(flag, _NUMBER_TEXT)) if k else _ARGV_TEXT),
+    )
+)
+#: A command and --flag value pairs: with exact option strings, the argvs read without argparse when every value passes.
+_PLAIN_ARGV = st.tuples(st.sampled_from(["fig2", "fig3", "fig4", "custom"]), st.lists(_PLAIN_PAIR, max_size=5)).map(
+    lambda parts: [parts[0], *itertools.chain(*parts[1])]
+)
+
+
+def _parse_outcome(parse, argv: list) -> tuple:
+    """The Namespace items (type and repr, so NaN equals NaN and -0.0 is not 0.0), or the exit code and output."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = parse(argv)
+    except SystemExit as exc:
+        return "exit", exc.code, stdout.getvalue(), stderr.getvalue()
+    except TypeError as exc:  # argparse's own, for an item that is not a str
+        return "raised", str(exc)
+    assert type(args) is argparse.Namespace
+    return "parsed", [(key, type(value), repr(value)) for key, value in vars(args).items()], stdout.getvalue()
+
+
+class TestParseArgv:
+    @settings(max_examples=600)
+    @given(argv=st.one_of(_PLAIN_ARGV, _MIXED_ARGV))
+    def test_any_argv_parses_as_argparse_parses_it(self, argv):
+        assert _parse_outcome(cli._parse_argv, argv) == _parse_outcome(cli.build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["custom", "--state", "fock", "--nbar", "2", "--grid-points", "5"],
+            ["custom", "--nbar", "nan"],
+            ["fig2", "--alpha-max", "-0.0"],
+            ["fig4", "--squeeze-db", "1_0", "--squeeze-db", " 2 "],
+            ["custom", "--nbar", 2],
+            ["custom", "--out", Path("out.csv")],
+            ("fig3", "--grid-points", "\uff11\uff10"),
+            [],
+            ["custom", "--state"],
+        ],
+    )
+    def test_edge_argvs_parse_as_argparse_parses_them(self, argv):
+        assert _parse_outcome(cli._parse_argv, argv) == _parse_outcome(cli.build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig2", "--config", "{cfg}", "--out", "{out}"],
+            ["fig2", "--grid-points", "5", "--config", "{cfg}", "--out", "{out}"],
+            ["custom", "--state", "fock", "--nbar", "3", "--config", "{cfg}", "--out", "{out}"],
+            ["custom", "--state", "fock", "--nbar", "1", "--grid-points", "5", "--config", "{cfg}", "--out", "{out}"],
+        ],
+    )
+    def test_sweep_argvs_never_reach_argparse(self, tmp_path, monkeypatch, argv):
+        # the shapes the fig2 and custom sweeps are driven with: a command, then exact --flag value pairs
+        cfg, out = tmp_path / "case.cfg", tmp_path / "out.csv"
+        cfg.write_text("omega_c = (1.2+0.5j)\nomega_d = (1.2+0.5j)\n", encoding="ascii")
+        calls = []
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", lambda *args, **kwargs: calls.append(args))
+        assert main([item.format(cfg=cfg, out=out) for item in argv]) == 0
+        assert calls == []
+        assert out.read_text().startswith("alpha,")
+
+    def test_help_exits_0_with_the_argparse_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out == cli.build_parser().format_help()
+        assert out.startswith("usage: eitqfc [-h] ") and "--convention-scale {1,2}" in out
 
 
 #: sha256 of each subcommand's CSV at its default settings, and of coherent runs on the default grid at
