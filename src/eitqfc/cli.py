@@ -25,7 +25,7 @@ write_csv writes those bytes over --out in place and cuts a regular file to leng
 or a device is written but not cut.  parse_config reads its file with os.read.  Exit codes:
 0 success, 2 invalid configuration, 3 numerical failure.  A numerical failure names the
 first grid value that failed, as a row by row evaluation would meet it, and nothing is written.
-A command and exact ``--flag value`` pairs are read with the parser's actions (_parse_argv); argparse reads the rest.
+_FLAGS declares each --flag once; a command and exact ``--flag value`` pairs are read from it, argparse reads the rest.
 """
 
 from __future__ import annotations
@@ -70,21 +70,35 @@ MAX_SQUEEZE_DB = 300.0
 #: anything is computed.
 MAX_GRID_POINTS = 10_001
 
+_OD_GRID = {"alpha_max": 400.0, "grid_points": 401}  # the default optical depths of fig2 and custom
+#: Each command and its settings before the config file and the flags.
+_DEFAULTS = {
+    "fig2": {**_OD_GRID, "out": "fig2.csv"},
+    "fig3": {"grid_points": 101, "out": "fig3.csv"},
+    "fig4": {"grid_points": 101, "state": "squeezed", "convention_scale": 1, "out": "fig4.csv"},
+    "custom": {**_OD_GRID, "state": "fock", "nbar": 1.0, "convention_scale": 1, "out": "custom.csv"},
+}
+
+#: Each --flag: its setting name, its type, the values it accepts (None: any) and its help text.
+_FLAGS: dict[str, tuple[str, type, tuple | None, str | None]] = {
+    "--alpha-max": ("alpha_max", float, None, "largest optical depth"),
+    "--grid-points": ("grid_points", int, None, "number of grid points"),
+    "--state": ("state", str, ("fock", "coherent", "squeezed"), None),
+    "--nbar": ("nbar", float, None, "mean photon number / Fock level"),
+    "--squeeze-db": ("squeeze_db", float, None, "squeezing in dB"),
+    "--convention-scale": ("convention_scale", int, (1, 2), None),
+    "--out": ("out", str, None, "output CSV path"),
+    "--config": ("config", str, None, "key=value config file"),
+}
+#: Every flag's setting, unset: a Namespace's entries after its command, in the order argparse adds them.
+_UNSET = {name: None for name, *_ in _FLAGS.values()}
+
 _PHYSICAL_KEYS = ("omega_c", "omega_d", "gamma31", "gamma41", "gamma21")
 
+#: The config file's keys and types: every flag's setting but config, then the physical keys.
 _CONFIG_SCHEMA: dict[str, type] = {
-    "alpha_max": float,
-    "grid_points": int,
-    "state": str,
-    "nbar": float,
-    "squeeze_db": float,
-    "convention_scale": int,
-    "out": str,
-    "omega_c": complex,
-    "omega_d": complex,
-    "gamma31": float,
-    "gamma41": float,
-    "gamma21": float,
+    **{name: kind for name, kind, _, _ in _FLAGS.values() if name != "config"},
+    **dict(zip(_PHYSICAL_KEYS, (complex, complex, float, float, float))),
 }
 
 
@@ -359,60 +373,38 @@ def parse_config(path: str) -> dict:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The eitqfc argument parser, built on first use and shared; _parse_argv reads plain argvs, argparse the rest."""
+    """The eitqfc argument parser, built on first use from _DEFAULTS' commands and _FLAGS, and shared."""
     parser = argparse.ArgumentParser(
         prog="eitqfc",
         description="Deterministic CSV sweeps of the FWM frequency-conversion model.",
     )
-    parser.add_argument("command", choices=("fig2", "fig3", "fig4", "custom"))
-    parser.add_argument("--alpha-max", type=float, default=None, help="largest optical depth")
-    parser.add_argument("--grid-points", type=int, default=None, help="number of grid points")
-    parser.add_argument("--state", choices=("fock", "coherent", "squeezed"), default=None)
-    parser.add_argument("--nbar", type=float, default=None, help="mean photon number / Fock level")
-    parser.add_argument("--squeeze-db", type=float, default=None, help="squeezing in dB")
-    parser.add_argument("--convention-scale", type=int, choices=(1, 2), default=None)
-    parser.add_argument("--out", type=str, default=None, help="output CSV path")
-    parser.add_argument("--config", type=str, default=None, help="key=value config file")
+    parser.add_argument("command", choices=tuple(_DEFAULTS))
+    for flag, (name, kind, choices, text) in _FLAGS.items():
+        parser.add_argument(flag, dest=name, type=kind, choices=choices, help=text)
     return parser
 
 
 def _parse_argv(argv: Sequence[str] | None) -> argparse.Namespace:
-    """build_parser().parse_args(argv), read with the parser's own actions when argv is a command and exact
-    ``--flag value`` pairs of str values that do not start with "-" and pass their action's type and choices.
+    """build_parser().parse_args(argv), read from _FLAGS when argv is a command and exact ``--flag value``
+    pairs of str values that do not start with "-" and pass their flag's type and choices.
     Any other argv, or a value that fails, goes to argparse, which writes every usage, error and help text."""
-    parser = build_parser()
-    if isinstance(argv, (list, tuple)) and len(argv) % 2 and all(type(item) is str for item in argv):
-        args, flags = argparse.Namespace(), parser._option_string_actions
-        vars(args).update((a.dest, a.default) for a in parser._actions if a.default is not argparse.SUPPRESS)
-        command = parser._get_positional_actions()[0]
-        for action, text in [(command, argv[0]), *((flags.get(f), v) for f, v in zip(argv[1::2], argv[2::2]))]:
-            if action is None or action.nargs is not None or text.startswith("-"):  # -h and --help: nargs 0
+    plain = isinstance(argv, (list, tuple)) and len(argv) % 2 and all(type(item) is str for item in argv)
+    if plain and argv[0] in _DEFAULTS:
+        args = argparse.Namespace(command=argv[0], **_UNSET)
+        for flag, text in zip(argv[1::2], argv[2::2]):
+            if flag not in _FLAGS or text.startswith("-"):
                 break
+            name, kind, choices, _ = _FLAGS[flag]
             try:
-                value = text if action.type is None else action.type(text)
-            except (TypeError, ValueError):
+                value = kind(text)
+            except ValueError:
                 break
-            if action.choices is not None and value not in action.choices:
+            if choices is not None and value not in choices:
                 break
-            setattr(args, action.dest, value)
+            setattr(args, name, value)
         else:
             return args
-    return parser.parse_args(argv)
-
-
-_DEFAULTS = {
-    "fig2": {"alpha_max": 400.0, "grid_points": 401, "out": "fig2.csv"},
-    "fig3": {"grid_points": 101, "out": "fig3.csv"},
-    "fig4": {"grid_points": 101, "state": "squeezed", "convention_scale": 1, "out": "fig4.csv"},
-    "custom": {
-        "alpha_max": 400.0,
-        "grid_points": 401,
-        "state": "fock",
-        "nbar": 1.0,
-        "convention_scale": 1,
-        "out": "custom.csv",
-    },
-}
+    return build_parser().parse_args(argv)
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
@@ -421,8 +413,9 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     if args.config is not None:
         settings.update(parse_config(args.config))
     settings.update((k, v) for k, v in vars(args).items() if v is not None and k in _CONFIG_SCHEMA)
-    if settings.get("convention_scale", 1) not in (1, 2):  # the flag's choices, for a config file's value
-        raise ConfigError(f"convention_scale must be 1 or 2, got {settings['convention_scale']}")
+    scale, scales = settings.get("convention_scale", 1), _FLAGS["--convention-scale"][2]
+    if scale not in scales:  # the flag's choices, for a config file's value
+        raise ConfigError(f"convention_scale must be {' or '.join(map(str, scales))}, got {scale}")
     return settings
 
 
@@ -461,7 +454,7 @@ def _ce_grid(settings: dict) -> np.ndarray:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command (module docstring); _parse_argv reads a command and exact --flag value pairs, argparse others."""
+    """Run one command (module docstring); _parse_argv reads a command and exact --flag value pairs from _FLAGS."""
     args = _parse_argv(argv)
     try:
         settings = _merge_settings(args)

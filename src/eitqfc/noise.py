@@ -322,8 +322,8 @@ def eta2(params: SystemParams, diffusion: DiffusionMatrix | None = None) -> floa
     differ (0.00542 against 0.660 at alpha = 200 for
     diffusion_matrix(0.01, 0.01), symmetric |Omega| = 1), and which one
     the definition should hold is still open.  With the default (zero)
-    diffusion matrix eta1 vanishes identically, so the integral is
-    skipped; a user-supplied diffusion matrix is integrated honestly.
+    diffusion matrix eta1 is exactly 0.0 after its seed pass's solve and
+    boundary check; a user-supplied diffusion matrix is integrated honestly.
     TypeError, before any solve, when ``diffusion`` is neither None nor
     a DiffusionMatrix.
     """
@@ -332,8 +332,4 @@ def eta2(params: SystemParams, diffusion: DiffusionMatrix | None = None) -> floa
     if sweep.failure is not None:
         raise sweep.failure
     c0, d0 = sweep.resolved[0, 1]
-    if diffusion is None or diffusion.is_zero:
-        eta1_value = 0.0
-    else:
-        eta1_value = eta1(params, diffusion)
-    return float(1.0 - abs(c0) ** 2 - abs(d0) ** 2 + eta1_value)
+    return float(1.0 - abs(c0) ** 2 - abs(d0) ** 2 + eta1(params, diffusion))

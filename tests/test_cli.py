@@ -722,6 +722,26 @@ class TestMain:
         )
         assert not out.exists()
 
+    def test_custom_rejects_an_unknown_state_from_the_config(self, tmp_path, capsys):
+        # the config file types state as str and leaves the choice to run_custom, unlike the --state flag
+        cfg = tmp_path / "state.cfg"
+        cfg.write_text("state = thermal\n")
+        out = tmp_path / "never.csv"
+        assert main(["custom", "--config", str(cfg), "--grid-points", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "eitqfc: invalid configuration: unknown state 'thermal'\n"
+        assert not out.exists()
+
+    def test_custom_checks_the_config_convention_scale_like_fig4(self, tmp_path, capsys):
+        cfg = tmp_path / "scale.cfg"
+        cfg.write_text("convention_scale = 3\n")
+        messages = []
+        for command in ("fig4", "custom"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(cfg), "--grid-points", "3", "--out", str(out)]) == 2
+            messages.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert messages == ["eitqfc: invalid configuration: convention_scale must be 1 or 2, got 3\n"] * 2
+
     @pytest.mark.parametrize("level, code", [("17", 0), ("18", 2), ("20", 2)])
     def test_fock_level_must_fit_the_basis(self, tmp_path, capsys, level, code):
         out = tmp_path / "fock.csv"
@@ -1033,6 +1053,16 @@ class TestParseArgv:
         out = capsys.readouterr().out
         assert out == cli.build_parser().format_help()
         assert out.startswith("usage: eitqfc [-h] ") and "--convention-scale {1,2}" in out
+
+    def test_help_lists_each_flag_with_its_help_text(self):
+        # the options section as words, so the terminal width that wraps it does not matter
+        words = " ".join(cli.build_parser().format_help().split())
+        assert words.endswith(
+            "-h, --help show this help message and exit --alpha-max ALPHA_MAX largest optical depth "
+            "--grid-points GRID_POINTS number of grid points --state {fock,coherent,squeezed} --nbar NBAR "
+            "mean photon number / Fock level --squeeze-db SQUEEZE_DB squeezing in dB --convention-scale {1,2} "
+            "--out OUT output CSV path --config CONFIG key=value config file"
+        )
 
 
 #: sha256 of each subcommand's CSV at its default settings, and of coherent runs on the default grid at
@@ -1382,3 +1412,35 @@ def test_beam_splitter_oracle_runs_without_scipy():
         "print(sorted(m for m in sys.modules if m.startswith('scipy')), round(float(rho[1, 1].real), 12))"
     )
     assert _fresh_python(code) == "[] 0.5"
+
+
+def _run_cli(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    """``python -m eitqfc.cli args`` in a new interpreter that imports eitqfc from this tree, run in ``cwd``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "eitqfc.cli", *args]
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestProcessExitCodes:
+    """The exit status of ``python -m eitqfc.cli``: main's return value, or argparse's SystemExit."""
+
+    def test_success_exits_0_with_the_in_process_bytes(self, tmp_path):
+        result = _run_cli("fig3", "--grid-points", "3", "--out", "process.csv", cwd=tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        assert main(["fig3", "--grid-points", "3", "--out", str(tmp_path / "in_process.csv")]) == 0
+        assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+
+    def test_unknown_command_exits_2_with_the_argparse_usage(self, tmp_path):
+        result = _run_cli("fig5", cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("usage: eitqfc [-h] ")
+        assert "eitqfc: error: argument command: invalid choice: 'fig5'" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numerical_failure_exits_3_and_writes_nothing(self, tmp_path):
+        (tmp_path / "singular.cfg").write_text("omega_c = 0\nomega_d = 0\n")
+        result = _run_cli("fig2", "--config", "singular.cfg", "--out", "never.csv", cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("eitqfc: numerical failure: at alpha=0.0: ")
+        assert not (tmp_path / "never.csv").exists()
