@@ -26,6 +26,7 @@ or a device is written but not cut.  parse_config reads its file with os.read.  
 0 success, 2 invalid configuration, 3 numerical failure.  A numerical failure names the
 first grid value that failed, as a row by row evaluation would meet it, and nothing is written.
 _FLAGS declares each --flag once; a command and exact ``--flag value`` pairs are read from it, argparse reads the rest.
+_DEFAULTS lists the settings each command reads, whatever its input state; any other flag or config key is exit 2.
 """
 
 from __future__ import annotations
@@ -70,13 +71,15 @@ MAX_SQUEEZE_DB = 300.0
 #: anything is computed.
 MAX_GRID_POINTS = 10_001
 
-_OD_GRID = {"alpha_max": 400.0, "grid_points": 401}  # the default optical depths of fig2 and custom
-#: Each command and its settings before the config file and the flags.
+_PHYSICAL_KEYS = ("omega_c", "omega_d", "gamma31", "gamma41", "gamma21")
+_OD_SWEEP = {"alpha_max": 400.0, "grid_points": 401, **dict.fromkeys(_PHYSICAL_KEYS)}  # fig2's and custom's
+#: Each command and every setting it reads (None: unset), before the config file and the flags; it refuses any other.
 _DEFAULTS = {
-    "fig2": {**_OD_GRID, "out": "fig2.csv"},
+    "fig2": {**_OD_SWEEP, "out": "fig2.csv"},
     "fig3": {"grid_points": 101, "out": "fig3.csv"},
-    "fig4": {"grid_points": 101, "state": "squeezed", "convention_scale": 1, "out": "fig4.csv"},
-    "custom": {**_OD_GRID, "state": "fock", "nbar": 1.0, "convention_scale": 1, "out": "custom.csv"},
+    "fig4": {"grid_points": 101, "state": "squeezed", "squeeze_db": None, "convention_scale": 1, "out": "fig4.csv"},
+    "custom": {**_OD_SWEEP, "state": "fock", "nbar": 1.0, "squeeze_db": None, "convention_scale": 1,
+               "out": "custom.csv"},
 }
 
 #: Each --flag: its setting name, its type, the values it accepts (None: any) and its help text.
@@ -92,8 +95,6 @@ _FLAGS: dict[str, tuple[str, type, tuple | None, str | None]] = {
 }
 #: Every flag's setting, unset: a Namespace's entries after its command, in the order argparse adds them.
 _UNSET = {name: None for name, *_ in _FLAGS.values()}
-
-_PHYSICAL_KEYS = ("omega_c", "omega_d", "gamma31", "gamma41", "gamma21")
 
 #: The config file's keys and types: every flag's setting but config, then the physical keys.
 _CONFIG_SCHEMA: dict[str, type] = {
@@ -186,13 +187,13 @@ def write_csv(path: str, header: Sequence[str], rows: np.ndarray | Sequence[Sequ
 
 
 def _sweep_params(alphas: np.ndarray, overrides: dict) -> SystemParams:
-    """The physical parameters of an optical-depth sweep, from the physical keys of ``overrides``.
+    """The physical parameters of an optical-depth sweep, from the physical keys of ``overrides`` (None: unset).
 
     np.min(alphas, initial=0.0) stands in for the optical depth: the
     grid's smallest value, or 0 for an empty grid.  So a negative value
     is a configuration error like an invalid physical key.
     """
-    kwargs = {k: overrides[k] for k in _PHYSICAL_KEYS if k in overrides}
+    kwargs = {k: overrides[k] for k in _PHYSICAL_KEYS if overrides.get(k) is not None}
     try:
         return SystemParams(alpha=float(np.min(alphas, initial=0.0)), **kwargs)
     except QfcError as exc:
@@ -238,7 +239,7 @@ def run_fig2(alphas: np.ndarray, overrides: dict | None = None) -> tuple[list[st
     quantum route solved, with its generator.  A row whose power
     columns exceed 1 + PASSIVITY_TOL, or whose semiclassical columns
     leave the quantum ones by more than ORACLE_TOL, is a numerical
-    failure: it is never written.
+    failure: it is never written.  A physical key of ``overrides`` set to None is unset.
     """
     overrides = overrides or {}
     header = ["alpha", "tp_quantum", "ce_quantum", "tp_semiclassical", "ce_semiclassical"]
@@ -304,7 +305,7 @@ def run_custom(
     forms in each row's CE and arg C_0, each one call on the whole stack.
     ``nbar`` is the Fock level, a whole number in [0, MAX_FOCK_LEVEL],
     or the coherent mean photon number, finite and >= 0; anything else
-    is a ConfigError.
+    is a ConfigError.  A physical key of ``overrides`` set to None is unset.
     """
     overrides = overrides or {}
     if state_kind == "fock":
@@ -408,11 +409,16 @@ def _parse_argv(argv: Sequence[str] | None) -> argparse.Namespace:
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit CLI flags."""
+    """Defaults < config file < explicit CLI flags, over the settings the command reads: its _DEFAULTS entry.
+    Any other config key or flag is a ConfigError, raised before any value is checked.  The rule is per command:
+    a setting one of its states leaves unread (--squeeze-db with a Fock input, --nbar with a squeezed one) passes."""
     settings = dict(_DEFAULTS[args.command])
-    if args.config is not None:
-        settings.update(parse_config(args.config))
-    settings.update((k, v) for k, v in vars(args).items() if v is not None and k in _CONFIG_SCHEMA)
+    given = parse_config(args.config) if args.config is not None else {}
+    given.update((k, v) for k, v in vars(args).items() if v is not None and k in _CONFIG_SCHEMA)
+    for name in given:
+        if name not in settings:
+            raise ConfigError(f"{args.command} does not read {name}")
+    settings.update(given)
     scale, scales = settings.get("convention_scale", 1), _FLAGS["--convention-scale"][2]
     if scale not in scales:  # the flag's choices, for a config file's value
         raise ConfigError(f"convention_scale must be {' or '.join(map(str, scales))}, got {scale}")
@@ -420,13 +426,11 @@ def _merge_settings(args: argparse.Namespace) -> dict:
 
 
 def _squeeze_r(settings: dict) -> float:
-    if settings.get("squeeze_db") is None:
+    squeeze_db = settings["squeeze_db"]  # a float, from the flag or the config file, or None
+    if squeeze_db is None:
         return DEFAULT_SQUEEZE_R
-    squeeze_db = float(settings["squeeze_db"])
     if not abs(squeeze_db) <= MAX_SQUEEZE_DB:
-        raise ConfigError(
-            f"squeeze_db must lie in [-{MAX_SQUEEZE_DB:g}, {MAX_SQUEEZE_DB:g}], got {squeeze_db}"
-        )
+        raise ConfigError(f"squeeze_db must lie in [-{MAX_SQUEEZE_DB:g}, {MAX_SQUEEZE_DB:g}], got {squeeze_db}")
     return squeeze_db * math.log(10.0) / 20.0
 
 

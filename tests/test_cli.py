@@ -7,6 +7,7 @@ import io
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1444,3 +1445,142 @@ class TestProcessExitCodes:
         assert (result.returncode, result.stdout) == (3, "")
         assert result.stderr.startswith("eitqfc: numerical failure: at alpha=0.0: ")
         assert not (tmp_path / "never.csv").exists()
+
+
+#: The (command, setting) pairs a command does not read: each exits 2, from a flag or a config key alike.
+_UNREAD = {
+    "fig2": ["state", "nbar", "squeeze_db", "convention_scale"],
+    "fig3": ["alpha_max", "state", "nbar", "squeeze_db", "convention_scale", *cli._PHYSICAL_KEYS],
+    "fig4": ["alpha_max", "nbar", *cli._PHYSICAL_KEYS],
+    "custom": [],
+}
+#: A value each setting accepts where it is read.
+_READABLE = {
+    "alpha_max": "50", "state": "coherent", "nbar": "5", "squeeze_db": "3", "convention_scale": "2",
+    "omega_c": "1.5", "omega_d": "0.8", "gamma31": "1.2", "gamma41": "0.9", "gamma21": "0.01",
+}
+_FLAG_OF = {name: flag for flag, (name, *_) in cli._FLAGS.items()}
+
+
+class _RecordingDict(dict):
+    """A dict that records every key read through [] or get."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+class TestSettingsACommandReads:
+    def test_the_unread_pairs_are_the_table_complement(self):
+        # 4 commands x 13 settings (the 8 flags, --config among them, and the 5 physical keys) = 52 pairs;
+        # the table and --config leave 31 settable, so 21 are refused
+        unread = {(command, name) for command, names in _UNREAD.items() for name in names}
+        assert unread == {(c, k) for c in cli._DEFAULTS for k in cli._CONFIG_SCHEMA if k not in cli._DEFAULTS[c]}
+        assert (len(unread), sum(len(entry) + 1 for entry in cli._DEFAULTS.values())) == (21, 31)
+        assert set(_READABLE) | {"grid_points", "out"} == set(cli._CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "command, name, via",
+        [(c, k, via) for c, names in _UNREAD.items() for k in names for via in ("flag", "config")[k not in _FLAG_OF :]],
+        ids="-".join,
+    )
+    def test_an_unread_setting_exits_2_and_writes_nothing(self, tmp_path, capsys, command, name, via):
+        cfg, out = tmp_path / "unread.cfg", tmp_path / "never.csv"
+        cfg.write_text(f"{name} = {_READABLE[name]}\n")
+        extra = [_FLAG_OF[name], _READABLE[name]] if via == "flag" else ["--config", str(cfg)]
+        assert main([command, *extra, "--grid-points", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"eitqfc: invalid configuration: {command} does not read {name}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "command, config, flags, name",
+        [
+            ("fig2", "nbar = 5\ngrid_points = 0\n", [], "nbar"),
+            ("fig3", "grid_points = 0\n", ["--alpha-max", "50"], "alpha_max"),
+            ("fig4", "convention_scale = 5\nomega_c = nan\n", [], "omega_c"),
+            ("fig4", "squeeze_db = 1e4\n", ["--nbar", "2"], "nbar"),
+            ("fig2", "alpha_max = -1\n", ["--convention-scale", "2"], "convention_scale"),
+        ],
+    )
+    def test_an_unread_setting_is_reported_before_a_bad_value(self, tmp_path, capsys, command, config, flags, name):
+        cfg, out = tmp_path / "both.cfg", tmp_path / "never.csv"
+        cfg.write_text(config)
+        assert main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"eitqfc: invalid configuration: {command} does not read {name}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (["custom", "--state", "fock"], ["--squeeze-db", "3"]),
+            (["custom", "--state", "coherent"], ["--squeeze-db", "3"]),
+            (["custom", "--state", "squeezed"], ["--nbar", "5"]),
+            (["fig4", "--state", "fock"], ["--squeeze-db", "3"]),
+        ],
+    )
+    def test_a_setting_the_state_leaves_unread_is_accepted_and_changes_nothing(self, tmp_path, argv, unread):
+        # the rule is per command, not per (command, state): such a setting passes and leaves every byte
+        given, bare = tmp_path / "given.csv", tmp_path / "bare.csv"
+        assert main([*argv, *unread, "--grid-points", "5", "--out", str(given)]) == 0
+        assert main([*argv, "--grid-points", "5", "--out", str(bare)]) == 0
+        assert given.read_bytes() == bare.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig2"],
+            ["fig3"],
+            ["fig4", "--state", "squeezed"],
+            ["fig4", "--state", "fock"],
+            ["custom", "--state", "fock"],
+            ["custom", "--state", "coherent"],
+            ["custom", "--state", "squeezed"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_command_reads_exactly_its_table_entry(self, tmp_path, monkeypatch, argv):
+        # main, the runners, _sweep_params and _squeeze_r read the merged settings; between them they read
+        # every key of the command's _DEFAULTS entry and no other
+        merged = []
+
+        def recording(args, merge=cli._merge_settings):
+            merged.append(_RecordingDict(merge(args)))
+            return merged[-1]
+
+        monkeypatch.setattr(cli, "_merge_settings", recording)
+        assert main([*argv, "--grid-points", "3", "--out", str(tmp_path / "out.csv")]) == 0
+        assert merged[0].read == set(cli._DEFAULTS[argv[0]])
+
+    def test_a_physical_key_set_to_none_is_unset(self):
+        alphas = np.linspace(0.0, 20.0, 3)
+        unset = dict.fromkeys(cli._PHYSICAL_KEYS)
+        assert np.array_equal(run_fig2(alphas, unset)[1], run_fig2(alphas)[1])
+        assert np.array_equal(run_custom(alphas, "fock", 1, overrides=unset)[1], run_custom(alphas, "fock", 1)[1])
+        assert np.array_equal(run_fig2(alphas, {**unset, "omega_c": 1.5})[1], run_fig2(alphas, {"omega_c": 1.5})[1])
+
+
+def test_readme_usage_lists_every_setting_each_command_reads():
+    # each usage line (continuation lines indented) names the flags of its command's _DEFAULTS entry and --config;
+    # the paragraph after the block names the physical keys that only a config file sets
+    section = (Path(__file__).resolve().parent.parent / "README.md").read_text().split("## Command line", 1)[1]
+    _, block, after = section.split("```", 2)
+    usage = re.sub(r"\n\s+", " ", block.strip()).splitlines()
+    commands = [line.split()[1] for line in usage]
+    assert [line.split()[0] for line in usage] == ["eitqfc"] * 4
+    assert commands == list(cli._DEFAULTS)
+    for command, line in zip(commands, usage):
+        reads = {flag for flag, (name, *_) in cli._FLAGS.items() if name in cli._DEFAULTS[command] or name == "config"}
+        flags = re.findall(r"\[(--[a-z-]+)[ \]]", line)
+        assert sorted(flags) == sorted(reads), command
+    paragraph = after.strip().split("\n\n", 1)[0]
+    assert paragraph.startswith("`fig2` and `custom` also read the physical parameters")
+    assert all(f"`{key}`" in paragraph for key in cli._PHYSICAL_KEYS)
+    assert [c for c, entry in cli._DEFAULTS.items() if entry.keys() >= set(cli._PHYSICAL_KEYS)] == ["fig2", "custom"]

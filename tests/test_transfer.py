@@ -454,6 +454,19 @@ class TestNoiseGram:
             for got, want in zip(gram, expected):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("rabi", [0.5, 1.0, 2.3])
+    @pytest.mark.parametrize("row", [0, 1], ids=["P", "Q"])
+    def test_line_centre_diagonal_matches_the_symmetric_closed_forms(self, rabi, row):
+        # G_21,21(0) = ((alpha+2)^3 - 8) / (3 (alpha+4)^2 |Omega|^2) and G_31,31(0) = G_41,41(0) = 4 alpha/(alpha+4)^2
+        # at every optical depth of the cusp the noise rule integrates across (width |Omega|^2/alpha^2)
+        for alpha in np.geomspace(0.5, 1e4, 41):
+            stack = solve_susceptibility_stack(symmetric_params(alpha, rabi), [0.0])
+            diagonal = np.diag(noise_kernel_gram(stack, row)[0])
+            slot21 = ((alpha + 2) ** 3 - 8) / (3 * (alpha + 4) ** 2 * rabi**2)
+            slot31 = 4 * alpha / (alpha + 4) ** 2
+            expected = np.array([slot21, slot31, slot31])
+            assert np.max(np.abs(diagonal - expected) / expected) <= 1e-12, alpha
+
     def test_without_noise_slots_is_empty_but_checked(self):
         stack = solve_susceptibility_stack(symmetric_params(8.0), np.array([0.0, 1.0]))
         empty = replace(stack, zeta=stack.zeta[..., :0])
