@@ -236,25 +236,21 @@ def apply_loss_channel(rho_in: np.ndarray, c0: complex | np.ndarray) -> np.ndarr
     and the sum collapses onto shifted diagonals of rho_in:
     rho_out[m, n] = conj(c0)^m c0^n
                     * sum_l sqrt(C(m+l, l) C(n+l, l)) T^l rho_in[m+l, n+l]
-    with T = r^2.  The weighted shifts of rho_in (a dim^3 tensor) do not
-    depend on c0, so a stack of k amplitudes costs one (k, dim^2) product
-    of the powers T^l against them, then the two phases in place.  One
-    amplitude is a stack of one: a scalar c0 gives one (dim, dim) matrix,
-    a stack of k gives (k, dim, dim), and each member equals the
-    one-amplitude result bit for bit.
+    with T = r^2.  The weighted shifts (slice l of a dim^3 tensor holds
+    rho_in[l:, l:], zero past the basis) do not depend on c0, so a stack of
+    k amplitudes costs one (k, dim^2) product of the powers T^l against
+    them, then the two phases in place.  One amplitude is a stack of one:
+    a scalar c0 gives one (dim, dim) matrix, a stack of k gives (k, dim,
+    dim), and each member equals the one-amplitude result bit for bit.
     """
     rho_in, amplitudes = _channel_input(rho_in, c0)
     dim = rho_in.shape[0]
     levels = np.arange(dim)
 
-    # rho_in[m+l, n+l] at [l, m, n]: a strided view of rho_in zero-padded to twice its size
-    padded = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    padded[:dim, :dim] = rho_in
-    row_stride, column_stride = padded.strides
-    diagonals = np.lib.stride_tricks.as_strided(
-        padded, (dim, dim, dim), (row_stride + column_stride, row_stride, column_stride), writeable=False
-    )
-    shifted = _shift_weights(dim) * diagonals
+    shifted = np.zeros((dim, dim, dim), dtype=complex)  # rho_in[m+l, n+l] at [l, m, n], 0 past the basis
+    for lost in range(dim):
+        shifted[lost, : dim - lost, : dim - lost] = rho_in[lost:, lost:]
+    shifted *= _shift_weights(dim)
     # |c0| may exceed 1 by rounding (see passive_amplitudes): clamp T at 0
     loss_powers = np.maximum(1.0 - np.abs(amplitudes) ** 2, 0.0)[:, None] ** levels
     # T^l is real, so the product runs on the (re, im) pairs of the shifts.  It
@@ -445,7 +441,7 @@ def output_variances(state: InputState, ce: float | np.ndarray, phase: float | n
         var_x, var_y = (ch + sh * math.cos(state.theta)) / 4.0, (ch - sh * math.cos(state.theta)) / 4.0
         cov_xy = sh * math.sin(state.theta) / 4.0
     elif isinstance(state, (Fock, Coherent)):
-        var_x = var_y = 0.25 if isinstance(state, Coherent) else (2 * state.n + 1) / 4.0
+        var_x = var_y = 0.25 if isinstance(state, Coherent) else (2 * _fock_level(state.n) + 1) / 4.0
     else:
         raise TypeError(f"unknown input state {type(state).__name__}")
     for var in (var_x, var_y):

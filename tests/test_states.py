@@ -1,5 +1,6 @@
 import ast
 import cmath
+import hashlib
 import math
 import warnings
 from pathlib import Path
@@ -173,6 +174,37 @@ class TestStackedChannel:
     def test_amplitudes_form_at_most_one_axis(self):
         with pytest.raises(ValueError, match="1-D stack"):
             apply_loss_channel(fock_dm(1), np.full((2, 2), 0.5))
+
+    def test_output_bits_are_pinned(self):
+        # sha256 of the output bytes: how the shifted diagonals are built must move no bit
+        amplitudes = _sweep_amplitudes(SWEEP_CONFIGS["asymmetric"], 401)
+        outputs = {
+            "b5059ae0191db2376bc758cef5af64680c10cdfd3a3b2b64b21de2a5a1e030ca": (fock_dm(3), amplitudes),
+            "db2ea4fade99102b184e1c8f7956250c6313c1a14e3b72568d6fea9e368e8bba": (coherent_dm(1 + 0.5j, 20), amplitudes),
+            "f40940a9b25e702f599a97c1fb54318392112fd165d0d25dc059bac53d4005f1": (
+                coherent_dm(1.3 - 0.6j, 50),
+                0.8 * np.exp(0.9j),
+            ),
+        }
+        for digest, (rho, c0) in outputs.items():
+            assert hashlib.sha256(apply_loss_channel(rho, c0).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("dim", [6, 12, 20])
+    def test_channel_is_completely_positive_and_trace_preserving(self, dim):
+        # the Choi matrix sum_ij |i><j| (x) L(|i><j|) over the levels the top-level guard accepts
+        amplitudes = np.array([0.0, 0.3 * np.exp(0.7j), -0.5j, 0.9804, 1.0])
+        levels = dim - 2
+        outputs = np.empty((levels, levels, amplitudes.size, dim, dim), dtype=complex)
+        for i in range(levels):
+            for j in range(levels):
+                unit = np.zeros((dim, dim), dtype=complex)
+                unit[i, j] = 1.0
+                outputs[i, j] = apply_loss_channel(unit, amplitudes)
+        choi = outputs.transpose(2, 0, 3, 1, 4).reshape(amplitudes.size, levels * dim, levels * dim)
+        assert np.max(np.abs(choi - choi.conj().transpose(0, 2, 1))) <= 1e-15
+        assert np.min(np.linalg.eigvalsh(choi)) >= -1e-12
+        traces = np.trace(outputs, axis1=3, axis2=4)
+        assert np.max(np.abs(traces - np.eye(levels)[:, :, None])) <= 1e-12
 
 
 def _unit_disc_amplitudes(count, seed):
@@ -495,6 +527,12 @@ class TestQuadratures:
                 output_variances(Squeezed(var_in), 0.5, 0.0)
         with pytest.raises(ValueError, match="^variance must be >= 0, got inf$"):
             output_variances(Squeezed(355.0), 0.5, 0.0)
+
+    def test_fock_level_is_checked_as_the_channel_checks_it(self):
+        with pytest.raises(ValueError, match="^a Fock level must be >= 0, got -1$"):
+            output_variances(Fock(-1), 0.5, 0.0)
+        with pytest.raises(TypeError):
+            output_variances(Fock(1.5), 0.5, 0.0)
 
     @pytest.mark.parametrize("r", [355.5, -355.5, 400.0, -400.0, 1e300, -1e300])
     @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi / 2, math.pi])

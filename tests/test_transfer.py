@@ -941,6 +941,28 @@ class TestScatteringInvariants:
                 worst = max(worst, np.max(np.abs(kept - added)) / (1 + alpha))
         assert worst <= 1e-14
 
+    def test_cross_term_closure_by_quadrature(self):
+        # A C^* + B D^* + sum_a Gamma_a int_0^L P_a Q_a^* dz = 0, Gamma in NOISE_INDICES order: the two output
+        # fields commute.  The kernel products are integrated by one Gauss-Legendre rule in z
+        rng = np.random.default_rng(2026)
+        omegas = np.array([0.0, 0.05, -0.3, 1.1, 4.0])
+        nodes, weights = np.polynomial.legendre.leggauss(400)
+        z, weights = LENGTH * (nodes + 1) / 2, LENGTH * weights / 2
+        worst = 0.0
+        for _ in range(30):
+            alpha = 10.0 ** rng.uniform(-1.0, np.log10(200.0))
+            rabi_c, rabi_d = rng.uniform(0.3, 3.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            gamma31, gamma41 = rng.uniform(0.3, 2.0, 2)
+            gamma21 = 10.0 ** rng.uniform(-4.0, -1.0) if rng.uniform() < 0.5 else 0.0
+            stack = solve_susceptibility_stack(SystemParams(alpha, rabi_c, rabi_d, gamma31, gamma41, gamma21), omegas)
+            s = transfer._scattering(stack.generator * LENGTH)
+            block = noise_kernel_block(stack, z)
+            cross = np.einsum("z,nza,nza->na", weights, block[:, :, 0], block[:, :, 1].conj())
+            residual = s[:, 0, 0] * s[:, 1, 0].conj() + s[:, 0, 1] * s[:, 1, 1].conj()
+            residual += cross @ np.array([gamma21, gamma31, gamma41])
+            worst = max(worst, np.max(np.abs(residual)) / (1 + alpha))
+        assert worst <= 1e-13
+
     def test_a_common_rabi_phase_leaves_the_scattering_matrix_unchanged(self):
         # one phase on both Rabi fields maps the drift to U drift U^H with U = diag(e^{i phi}, 1, 1),
         # which leaves the [1:, 1:] block of its inverse, and so M, unchanged
