@@ -84,9 +84,11 @@ def build_first_order_system(params: SystemParams) -> np.ndarray:
 def _condition_test(omegas: np.ndarray, matrix: np.ndarray) -> None:
     """The SVD condition test against COND_LIMIT; SingularSystem names the first omega that fails it."""
     # the 2-norm condition number s_max/s_min of np.linalg.cond, compared
-    # without the division so that s_min = 0 needs no special case
-    singular_values = np.linalg.svd(matrix, compute_uv=False)
-    well_posed = singular_values[..., 0] <= COND_LIMIT * singular_values[..., -1]
+    # without the division so that s_min = 0 needs no special case; a zero
+    # matrix (s_max = 0) fails, and a bound that overflows to inf passes
+    s_max, s_min = np.linalg.svd(matrix, compute_uv=False)[..., [0, -1]].T
+    with np.errstate(over="ignore"):
+        well_posed = (s_max > 0) & (s_max <= COND_LIMIT * s_min)
     if not well_posed.all():
         first = np.flatnonzero(~well_posed)[0]
         raise SingularSystem(

@@ -8,14 +8,14 @@ Kraus sum (Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)).  Each Kraus
 operator K_l moves |m+l> to |m> only, so the sum collapses onto shifted
 diagonals of the input, weighted by powers of the loss 1 - |C_0|^2
 (see apply_loss_channel); one call takes a whole stack of amplitudes.
-The module keeps two independent constructions of the same channel as
-test oracles (the normally-ordered projector series and a two-mode beam
-splitter on the input's own basis, exponentiated one photon-number block
-at a time, which is exact there).  A Fock
-input's fidelity |C_0|^n comes from the amplitudes alone (fock_fidelity),
-with the channel's own arithmetic; MAX_FOCK_LEVEL is the highest level
-the channel takes on the default basis.  The coherent fidelity and the
-quadrature variances have closed forms in |C_0|^2 and arg C_0, since the
+The module keeps two independent constructions of the same channel as test
+oracles: the normally-ordered projector series, summed as array algebra over
+the powers a^k (exact zeros from k = dim on), and a two-mode beam splitter
+on the input's own basis, exponentiated exactly one photon-number block at a
+time.  A Fock input's fidelity |C_0|^n comes from the amplitudes alone
+(fock_fidelity), with the channel's own arithmetic; MAX_FOCK_LEVEL is the
+highest level the channel takes on the default basis.  The coherent fidelity
+and quadrature variances have closed forms in |C_0|^2 and arg C_0, since the
 converted mode conj(C_0) a + vacuum turns the quadratures by arg conj(C_0).
 C_0 comes in as a number or a 1-D stack, checked to be passive
 (passive_amplitudes); the module does not import the propagation layers:
@@ -270,44 +270,28 @@ def projector_series_oracle(rho_in: np.ndarray, c0: complex) -> np.ndarray:
     Elements are evaluated by the normally-ordered projector expansion:
     rho_out[m, n] = sum_l (-1)^l / (l! sqrt(m! n!))
                     * c0^{l+n} conj(c0)^{l+m} Tr[(a^+)^{l+n} a^{l+m} rho_in],
-    which is exact on the truncated space (powers beyond the truncation
-    vanish identically).  Equivalent to a pure-loss channel of
-    transmissivity |c0|^2 with phase conj(c0) on the coherences.
+    as array algebra: one stack of the powers a^k, every moment in one
+    contraction, and the sum over l < dim in one broadcast.  The stack
+    runs on to k = 2 dim - 2 as zeros, which is exact: a^k = 0 from
+    k = dim on, so every term past l = dim - 1 - max(m, n) vanishes, and
+    the series is exact on the truncated space.  Equivalent to a pure-loss
+    channel of transmissivity |c0|^2 with phase conj(c0) on the coherences.
     """
     rho_in, amplitudes = _channel_input(rho_in, c0)
     (c0,) = amplitudes.tolist()
     dim = rho_in.shape[0]
 
     a = destroy(dim)
-    # lowered[k] = a^k rho_in ; raiser[j] = a^j (real), so that
-    # Tr[(a^+)^j a^k rho] = sum(a^j * (a^k rho)) elementwise.
-    lowered = [rho_in]
-    raiser = [np.eye(dim)]
-    for _ in range(dim):
-        lowered.append(a @ lowered[-1])
-        raiser.append(a @ raiser[-1])
-    moments = np.empty((dim + 1, dim + 1), dtype=complex)
-    for j in range(dim + 1):
-        for k in range(dim + 1):
-            moments[j, k] = np.sum(raiser[j] * lowered[k])
-
+    powers = np.zeros((2 * dim - 1, dim, dim))  # a^k at [k]
+    powers[0] = np.eye(dim)
+    for k in range(1, dim):
+        powers[k] = a @ powers[k - 1]
+    # Tr[(a^+)^j a^k rho_in] = sum(a^j * (a^k rho_in)) elementwise, as a^j is real
+    moments = powers.reshape(2 * dim - 1, -1) @ (powers @ rho_in).reshape(2 * dim - 1, -1).T
+    lost, m, n = np.arange(dim)[:, None, None], np.arange(dim)[:, None], np.arange(dim)
     fact = _factorials(dim)
-    rho_out = np.zeros((dim, dim), dtype=complex)
-    for m in range(dim):
-        for n in range(dim):
-            acc = 0.0 + 0.0j
-            sign = 1.0
-            for l in range(0, dim - max(m, n)):
-                acc += (
-                    sign
-                    / fact[l]
-                    * c0 ** (l + n)
-                    * np.conj(c0) ** (l + m)
-                    * moments[l + n, l + m]
-                )
-                sign = -sign
-            rho_out[m, n] = acc / math.sqrt(fact[m] * fact[n])
-    return rho_out
+    terms = (-1.0) ** lost / fact[lost] * c0 ** (lost + n) * np.conj(c0) ** (lost + m) * moments[lost + n, lost + m]
+    return terms.sum(axis=0) / np.sqrt(fact[m] * fact[n])
 
 
 @functools.lru_cache(maxsize=16)

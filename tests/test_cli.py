@@ -516,6 +516,30 @@ class TestMain:
         assert err.startswith("eitqfc: numerical failure: at alpha=0.0: atomic response matrix")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fig2", "custom"])
+    def test_zero_response_matrix_exits_3(self, tmp_path, capsys, command):
+        # every drift entry rounds to 0: the omega = 0 matrix is exactly zero, not merely ill-conditioned
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("omega_c = 5e-324\nomega_d = 5e-324\ngamma31 = 5e-324\ngamma41 = 5e-324\n")
+        out = tmp_path / "never.csv"
+        assert main([command, "--grid-points", "3", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "eitqfc: numerical failure: at alpha=0.0: atomic response matrix at omega=0.0 has condition number inf\n"
+        )
+        assert not out.exists()
+
+    def test_condition_bound_past_the_float_range_passes_without_a_warning(self, tmp_path):
+        # s_min is past 1.8e296 here, so COND_LIMIT * s_min overflows to inf, which every s_max passes
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("gamma41 = 1e308\nomega_c = 1e308\ngamma21 = 1e-160\n")
+        out = tmp_path / "custom.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["custom", "--state", "coherent", "--nbar", "4", "--grid-points", "41", "--config", str(cfg)]
+            assert main([*argv, "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "52fe4dbeb5ecc1c6217cbb4c113a3d08af4f2a0419f08b7b7b9050d74ecc4563"
+
     @staticmethod
     def _sweep_with_amplitude(monkeypatch, row, c0):
         """Make cli's propagation sweep put c0 as the channel amplitude of one row."""

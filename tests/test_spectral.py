@@ -196,6 +196,14 @@ def test_stack_names_first_singular_frequency():
     assert solve_susceptibility_stack(p, np.array([-1.0, 2.0])).generator.shape == (2, 2, 2)
 
 
+def test_zero_response_matrix_is_singular():
+    # every drift entry rounds to 0, so the omega = 0 matrix is exactly zero and so are all its singular values
+    p = SystemParams(alpha=5.0, omega_c=5e-324, omega_d=5e-324, gamma31=5e-324, gamma41=5e-324)
+    assert not build_first_order_system(p).any()
+    with pytest.raises(SingularSystem, match=r"omega=0\.0 has condition number inf"):
+        solve_susceptibility_stack(p, np.array([-1.0, 0.0, 2.0]))
+
+
 @pytest.mark.parametrize("omegas", [0.3, [[0.3, 0.4]]], ids=["scalar", "2-D"])
 def test_stack_rejects_a_grid_that_is_not_1d(omegas):
     with pytest.raises(ValueError, match=r"frequencies must form a 1-D grid, got shape \("):

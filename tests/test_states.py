@@ -348,6 +348,45 @@ class TestChannelEquivalence:
         rotated = phase[:, None] * oracle * np.conj(phase)[None, :]
         _assert_routes_agree(kraus, series, rotated)
 
+    def test_series_matches_its_formula_at_50_digits(self):
+        # the same series with 50-digit moments, each computed once from the entries of rho:
+        # Tr[(a^+)^j a^k rho] = sum_p sqrt((p+j)! (p+k)!) / p! rho[p+k, p+j]
+        mpmath = pytest.importorskip("mpmath")
+        for rho in (fock_dm(2, 6), coherent_dm(0.5 + 0.3j, 12)):
+            dim = rho.shape[0]
+            with mpmath.workdps(50):
+                f = [mpmath.factorial(k) for k in range(dim)]
+                moments = [
+                    [
+                        mpmath.fsum(
+                            mpmath.sqrt(f[p + j] * f[p + k]) / f[p] * mpmath.mpc(rho[p + k, p + j])
+                            for p in range(dim - max(j, k))
+                        )
+                        for k in range(dim)
+                    ]
+                    for j in range(dim)
+                ]
+                for c0 in (0.0, 1.0, 0.8, 0.6 * cmath.exp(0.9j)):
+                    c = mpmath.mpc(c0)
+                    expected = np.array(
+                        [
+                            [
+                                complex(
+                                    mpmath.fsum(
+                                        (-1) ** lost / f[lost] * c ** (lost + n) * mpmath.conj(c) ** (lost + m)
+                                        * moments[lost + n][lost + m]
+                                        for lost in range(dim - max(m, n))
+                                    )
+                                    / mpmath.sqrt(f[m] * f[n])
+                                )
+                                for n in range(dim)
+                            ]
+                            for m in range(dim)
+                        ]
+                    )
+                    gap = np.max(np.abs(projector_series_oracle(rho, c0) - expected))
+                    assert gap <= 1e-13 * np.max(np.abs(expected)), (dim, c0, gap)
+
 
 class TestCoherentOutput:
     def test_vacuum_input(self):

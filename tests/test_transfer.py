@@ -919,6 +919,25 @@ class TestScatteringInvariants:
             compared += 1
         assert compared >= 44  # the whole linear part and a few rows beyond
 
+    def test_rows_are_finite_and_passive_across_the_cli_domain(self):
+        # seeded configurations with complex asymmetric Rabi fields, unequal decays and dephasing, on four
+        # frequencies: the largest singular value of each row's scattering matrix stays at most 1
+        rng = np.random.default_rng(2027)
+        alphas = np.concatenate([np.linspace(0.0, 400.0, 101), np.geomspace(401.0, 1e6, 200)])
+        worst = {"quantum": 0.0, "imbedding": 0.0}
+        for _ in range(300):
+            rabi_c, rabi_d = rng.uniform(0.1, 10.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            gamma31, gamma41 = rng.uniform(0.3, 3.0, 2)
+            gamma21 = 10.0 ** rng.uniform(-4.0, -1.0) if rng.uniform() < 0.5 else 0.0
+            omega = rng.choice([0.0, 0.05, -0.3, 1.1])
+            quantum = propagation_sweep(SystemParams(0.0, rabi_c, rabi_d, gamma31, gamma41, gamma21), alphas, omega)
+            for name, sweep in (("quantum", quantum), ("imbedding", semiclassical_sweep(quantum))):
+                assert sweep.failure is None and sweep.resolved.shape == (alphas.size, 2, 2)
+                assert np.isfinite(sweep.resolved).all()
+                gain = np.linalg.norm(sweep.resolved, 2, axis=(1, 2)) - 1.0
+                worst[name] = max(worst[name], np.max(gain / (1 + alphas)))
+        assert worst["quantum"] <= 1e-14 and worst["imbedding"] <= 1e-13, worst
+
     def test_commutator_closure_at_every_frequency(self):
         # per frequency 1 - |A|^2 - |B|^2 = sum_a Gamma_a G^P_aa and 1 - |C|^2 - |D|^2 = sum_a Gamma_a G^Q_aa,
         # Gamma = (gamma21, gamma31, gamma41) in NOISE_INDICES order: the output fields keep [a, a^H] = 1
