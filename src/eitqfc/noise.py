@@ -67,9 +67,9 @@ CUSP_WIDTH = 100.0
 
 #: Seed edges at these multiples of the Rabi scale max(|omega_c|, |omega_d|).
 RABI_EDGES = (0.3, 0.6, 1.0, 2.0, 4.0)
-_RABI_EDGES = np.array(RABI_EDGES)
 #: The decade ladder 0.1^k, k = 1 .. 20, of _seed_edges: 20 decades reach the cusp up to alpha ~ 1e10 |Omega|^(1/2).
-_DECADES = 0.1 ** np.arange(1, 21)
+#: numpy's powers, as floats: Python's 0.1 ** k differs from them in the last bit at k = 2 and 8.
+_DECADES = (0.1 ** np.arange(1, 21)).tolist()
 
 
 def _mirror(half: list[float], sign: float) -> np.ndarray:
@@ -197,20 +197,18 @@ def _form(params: SystemParams, d: np.ndarray, row: int, omegas: np.ndarray) -> 
 
 
 def _seed_edges(params: SystemParams) -> np.ndarray:
-    """The first panel edges on [0, W], W = default_window: omega = 0 and the edges below.
+    """The first panel edges on [0, W], W = default_window: omega = 0 and the edges below, ascending.
 
-    The Rabi scale R = max(|omega_c|, |omega_d|) times RABI_EDGES, W/2
-    and W, and the decades 0.3 R 10^-k (k >= 1) toward the cusp down to
-    a tenth of its half-width CUSP_WIDTH R^2 / alpha^2.  Edges that
-    coincide, as all of R's do at R = 0, are kept once.
+    The Rabi scale R = max(|omega_c|, |omega_d|) times RABI_EDGES, W/2 and W, and the decades
+    0.3 R 10^-k (k >= 1) down to a tenth of the cusp's half-width CUSP_WIDTH R^2 / alpha^2, as
+    Python floats (the half-width is inf past the float range), each once: R's coincide at R = 0.
     """
     window = default_window(params)
     rabi = max(abs(params.omega_c), abs(params.omega_d))
-    cusp = CUSP_WIDTH * (rabi / max(params.alpha, 1.0)) ** 2
-    decades = 0.3 * rabi * _DECADES
-    positive = np.concatenate([decades[decades >= cusp / 10], rabi * _RABI_EDGES, [window / 2, window]])
-    edges = np.sort(np.concatenate([[0.0], positive]))
-    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]  # np.unique, without its numpy.ma import
+    scale = rabi / max(params.alpha, 1.0)
+    cusp = CUSP_WIDTH * (scale * scale)
+    decades = [edge for edge in (0.3 * rabi * decade for decade in _DECADES) if edge >= cusp / 10]
+    return np.array(sorted({0.0, *decades, *(rabi * edge for edge in RABI_EDGES), window / 2, window}))
 
 
 def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

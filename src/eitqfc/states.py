@@ -270,12 +270,12 @@ def projector_series_oracle(rho_in: np.ndarray, c0: complex) -> np.ndarray:
     Elements are evaluated by the normally-ordered projector expansion:
     rho_out[m, n] = sum_l (-1)^l / (l! sqrt(m! n!))
                     * c0^{l+n} conj(c0)^{l+m} Tr[(a^+)^{l+n} a^{l+m} rho_in],
-    as array algebra: one stack of the powers a^k, every moment in one
-    contraction, and the sum over l < dim in one broadcast.  The stack
-    runs on to k = 2 dim - 2 as zeros, which is exact: a^k = 0 from
-    k = dim on, so every term past l = dim - 1 - max(m, n) vanishes, and
-    the series is exact on the truncated space.  Equivalent to a pure-loss
-    channel of transmissivity |c0|^2 with phase conj(c0) on the coherences.
+    as array algebra: one stack of the powers a^k, every moment in one contraction, and the sum
+    over l < dim in one broadcast; the stack runs on to k = 2 dim - 2 as zeros, exact as a^k = 0
+    from k = dim on.  The series is exact on the truncated space, but its alternating sum loses
+    digits with the photon number: on fock_dm(n) it is off the channel by up to 1.5e-14 (Frobenius)
+    at n = 5, 8e-13 at n = 9 and 3.6e-9 at n = MAX_FOCK_LEVEL, so it checks the lower levels only.
+    Equivalent to a pure-loss channel of transmissivity |c0|^2 with phase conj(c0) on the coherences.
     """
     rho_in, amplitudes = _channel_input(rho_in, c0)
     (c0,) = amplitudes.tolist()

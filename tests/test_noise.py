@@ -1,3 +1,5 @@
+import cmath
+import hashlib
 import json
 import time
 import warnings
@@ -607,3 +609,74 @@ class TestDiffusionType:
             with pytest.raises(TypeError, match=message):
                 call(symmetric_params(4.0), bad)
         assert solves == []
+
+
+def _seed_edge_configs(count, seed):
+    """Seeded SystemParams over the rule's domain: alpha 0, below 1 and up to 1e6, and complex, asymmetric
+    Rabi fields from 0 and 5e-324 up to 1e149 max(alpha, 1), so that CUSP_WIDTH (|Omega| / max(alpha, 1))^2
+    stays finite."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(count):
+        alpha = (0.0, float(rng.uniform(0.0, 1.0)), float(10 ** rng.uniform(0.0, 6.0)))[rng.integers(3)]
+        fields = []
+        for _ in range(2):
+            magnitude = (0.0, 5e-324, 10 ** rng.uniform(-300, -8), 10 ** rng.uniform(-8, 8), 10 ** rng.uniform(8, 149))
+            magnitude = float(magnitude[rng.integers(5)]) * (max(alpha, 1.0) if rng.integers(2) else 1.0)
+            fields.append(magnitude * cmath.exp(1j * rng.uniform(-np.pi, np.pi)) if rng.integers(2) else magnitude)
+        configs.append(SystemParams(alpha, *fields))
+    return configs
+
+
+#: sha256 of (size, int64 view) of the seed edges of _seed_edge_configs(2000, 4401): the panels whose values
+#: test_reference_points_bit_for_bit pins at 16 points, pinned here across the rule's domain.
+SEED_EDGE_DIGEST = "8351ae3d7bd1781cd37f83990f00362fab2210474190fb977a9987f9d17bf8fb"
+
+
+class TestSeedEdges:
+    def test_edges_are_pinned(self):
+        digest = hashlib.sha256()
+        for p in _seed_edge_configs(2000, 4401):
+            edges = noise._seed_edges(p)
+            digest.update(np.int64(edges.size).tobytes() + edges.view(np.int64).tobytes())
+        assert digest.hexdigest() == SEED_EDGE_DIGEST
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e6])
+    @pytest.mark.parametrize("rabi", [1e150, 1e200, 1e300, 1e307])
+    def test_cusp_scale_past_the_float_range_is_a_singular_system(self, alpha, rabi):
+        # (|Omega| / max(alpha, 1))^2 overflows: the cusp is inf, no decade is kept, the omega = 0 edge is singular
+        p, d = symmetric_params(alpha, rabi), diffusion_matrix(0.1, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: langevin_photon_noise(p), lambda: langevin_photon_noise(p, d), lambda: eta1(p, d)):
+                with pytest.raises(SingularSystem, match=r"at omega=0\.0 "):
+                    call()
+
+
+def _random_psd_diffusion(rng, trace):
+    """A random positive semidefinite Hermitian 3x3 diffusion matrix of the given trace."""
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    a = g @ g.conj().T
+    return DiffusionMatrix(entries=trace * a / np.trace(a).real)
+
+
+def test_noise_calls_are_finite_and_passive_across_the_cli_domain():
+    # complex asymmetric fields of 0.1 to 10, decays in [0.3, 3], dephasing 0 or 1e-4 to 0.1, alpha 0 to 1e6
+    rng = np.random.default_rng(4402)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(100):
+            rabi = 10 ** rng.uniform(-1, 1, 2) * np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
+            gamma31, gamma41 = rng.uniform(0.3, 3.0, 2)
+            gamma21 = 0.0 if rng.integers(2) else float(10 ** rng.uniform(-4, -1))
+            alpha = (0.0, rng.uniform(0.0, 10.0), 10 ** rng.uniform(0.0, 6.0))[rng.integers(3)]
+            p = SystemParams(float(alpha), complex(rabi[0]), complex(rabi[1]), float(gamma31), float(gamma41), gamma21)
+            if rng.integers(2):
+                pop33, pop44 = rng.dirichlet([1.0, 1.0, 1.0])[:2]
+                d = diffusion_matrix(pop33, pop44)
+            else:
+                d = _random_psd_diffusion(rng, 0.01)
+            photon, q = langevin_photon_noise(p, d), eta1(p, d)
+            assert np.isfinite([photon, q]).all() and min(photon, q) >= 0.0, (p, photon, q)
+            assert np.isfinite(eta2(p, d)), p
+            assert langevin_photon_noise(p) == 0.0, p

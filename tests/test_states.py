@@ -325,6 +325,15 @@ class TestChannelEquivalence:
                 oracle = beam_splitter_oracle(rho, t)
                 _assert_routes_agree(kraus, series, oracle)
 
+    @pytest.mark.parametrize("n", range(MAX_FOCK_LEVEL + 1))
+    def test_every_fock_level_the_cli_accepts_matches_the_beam_splitter(self, n):
+        # the default basis up to MAX_FOCK_LEVEL, where the series oracle loses digits (see its docstring)
+        rho = fock_dm(n)
+        for t in (0.25, 0.5, 0.64, 0.9612, 0.999):
+            kraus = apply_loss_channel(rho, math.sqrt(t) * cmath.exp(0.7j))
+            gap = np.linalg.norm(kraus - beam_splitter_oracle(rho, t))
+            assert gap <= 1e-13, (n, t, gap)
+
     def test_coherent_inputs(self):
         dim = 24
         for beta in (0.5, 1.0, 2.0, 1.0 + 1.0j):
