@@ -48,7 +48,7 @@ class IllPosedBoundary(QfcError):
 
 
 class NonConvergedIntegral(QfcError):
-    """Panel refinement did not bring a noise integral's error estimate below its tolerance."""
+    """Panel refinement left a noise integral's error estimate above its tolerance, or met a non-finite form."""
 
 
 class TruncationOverflow(QfcError):

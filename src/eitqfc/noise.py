@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergedIntegral
+from .errors import NonConvergedIntegral, NonFiniteParameter, first_failure
 from .params import GAMMA, LENGTH, SystemParams
 from .spectral import SpectralStack, solve_susceptibility_stack
 from .transfer import noise_kernel_gram, propagation_sweep
@@ -161,8 +161,14 @@ def diffusion_matrix(pop33: float = 0.0, pop44: float = 0.0) -> DiffusionMatrix:
 
 
 def default_window(params: SystemParams) -> float:
-    """Half-width of the frequency truncation window."""
-    return 10.0 * max(GAMMA, abs(params.omega_c), abs(params.omega_d))
+    """Half-width of the frequency truncation window; NonFiniteParameter when it overflows (|Omega| past ~1.8e307)."""
+    try:
+        window = 10.0 * max(GAMMA, abs(params.omega_c), abs(params.omega_d))
+    except OverflowError:  # abs of a complex field whose modulus is past the float range
+        window = float("inf")
+    if window == float("inf"):
+        raise NonFiniteParameter(f"frequency window 10 max(Gamma, |Omega|) must be finite, got {window}")
+    return window
 
 
 def _checked_diffusion(diffusion: DiffusionMatrix | None) -> None:
@@ -223,14 +229,21 @@ def _panel_pass(
     """The qk21 value and error estimate of each panel [lo, hi] of the integral, from one _form.
 
     The form runs over the panels' Kronrod nodes and then ``edges``,
-    which are solved and checked with weight 0.  The error is QUADPACK's
+    which are solved and checked with weight 0, under one np.errstate: a
+    Kronrod node whose form is not finite is a NonConvergedIntegral that
+    names the first such omega, before any sum.  The error is QUADPACK's
     (Piessens et al., QUADPACK, 1983, routine qk21): |K21 - G10| scaled
     by resasc, the K21 integral of |f - mean f|, and at least 50 eps
     times the integral of |f|.
     """
     nodes, half = _kronrod_nodes(lo, hi)
-    form = _form(params, d, row, np.concatenate([nodes.ravel(), edges])) * (LENGTH / (2 * np.pi))
-    form = form[: nodes.size].reshape(nodes.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        form = _form(params, d, row, np.concatenate([nodes.ravel(), edges])) * (LENGTH / (2 * np.pi))
+    form = form[: nodes.size]
+    if not np.isfinite(form).all():  # first_failure only on failure: its mask costs more than this test
+        not_finite = (~np.isfinite(form), lambda k: NonConvergedIntegral("the noise form is not finite"))
+        raise first_failure(nodes.ravel(), [not_finite], "omega")[1]
+    form = form.reshape(nodes.shape)
     kronrod, gauss = form @ _KRONROD_WEIGHTS, form @ _GAUSS_WEIGHTS
     resasc = np.abs(form - kronrod[:, None] / 2) @ _KRONROD_WEIGHTS * half
     error = np.abs(kronrod - gauss) * half

@@ -66,6 +66,8 @@ DD_TERMS = 14
 THIN_DOUBLINGS = 10
 
 _EYE = np.eye(2)
+#: The smallest normal float.
+_TINY = np.finfo(float).tiny
 #: The empty slab (A, B, C, D) = (1, 0, 0, 1) as a column, for stacks (4, n) of slabs.
 _EMPTY_SLAB = np.array([[1.0], [0.0], [0.0], [1.0]])
 
@@ -165,12 +167,15 @@ def _solvable(resolved: np.ndarray) -> list:
     """The checks, for first_failure, that a resolved stack (n, 2, 2) is a usable boundary solution.
 
     Each matrix must be finite and its |1/D| (= |D'| of e^{-ML}) must
-    reach BOUNDARY_TOL.
+    reach BOUNDARY_TOL.  Finiteness is tested entry by entry, over the
+    whole stack at once: cheaper than a reduction over each matrix.
     """
+    a, b, c, d = resolved.reshape(-1, 4).T
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pivot = 1.0 / np.abs(resolved[:, 1, 1])
+        pivot = 1.0 / np.abs(d)
+    finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d)
     return [
-        (~np.isfinite(resolved).all(axis=(1, 2)), lambda k: IllPosedBoundary("the resolved matrix is not finite")),
+        (~finite, lambda k: IllPosedBoundary("the resolved matrix is not finite")),
         (pivot < BOUNDARY_TOL, lambda k: IllPosedBoundary(f"|1/D| = {pivot[k]:.3e} below {BOUNDARY_TOL}")),
     ]
 
@@ -300,12 +305,15 @@ _FARTHEST = {k: (np.array(pairs), np.array([[i, *(m for m in range(k) if m not i
 def _exp_pair_difference(x: np.ndarray) -> np.ndarray:
     """exp[x_0, x_1] = e^{x_b} (1 - e^{-d})/d, d = x_b - x_s, Re x_b >= Re x_s, of rows x (m, 2), in their dtype.
 
-    Bounded by e^{Re x_b}, and expm1 carries d -> 0.
+    Bounded by e^{Re x_b}, and expm1 carries d -> 0.  A |d| below the
+    smallest normal float takes the limit 1: the reciprocal of a
+    subnormal d overflows, while the exact ratio rounds to 1 there.  A
+    NaN d stays NaN.
     """
     first = x[:, 0].real >= x[:, 1].real
     big, small = np.where(first, x[:, 0], x[:, 1]), np.where(first, x[:, 1], x[:, 0])
     d = big - small
-    return np.exp(big) * np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d != 0)
+    return np.exp(big) * np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=~(abs(d) < _TINY))
 
 
 def _farthest_first(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -432,14 +440,15 @@ def noise_kernels(stack: SpectralStack, raw: np.ndarray, z_grid: np.ndarray | No
     return NoiseKernels(kernels[:, 0].T, kernels[:, 1].T)
 
 
-def _imbedding_rates(m: np.ndarray, slabs: np.ndarray) -> np.ndarray:
+def _imbedding_rates(entries: list, slabs: np.ndarray) -> np.ndarray:
     """d/dt of stacked slabs (4, n) = (A, B, C, D) as a sheet of optical depth dt is added at the far face.
 
-    With m = M(1) L: A' = A (m21 B - m11), B' = m21 B^2 + (m22 - m11) B -
-    m12, C' = m21 A D and D' = D (m21 B + m22), the thin-sheet limit of
-    _star (a sheet is (1 - m11 dt, -m12 dt, m21 dt, 1 + m22 dt)).
+    With ``entries`` (m11, m12, m21, m22) of m = M(1) L: A' = A (m21 B -
+    m11), B' = m21 B^2 + (m22 - m11) B - m12, C' = m21 A D and D' = D (m21
+    B + m22), the thin-sheet limit of _star (a sheet is (1 - m11 dt, -m12
+    dt, m21 dt, 1 + m22 dt)).
     """
-    (m11, m12), (m21, m22) = m
+    m11, m12, m21, m22 = entries
     a, b, _, d = slabs
     mb = m21 * b
     near = mb + m22
@@ -451,10 +460,11 @@ def _seed_slabs(m: np.ndarray, widths: np.ndarray) -> np.ndarray:
 
     One classical RK4 step of _imbedding_rates from the empty slab.
     """
-    k1 = _imbedding_rates(m, _EMPTY_SLAB)
-    k2 = _imbedding_rates(m, _EMPTY_SLAB + widths / 2 * k1)
-    k3 = _imbedding_rates(m, _EMPTY_SLAB + widths / 2 * k2)
-    k4 = _imbedding_rates(m, _EMPTY_SLAB + widths * k3)
+    entries, half = m.ravel().tolist(), widths / 2
+    k1 = _imbedding_rates(entries, _EMPTY_SLAB)
+    k2 = _imbedding_rates(entries, _EMPTY_SLAB + half * k1)
+    k3 = _imbedding_rates(entries, _EMPTY_SLAB + half * k2)
+    k4 = _imbedding_rates(entries, _EMPTY_SLAB + widths * k3)
     return widths / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -569,12 +579,15 @@ def semiclassical_sweep(quantum: PropagationSweep) -> PropagationSweep:
     """
     alphas, m = quantum.alphas, quantum.generator
     times, row_of = np.unique(alphas, return_inverse=True)
-    gaps, gap_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    gaps = times.copy()  # gaps[0] = times[0] - 0
+    np.subtract(times[1:], times[:-1], out=gaps[1:])
+    gaps, gap_of = np.unique(gaps, return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         slabs, pivot = _slabs(m, gaps)
         slabs, pivot = _cumulative_star(slabs[:, gap_of], pivot[gap_of])
         rows, pivot = slabs.T[row_of], pivot[row_of]
-    finite = np.isfinite(rows).all(axis=1)
+    a, b, c, d = slabs
+    finite = (np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d))[row_of]
     n, failure = first_failure(
         alphas,
         [

@@ -90,6 +90,16 @@ class TestRunFig2:
             ([90.0, 0.1, 0.8, 2.6e64, 0.8], "passivity broken, largest power column 2.6e+64"),
             ([90.0, 0.1, 0.8, 0.1, float("nan")], "leave the quantum ones by nan"),
             ([90.0, 0.1, 0.8, 0.1, 0.8 + 2e-6], "leave the quantum ones by 2.000e-06"),
+            # each power column above 1 in turn, and each difference column NaN or apart in turn
+            ([90.0, 1.5, 0.8, 0.1, 0.8], "passivity broken, largest power column 1.5"),
+            ([90.0, 0.1, 1.25, 0.1, 0.8], "passivity broken, largest power column 1.25"),
+            ([90.0, 0.1, 0.8, 0.1, 3.0], "passivity broken, largest power column 3"),
+            ([90.0, 1.25, 0.8, 1.5, 0.8], "passivity broken, largest power column 1.5"),
+            ([90.0, 0.1, 0.8, float("nan"), 0.8], "leave the quantum ones by nan"),
+            ([90.0, float("nan"), 0.8, 0.1, 0.8], "leave the quantum ones by nan"),
+            ([90.0, 0.1, float("nan"), 0.1, 0.8], "leave the quantum ones by nan"),
+            ([90.0, 0.1, 0.8, 0.1 + 3e-6, 0.8], "leave the quantum ones by 3.000e-06"),
+            ([90.0, 0.1, 0.8, 0.1 - 3e-6, 0.8 + 2e-6], "leave the quantum ones by 3.000e-06"),
         ],
     )
     def test_oracle_gate(self, row, message):

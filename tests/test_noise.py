@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitqfc import noise, transfer
-from eitqfc.errors import IllPosedBoundary, NonConvergedIntegral, SingularSystem
+from eitqfc.errors import IllPosedBoundary, NonConvergedIntegral, NonFiniteParameter, SingularSystem
 from eitqfc.noise import (
     DiffusionMatrix,
     default_window,
@@ -642,7 +642,7 @@ class TestSeedEdges:
         assert digest.hexdigest() == SEED_EDGE_DIGEST
 
     @pytest.mark.parametrize("alpha", [1.0, 1e6])
-    @pytest.mark.parametrize("rabi", [1e150, 1e200, 1e300, 1e307])
+    @pytest.mark.parametrize("rabi", [1e150, 1e200, 1e300, 1e307, 1.7e307])
     def test_cusp_scale_past_the_float_range_is_a_singular_system(self, alpha, rabi):
         # (|Omega| / max(alpha, 1))^2 overflows: the cusp is inf, no decade is kept, the omega = 0 edge is singular
         p, d = symmetric_params(alpha, rabi), diffusion_matrix(0.1, 0.1)
@@ -651,6 +651,57 @@ class TestSeedEdges:
             for call in (lambda: langevin_photon_noise(p), lambda: langevin_photon_noise(p, d), lambda: eta1(p, d)):
                 with pytest.raises(SingularSystem, match=r"at omega=0\.0 "):
                     call()
+
+
+class TestNonFiniteArithmetic:
+    @pytest.mark.parametrize("rabi", [1.8e307, 4e307, 4.6e307, 1.7976931348623157e308, 1.5e308 + 1.5e308j])
+    def test_a_window_past_the_float_range_is_refused_before_any_solve(self, monkeypatch, rabi):
+        # 10 |Omega| overflows from about 1.8e307 (4 |Omega|, the top Rabi edge, only from about 4.5e307);
+        # the modulus of the last field is itself past the float range
+        solves = []
+        monkeypatch.setattr(noise, "solve_susceptibility_stack", lambda *args: solves.append(args))
+        p, d = symmetric_params(1.0, rabi), diffusion_matrix(0.1, 0.1)
+        message = r"^frequency window 10 max\(Gamma, \|Omega\|\) must be finite, got inf$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calls = (default_window, langevin_photon_noise, lambda p: langevin_photon_noise(p, d), lambda p: eta1(p, d))
+            for call in calls:
+                with pytest.raises(NonFiniteParameter, match=message):
+                    call(p)
+        assert solves == []
+
+    def test_a_subnormal_exponent_gap_takes_its_limit(self):
+        # a dephasing of 1e-300 and a field of 1e-160 put subnormal gaps into the Gram's two-point differences
+        p = SystemParams(1e4, -4.07e-161 + 9.13e-161j, 0.7825 - 0.6227j, 1e-8, 1.0, 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eta1(p, diffusion_matrix(0.1, 0.2)) == 4.230333956523447
+
+    def test_a_non_finite_form_names_its_first_node(self):
+        # the Gram's exponentials overflow at alpha = 1e100 once refinement reaches omega ~ 494
+        p = SystemParams(1e100, 0, -554 - 833j, 3, 1e-300, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergedIntegral, match=r"^at omega=494\.31\d*: the noise form is not finite$"):
+                eta1(p, diffusion_matrix(0.1, 0.2))
+
+    def test_the_first_non_finite_node_of_a_pass_is_named(self, monkeypatch):
+        p, d = symmetric_params(50.0), noise._folded(symmetric_params(50.0), diffusion_matrix(0.1, 0.1).entries)
+        lo, hi = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 4.0])
+        nodes = noise._kronrod_nodes(lo, hi)[0].ravel()
+        for bad in ([30], [50, 7], [62]):
+            def form(params, d, row, omegas, bad=bad):
+                values = np.ones(omegas.size)
+                values[bad] = (np.nan, np.inf)[: len(bad)]
+                return values
+            monkeypatch.setattr(noise, "_form", form)
+            message = rf"^at omega={float(nodes[min(bad)])!r}: the noise form is not finite$"
+            with pytest.raises(NonConvergedIntegral, match=message):
+                noise._panel_pass(p, d, 0, lo, hi, np.array([0.0, 4.0]))
+        # the weight-0 edges after the Kronrod nodes are not integrated, so they are not checked
+        monkeypatch.setattr(noise, "_form", lambda params, d, row, omegas: np.where(omegas == 4.0, np.nan, 1.0))
+        value, _ = noise._panel_pass(p, d, 0, lo, hi, np.array([4.0]))
+        assert value == pytest.approx((hi - lo) * noise.LENGTH / (2 * np.pi), rel=1e-15)
 
 
 def _random_psd_diffusion(rng, trace):

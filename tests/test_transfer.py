@@ -205,6 +205,15 @@ class TestBoundaryResolve:
         n, failure = first_failure(np.array([0.0, 0.5, 1.0, 2.0]), checks[:1])
         assert (n, str(failure)) == (2, "at alpha=1.0: the resolved matrix is not finite")
         assert first_failure(np.zeros(4), checks[:0]) == (4, None)
+        # a non-finite value in each of the four entries in turn, each found on its own row
+        for row, entry in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+            for value in (np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)):
+                stack = np.array([np.eye(2)] * 4, dtype=complex)
+                stack[row][entry] = value
+                non_finite, small_pivot = (list(mask) for mask, _ in transfer._solvable(stack))
+                assert non_finite == [k == row for k in range(4)], (entry, value)
+                # 1/|D| of an infinite D is 0, below the tolerance; of a NaN D it is NaN, which passes
+                assert small_pivot == [k == row and entry == (1, 1) and np.isinf(abs(value)) for k in range(4)]
 
     def test_reassembly_recovers_raw(self):
         rng = np.random.default_rng(9)
@@ -600,6 +609,21 @@ class TestDividedDifferencePass:
             expected = _recursive_exp_divided_difference(x)
             assert value.shape == expected.shape == (len(x),) and value.dtype == expected.dtype
             assert np.array_equal(value.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_subnormal_gap_takes_the_limit_without_a_warning(self, dtype):
+        # 1/d overflows for a subnormal d, while (1 - e^{-d})/d rounds to exactly 1
+        tiny = np.finfo(float).tiny
+        pairs = [[5e-324, 0.0], [0.0, -5e-324], [1.5 * tiny, tiny], [-tiny / 3, 0.0], [np.nextafter(tiny, 0.0), 0.0]]
+        if dtype is complex:
+            pairs += [[5e-324j, 0.0], [complex(tiny / 2, -tiny / 2), 0.0], [-3e-310 + 1e-320j, 0.0]]
+        x = np.array(pairs, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = transfer._exp_pair_difference(x)
+        big = np.where(x[:, 0].real >= x[:, 1].real, x[:, 0], x[:, 1])
+        assert got.dtype == x.dtype and np.array_equal(got, np.exp(big))  # e^{x_b} times the limit 1
+        assert transfer._exp_pair_difference(np.array([[tiny, 0.0]], dtype=dtype)) == -np.expm1(-tiny) / tiny
 
     def test_a_spread_of_exactly_dd_cluster_is_far(self):
         x3 = np.array([[0.0, transfer.DD_CLUSTER, 0.2], [0.0, np.nextafter(transfer.DD_CLUSTER, 0), 0.2]])
